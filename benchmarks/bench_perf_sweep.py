@@ -9,18 +9,14 @@ fan-out are all included.  Three scenario groups:
   traces interpreted and segmented from scratch; ``warm`` — second run,
   everything loads from disk; ``parallel`` — warm cache plus
   ``REPRO_JOBS=auto``, measured only when the host actually has more
-  than one CPU (on a single-CPU host it would just duplicate ``warm``);
-  ``sharded`` — the same warm sweep through the work-stealing shard
-  scheduler (``REPRO_SHARDS=2``), also multi-CPU only.  Every scenario
-  row records its shard count, so flat and sharded rows with the same
-  job count stay distinct.
+  than one CPU (on a single-CPU host it would just duplicate ``warm``).
 * **Engine kernels** (``fig8`` + ``fig9``, warm cache): the same sweeps
   under ``REPRO_ENGINE=scalar`` (reference loops) and
   ``REPRO_ENGINE=fast`` (vectorized kernels).  Both modes print
   byte-identical figures — the comparison is pure wall-clock.
 * **Kernel backends** (same warm sweeps): ``REPRO_ENGINE=fast`` under
   every ``REPRO_BACKEND`` available in this interpreter, so the
-  compiled (and, where installed, numba) tiers get their own rows.
+  compiled tier gets its own rows.
 
 Results land in ``benchmarks/results/BENCH_perf_sweep.json`` as one
 machine-readable record: per-figure wall-clock, engine mode, backend
@@ -65,15 +61,13 @@ def _available_backends() -> list:
 
 
 def _run_figure(figure: str, cache_dir: str, jobs: str = "1",
-                engine: str = "fast", backend: str = "numpy",
-                shards: str = "1") -> float:
+                engine: str = "fast", backend: str = "numpy") -> float:
     env = dict(os.environ,
                PYTHONPATH=str(REPO_ROOT / "src"),
                REPRO_CACHE_DIR=cache_dir,
                REPRO_JOBS=jobs,
                REPRO_ENGINE=engine,
                REPRO_BACKEND=backend,
-               REPRO_SHARDS=shards,
                REPRO_TRACE_LEN=str(BUDGET))
     start = time.perf_counter()
     proc = subprocess.run(
@@ -86,11 +80,9 @@ def _run_figure(figure: str, cache_dir: str, jobs: str = "1",
 
 
 def _scenario(figure: str, engine: str, cache: str, jobs: int,
-              seconds: float, backend: str = "numpy",
-              shards: int = 1) -> dict:
+              seconds: float, backend: str = "numpy") -> dict:
     return {"figure": figure, "engine": engine, "backend": backend,
-            "cache": cache, "jobs": jobs, "shards": shards,
-            "seconds": round(seconds, 3)}
+            "cache": cache, "jobs": jobs, "seconds": round(seconds, 3)}
 
 
 def measure() -> dict:
@@ -103,15 +95,10 @@ def measure() -> dict:
         scenarios.append(_scenario("fig6", "fast", "cold", 1, cold))
         scenarios.append(_scenario("fig6", "fast", "warm", 1, warm))
         parallel = None
-        sharded = None
         if n_cpus > 1:
             parallel = _run_figure("fig6", cache_dir, jobs="auto")
             scenarios.append(_scenario("fig6", "fast", "warm", n_cpus,
                                        parallel))
-            sharded = _run_figure("fig6", cache_dir, jobs="2",
-                                  shards="2")
-            scenarios.append(_scenario("fig6", "fast", "warm", 2,
-                                       sharded, shards=2))
 
         # Engine-kernel comparison: warm everything first (including the
         # compiled block arrays) so all modes measure pure engine time.
@@ -145,12 +132,9 @@ def measure() -> dict:
         "parallel_s": None if parallel is None else round(parallel, 3),
         "parallel_skipped": (None if parallel is not None
                              else "single-CPU host"),
-        "sharded_s": None if sharded is None else round(sharded, 3),
         "warm_speedup": round(cold / warm, 2),
         "parallel_speedup": (None if parallel is None
                              else round(cold / parallel, 2)),
-        "sharded_speedup": (None if sharded is None
-                            else round(cold / sharded, 2)),
         "engine_comparison": {
             "figures": list(ENGINE_FIGURES),
             "cache": "warm",
@@ -194,8 +178,7 @@ def _check(results: dict) -> None:
     seen = set()
     for scenario in results["scenarios"]:
         key = (scenario["figure"], scenario["engine"],
-               scenario["backend"], scenario["cache"], scenario["jobs"],
-               scenario["shards"])
+               scenario["backend"], scenario["cache"], scenario["jobs"])
         assert key not in seen, f"duplicate scenario row: {key}"
         seen.add(key)
 

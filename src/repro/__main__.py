@@ -36,7 +36,6 @@ from .experiments import (
 from .icache import CacheGeometry
 from .runtime.executor import n_jobs
 from .runtime.resilience import SweepError
-from .runtime.shard import POLICIES
 from .trace import trace_stats
 from .workloads import SPEC95, get_workload, load_fetch_input, load_trace
 
@@ -63,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Prediction' (HPCA 1997)",
         epilog="Runtime environment: REPRO_ENGINE=scalar|fast selects "
                "the fetch-engine implementation (default: fast, "
-               "bit-identical to scalar); REPRO_BACKEND=numpy|compiled|"
-               "numba picks the fast tier's kernel backend; "
+               "bit-identical to scalar); REPRO_BACKEND=numpy|compiled "
+               "picks the fast tier's kernel backend; "
                "REPRO_PROFILE=1 prints per-cell phase timings to "
                "stderr. See docs/performance.md for the full knob "
                "table.")
@@ -80,25 +79,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             "REPRO_ENGINE or fast)")
         p.add_argument("--backend", choices=BACKEND_MODES, default=None,
                        help="kernel backend for the fast tier: 'numpy' "
-                            "(reference vectorized), 'compiled' "
+                            "(reference vectorized) or 'compiled' "
                             "(exec-generated shape-specialized "
-                            "kernels), or 'numba' (njit replay loop; "
-                            "degrades to compiled when numba is "
-                            "absent); all bit-identical (default: "
+                            "kernels); both bit-identical (default: "
                             "REPRO_BACKEND or numpy)")
         p.add_argument("--jobs", type=str, default=None,
                        help="worker processes for the sweep "
                             "(int or 'auto'; default: REPRO_JOBS "
                             "or serial)")
-        p.add_argument("--shards", type=str, default=None,
-                       help="shard count for the sweep (int or 'auto'; "
-                            ">1 enables the work-stealing shard "
-                            "scheduler; default: REPRO_SHARDS or "
-                            "unsharded)")
-        p.add_argument("--shard-policy", choices=POLICIES, default=None,
-                       help="cell->shard partition policy: 'hash', "
-                            "'range' or 'size' (default: "
-                            "REPRO_SHARD_POLICY or size)")
         p.add_argument("--retries", type=str, default=None,
                        help="retry budget per sweep cell "
                             "(default: REPRO_RETRIES or 2)")
@@ -166,7 +154,7 @@ def _apply_runtime(args) -> None:
 
     from .core import backends, engine_mode
     from .cpu import tracer_mode
-    from .runtime import faults, profile, resilience, shard
+    from .runtime import faults, profile, resilience
     from .runtime.executor import JOBS_ENV
     from .trace.chunks import chunk_records
     from .workloads.base import stream_threshold
@@ -177,10 +165,6 @@ def _apply_runtime(args) -> None:
         os.environ[backends.BACKEND_ENV] = args.backend
     if getattr(args, "jobs", None) is not None:
         os.environ[JOBS_ENV] = args.jobs
-    if getattr(args, "shards", None) is not None:
-        os.environ[shard.SHARDS_ENV] = args.shards
-    if getattr(args, "shard_policy", None) is not None:
-        os.environ[shard.POLICY_ENV] = args.shard_policy
     if getattr(args, "retries", None) is not None:
         os.environ[resilience.RETRIES_ENV] = args.retries
     if getattr(args, "cell_timeout", None) is not None:
@@ -197,8 +181,6 @@ def _apply_runtime(args) -> None:
     stream_threshold()
     profile.enabled()
     n_jobs()
-    shard.shard_count()
-    shard.shard_policy()
     resilience.retry_limit()
     resilience.cell_timeout()
     resilience.resume_enabled()

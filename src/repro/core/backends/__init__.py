@@ -16,9 +16,6 @@ Registered tiers, each degrading to the next when unavailable:
   predictor-config) cell with all shape constants folded in, persisted
   under ``<cache>/compiled/kernels/``; falls back to ``numpy`` for
   shapes it does not specialize (set-associative BTB targets).
-* ``numba`` — ``@njit`` tight loops over the SoA event streams;
-  registers only when :mod:`numba` imports, otherwise degrades to
-  ``compiled``.
 """
 
 from __future__ import annotations
@@ -35,18 +32,15 @@ BACKEND_ENV = "REPRO_BACKEND"
 
 BACKEND_NUMPY = "numpy"
 BACKEND_COMPILED = "compiled"
-BACKEND_NUMBA = "numba"
 
 #: Accepted values, in display order.
-BACKEND_MODES: Tuple[str, ...] = (BACKEND_NUMPY, BACKEND_COMPILED,
-                                  BACKEND_NUMBA)
+BACKEND_MODES: Tuple[str, ...] = (BACKEND_NUMPY, BACKEND_COMPILED)
 
 #: Degradation order per requested mode: the first available backend
 #: along the chain runs.  ``numpy`` is always available.
 FALLBACK_CHAINS: Dict[str, Tuple[str, ...]] = {
     BACKEND_NUMPY: (BACKEND_NUMPY,),
     BACKEND_COMPILED: (BACKEND_COMPILED, BACKEND_NUMPY),
-    BACKEND_NUMBA: (BACKEND_NUMBA, BACKEND_COMPILED, BACKEND_NUMPY),
 }
 
 _instances: Dict[str, "KernelBackend"] = {}
@@ -80,9 +74,6 @@ def get_backend(name: str) -> "KernelBackend":
         elif name == BACKEND_COMPILED:
             from .compiled import CompiledKernelBackend
             backend = CompiledKernelBackend()
-        elif name == BACKEND_NUMBA:
-            from .numba_backend import NumbaBackend
-            backend = NumbaBackend()
         else:
             raise ValueError(f"unknown backend: {name!r}")
         _instances[name] = backend

@@ -42,10 +42,8 @@ REGISTRY: Tuple[EnvVar, ...] = (
     EnvVar(
         name="REPRO_BACKEND",
         summary="Kernel backend for the fast engine tier: 'numpy' "
-                "(pure-numpy kernels), 'compiled' (exec-generated "
-                "shape-specialized kernels) or 'numba' (njit loops; "
-                "degrades to 'compiled' when numba is absent); all "
-                "bit-identical.",
+                "(pure-numpy kernels) or 'compiled' (exec-generated "
+                "shape-specialized kernels); both bit-identical.",
         default="numpy",
         owner="repro.core.backends",
     ),
@@ -161,22 +159,6 @@ REGISTRY: Tuple[EnvVar, ...] = (
                 "service; a full queue sheds with a typed overload.",
         default="256",
         owner="repro.serve.config",
-    ),
-    EnvVar(
-        name="REPRO_SHARDS",
-        summary="Shard count for sweep fan-out (integer or 'auto'); "
-                ">1 routes sweeps through the work-stealing shard "
-                "scheduler with per-shard journal checkpoints.",
-        default="unsharded",
-        owner="repro.runtime.shard",
-    ),
-    EnvVar(
-        name="REPRO_SHARD_POLICY",
-        summary="Cell->shard partition policy for sharded sweeps: "
-                "'hash' (stable digest), 'range' (contiguous blocks) "
-                "or 'size' (cost-balanced LPT greedy).",
-        default="size",
-        owner="repro.runtime.shard",
     ),
     EnvVar(
         name="REPRO_TRACER",

@@ -108,7 +108,7 @@ def check_shard_equivalence(case: QACase) -> Optional[str]:
         spec = sim.SimSpec(seed=int(case.digest(8), 16),
                            n_cells=len(runnable), n_shards=n_shards,
                            n_workers=min(2, len(runnable)),
-                           policy="size", cost_model="skewed",
+                           cost_model="skewed",
                            speed_model="mixed", retries=0)
         try:
             result = sim.simulate(spec, cells=runnable,

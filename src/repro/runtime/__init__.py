@@ -1,6 +1,6 @@
 """Sweep runtime: parallel execution, resilience and persistent caching.
 
-Three pieces:
+The pieces:
 
 * :mod:`repro.runtime.cache` — a persistent on-disk trace + segmentation
   cache (``REPRO_CACHE_DIR``, default ``~/.cache/repro``) layered under
@@ -18,11 +18,11 @@ Three pieces:
   :class:`~repro.runtime.resilience.SweepReport` record of what
   degraded.  :mod:`repro.runtime.faults` injects deterministic faults
   (``REPRO_FAULT_SPEC``) so every recovery path stays testable.
-* :mod:`repro.runtime.shard` — the work-stealing shard scheduler
-  (``REPRO_SHARDS``/``REPRO_SHARD_POLICY``): cells partition into
-  shards, workers drain their home shards and steal from stragglers,
-  and journaled sweeps checkpoint per shard while staying bit-exact
-  with the serial path under any shard count.
+* :mod:`repro.runtime.shard` — the work-stealing shard scheduler that
+  dispatches every sweep: cells partition into one shard per worker,
+  workers drain their home shards and steal from stragglers, one
+  worker runs in-process and more run on worker processes, and results
+  stay bit-exact under any worker count.
   :mod:`repro.runtime.sim` drives the same scheduler through a seeded
   discrete-event simulation so scheduling invariants are fast,
   deterministic tests.
@@ -46,8 +46,7 @@ _RESILIENCE_NAMES = ("CellOutcome", "Journal", "SweepError", "SweepReport",
                      "SweepResult", "cell_timeout", "drain_reports",
                      "resume_enabled", "retry_limit", "run_resilient")
 
-_SHARD_NAMES = ("SHARDS_ENV", "ShardPlan", "ShardScheduler", "partition",
-                "shard_count", "shard_policy")
+_SHARD_NAMES = ("ShardPlan", "ShardScheduler", "partition")
 
 _SIM_NAMES = ("SimSpec", "simulate", "verify_invariants")
 

@@ -9,8 +9,8 @@ bit-identical to the serial one — parallelism only moves wall-clock,
 never numbers.
 
 The worker count comes from the ``REPRO_JOBS`` environment variable
-(:func:`n_jobs`); ``REPRO_JOBS=1`` (the default) short-circuits to a plain
-serial loop.  Execution itself is delegated to
+(:func:`n_jobs`); ``REPRO_JOBS=1`` (the default) runs every cell
+in-process, one after another.  Execution itself is delegated to
 :mod:`repro.runtime.resilience`, which adds per-cell deadlines, bounded
 retries, crash recovery and journaled resume without changing any
 result.  Workers populate the persistent cache of
@@ -91,11 +91,10 @@ def unpicklable_reason(fn: Callable, cells: Sequence) -> Optional[str]:
 def execute(fn: Callable, cells: Iterable, jobs: Optional[int] = None,
             warm: Optional[Callable[[Sequence], None]] = None,
             label: Optional[str] = None,
-            inject_faults: bool = True,
-            shards: Optional[int] = None) -> List:
+            inject_faults: bool = True) -> List:
     """Order-preserving map of ``fn`` over ``cells``.
 
-    With one job (or one cell) this is a plain serial loop.  Otherwise
+    With one job (or one cell) every cell runs in-process.  Otherwise
     the cells are dispatched to worker processes and the results are
     returned in cell order, which keeps any downstream aggregation
     deterministic.  ``warm``, when given, is invoked with the cell list
@@ -108,19 +107,16 @@ def execute(fn: Callable, cells: Iterable, jobs: Optional[int] = None,
     only the lost cells, and ``label``-ed sweeps checkpoint completed
     cells to a journal so interrupted runs resume.  Work that cannot be
     pickled — e.g. an ad-hoc lambda engine factory — falls back to the
-    serial loop with an explicit ``RuntimeWarning`` naming the
-    unpicklable object.
-
-    ``shards`` (default ``REPRO_SHARDS``) > 1 dispatches through the
-    work-stealing shard scheduler of :mod:`repro.runtime.shard` — same
-    results, sharded wall-clock.
+    in-process worker with an explicit ``RuntimeWarning`` naming the
+    unpicklable object.  Every sweep, serial or parallel, is dispatched
+    by the work-stealing shard scheduler of :mod:`repro.runtime.shard`,
+    one shard per worker.
     """
     from . import resilience
 
     return resilience.run_resilient(fn, cells, jobs=jobs, warm=warm,
                                     label=label,
-                                    inject_faults=inject_faults,
-                                    shards=shards).results
+                                    inject_faults=inject_faults).results
 
 
 # ----------------------------------------------------------------------
@@ -206,10 +202,7 @@ def warm_fetch_inputs(triples: Iterable[Tuple[str, object, int]],
     worker, pool-level failures are caught here, and either way the main
     pass recomputes whatever warming missed.  Injected faults do not
     apply — they target sweep cells, whose indexes would otherwise alias
-    warm cells.  Warming always runs on one flat pool (``shards=1``):
-    the warm cells are deduplicated inputs, not sweep cells, so an
-    ambient ``REPRO_SHARDS`` must neither shard them nor skew the main
-    sweep's per-shard accounting with warm-up attempts.
+    warm cells.
     """
     from . import cache
 
@@ -218,7 +211,7 @@ def warm_fetch_inputs(triples: Iterable[Tuple[str, object, int]],
     unique = list(dict.fromkeys(triples))
     try:
         failures = [f for f in execute(_warm_fetch_cell, unique, jobs,
-                                       inject_faults=False, shards=1)
+                                       inject_faults=False)
                     if f]
     except Exception as exc:
         warnings.warn(

@@ -34,8 +34,8 @@ _TRUE = {"1", "on", "yes", "true"}
 
 _totals: Dict[str, float] = {}
 
-#: Shard id labelling this process's per-cell output (sharded sweeps
-#: set it worker-side so stderr lines stay attributable per shard).
+#: Shard id labelling this process's per-cell output (pool workers of
+#: parallel sweeps set it so stderr lines stay attributable per shard).
 _shard: int | None = None
 
 
@@ -124,9 +124,9 @@ def format_phases(phases: Dict[str, float]) -> str:
 def emit_cell(label: str, phases: Dict[str, float]) -> None:
     """Print one cell's phase breakdown to stderr.
 
-    Under a sharded sweep the line carries the worker's shard label
-    (``s<k>/``), so interleaved worker stderr still attributes every
-    cell to its shard.
+    In a pool worker of a parallel sweep the line carries the worker's
+    shard label (``s<k>/``), so interleaved worker stderr still
+    attributes every cell to its shard.
     """
     if _shard is not None:
         label = f"s{_shard}/{label}"

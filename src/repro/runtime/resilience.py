@@ -8,8 +8,13 @@ in a recovery loop that never changes a reported number — every
 recovered cell re-runs the same deterministic simulation — but survives
 the faults a long campaign actually hits:
 
+* **One scheduled loop**: every sweep, serial or parallel, is driven by
+  the work-stealing :class:`~repro.runtime.shard.ShardScheduler`
+  (:func:`repro.runtime.shard.run_sharded_loop`) with one shard per
+  worker — the loop the discrete-event testbed checks.  One worker runs
+  in-process; two or more run on worker processes.
 * **Per-cell deadline** (``REPRO_CELL_TIMEOUT``, seconds): a parallel
-  cell that exceeds it has its worker killed and is retried.  Serial
+  cell that exceeds it has its worker killed and is retried.  In-process
   execution has no preemption boundary, so deadlines only apply to
   parallel sweeps.
 * **Bounded retries** (``REPRO_RETRIES``, default 2) with exponential
@@ -19,14 +24,15 @@ the faults a long campaign actually hits:
 * **Crash recovery**: each worker slot owns a single-worker
   ``ProcessPoolExecutor``, so a dead interpreter breaks exactly one
   cell's pool — the pool is respawned and only the lost cell re-runs.
-  When pools keep dying (or cannot be spawned at all) the sweep degrades
-  to serial execution with an explicit ``RuntimeWarning``, never
-  silently.
+  When pools keep dying (or cannot be spawned at all) the scheduler
+  finishes the sweep in-process with an explicit ``RuntimeWarning``,
+  never silently.
 * **Checkpoint/resume**: labeled sweeps journal every completed cell's
   result to ``<cache-dir>/journal/<label>-<digest>/`` (atomic,
   checksummed); an interrupted rerun skips finished cells
   (``REPRO_RESUME``, default on) and merges bit-identically with an
-  uninterrupted run.  The journal is deleted when the sweep completes.
+  uninterrupted run, whatever its worker count.  The journal is deleted
+  when the sweep completes.
 
 Per-cell outcomes (ok / retried / timed-out / failed, plus resumed) are
 recorded in a :class:`SweepReport`; the CLI prints a summary for any
@@ -39,15 +45,13 @@ import hashlib
 import os
 import pickle
 import shutil
-import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
-                    Mapping, Optional, Sequence, Tuple)
+                    Mapping, Optional, Sequence)
 
 from . import cache, faults, profile
 
@@ -68,7 +72,7 @@ DEFAULT_RETRIES = 2
 BACKOFF_BASE = 0.05
 BACKOFF_CAP = 2.0
 
-#: Pool respawns tolerated before the sweep degrades to serial.
+#: Pool respawns tolerated before the sweep degrades to in-process.
 POOL_RESPAWN_BUDGET = 8
 
 _OFF = {"", "0", "off", "none", "disable", "disabled"}
@@ -180,7 +184,7 @@ class CellOutcome:
     timeouts: int = 0     #: attempts killed by the cell deadline
     resumed: bool = False  #: result loaded from the sweep journal
     error: str = ""       #: last failure, for failed cells
-    shard: Optional[int] = None  #: home shard under a sharded sweep
+    shard: Optional[int] = None  #: home shard of the last attempt
     stolen: bool = False  #: some attempt ran on a stealing worker
 
     def finish(self) -> None:
@@ -203,8 +207,8 @@ class SweepReport:
     outcomes: List[CellOutcome] = field(default_factory=list)
     degraded_serial: bool = False  #: parallel execution was abandoned
     pool_respawns: int = 0         #: worker pools killed and respawned
-    #: Shard-scheduler account (:class:`repro.runtime.shard.ShardInfo`)
-    #: when the sweep ran sharded; ``None`` for flat sweeps.
+    #: Scheduler account (:class:`repro.runtime.shard.ShardInfo`), set
+    #: for every sweep :func:`run_resilient` runs.
     shards: Optional["ShardInfo"] = None
     #: Wall-clock per phase accumulated in this process during the sweep
     #: (``REPRO_PROFILE=1``); empty when profiling is off.  Parallel
@@ -313,13 +317,9 @@ class Journal:
     Each completed cell is written atomically as ``cell-<index>.pkl``
     (a SHA-256 header followed by the pickled result), so an interrupted
     sweep can resume: entries are self-verifying, torn writes are
-    impossible, and a corrupt entry is simply recomputed.
-
-    Sharded sweeps checkpoint into per-shard subdirectories
-    (``shard-<k>/cell-<index>.pkl``); entries stay keyed by the *global*
-    cell index, so :meth:`load` merges flat and shard entries alike and
-    a resume may use a different shard count (or none) and still merge
-    bit-exact.
+    impossible, and a corrupt entry is simply recomputed.  Entries are
+    keyed by the *global* cell index, so a resume may use a different
+    worker count and still merge bit-exact.
     """
 
     def __init__(self, directory: Path, n_cells: int):
@@ -356,19 +356,15 @@ class Journal:
             return None
         return cls(root / "journal" / f"{label}-{key}", len(cells))
 
-    def _entry(self, index: int, shard: Optional[int] = None) -> Path:
-        if shard is None:
-            return self.directory / f"cell-{index}.pkl"
-        return self.directory / f"shard-{shard:02d}" / f"cell-{index}.pkl"
+    def _entry(self, index: int) -> Path:
+        return self.directory / f"cell-{index}.pkl"
 
     def load(self) -> Dict[int, object]:
         """Verified completed-cell results from a previous run."""
         if not self.directory.is_dir():
             return {}
         loaded: Dict[int, object] = {}
-        entries = (sorted(self.directory.glob("cell-*.pkl"))
-                   + sorted(self.directory.glob("shard-*/cell-*.pkl")))
-        for path in entries:
+        for path in sorted(self.directory.glob("cell-*.pkl")):
             try:
                 index = int(path.stem.split("-", 1)[1])
             except (IndexError, ValueError):
@@ -386,14 +382,13 @@ class Journal:
                 path.unlink(missing_ok=True)
         return loaded
 
-    def record(self, index: int, result: object,
-               shard: Optional[int] = None) -> None:
+    def record(self, index: int, result: object) -> None:
         """Atomically append one completed cell to the journal."""
         try:
             payload = pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
         except Exception:
             return  # unjournalable result: resume simply recomputes it
-        path = self._entry(index, shard)
+        path = self._entry(index)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
@@ -408,33 +403,21 @@ class Journal:
 
 
 # ----------------------------------------------------------------------
-# Cell attempts (serial and worker-side)
+# Worker processes
 # ----------------------------------------------------------------------
 
 def _pool_cell(fn: Callable, cell, index: int, attempt: int,
-               inject: bool, shard: Optional[int] = None):
+               inject: bool, shard: int):
     """Worker-side shim: apply injected faults, then run the cell.
 
-    Under a sharded sweep ``shard`` labels the worker's profile output,
-    so per-cell phase lines on stderr stay attributable per shard.
+    ``shard`` labels the worker's profile output, so per-cell phase
+    lines on stderr stay attributable per shard.
     """
-    if shard is not None:
-        profile.set_shard(shard)
+    profile.set_shard(shard)
     if inject:
         faults.apply_cell_faults(index, attempt, isolated=True)
     return fn(cell)
 
-
-def _serial_cell(fn: Callable, cell, index: int, attempt: int,
-                 inject: bool):
-    if inject:
-        faults.apply_cell_faults(index, attempt, isolated=False)
-    return fn(cell)
-
-
-# ----------------------------------------------------------------------
-# The resilient executor
-# ----------------------------------------------------------------------
 
 def _new_pool() -> ProcessPoolExecutor:
     """One single-worker pool per slot (patchable in tests).
@@ -476,15 +459,17 @@ class _Slot:
 
     pool: Optional[ProcessPoolExecutor] = None
     future: object = None
-    index: int = -1
     deadline: Optional[float] = None
 
+
+# ----------------------------------------------------------------------
+# The resilient executor
+# ----------------------------------------------------------------------
 
 def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
                   warm: Optional[Callable[[Sequence], None]] = None,
                   label: Optional[str] = None,
-                  inject_faults: bool = True,
-                  shards: Optional[int] = None) -> SweepResult:
+                  inject_faults: bool = True) -> SweepResult:
     """Order-preserving resilient map of ``fn`` over ``cells``.
 
     Semantics match :func:`repro.runtime.executor.execute` — results in
@@ -493,14 +478,13 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
     :class:`SweepError` when a cell fails after exhausting its retries;
     completed cells stay journaled so a rerun resumes.
 
-    ``shards`` (default ``REPRO_SHARDS``) > 1 routes dispatch through
-    the work-stealing shard scheduler of :mod:`repro.runtime.shard`:
-    cells are partitioned by ``REPRO_SHARD_POLICY``, workers drain their
-    home shards and steal from stragglers, and journaled sweeps
-    checkpoint per shard.  Results and recovery semantics are identical
-    either way — sharding only moves wall-clock, never numbers.
+    The worker count is ``min(jobs, pending cells)``; the cells are
+    partitioned into one shard per worker and dispatched by
+    :func:`repro.runtime.shard.run_sharded_loop`.  One worker runs
+    in-process, so a serial sweep needs no picklable work and spawns no
+    process.  The worker count only moves wall-clock, never numbers.
     """
-    from . import shard as shard_mod
+    from . import shard
     from .executor import n_jobs, unpicklable_reason
 
     cells = list(cells)
@@ -514,39 +498,30 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
         faults.validate()
 
     jobs = n_jobs() if jobs is None else jobs
-    n_shards = shard_mod.shard_count() if shards is None else shards
-    n_shards = max(1, n_shards)
-    policy = shard_mod.shard_policy()  # validated even when unsharded
     report = SweepReport(label=label, n_cells=len(cells), jobs=jobs,
                          outcomes=[CellOutcome(i)
                                    for i in range(len(cells))])
     results: List = [None] * len(cells)
-    done = [False] * len(cells)
 
     journal = Journal.open(label, fn, cells)
-    if journal is not None and resume:
-        for index, value in journal.load().items():
-            results[index] = value
-            done[index] = True
-            outcome = report.outcomes[index]
-            outcome.resumed = True
-            outcome.status = OK
+    resumed = journal.load() if journal is not None and resume else {}
+    for index, value in resumed.items():
+        results[index] = value
+        report.outcomes[index].resumed = True
 
-    pending = [i for i in range(len(cells)) if not done[i]]
-    effective = min(jobs, len(pending)) if pending else 1
-    use_shards = n_shards > 1 and len(pending) > 1
+    pending = [i for i in range(len(cells)) if i not in resumed]
+    workers = max(1, min(jobs, len(pending)))
 
     try:
-        if effective > 1 or use_shards:
+        if workers > 1:
             reason = unpicklable_reason(fn, cells)
             if reason is not None:
                 warnings.warn(
                     f"sweep {label or '<unlabeled>'} falls back to "
                     f"serial execution: {reason}",
                     RuntimeWarning, stacklevel=3)
-                effective = 1
-                use_shards = False
-        if (effective > 1 or use_shards) and warm is not None:
+                workers = 1
+        if workers > 1 and warm is not None:
             try:
                 warm(cells)
             except Exception as exc:
@@ -554,23 +529,9 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
                     f"sweep warm-up failed ({exc!r}); cells will "
                     f"compute their own inputs", RuntimeWarning,
                     stacklevel=3)
-        if use_shards:
-            plan = shard_mod.partition(cells, n_shards, policy)
-            workers = jobs if jobs > 1 else plan.n_shards
-            workers = min(workers, len(pending))
-            report.shards = shard_mod.ShardInfo(
-                n_shards=plan.n_shards, policy=plan.policy,
-                n_workers=workers)
-            pending = shard_mod.run_sharded_loop(
-                fn, cells, pending, results, done, report, plan,
-                workers, retries, timeout, inject_faults, journal)
-        elif effective > 1:
-            pending = _run_parallel(fn, cells, pending, results, done,
-                                    report, effective, retries, timeout,
-                                    inject_faults, journal)
-        if pending:
-            _run_serial(fn, cells, pending, results, done, report,
-                        retries, inject_faults, journal)
+        shard.run_sharded_loop(fn, cells, pending, results, report,
+                               shard.partition(cells, workers), workers,
+                               retries, timeout, inject_faults, journal)
     finally:
         if profiling:
             report.phase_seconds = profile.delta_since(profile_base)
@@ -586,165 +547,3 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
     if journal is not None:
         journal.discard()
     return SweepResult(results=results, report=report)
-
-
-def _record_success(index: int, value, results, done, report, journal,
-                    shard: Optional[int] = None) -> None:
-    results[index] = value
-    done[index] = True
-    outcome = report.outcomes[index]
-    outcome.finish()
-    if journal is not None:
-        journal.record(index, value, shard=shard)
-
-
-def _run_serial(fn, cells, pending, results, done, report, retries,
-                inject, journal) -> None:
-    """Serial recovery loop (also the degraded-parallel path)."""
-    for index in pending:
-        outcome = report.outcomes[index]
-        while True:
-            attempt = outcome.attempts
-            outcome.attempts += 1
-            try:
-                value = _serial_cell(fn, cells[index], index, attempt,
-                                     inject)
-            except Exception as exc:
-                if outcome.attempts <= retries:
-                    time.sleep(_backoff(attempt))
-                    continue
-                outcome.status = FAILED
-                outcome.error = repr(exc)
-                break
-            _record_success(index, value, results, done, report, journal)
-            break
-
-
-def _run_parallel(fn, cells, pending, results, done, report, jobs,
-                  retries, timeout, inject, journal) -> List[int]:
-    """Parallel recovery loop.
-
-    Returns the (possibly empty) list of cell indexes still pending —
-    non-empty only when parallel execution degraded and the caller
-    should finish serially.
-    """
-    #: (index, ready_at) — ready_at defers retries for backoff without
-    #: blocking the dispatcher.
-    queue: List[Tuple[int, float]] = [(i, 0.0) for i in pending]
-    slots = [_Slot() for _ in range(jobs)]
-    budget = max(POOL_RESPAWN_BUDGET, 2 * jobs)
-
-    def degrade(why: str) -> List[int]:
-        for slot in slots:
-            _terminate_pool(slot.pool)
-            if slot.future is not None:
-                queue.append((slot.index, 0.0))
-            slot.pool, slot.future = None, None
-        report.degraded_serial = True
-        warnings.warn(
-            f"sweep {report.label or '<unlabeled>'} degraded to serial "
-            f"execution: {why}", RuntimeWarning, stacklevel=4)
-        return sorted(index for index, _ in queue)
-
-    def submit(slot: _Slot, index: int) -> bool:
-        outcome = report.outcomes[index]
-        attempt = outcome.attempts
-        outcome.attempts += 1
-        try:
-            if slot.pool is None:
-                slot.pool = _new_pool()
-            slot.future = slot.pool.submit(
-                _pool_cell, fn, cells[index], index, attempt, inject)
-        except (BrokenProcessPool, OSError, RuntimeError):
-            outcome.attempts -= 1  # never started; not a real attempt
-            _terminate_pool(slot.pool)
-            slot.pool, slot.future = None, None
-            return False
-        slot.index = index
-        slot.deadline = (time.monotonic() + timeout
-                         if timeout is not None else None)
-        return True
-
-    def retry_or_fail(index: int, error: str) -> None:
-        outcome = report.outcomes[index]
-        if outcome.attempts <= retries:
-            queue.append((index,
-                          time.monotonic()
-                          + _backoff(outcome.attempts - 1)))
-        else:
-            outcome.status = FAILED
-            outcome.error = error
-
-    while queue or any(slot.future is not None for slot in slots):
-        now = time.monotonic()
-        # Fill idle slots with ready work.
-        for slot in slots:
-            if slot.future is not None:
-                continue
-            choice = next((pos for pos, (_, ready) in enumerate(queue)
-                           if ready <= now), None)
-            if choice is None:
-                break
-            index, _ = queue.pop(choice)
-            if not submit(slot, index):
-                report.pool_respawns += 1
-                queue.append((index, now))
-                if report.pool_respawns > budget:
-                    return degrade(
-                        f"{report.pool_respawns} worker-pool failures")
-
-        busy = [slot for slot in slots if slot.future is not None]
-        if not busy:
-            if queue:  # everything is backing off; wait for the earliest
-                time.sleep(max(0.0, min(r for _, r in queue)
-                               - time.monotonic()) + 0.001)
-            continue
-
-        wait_for = None
-        deadlines = [slot.deadline for slot in busy
-                     if slot.deadline is not None]
-        if deadlines:
-            wait_for = max(0.0, min(deadlines) - time.monotonic())
-        waiting_retries = [r for _, r in queue if r > now]
-        if waiting_retries and any(s.future is None for s in slots):
-            soonest = max(0.0, min(waiting_retries) - time.monotonic())
-            wait_for = soonest if wait_for is None \
-                else min(wait_for, soonest)
-        finished, _ = wait([slot.future for slot in busy],
-                           timeout=wait_for,
-                           return_when=FIRST_COMPLETED)
-
-        now = time.monotonic()
-        for slot in busy:
-            if slot.future in finished:
-                exc = slot.future.exception()
-                index = slot.index
-                if exc is None:
-                    _record_success(index, slot.future.result(), results,
-                                    done, report, journal)
-                else:
-                    if isinstance(exc, BrokenProcessPool):
-                        # The slot's lone worker died mid-cell: respawn
-                        # the pool, re-run only this cell.
-                        report.pool_respawns += 1
-                        _terminate_pool(slot.pool)
-                        slot.pool = None
-                    retry_or_fail(index, repr(exc))
-                slot.future = None
-            elif slot.deadline is not None and now >= slot.deadline:
-                # Hung worker: kill it, respawn the slot's pool lazily.
-                index = slot.index
-                outcome = report.outcomes[index]
-                outcome.timeouts += 1
-                report.pool_respawns += 1
-                _terminate_pool(slot.pool)
-                slot.pool, slot.future = None, None
-                retry_or_fail(index,
-                              f"cell exceeded {timeout}s deadline")
-        if report.pool_respawns > budget:
-            return degrade(f"{report.pool_respawns} worker-pool failures")
-
-    for slot in slots:
-        if slot.pool is not None:
-            slot.pool.shutdown(wait=True)
-    return []

@@ -1,43 +1,34 @@
-"""Sharded sweep scheduling: partitioning, work stealing, shard resume.
+"""Sweep scheduling: partitioning, work stealing, the sweep driver.
 
-ROADMAP item 3: generalize the single process pool of
-:mod:`repro.runtime.executor` into a multi-host-shaped shard scheduler.
-A sweep's cells are first *partitioned* into ``REPRO_SHARDS`` shards
-(:func:`partition`, policy from ``REPRO_SHARD_POLICY``):
-
-* ``hash`` — cells land on ``sha256(pickle(cell)) % n``; stable under
-  reordering of the sweep, so the same cell always homes on the same
-  shard across runs.
-* ``range`` — contiguous index blocks, sizes differing by at most one;
-  the natural choice when neighbouring cells share warm caches.
-* ``size`` (default) — deterministic longest-processing-time greedy over
-  per-cell cost estimates (uniform when none are known), which keeps
-  shard loads balanced when cell costs are skewed.
+Every sweep of :func:`repro.runtime.resilience.run_resilient` runs
+through this module, whatever its worker count.  The sweep's cells are
+first *partitioned* into one shard per worker (:func:`partition`): a
+deterministic longest-processing-time greedy over per-cell cost
+estimates (uniform when none are known, which deals cells round-robin),
+so shard loads stay balanced when cell costs are skewed.
 
 Execution then goes through :class:`ShardScheduler` — a *pure* decision
 core with an injected clock and no I/O, shared verbatim between the real
-process driver (:func:`run_sharded_loop`) and the discrete-event testbed
-of :mod:`repro.runtime.sim`.  Each worker drains its *home* shards
+driver (:func:`run_sharded_loop`) and the discrete-event testbed of
+:mod:`repro.runtime.sim`.  Each worker drains its *home* shards
 (``shard % n_workers == worker``) in FIFO order and, when those are
 empty, **steals from the longest remaining queue** (ties to the lowest
 shard id) so one straggler shard cannot serialize the sweep.  Every
 steal is recorded with a queue-depth snapshot, which is how the sim
 asserts the steal policy as an invariant rather than trusting it.
 
-Fault recovery is PR 2's machinery, reused not rebuilt: the real driver
-runs each worker slot on the single-worker pools of
+The driver runs one worker in-process (no pool, no deadline, first
+attempts in pending order) and two or more on the single-worker pools of
 :mod:`repro.runtime.resilience`, with the same retry budget, per-cell
-deadline kills, pool-respawn budget and serial degradation.  Journaled
-sweeps checkpoint per shard (``shard-<k>/cell-<i>.pkl`` under the sweep
-journal); entries are keyed by *global* cell index, so a resume may use
-a different shard count and still merge bit-exact with the serial path.
+deadline kills and pool-respawn budget.  When pools keep dying the same
+scheduler carries on with the in-process worker, so attempts and
+retries are accounted in one place.  Journaled sweeps checkpoint every
+cell as ``cell-<i>.pkl`` keyed by *global* cell index, so a resume may
+use a different worker count and still merge bit-exact.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
 import time
 import warnings
 from collections import deque
@@ -47,62 +38,12 @@ from dataclasses import dataclass, field
 from typing import (Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple)
 
+from . import faults
 from .resilience import FAILED
-
-#: Environment variable: shard count for sweeps (int or 'auto').
-SHARDS_ENV = "REPRO_SHARDS"
-#: Environment variable: cell->shard partition policy.
-POLICY_ENV = "REPRO_SHARD_POLICY"
-
-#: Recognised partition policies.
-POLICIES = ("hash", "range", "size")
-DEFAULT_POLICY = "size"
-
-#: Pickle protocol for hash-policy cell digests (stable across runs).
-_PICKLE_PROTOCOL = 4
 
 #: Scheduler verdicts returned by :meth:`ShardScheduler.fail`.
 RETRY = "retry"
 GAVE_UP = "gave-up"
-
-
-def shard_count(default: int = 1) -> int:
-    """Shard count from ``REPRO_SHARDS``.
-
-    Accepted values: a positive integer, or ``auto``/``0`` for one shard
-    per CPU.  Unset (or empty) falls back to ``default`` — unsharded.
-    """
-    raw = os.environ.get(SHARDS_ENV)
-    if raw is None or not raw.strip():
-        return default
-    text = raw.strip().lower()
-    if text == "auto":
-        return os.cpu_count() or 1
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(
-            f"{SHARDS_ENV} must be a positive integer or 'auto', "
-            f"got {raw!r}") from None
-    if value < 0:
-        raise ValueError(
-            f"{SHARDS_ENV} must not be negative, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
-
-def shard_policy() -> str:
-    """Partition policy from ``REPRO_SHARD_POLICY`` (default ``size``)."""
-    raw = os.environ.get(POLICY_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_POLICY
-    text = raw.strip().lower()
-    if text not in POLICIES:
-        raise ValueError(
-            f"{POLICY_ENV} must be one of {'/'.join(POLICIES)}, "
-            f"got {raw!r}")
-    return text
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +55,6 @@ class ShardPlan:
     """A fixed cell->shard assignment for one sweep."""
 
     n_shards: int
-    policy: str
     assignment: Tuple[int, ...]   #: shard id per global cell index
 
     @property
@@ -134,55 +74,33 @@ class ShardPlan:
         return out
 
 
-def _cell_digest(cell: object, index: int) -> int:
-    """Stable 64-bit digest of one cell (index fallback if unpicklable)."""
-    try:
-        blob = pickle.dumps(cell, protocol=_PICKLE_PROTOCOL)
-    except Exception:
-        blob = str(index).encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-
-
 def partition(cells: Sequence, n_shards: int,
-              policy: str = DEFAULT_POLICY,
               costs: Optional[Sequence[float]] = None) -> ShardPlan:
-    """Assign every cell to a shard under ``policy``, deterministically.
+    """Assign every cell to a shard, deterministically.
 
-    ``costs`` (per-cell cost estimates, same length as ``cells``) steer
-    the ``size`` policy; the other policies ignore them.  The shard
-    count is clamped to the cell count so no shard starts empty.
+    Longest-processing-time greedy: heaviest cell first, onto the
+    least-loaded shard (ties to the lowest id).  ``costs`` are per-cell
+    cost estimates, same length as ``cells``; without them every cell
+    weighs the same and cells are dealt round-robin.  The shard count is
+    clamped to the cell count so no shard starts empty.
     """
-    if policy not in POLICIES:
-        raise ValueError(
-            f"unknown shard policy {policy!r}; expected one of "
-            f"{'/'.join(POLICIES)}")
     n = len(cells)
     if n == 0:
-        return ShardPlan(n_shards=1, policy=policy, assignment=())
+        return ShardPlan(n_shards=1, assignment=())
     n_shards = max(1, min(int(n_shards), n))
-    if policy == "hash":
-        assignment = [_cell_digest(cell, i) % n_shards
-                      for i, cell in enumerate(cells)]
-    elif policy == "range":
-        base, extra = divmod(n, n_shards)
-        assignment = []
-        for s in range(n_shards):
-            assignment.extend([s] * (base + (1 if s < extra else 0)))
-    else:  # size: LPT greedy — heaviest cell first, least-loaded shard
-        weights = ([float(c) for c in costs] if costs is not None
-                   else [1.0] * n)
-        if len(weights) != n:
-            raise ValueError(
-                f"costs length {len(weights)} != cell count {n}")
-        order = sorted(range(n), key=lambda i: (-weights[i], i))
-        loads = [0.0] * n_shards
-        assignment = [0] * n
-        for i in order:
-            s = min(range(n_shards), key=lambda k: (loads[k], k))
-            assignment[i] = s
-            loads[s] += weights[i]
-    return ShardPlan(n_shards=n_shards, policy=policy,
-                     assignment=tuple(assignment))
+    weights = ([float(c) for c in costs] if costs is not None
+               else [1.0] * n)
+    if len(weights) != n:
+        raise ValueError(
+            f"costs length {len(weights)} != cell count {n}")
+    order = sorted(range(n), key=lambda i: (-weights[i], i))
+    loads = [0.0] * n_shards
+    assignment = [0] * n
+    for i in order:
+        s = min(range(n_shards), key=lambda k: (loads[k], k))
+        assignment[i] = s
+        loads[s] += weights[i]
+    return ShardPlan(n_shards=n_shards, assignment=tuple(assignment))
 
 
 # ----------------------------------------------------------------------
@@ -336,8 +254,8 @@ class ShardScheduler:
 
         The degrade path: execution was interrupted mid-cell, so the
         attempt stays counted (it was real work) but the cell goes back
-        to its home queue for the serial finisher instead of burning a
-        retry verdict here.
+        to its home queue for the in-process worker instead of burning
+        a retry verdict here.
         """
         assignment = self._pop_inflight(worker)
         self._queues[assignment.shard].append(assignment.cell)
@@ -431,68 +349,119 @@ class ShardScheduler:
 
 @dataclass
 class ShardInfo:
-    """Shard-scheduler account attached to a ``SweepReport``."""
+    """Scheduler account attached to every ``SweepReport``."""
 
     n_shards: int
-    policy: str
     n_workers: int
     steals: int = 0
     #: Completed cells per shard id (filled as the sweep finishes).
     cells_done: Dict[int, int] = field(default_factory=dict)
 
     def describe(self) -> str:
-        return (f"sharded {self.n_shards}x{self.policy} over "
-                f"{self.n_workers} worker(s), {self.steals} steal(s)")
+        return (f"{self.n_shards} shard(s) over {self.n_workers} "
+                f"worker(s), {self.steals} steal(s)")
 
 
 # ----------------------------------------------------------------------
-# The real process driver
+# The real driver
 # ----------------------------------------------------------------------
 
 def run_sharded_loop(fn: Callable, cells: Sequence,
-                     pending: Sequence[int], results: List,
-                     done: List[bool], report, plan: ShardPlan,
-                     n_workers: int, retries: int,
+                     pending: Sequence[int], results: List, report,
+                     plan: ShardPlan, n_workers: int, retries: int,
                      timeout: Optional[float], inject: bool,
-                     journal) -> List[int]:
-    """Drive :class:`ShardScheduler` over real worker processes.
+                     journal) -> None:
+    """Drive :class:`ShardScheduler` until every pending cell is terminal.
 
-    The execution substrate is :mod:`repro.runtime.resilience`'s —
-    single-worker pools per slot, deadline kills, pool respawn under the
-    same budget, and per-shard journal checkpoints.  Returns the cell
-    indexes still pending, non-empty only when the sweep degraded and
-    the caller should finish serially (exactly the ``_run_parallel``
-    contract).
+    One worker runs in-process.  Two or more run on single-worker
+    process pools (:func:`_drive_pools`); if those degrade, the same
+    scheduler finishes the sweep on the in-process worker.  Successful
+    cells land in ``results`` and the ``journal``; failures are marked
+    on ``report.outcomes`` by the scheduler, and the schedule itself is
+    recorded as ``report.shards``.
     """
     from . import resilience as res
 
+    info = report.shards = ShardInfo(n_shards=plan.n_shards,
+                                     n_workers=n_workers)
     scheduler = ShardScheduler(plan, pending, n_workers, retries,
                                clock=time.monotonic,
                                outcomes=report.outcomes,
                                backoff=res._backoff)
-    slots = [res._Slot() for _ in range(n_workers)]
-    budget = max(res.POOL_RESPAWN_BUDGET, 2 * n_workers)
-    info = report.shards
 
-    def finalize_info() -> None:
-        if info is not None:
-            info.steals = len(scheduler.steals)
-            info.cells_done = scheduler.shard_progress()
+    def succeed(worker: int, value) -> None:
+        index = scheduler.complete(worker).cell
+        results[index] = value
+        report.outcomes[index].finish()
+        if journal is not None:
+            journal.record(index, value)
 
-    def degrade(why: str) -> List[int]:
-        for slot in slots:
-            res._terminate_pool(slot.pool)
-            slot.pool, slot.future = None, None
-        for worker in list(scheduler.inflight):
-            scheduler.abandon(worker)
-        report.degraded_serial = True
-        finalize_info()
-        warnings.warn(
-            f"sweep {report.label or '<unlabeled>'} degraded to serial "
-            f"execution: {why}", RuntimeWarning, stacklevel=4)
-        return scheduler.remaining()
+    if n_workers > 1:
+        why = _drive_pools(scheduler, fn, cells, report, timeout, inject,
+                           succeed)
+        if why is not None:
+            report.degraded_serial = True
+            warnings.warn(
+                f"sweep {report.label or '<unlabeled>'} degraded to "
+                f"serial execution: {why}", RuntimeWarning, stacklevel=3)
+    _drive_in_process(scheduler, fn, cells, inject, succeed)
+    info.steals = len(scheduler.steals)
+    info.cells_done = scheduler.shard_progress()
+
+
+def _drive_in_process(scheduler: ShardScheduler, fn: Callable,
+                      cells: Sequence, inject: bool,
+                      succeed: Callable) -> None:
+    """Run every remaining cell in this process, as worker 0.
+
+    There is no isolation boundary here: injected ``crash``/``hang``
+    faults degrade to raised exceptions, and no deadline applies.
+    """
+    while not scheduler.finished:
+        assignment = scheduler.acquire(0)
+        if assignment is None:
+            ready_at = scheduler.next_ready_at()
+            if ready_at is None:
+                raise ShardStateError(
+                    f"no runnable cell, yet cells "
+                    f"{scheduler.remaining()} are unfinished")
+            time.sleep(max(0.0, ready_at - time.monotonic()))
+            continue
+        try:
+            if inject:
+                faults.apply_cell_faults(assignment.cell,
+                                         assignment.attempt,
+                                         isolated=False)
+            value = fn(cells[assignment.cell])
+        except Exception as exc:
+            scheduler.fail(0, repr(exc))
+            continue
+        succeed(0, value)
+
+
+def _drive_pools(scheduler: ShardScheduler, fn: Callable,
+                 cells: Sequence, report, timeout: Optional[float],
+                 inject: bool, succeed: Callable) -> Optional[str]:
+    """Run the scheduler's workers on single-worker process pools.
+
+    Returns ``None`` when the pools stop — every cell terminal — or the
+    reason they were abandoned after too many pool failures; abandoned
+    in-flight cells go back to their queues for the in-process worker.
+    """
+    from . import resilience as res
+
+    slots = [res._Slot() for _ in range(scheduler.n_workers)]
+    budget = max(res.POOL_RESPAWN_BUDGET, 2 * len(slots))
 
     while not scheduler.finished:
+        if report.pool_respawns > budget:
+            for worker, slot in enumerate(slots):
+                res._terminate_pool(slot.pool)
+                if slot.future is not None:
+                    scheduler.abandon(worker)
+                slot.pool, slot.future = None, None
+            return f"{report.pool_respawns} worker-pool failures"
+
         # Fill idle worker slots from the scheduler.
         for worker, slot in enumerate(slots):
             if slot.future is not None:
@@ -512,23 +481,17 @@ def run_sharded_loop(fn: Callable, cells: Sequence,
                 report.pool_respawns += 1
                 res._terminate_pool(slot.pool)
                 slot.pool, slot.future = None, None
-                if report.pool_respawns > budget:
-                    return degrade(
-                        f"{report.pool_respawns} worker-pool failures")
                 continue
-            slot.index = assignment.cell
             slot.deadline = (time.monotonic() + timeout
                              if timeout is not None else None)
 
         busy = [(w, s) for w, s in enumerate(slots)
                 if s.future is not None]
         if not busy:
-            if scheduler.finished:
-                break
+            if scheduler.has_ready():
+                continue  # a cell was handed back; redispatch
             ready_at = scheduler.next_ready_at()
             if ready_at is None:
-                if scheduler.has_ready():
-                    continue  # a cell was handed back; redispatch
                 break  # nothing queued, waiting or running
             time.sleep(max(0.0, ready_at - time.monotonic()) + 0.001)
             continue
@@ -552,10 +515,7 @@ def run_sharded_loop(fn: Callable, cells: Sequence,
             if slot.future in finished:
                 exc = slot.future.exception()
                 if exc is None:
-                    assignment = scheduler.complete(worker)
-                    res._record_success(
-                        assignment.cell, slot.future.result(), results,
-                        done, report, journal, shard=assignment.shard)
+                    succeed(worker, slot.future.result())
                 else:
                     if isinstance(exc, BrokenProcessPool):
                         report.pool_respawns += 1
@@ -571,11 +531,8 @@ def run_sharded_loop(fn: Callable, cells: Sequence,
                 scheduler.fail(worker,
                                f"cell exceeded {timeout}s deadline",
                                timed_out=True)
-        if report.pool_respawns > budget:
-            return degrade(f"{report.pool_respawns} worker-pool failures")
 
     for slot in slots:
         if slot.pool is not None:
             slot.pool.shutdown(wait=True)
-    finalize_info()
-    return scheduler.remaining()
+    return None

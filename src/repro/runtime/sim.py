@@ -92,7 +92,6 @@ class SimSpec:
     n_cells: int
     n_shards: int
     n_workers: int
-    policy: str = shard.DEFAULT_POLICY
     cost_model: str = "uniform"
     speed_model: str = "uniform"
     crash_rate: float = 0.0
@@ -108,8 +107,6 @@ class SimSpec:
             raise SimSpecError("n_shards must be >= 1")
         if self.n_workers < 1:
             raise SimSpecError("n_workers must be >= 1")
-        if self.policy not in shard.POLICIES:
-            raise SimSpecError(f"unknown policy {self.policy!r}")
         if self.cost_model not in COST_MODELS:
             raise SimSpecError(f"unknown cost model {self.cost_model!r}")
         if self.speed_model not in SPEED_MODELS:
@@ -288,7 +285,7 @@ def simulate(spec: SimSpec, cells: Optional[Sequence] = None,
     each completion event, the optional ``execute`` callback — which is
     how :mod:`repro.qa` runs *real* sweep cells under simulated
     schedules.  ``done`` pre-marks cells as resumed from a previous run
-    (the per-shard journal, virtually); ``stop_at`` interrupts the
+    (the sweep journal, virtually); ``stop_at`` interrupts the
     schedule at a virtual instant, modelling a mid-sweep kill.
     """
     spec.validate()
@@ -300,8 +297,7 @@ def simulate(spec: SimSpec, cells: Optional[Sequence] = None,
             f"n_cells={spec.n_cells}")
     costs = cell_costs(spec)
     speeds = worker_speeds(spec)
-    plan = shard.partition(cells, spec.n_shards, spec.policy,
-                           costs=costs)
+    plan = shard.partition(cells, spec.n_shards, costs=costs)
     outcomes = [CellOutcome(i) for i in range(spec.n_cells)]
     done_set = set(done)
     for index in done_set:

@@ -94,7 +94,6 @@ class ServiceMetrics:
     #: error_type -> count of typed failed responses.
     failed: Dict[str, int] = field(default_factory=dict)
     batches: int = 0
-    sharded_batches: int = 0    #: batches routed through the shard scheduler
     degraded_batches: int = 0   #: batches rescued on the scalar rung
     cell_retries: int = 0
     cell_timeouts: int = 0
@@ -150,10 +149,8 @@ class PredictionService:
                  deadline: Optional[float] = None,
                  breaker_threshold: Optional[int] = None,
                  breaker_cooldown: Optional[float] = None,
-                 store_entries: Optional[int] = None,
-                 shards: Optional[int] = None) -> None:
+                 store_entries: Optional[int] = None) -> None:
         from ..runtime.executor import n_jobs
-        from ..runtime.shard import shard_count
 
         self.queue_limit = (serve_config.queue_limit()
                             if queue_limit is None else queue_limit)
@@ -162,10 +159,6 @@ class PredictionService:
         self.default_deadline = (serve_config.default_deadline()
                                  if deadline is None else deadline)
         self._jobs = max(2, n_jobs()) if jobs is None else jobs
-        #: Batch sweeps route through the shard scheduler when > 1
-        #: (``REPRO_SHARDS`` unless overridden per instance); cell
-        #: indexes are batch positions, which sharding preserves.
-        self._shards = shard_count() if shards is None else shards
         self._breaker_threshold = (serve_config.breaker_threshold()
                                    if breaker_threshold is None
                                    else breaker_threshold)
@@ -522,14 +515,11 @@ class PredictionService:
             faults.FAULTS_ENV: self._translated_spec(requests)}
         if cell_timeout is not None:
             overrides[resilience.TIMEOUT_ENV] = f"{cell_timeout:.3f}"
-        if self._shards > 1 and len(cells) > 1:
-            self.metrics.sharded_batches += 1
         try:
             with resilience.scoped_environ(overrides):
                 sweep = resilience.run_resilient(
                     execute_request_cell, cells, jobs=self._jobs,
-                    label=None, inject_faults=True,
-                    shards=self._shards)
+                    label=None, inject_faults=True)
             return list(sweep.results), sweep.report
         except resilience.SweepError as exc:
             return None, exc.report
@@ -581,5 +571,4 @@ class PredictionService:
             "queue_limit": self.queue_limit,
             "batch_limit": self.batch_limit,
             "jobs": self._jobs,
-            "shards": self._shards,
         }

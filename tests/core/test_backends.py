@@ -128,28 +128,10 @@ def test_numpy_always_available():
     assert resolve_backend("numpy").name == "numpy"
 
 
-def test_numba_request_degrades_along_chain():
-    try:
-        import numba  # noqa: F401
-        expected = "numba"
-    except ImportError:
-        expected = "compiled"
-    assert resolve_backend("numba").name == expected
-
-
 def test_chain_degrades_to_numpy_when_everything_unavailable(monkeypatch):
-    for name in ("numba", "compiled"):
-        monkeypatch.setattr(get_backend(name), "available",
-                            lambda: False)
-    assert resolve_backend("numba").name == "numpy"
-    assert resolve_backend("compiled").name == "numpy"
-
-
-def test_compiled_unavailable_hides_it_from_numba_chain(monkeypatch):
     monkeypatch.setattr(get_backend("compiled"), "available",
                         lambda: False)
-    resolved = resolve_backend("numba")
-    assert resolved.name != "compiled"
+    assert resolve_backend("compiled").name == "numpy"
 
 
 # -- engine-level backend parity ---------------------------------------

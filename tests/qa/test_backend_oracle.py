@@ -3,8 +3,8 @@
 Every committed corpus artifact replays with the fast tier pinned to
 each backend available in this interpreter; the verdict demands
 bit-exact stats and full predictor state against the scalar reference
-for every one of them.  This is the regression net the compiled and
-numba tiers hang from.
+for every one of them.  This is the regression net the compiled tier
+hangs from.
 """
 
 import pytest

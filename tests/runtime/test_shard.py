@@ -1,15 +1,16 @@
-"""The shard scheduler: partitioning, stealing, driver, shard resume.
+"""The shard scheduler: partitioning, stealing, driver, resume.
 
 The pure scheduler core is unit-tested with a fake clock (no sleeps);
-the real process driver is exercised through ``run_resilient`` with
-``shards > 1`` against the serial baseline — sharded execution must be
-bit-exact, including through fault retries and a kill/resume cycle that
-changes the shard count between runs.
+the real driver is exercised through ``run_resilient``, which schedules
+every sweep with one shard per worker.  Parallel execution must be
+bit-exact with the in-process single worker, including through fault
+retries and a kill/resume cycle that changes the worker count between
+runs.
 """
 
 import pytest
 
-from repro.runtime import cache, faults, resilience, shard
+from repro.runtime import cache, faults, resilience
 from repro.runtime.executor import JOBS_ENV
 from repro.runtime.resilience import (
     FAILED,
@@ -20,15 +21,12 @@ from repro.runtime.resilience import (
 )
 from repro.runtime.shard import (
     GAVE_UP,
-    POLICIES,
     RETRY,
     Assignment,
     ShardScheduler,
     ShardStateError,
     home_shards,
     partition,
-    shard_count,
-    shard_policy,
 )
 
 CELLS = list(range(12))
@@ -44,8 +42,7 @@ def _square(x):
 def _clean_runtime(monkeypatch):
     """Hermetic knobs: no env leakage, no backoff sleeps, fresh reports."""
     for env in (JOBS_ENV, resilience.TIMEOUT_ENV, resilience.RETRIES_ENV,
-                resilience.RESUME_ENV, faults.FAULTS_ENV,
-                shard.SHARDS_ENV, shard.POLICY_ENV):
+                resilience.RESUME_ENV, faults.FAULTS_ENV):
         monkeypatch.delenv(env, raising=False)
     monkeypatch.setattr(resilience, "BACKOFF_BASE", 0.0)
     faults.reset()
@@ -54,68 +51,24 @@ def _clean_runtime(monkeypatch):
     drain_reports()
 
 
-class TestKnobs:
-    def test_unset_means_unsharded(self):
-        assert shard_count() == 1
-
-    def test_explicit_count(self, monkeypatch):
-        monkeypatch.setenv(shard.SHARDS_ENV, "4")
-        assert shard_count() == 4
-
-    @pytest.mark.parametrize("value", ["auto", "0"])
-    def test_auto_means_cpu_count(self, monkeypatch, value):
-        monkeypatch.setenv(shard.SHARDS_ENV, value)
-        assert shard_count() >= 1
-
-    @pytest.mark.parametrize("value", ["several", "-2", "1.5"])
-    def test_garbage_rejected(self, monkeypatch, value):
-        monkeypatch.setenv(shard.SHARDS_ENV, value)
-        with pytest.raises(ValueError, match=shard.SHARDS_ENV):
-            shard_count()
-
-    def test_policy_default(self):
-        assert shard_policy() == shard.DEFAULT_POLICY
-
-    @pytest.mark.parametrize("value", POLICIES)
-    def test_policy_values(self, monkeypatch, value):
-        monkeypatch.setenv(shard.POLICY_ENV, value)
-        assert shard_policy() == value
-
-    def test_policy_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(shard.POLICY_ENV, "round-robin")
-        with pytest.raises(ValueError, match=shard.POLICY_ENV):
-            shard_policy()
-
-
 class TestPartition:
     def test_every_cell_assigned_once(self):
-        for policy in POLICIES:
-            plan = partition(CELLS, 3, policy)
-            assert plan.n_cells == len(CELLS)
-            assert sum(plan.counts()) == len(CELLS)
-            assert all(0 <= s < 3 for s in plan.assignment)
+        plan = partition(CELLS, 3)
+        assert plan.n_cells == len(CELLS)
+        assert sum(plan.counts()) == len(CELLS)
+        assert all(0 <= s < 3 for s in plan.assignment)
+
+    def test_uniform_costs_deal_round_robin(self):
+        plan = partition(CELLS, 5)
+        assert list(plan.assignment) == [i % 5 for i in CELLS]
 
     def test_shards_clamped_to_cell_count(self):
-        plan = partition([1, 2], 8, "range")
+        plan = partition([1, 2], 8)
         assert plan.n_shards == 2
-
-    def test_range_is_contiguous_and_balanced(self):
-        plan = partition(CELLS, 5, "range")
-        assert list(plan.assignment) == sorted(plan.assignment)
-        counts = plan.counts()
-        assert max(counts) - min(counts) <= 1
-
-    def test_hash_is_stable_under_reorder(self):
-        cells = ["a", "b", "c", "d", "e"]
-        fwd = partition(cells, 3, "hash")
-        rev = partition(list(reversed(cells)), 3, "hash")
-        for i, cell in enumerate(cells):
-            j = len(cells) - 1 - i
-            assert fwd.assignment[i] == rev.assignment[j], cell
 
     def test_size_balances_skewed_costs(self):
         costs = [10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 10.0]
-        plan = partition(list(range(10)), 2, "size", costs=costs)
+        plan = partition(list(range(10)), 2, costs=costs)
         loads = [0.0, 0.0]
         for i, s in enumerate(plan.assignment):
             loads[s] += costs[i]
@@ -123,21 +76,15 @@ class TestPartition:
 
     def test_size_cost_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="costs length"):
-            partition([1, 2, 3], 2, "size", costs=[1.0])
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown shard policy"):
-            partition(CELLS, 2, "modulo")
+            partition([1, 2, 3], 2, costs=[1.0])
 
     def test_deterministic(self):
-        for policy in POLICIES:
-            assert partition(CELLS, 4, policy) \
-                == partition(CELLS, 4, policy)
+        assert partition(CELLS, 4) == partition(CELLS, 4)
 
 
 def _scheduler(n_cells=8, n_shards=4, n_workers=2, retries=1,
                clock=lambda: 0.0, backoff=None):
-    plan = partition(list(range(n_cells)), n_shards, "range")
+    plan = partition(list(range(n_cells)), n_shards)
     outcomes = [CellOutcome(i) for i in range(n_cells)]
     sched = ShardScheduler(plan, list(range(n_cells)), n_workers,
                            retries, clock=clock, outcomes=outcomes,
@@ -164,7 +111,7 @@ class TestScheduler:
             sched.acquire(0)
 
     def test_steals_from_longest_queue_when_homes_empty(self):
-        # Worker 1 owns shards 1 and 3 (2 cells each with range over
+        # Worker 1 owns shards 1 and 3 (2 cells each, dealt over
         # 8 cells x 4 shards); drain them, then the next acquire must
         # steal from the longest remaining queue.
         sched, _ = _scheduler()
@@ -236,40 +183,80 @@ class TestScheduler:
 class TestShardedExecution:
     def test_sharded_matches_serial_bit_exact(self):
         serial = run_resilient(_square, CELLS, jobs=1)
-        sharded = run_resilient(_square, CELLS, jobs=2, shards=3)
+        sharded = run_resilient(_square, CELLS, jobs=3)
         assert sharded.results == serial.results == EXPECTED
         info = sharded.report.shards
         assert info is not None
-        assert info.n_shards == 3
+        assert info.n_shards == info.n_workers == 3
         assert sum(info.cells_done.values()) == len(CELLS)
-        assert "sharded 3x" in sharded.report.summary()
+        assert "3 shard(s) over 3 worker(s)" in sharded.report.summary()
 
-    def test_env_routes_through_shards(self, monkeypatch):
-        monkeypatch.setenv(shard.SHARDS_ENV, "2")
-        monkeypatch.setenv(shard.POLICY_ENV, "range")
-        swept = run_resilient(_square, CELLS, jobs=2)
-        assert swept.results == EXPECTED
-        assert swept.report.shards.policy == "range"
+    def test_workers_capped_by_pending_cells(self):
+        swept = run_resilient(_square, [1, 2], jobs=8)
+        assert swept.results == [1, 4]
+        assert swept.report.shards.n_workers == 2
+        assert swept.report.shards.n_shards == 2
 
     def test_fault_retry_recovers_bit_exact(self, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV, "fail:cell=5,times=1")
         monkeypatch.setenv(resilience.RETRIES_ENV, "2")
         faults.reset()
-        swept = run_resilient(_square, CELLS, jobs=2, shards=2)
+        swept = run_resilient(_square, CELLS, jobs=2)
         assert swept.results == EXPECTED
         assert swept.report.outcomes[5].status == resilience.RETRIED
 
+    def test_serial_and_parallel_account_faults_identically(
+            self, monkeypatch):
+        monkeypatch.setenv(faults.FAULTS_ENV, "fail:cell=2,times=1")
+        sweeps = {}
+        for jobs in (1, 2):
+            faults.reset()
+            sweeps[jobs] = run_resilient(_square, CELLS, jobs=jobs)
+        serial, parallel = sweeps[1], sweeps[2]
+        assert serial.results == parallel.results == EXPECTED
+
+        def account(sweep):
+            return [(o.attempts, o.status) for o in sweep.report.outcomes]
+
+        assert account(serial) == account(parallel)
+        assert serial.report.outcomes[2].attempts == 2
+        assert serial.report.outcomes[2].status == resilience.RETRIED
+        assert serial.report.shards.n_workers == 1
+        assert parallel.report.shards.n_workers == 2
+
     def test_unpicklable_work_degrades_to_serial(self):
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            swept = run_resilient(lambda x: x + 1, CELLS, jobs=1,
-                                  shards=4)
+            swept = run_resilient(lambda x: x + 1, CELLS, jobs=4)
         assert swept.results == [x + 1 for x in CELLS]
-        assert swept.report.shards is None
+        assert swept.report.shards.n_workers == 1
 
-    def test_single_shard_uses_flat_path(self):
-        swept = run_resilient(_square, CELLS, jobs=1, shards=1)
+    def test_single_shard_uses_flat_path(self, monkeypatch):
+        # One worker runs in-process: no pool is ever spawned.
+        def no_pool():
+            raise AssertionError("a single-worker sweep spawned a pool")
+
+        monkeypatch.setattr(resilience, "_new_pool", no_pool)
+        swept = run_resilient(_square, CELLS, jobs=1)
         assert swept.results == EXPECTED
-        assert swept.report.shards is None
+        assert swept.report.shards.n_shards == 1
+        assert swept.report.shards.n_workers == 1
+        assert swept.report.shards.steals == 0
+
+    def test_degraded_sweep_keeps_one_schedule(self, monkeypatch):
+        def no_pool():
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(resilience, "_new_pool", no_pool)
+        with pytest.warns(RuntimeWarning, match="degraded to serial"):
+            swept = run_resilient(_square, CELLS, jobs=3)
+        assert swept.results == EXPECTED
+        report = swept.report
+        assert report.degraded_serial
+        assert report.shards.n_workers == 3
+        assert sum(report.shards.cells_done.values()) == len(CELLS)
+        # Spawn failures hand cells back unrun: no attempt is counted
+        # twice, and every cell ran exactly once in-process.
+        assert [o.attempts for o in report.outcomes] == [1] * len(CELLS)
 
 
 class TestShardResume:
@@ -277,17 +264,6 @@ class TestShardResume:
     def cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
         return tmp_path
-
-    def test_journal_layout_is_per_shard(self, cache_dir, monkeypatch):
-        monkeypatch.setenv(faults.FAULTS_ENV, "fail:cell=7")
-        monkeypatch.setenv(resilience.RETRIES_ENV, "0")
-        faults.reset()
-        with pytest.raises(SweepError):
-            run_resilient(_square, CELLS, jobs=2, label="layout",
-                          shards=3)
-        entries = sorted((cache_dir / "journal").rglob("cell-*.pkl"))
-        assert entries, "completed cells must be journaled"
-        assert all(p.parent.name.startswith("shard-") for p in entries)
 
     def test_kill_then_resume_with_different_shard_count(
             self, cache_dir, monkeypatch):
@@ -297,24 +273,34 @@ class TestShardResume:
         monkeypatch.setenv(resilience.RETRIES_ENV, "0")
         faults.reset()
         with pytest.raises(SweepError) as exc_info:
-            run_resilient(_square, CELLS, jobs=2, label="resume-x",
-                          shards=2)
+            run_resilient(_square, CELLS, jobs=2, label="resume-x")
         assert exc_info.value.report.failed_cells == [4]
-        assert list((cache_dir / "journal").iterdir()), \
-            "journal must survive a failed sweep"
+        entries = sorted((cache_dir / "journal").rglob("cell-*.pkl"))
+        assert len(entries) == len(CELLS) - 1, \
+            "every completed cell must be journaled"
+        assert all(p.parent.parent == cache_dir / "journal"
+                   for p in entries), "the journal layout is flat"
 
         monkeypatch.delenv(faults.FAULTS_ENV)
         monkeypatch.setenv(resilience.RETRIES_ENV, "2")
         faults.reset()
-        resumed = run_resilient(_square, CELLS, jobs=2,
-                                label="resume-x", shards=5)
+        resumed = run_resilient(_square, CELLS, jobs=1,
+                                label="resume-x")
         assert resumed.results == baseline.results == EXPECTED
         report = resumed.report
-        assert report.resumed_cells, \
-            "the second run must reuse journaled cells"
-        assert 4 not in report.resumed_cells
+        assert report.resumed_cells == [i for i in CELLS if i != 4]
+        assert report.shards.n_workers == 1
         assert not list((cache_dir / "journal").iterdir()), \
             "journal must be discarded after success"
+
+    def test_old_shard_subdirectory_entries_are_recomputed(
+            self, cache_dir):
+        journal = resilience.Journal.open("legacy", _square, CELLS)
+        journal.record(0, "stale")
+        legacy = journal.directory / "shard-00" / "cell-1.pkl"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_bytes((journal.directory / "cell-0.pkl").read_bytes())
+        assert journal.load() == {0: "stale"}
 
     def test_sharded_journal_resumes_serially_too(self, cache_dir,
                                                   monkeypatch):
@@ -322,8 +308,7 @@ class TestShardResume:
         monkeypatch.setenv(resilience.RETRIES_ENV, "0")
         faults.reset()
         with pytest.raises(SweepError):
-            run_resilient(_square, CELLS, jobs=2, label="to-serial",
-                          shards=4)
+            run_resilient(_square, CELLS, jobs=4, label="to-serial")
         monkeypatch.delenv(faults.FAULTS_ENV)
         faults.reset()
         resumed = run_resilient(_square, CELLS, jobs=1,
@@ -347,10 +332,7 @@ class TestFig6Sharded:
 
         serial = run_fig6(history_lengths=(6, 8), budget=self.BUDGET)
         drain_reports()
-        monkeypatch.setenv(shard.SHARDS_ENV, "2")
-        monkeypatch.setenv(resilience.JOBS_ENV
-                           if hasattr(resilience, "JOBS_ENV")
-                           else JOBS_ENV, "2")
+        monkeypatch.setenv(JOBS_ENV, "2")
         sharded = run_fig6(history_lengths=(6, 8), budget=self.BUDGET)
         assert sharded == serial
         report = next(r for r in drain_reports() if r.label == "fig6")
@@ -367,7 +349,6 @@ class TestFig6Sharded:
         monkeypatch.setenv(faults.FAULTS_ENV, "fail:cell=2")
         monkeypatch.setenv(resilience.RETRIES_ENV, "0")
         monkeypatch.setenv(JOBS_ENV, "2")
-        monkeypatch.setenv(shard.SHARDS_ENV, "2")
         faults.reset()
         with pytest.raises(SweepError):
             run_fig6(history_lengths=(6, 8), budget=self.BUDGET)
@@ -376,7 +357,7 @@ class TestFig6Sharded:
 
         monkeypatch.delenv(faults.FAULTS_ENV)
         monkeypatch.setenv(resilience.RETRIES_ENV, "2")
-        monkeypatch.setenv(shard.SHARDS_ENV, "3")
+        monkeypatch.setenv(JOBS_ENV, "3")
         faults.reset()
         resumed = run_fig6(history_lengths=(6, 8), budget=self.BUDGET)
         assert resumed == serial

@@ -48,7 +48,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("overrides,message", [
         (dict(n_cells=0), "n_cells"),
         (dict(n_workers=0), "n_workers"),
-        (dict(policy="modulo"), "policy"),
+        (dict(n_shards=0), "n_shards"),
         (dict(cost_model="gaussian"), "cost model"),
         (dict(crash_rate=1.0), "crash_rate"),
         (dict(crash_rate=0.6, hang_rate=0.5, timeout=1.0),

@@ -292,18 +292,10 @@ class TestAdmission:
 
 
 class TestShardRouting:
-    def test_unsharded_by_default(self):
-        async def body():
-            async with _service() as svc:
-                response = await svc.submit(REQUEST)
-                return response, svc.summary(), svc.metrics
-
-        response, summary, metrics = _run(body())
-        assert response.status == SERVED
-        assert summary["shards"] == 1
-        assert metrics.sharded_batches == 0
-
     def test_sharded_batch_matches_unsharded(self):
+        # One batch worker runs in-process, two run on worker processes;
+        # the shard scheduler dispatches both, and neither may change a
+        # payload.
         requests = [
             ServeRequest(workload="kmp", engine="dual", budget=1500),
             ServeRequest(workload="compress", engine="dual",
@@ -313,26 +305,19 @@ class TestShardRouting:
                          budget=1500),
         ]
 
-        def run_with(shards):
+        def run_with(jobs):
             async def body():
-                async with _service(shards=shards) as svc:
+                async with _service(jobs=jobs) as svc:
                     responses = await asyncio.gather(
                         *(svc.submit(r) for r in requests))
-                    return responses, svc.metrics
+                    return responses, svc.summary()
             return _run(body())
 
-        flat, flat_metrics = run_with(1)
-        sharded, shard_metrics = run_with(2)
-        assert flat_metrics.sharded_batches == 0
-        assert shard_metrics.sharded_batches >= 1
-        for a, b in zip(flat, sharded):
+        serial, serial_summary = run_with(1)
+        parallel, parallel_summary = run_with(2)
+        assert serial_summary["jobs"] == 1
+        assert parallel_summary["jobs"] == 2
+        for a, b in zip(serial, parallel):
             assert a.status == b.status == SERVED
             assert a.payload_digest == b.payload_digest, \
-                "sharded dispatch must not change any payload"
-
-    def test_shards_env_snapshot_at_construction(self, monkeypatch):
-        from repro.runtime import shard
-
-        monkeypatch.setenv(shard.SHARDS_ENV, "3")
-        svc = _service()
-        assert svc.summary()["shards"] == 3
+                "parallel dispatch must not change any payload"

@@ -14,17 +14,14 @@ fan-out are all included.  Three scenario groups:
   under ``REPRO_ENGINE=scalar`` (reference loops) and
   ``REPRO_ENGINE=fast`` (vectorized kernels).  Both modes print
   byte-identical figures — the comparison is pure wall-clock.
-* **Kernel backends** (same warm sweeps): ``REPRO_ENGINE=fast`` under
-  every ``REPRO_BACKEND`` available in this interpreter, so the
-  compiled tier gets its own rows.
 
 Results land in ``benchmarks/results/BENCH_perf_sweep.json`` as one
-machine-readable record: per-figure wall-clock, engine mode, backend
-and cache state for every scenario, plus the scalar/fast and
-per-backend speedups.  The module runs standalone
-(``python benchmarks/bench_perf_sweep.py``) or under pytest; either way
-it fails if the fast engine regresses below scalar or the compiled
-backend regresses below numpy.
+machine-readable record: per-figure wall-clock, engine mode and cache
+state for every scenario, plus the scalar/fast speedup.  The module
+runs standalone (``python benchmarks/bench_perf_sweep.py``) or under
+pytest; either way it fails if the fast engine regresses below scalar,
+and it re-renders the engine table of ``docs/performance.md`` from the
+record (``--render`` does only that, from the committed record).
 """
 
 from __future__ import annotations
@@ -39,35 +36,32 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_perf_sweep.json"
+DOC_PATH = REPO_ROOT / "docs" / "performance.md"
+
+#: Markers around the engine table in ``DOC_PATH``; :func:`render_doc`
+#: rewrites what lies between them from the results record.
+TABLE_BEGIN = ("<!-- engine-table: rendered by "
+               "benchmarks/bench_perf_sweep.py -->")
+TABLE_END = "<!-- /engine-table -->"
 BUDGET = int(os.environ.get("REPRO_TRACE_LEN", "120000"))
 
-#: Repeats per backend-comparison cell; the row records the minimum
+#: Repeats per fast-engine cell; the row records the minimum
 #: (subprocess wall-clock on shared hosts is noisy, the minimum is the
 #: stable statistic).  The scalar rows stay single-shot — at the
 #: default budget the scalar fig8 sweep alone runs for minutes.
-BACKEND_REPEATS = int(os.environ.get("BENCH_BACKEND_REPEATS", "3"))
+FAST_REPEATS = int(os.environ.get("BENCH_FAST_REPEATS", "3"))
 
 #: The engine-kernel comparison sweeps (the paper's headline figures).
 ENGINE_FIGURES = ("fig8", "fig9")
 
 
-def _available_backends() -> list:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    try:
-        from repro.core.backends import available_backends
-        return list(available_backends())
-    finally:
-        sys.path.pop(0)
-
-
 def _run_figure(figure: str, cache_dir: str, jobs: str = "1",
-                engine: str = "fast", backend: str = "numpy") -> float:
+                engine: str = "fast") -> float:
     env = dict(os.environ,
                PYTHONPATH=str(REPO_ROOT / "src"),
                REPRO_CACHE_DIR=cache_dir,
                REPRO_JOBS=jobs,
                REPRO_ENGINE=engine,
-               REPRO_BACKEND=backend,
                REPRO_TRACE_LEN=str(BUDGET))
     start = time.perf_counter()
     proc = subprocess.run(
@@ -80,14 +74,13 @@ def _run_figure(figure: str, cache_dir: str, jobs: str = "1",
 
 
 def _scenario(figure: str, engine: str, cache: str, jobs: int,
-              seconds: float, backend: str = "numpy") -> dict:
-    return {"figure": figure, "engine": engine, "backend": backend,
-            "cache": cache, "jobs": jobs, "seconds": round(seconds, 3)}
+              seconds: float) -> dict:
+    return {"figure": figure, "engine": engine, "cache": cache,
+            "jobs": jobs, "seconds": round(seconds, 3)}
 
 
 def measure() -> dict:
     n_cpus = os.cpu_count() or 1
-    backends = _available_backends()
     scenarios = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as cache_dir:
         cold = _run_figure("fig6", cache_dir)
@@ -109,20 +102,14 @@ def measure() -> dict:
             t = _run_figure(figure, cache_dir, engine="scalar")
             scenarios.append(_scenario(figure, "scalar", "warm", 1, t))
             scalar_s += t
-        backend_s = {}
-        for backend in backends:
-            total = 0.0
-            for figure in ENGINE_FIGURES:
-                times = [_run_figure(figure, cache_dir, backend=backend)
-                         for _ in range(BACKEND_REPEATS)]
-                t = min(times)
-                row = _scenario(figure, "fast", "warm", 1, t,
-                                backend=backend)
-                row["repeats"] = [round(x, 3) for x in times]
-                scenarios.append(row)
-                total += t
-            backend_s[backend] = total
-    fast_s = backend_s["numpy"]
+        fast_s = 0.0
+        for figure in ENGINE_FIGURES:
+            times = [_run_figure(figure, cache_dir)
+                     for _ in range(FAST_REPEATS)]
+            row = _scenario(figure, "fast", "warm", 1, min(times))
+            row["repeats"] = [round(x, 3) for x in times]
+            scenarios.append(row)
+            fast_s += min(times)
     return {
         "budget": BUDGET,
         "cpus": n_cpus,
@@ -141,44 +128,56 @@ def measure() -> dict:
             "scalar_s": round(scalar_s, 3),
             "fast_s": round(fast_s, 3),
             "fast_speedup": round(scalar_s / fast_s, 2),
-            "backends": {
-                name: {
-                    "seconds": round(total, 3),
-                    "speedup_vs_scalar": round(scalar_s / total, 2),
-                    "speedup_vs_numpy": round(fast_s / total, 2),
-                }
-                for name, total in backend_s.items()
-            },
         },
     }
+
+
+def engine_table(results: dict) -> str:
+    """Markdown scalar-vs-fast table of one results record."""
+    seconds = {(row["figure"], row["engine"]): row["seconds"]
+               for row in results["scenarios"] if row["cache"] == "warm"}
+    comparison = results["engine_comparison"]
+    lines = ["| Sweep | `scalar` | `fast` | Speedup |",
+             "| --- | --- | --- | --- |"]
+    for figure in comparison["figures"]:
+        scalar, fast = seconds[(figure, "scalar")], seconds[(figure, "fast")]
+        lines.append(f"| {figure} | {scalar:.1f} s | {fast:.2f} s "
+                     f"| {scalar / fast:.1f}× |")
+    lines.append(f"| {' + '.join(comparison['figures'])} | "
+                 f"{comparison['scalar_s']:.1f} s | "
+                 f"{comparison['fast_s']:.2f} s | "
+                 f"**{comparison['fast_speedup']:.2f}×** |")
+    return "\n".join(lines)
+
+
+def render_doc(results: dict) -> None:
+    """Rewrite the engine table in ``docs/performance.md``."""
+    text = DOC_PATH.read_text()
+    head, rest = text.split(TABLE_BEGIN, 1)
+    _, tail = rest.split(TABLE_END, 1)
+    DOC_PATH.write_text(f"{head}{TABLE_BEGIN}\n{engine_table(results)}\n"
+                        f"{TABLE_END}{tail}")
 
 
 def _record(results: dict) -> None:
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    render_doc(results)
     print(json.dumps(results, indent=2))
 
 
 def _check(results: dict) -> None:
-    # A warm cache must beat interpreting every trace from scratch, the
-    # vectorized engine must never regress below the scalar loops, and
-    # the compiled backend must never regress below plain numpy.
+    # A warm cache must beat interpreting every trace from scratch, and
+    # the vectorized engine must never regress below the scalar loops.
     assert results["warm_s"] < results["cold_s"]
     comparison = results["engine_comparison"]
     assert comparison["fast_s"] < comparison["scalar_s"], (
         f"fast engine regressed: {comparison['fast_s']}s vs scalar "
         f"{comparison['scalar_s']}s")
-    backends = comparison["backends"]
-    if "compiled" in backends:
-        assert (backends["compiled"]["seconds"]
-                < backends["numpy"]["seconds"]), (
-            f"compiled backend regressed: "
-            f"{backends['compiled']['seconds']}s vs numpy "
-            f"{backends['numpy']['seconds']}s")
     seen = set()
     for scenario in results["scenarios"]:
-        key = (scenario["figure"], scenario["engine"],
-               scenario["backend"], scenario["cache"], scenario["jobs"])
+        key = (scenario["figure"], scenario["engine"], scenario["cache"],
+               scenario["jobs"])
         assert key not in seen, f"duplicate scenario row: {key}"
         seen.add(key)
 
@@ -191,6 +190,9 @@ def test_perf_sweep(benchmark, results_dir):
 
 
 if __name__ == "__main__":
-    results = measure()
-    _record(results)
-    _check(results)
+    if sys.argv[1:] == ["--render"]:
+        render_doc(json.loads(RESULTS_PATH.read_text()))
+    else:
+        results = measure()
+        _record(results)
+        _check(results)

@@ -14,7 +14,6 @@ import argparse
 import sys
 
 from .core import DualBlockEngine, EngineConfig, SingleBlockEngine
-from .core.backends import BACKEND_MODES
 from .core.engine_mode import ENGINE_MODES
 from .core.multi import MultiBlockEngine
 from .experiments import (
@@ -62,9 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Prediction' (HPCA 1997)",
         epilog="Runtime environment: REPRO_ENGINE=scalar|fast selects "
                "the fetch-engine implementation (default: fast, "
-               "bit-identical to scalar); REPRO_BACKEND=numpy|compiled "
-               "picks the fast tier's kernel backend; "
-               "REPRO_PROFILE=1 prints per-cell phase timings to "
+               "bit-identical to scalar); REPRO_PROFILE=1 prints per-cell phase timings to "
                "stderr. See docs/performance.md for the full knob "
                "table.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -77,12 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "'scalar' (reference loops); both produce "
                             "identical statistics (default: "
                             "REPRO_ENGINE or fast)")
-        p.add_argument("--backend", choices=BACKEND_MODES, default=None,
-                       help="kernel backend for the fast tier: 'numpy' "
-                            "(reference vectorized) or 'compiled' "
-                            "(exec-generated shape-specialized "
-                            "kernels); both bit-identical (default: "
-                            "REPRO_BACKEND or numpy)")
         p.add_argument("--jobs", type=str, default=None,
                        help="worker processes for the sweep "
                             "(int or 'auto'; default: REPRO_JOBS "
@@ -125,9 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=ENGINE_MODES, default=None,
                    help="fetch-engine implementation (default: "
                         "REPRO_ENGINE or fast)")
-    p.add_argument("--backend", choices=BACKEND_MODES, default=None,
-                   help="kernel backend for the fast tier (default: "
-                        "REPRO_BACKEND or numpy)")
     p.add_argument("--budget", type=int, default=120_000)
     p.add_argument("--cache", choices=sorted(_CACHES), default="align")
     p.add_argument("--blocks", type=int, default=2,
@@ -152,7 +140,7 @@ def _apply_runtime(args) -> None:
     """
     import os
 
-    from .core import backends, engine_mode
+    from .core import engine_mode
     from .cpu import tracer_mode
     from .runtime import faults, profile, resilience
     from .runtime.executor import JOBS_ENV
@@ -161,8 +149,6 @@ def _apply_runtime(args) -> None:
 
     if getattr(args, "engine", None) is not None:
         os.environ[engine_mode.ENGINE_ENV] = args.engine
-    if getattr(args, "backend", None) is not None:
-        os.environ[backends.BACKEND_ENV] = args.backend
     if getattr(args, "jobs", None) is not None:
         os.environ[JOBS_ENV] = args.jobs
     if getattr(args, "retries", None) is not None:
@@ -171,11 +157,8 @@ def _apply_runtime(args) -> None:
         os.environ[resilience.TIMEOUT_ENV] = args.cell_timeout
     if getattr(args, "resume", None) is not None:
         os.environ[resilience.RESUME_ENV] = "1" if args.resume else "0"
-    from .core.backends import codegen
 
     engine_mode.engine_mode()
-    backends.backend_mode()
-    codegen.gate_mode()
     tracer_mode()
     chunk_records()
     stream_threshold()

@@ -24,16 +24,8 @@ ALL_CHECKERS: Tuple[Type[Checker], ...] = (
 
 
 def all_rules() -> List[RuleSpec]:
-    """Every rule id the tool can emit, sorted by id.
-
-    Includes the generated-kernel gate rules (REP7xx), which are
-    emitted by the codegen hook and the ``--kernels`` sweep rather
-    than a per-file checker.
-    """
-    from ..kernelgate import KERNEL_RULES
-
+    """Every rule id the tool can emit, sorted by id."""
     rules: List[RuleSpec] = [PARSE_RULE]
     for checker in ALL_CHECKERS:
         rules.extend(checker.rules)
-    rules.extend(KERNEL_RULES)
     return sorted(rules, key=lambda rule: rule.id)

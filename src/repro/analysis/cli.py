@@ -16,8 +16,7 @@ from typing import List, Optional, Sequence
 
 from .checkers import all_rules
 from .config import ConfigError, LintConfig, load_config
-from .core import AnalysisResult, run_analysis
-from .kernelgate import lint_kernel_cache
+from .core import run_analysis
 from .report import render_human, render_json
 
 
@@ -54,12 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "config excludes them)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("--kernels", default=None, metavar="CACHE",
-                        help="instead of linting files, re-lint every "
-                             "persisted generated-kernel artifact "
-                             "under CACHE (a cache root or the "
-                             "compiled/kernels directory) through the "
-                             "REP7xx gate rules")
     return parser
 
 
@@ -93,27 +86,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    if args.kernels is not None:
-        root = Path(args.kernels)
-        if not root.exists():
-            print(f"reprolint: no such kernel cache: {root}",
-                  file=sys.stderr)
-            return 2
-        findings, n_kernels = lint_kernel_cache(
-            root, config=config,
-            select=tuple(_split(args.select) or ()),
-            ignore=tuple(_split(args.ignore) or ()))
-        result = AnalysisResult(findings=findings, n_files=n_kernels)
-    else:
-        paths = _resolve_paths(args.paths, config)
-        missing = [path for path in paths if not path.exists()]
-        if missing:
-            names = ", ".join(str(path) for path in missing)
-            print(f"reprolint: no such path: {names}", file=sys.stderr)
-            return 2
+    paths = _resolve_paths(args.paths, config)
+    missing = [path for path in paths if not path.exists()]
+    if missing:
+        names = ", ".join(str(path) for path in missing)
+        print(f"reprolint: no such path: {names}", file=sys.stderr)
+        return 2
 
-        result = run_analysis(paths, config, select=_split(args.select),
-                              ignore=_split(args.ignore))
+    result = run_analysis(paths, config, select=_split(args.select),
+                          ignore=_split(args.ignore))
 
     if args.format == "json":
         report = render_json(result)

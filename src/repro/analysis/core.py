@@ -11,8 +11,8 @@ tables, and per-line ``# reprolint: disable=RULE`` pragmas.
 
 Rule identifiers are ``REP`` + three digits; the hundreds digit groups
 them by checker (1xx determinism, 2xx dtype-safety, 3xx parity
-contract, 4xx env registry, 5xx exception hygiene, 6xx async-safety,
-7xx generated-kernel contract).  Selection matches by prefix, so
+contract, 4xx env registry, 5xx exception hygiene, 6xx
+async-safety).  Selection matches by prefix, so
 ``--select REP1`` enables every determinism rule.
 """
 
@@ -42,7 +42,6 @@ FAMILIES: Dict[str, str] = {
     "4": "env",
     "5": "exceptions",
     "6": "async",
-    "7": "kernel",
 }
 
 
@@ -362,11 +361,10 @@ def filter_findings(raw: Iterable[Finding], config: LintConfig,
                     ) -> List[Finding]:
     """Post-filter raw findings: selection, per-path tables, pragmas.
 
-    One code path for every finding source — files on disk and
-    generated kernel sources alike — so ``--select``/``--ignore``
+    One code path for every finding source, so ``--select``/``--ignore``
     prefixes and ``# reprolint: disable=RULE`` pragmas behave
-    uniformly.  ``lines_by_rel`` supplies source lines for paths that
-    do not exist on disk (synthetic ``<generated:...>`` names).
+    uniformly.  ``lines_by_rel`` supplies each linted file's source
+    lines for the pragma check.
     """
     findings: List[Finding] = []
     for finding in raw:

@@ -1,37 +1,40 @@
 """Vectorized fetch-engine runs (``REPRO_ENGINE=fast``).
 
 Each ``run_*_fast`` function replays one engine's whole block stream
-with the batched kernels of :mod:`repro.core.kernels`, falling back to
-plain Python only at true serialization points: select-table and
-target-array state (aliasing reads depend on earlier writes) and the
-return-address stack.  Every number charged — and every piece of
-predictor state left behind (PHT counters, select tables, target
-arrays, RAS, BIT table) — is bit-identical to the scalar engines,
-which ``tests/core/test_engine_parity.py`` locks down.
+with the batched kernels of :mod:`repro.core.kernels`.  Every number
+charged — and every piece of predictor state left behind (PHT
+counters, select tables, target arrays, BTB LRU order, RAS, BIT
+table) — is bit-identical to the scalar engines, which
+``tests/core/test_engine_parity.py`` locks down.
 
 The scalar loops in ``single.py``/``dual.py``/``multi.py``/
 ``two_ahead.py`` remain the readable ground truth; the engines
 dispatch here based on :func:`repro.core.engine_mode.use_fast_engine`.
 
-Since the backend tier (``REPRO_BACKEND``, :mod:`repro.core.backends`)
-each run is split into a backend-shared ``_prep_*`` front half (counter
-scan, divergence charges, RAS replay — everything vectorizable without
-aliasing state) and a per-backend residual that replays the
-select-table and target-array event streams: ``_residual_*_numpy``
-below is the reference serial form, the ``compiled`` backend replaces
-it with exec-generated keyed-replay kernels.
+Each run has two halves.  ``_prep_*`` runs the counter scan, walk
+resolution, divergence and bank-conflict charges and the RAS replay.
+``_residual_*`` then replays the select-table and target-array event
+streams: tag-less stores (select tables, NLS arrays) through the keyed
+last-write replay :func:`~repro.core.kernels.replay_last_write`, and
+the set-associative block BTB through the LRU residency kernel
+:func:`~repro.core.kernels.lru_resident`.  Python loops remain only
+for the RAS and for writing final table state back, one iteration per
+stored entry rather than per block.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from functools import lru_cache
+from typing import List
 
 import numpy as np
 
 from ..icache.geometry import SELF_ALIGNED
-from ..predictors.evaluate import packed_history
+from ..predictors.evaluate import _grouping_order, packed_history
 from ..predictors.ghr import BlockOutcomes
 from ..targets.bit import BitCode
+from ..targets.btb import BlockBTB, DualBTBTargetArray, _Entry
+from ..targets.nls import DualNLSTargetArray
 from .engine_common import K_CALL, K_COND, K_INDIRECT, K_JUMP, K_RETURN
 from .kernels import (
     CODE_COND_LONG,
@@ -40,7 +43,9 @@ from .kernels import (
     compile_fetch_input,
     decode_selector,
     encode_selector,
+    lru_resident,
     pair_conflicts,
+    replay_last_write,
     resolve_walks,
     scan_counters,
     stale_bit_windows,
@@ -98,9 +103,7 @@ class _Run:
         self.walk: WalkArrays = None  # set by resolve()
         self.stale_walk = None
         self.stale = None
-        self.match = None    # divergence masks + residual inputs,
-        self.near_ok = None  # populated by the engine preps for the
-        self.mf = None       # backend residual kernels
+        self.match = None  # set by finish()
 
     # -- PHT base indices ------------------------------------------------
 
@@ -234,7 +237,26 @@ class _Run:
                 ras.push(exit_pc[b] + 1)
         return peeks
 
-    # -- misfetch kinds --------------------------------------------------
+    # -- residual inputs -------------------------------------------------
+
+    def finish(self, match: np.ndarray) -> None:
+        """Record the residual inputs: target events and misfetch kinds.
+
+        Every non-return taken exit whose target the near-block adder
+        did not supply trains the target array (``self.todo``, in block
+        order); the ones whose direction matched and whose target came
+        from the array also look it up first (``self.lookup``).  A
+        lookup therefore always precedes an update of the same entry.
+        """
+        compiled = self.compiled
+        walk = self.walk
+        near_ok = (walk.src == SRC_NEAR) \
+            & (walk.pred_exit == compiled.act_exit)
+        self.match = match
+        self.todo = np.nonzero(compiled.has_exit & ~self.is_ret
+                               & ~near_ok)[0]
+        self.lookup = match[self.todo] & (walk.src[self.todo] != SRC_NEAR)
+        self.mf = self.misfetch_kinds()[self.todo]
 
     def misfetch_kinds(self) -> np.ndarray:
         """1 = immediate, 2 = indirect, 0 = none (returns excluded)."""
@@ -248,6 +270,31 @@ class _Run:
         mf[jump_call & (compiled.exit_direct < 0)] = 2
         mf[compiled.has_exit & (kind == K_INDIRECT)] = 2
         return mf
+
+    def charge_targets(self, stats: FetchStats, targets, which,
+                       anchor_line, imm_cycles, ind_cycles) -> None:
+        """Replay the target array over ``self.todo`` and charge misfetches.
+
+        ``which`` is each event's 0-based target number (array half or
+        fetch slot), ``anchor_line`` the line that indexes it; the
+        per-``which`` Table 3 cycles come from ``imm_cycles`` /
+        ``ind_cycles``.
+        """
+        todo = self.todo
+        if todo.shape[0] == 0:
+            return
+        exit_pc = self.compiled.exit_pc[todo]
+        values = self.compiled.exit_target[todo]
+        observed = _replay_targets(targets, which, anchor_line,
+                                   exit_pc % self.line_size, values)
+        wrong = self.lookup & (observed != values)
+        for kind, penalty, cycles in (
+                (1, PenaltyKind.MISFETCH_IMMEDIATE, imm_cycles),
+                (2, PenaltyKind.MISFETCH_INDIRECT, ind_cycles)):
+            hit = wrong & (self.mf == kind)
+            _charge_bulk(stats, penalty, int(np.count_nonzero(hit)),
+                         int(np.asarray(cycles, dtype=np.int64)[
+                             which[hit]].sum()))
 
 
 def _empty_stats(engine_input_trace, n_blocks: int,
@@ -273,33 +320,156 @@ def _line_codes_tuple(compiled: CompiledBlocks, line: int,
 
 
 # ----------------------------------------------------------------------
+# Target-array replay
+# ----------------------------------------------------------------------
+
+def _replay_targets(targets, which, lines, positions, values):
+    """Observed targets (-1 = none) of one run's update-event stream.
+
+    Event ``i`` looks up ``(which[i], lines[i], positions[i])`` and then
+    stores ``values[i]`` there; the array's final state is written back.
+    """
+    if isinstance(targets, DualBTBTargetArray):
+        return _replay_btb(targets._btb, which, lines, positions, values)
+    if isinstance(targets, BlockBTB):
+        return _replay_btb(targets, which, lines, positions, values)
+    if isinstance(targets, DualNLSTargetArray):
+        arrays = [targets.first, targets.second]
+    else:  # NLSTargetArray, or the multi engine's per-slot arrays
+        arrays = getattr(targets, "_arrays", [targets])
+    return _replay_nls(arrays, which, lines, positions, values)
+
+
+def _replay_nls(arrays, which, lines, positions, values):
+    """Tag-less arrays: a keyed last-write replay over their slots."""
+    nbe = arrays[0].n_block_entries
+    size = nbe * arrays[0].line_size
+    keys = which * size + (lines % nbe) * arrays[0].line_size + positions
+    init = np.concatenate([_seed_targets(arr._targets) for arr in arrays])
+    observed, fin_k, fin_v = replay_last_write(
+        keys, values, np.ones(keys.shape[0], dtype=bool), init)
+    for k, v in zip(fin_k.tolist(), fin_v.tolist()):
+        arrays[k // size]._targets[k % size] = v
+    return observed
+
+
+def _seed_targets(store: List) -> np.ndarray:
+    """Encoded NLS target store; -1 marks cold slots (targets are >= 0)."""
+    if store.count(None) == len(store):  # fresh array: skip the slot loop
+        return np.full(len(store), -1, dtype=np.int64)
+    return np.asarray([-1 if t is None else t for t in store],
+                      dtype=np.int64)
+
+
+def _replay_btb(btb: BlockBTB, which, lines, positions, values):
+    """Set-associative LRU block BTB over one run's update events.
+
+    Every event touches its entry (a hit refreshes it, a miss allocates
+    a fresh one), so the LRU stream is the event stream, prefixed by
+    the warm contents as leading touches.  Each allocation starts a new
+    residency *instance*; targets replay keyed by (instance, position),
+    and a lookup that misses the BTB observes no target.
+    """
+    n_sets = btb.n_sets
+    line_size = btb.line_size
+    # Touch keys encode (line, target number) as 2 * line + which.
+    seed_keys: List[int] = []
+    seed_touch: List[int] = []
+    seed_pos: List[int] = []
+    seed_vals: List[int] = []
+    for index, bucket in enumerate(btb._sets):
+        for (high, tag_which), entry in bucket.items():
+            line = high * n_sets + index
+            for pos, target in enumerate(entry.targets):
+                if target is not None:
+                    seed_touch.append(len(seed_keys))
+                    seed_pos.append(pos)
+                    seed_vals.append(target)
+            seed_keys.append(2 * line + ((tag_which - 1) if btb.dual else 0))
+    n_seed = len(seed_keys)
+    event_keys = 2 * lines + (which if btb.dual else 0)
+    keys = np.concatenate([np.asarray(seed_keys, dtype=np.int64),
+                           event_keys])
+    groups = keys // 2 % n_sets
+    resident = lru_resident(groups, keys, btb.associativity)
+
+    # Residency instance of every touch: the rank of the allocating
+    # (missing) touch at or before it.  A key's first touch always
+    # misses, so the forward fill never crosses into another key.
+    miss = ~resident
+    m = keys.shape[0]
+    rank = np.cumsum(miss) - 1
+    by_key = _grouping_order(keys)
+    fill = np.maximum.accumulate(
+        np.where(miss[by_key], np.arange(m, dtype=np.int64), 0))
+    instance = np.empty(m, dtype=np.int64)
+    instance[by_key] = rank[by_key][fill]
+
+    slot_keys = np.concatenate([
+        instance[np.asarray(seed_touch, dtype=np.int64)] * line_size
+        + np.asarray(seed_pos, dtype=np.int64),
+        instance[n_seed:] * line_size + positions])
+    slot_vals = np.concatenate([np.asarray(seed_vals, dtype=np.int64),
+                                values])
+    n_instances = int(rank[-1]) + 1
+    observed, fin_k, fin_v = replay_last_write(
+        slot_keys, slot_vals, np.ones(slot_keys.shape[0], dtype=bool),
+        np.full(n_instances * line_size, -1, dtype=np.int64))
+    observed = np.where(resident[n_seed:], observed[len(seed_vals):], -1)
+
+    # Final contents: per set, the ``associativity`` most recently
+    # touched keys, least recently used first.
+    key_s = keys[by_key]
+    last = np.ones(m, dtype=bool)
+    last[:-1] = key_s[1:] != key_s[:-1]
+    last_touch = np.sort(by_key[last])
+    in_set = last_touch[_grouping_order(groups[last_touch])]
+    set_s = groups[in_set]
+    pos = np.arange(in_set.shape[0], dtype=np.int64)
+    set_end = np.ones(in_set.shape[0], dtype=bool)
+    set_end[:-1] = set_s[1:] != set_s[:-1]
+    end_pos = np.minimum.accumulate(
+        np.where(set_end, pos, in_set.shape[0])[::-1])[::-1]
+    kept = in_set[end_pos - pos < btb.associativity]
+    kept_inst = instance[kept]
+    stored = np.isin(fin_k // line_size, kept_inst)
+    entries = {inst: _Entry(line_size) for inst in kept_inst.tolist()}
+    for k, v in zip(fin_k[stored].tolist(), fin_v[stored].tolist()):
+        entries[k // line_size].targets[k % line_size] = v
+    for bucket in btb._sets:
+        bucket.clear()
+    for key, inst in zip(keys[kept].tolist(), kept_inst.tolist()):
+        line = key // 2
+        tag = (line // n_sets, (key % 2 + 1) if btb.dual else 0)
+        btb._sets[line % n_sets][tag] = entries[inst]
+    return observed
+
+
+# ----------------------------------------------------------------------
 # Single-block engine
 # ----------------------------------------------------------------------
 
 def run_single_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`SingleBlockEngine.run` (no recovery tracking).
-
-    Dispatches to the kernel backend selected by ``REPRO_BACKEND``
-    (see :mod:`repro.core.backends`).
-    """
-    from .backends import active_backend
-    return active_backend().run_single(engine, fetch_input)
+    """Vectorized :meth:`SingleBlockEngine.run` (no recovery tracking)."""
+    run, stats = _prep_single(engine, fetch_input)
+    if run.n == 0:
+        return stats
+    return _residual_single(engine, run, stats)
 
 
 def _prep_single(engine, fetch_input) -> tuple:
-    """Backend-shared front half of the single-block run.
+    """Front half of the single-block run.
 
     Runs every vectorized phase (counter scan, BIT handling, COND and
     RETURN charges, RAS replay) and all engine-state mutation *except*
-    the target array, then returns ``(run, stats)`` with ``run.match``
-    / ``run.near_ok`` / ``run.mf`` populated for the residual replay
-    (``run.match`` stays ``None`` when ``run.n == 0``).
+    the target array, then returns ``(run, stats)`` with the residual
+    inputs recorded by :meth:`_Run.finish` (``run.match`` stays
+    ``None`` when ``run.n == 0``).
     """
     run = _Run(engine, fetch_input)
     compiled = run.compiled
     n = run.n
     stats = _empty_stats(run.trace, n, base_cycles=n)
-    run.match = None
     if n == 0:
         return run, stats
     scheme = SINGLE_SELECT
@@ -338,50 +508,19 @@ def _prep_single(engine, fetch_input) -> tuple:
     _charge_bulk(stats, PenaltyKind.RETURN, count,
                  count * penalty_cycles(scheme, 1, PenaltyKind.RETURN))
 
-    run.match = match
-    run.near_ok = (walk.src == SRC_NEAR) \
-        & (walk.pred_exit == compiled.act_exit)
-    run.mf = run.misfetch_kinds()
+    run.finish(match)
     return run, stats
 
 
-def _residual_single_numpy(engine, run, stats) -> FetchStats:
-    """Reference serial residual: the tag-less/LRU target array."""
-    compiled = run.compiled
-    walk = run.walk
+def _residual_single(engine, run, stats) -> FetchStats:
+    """The exit-line-indexed NLS array or block BTB."""
     scheme = SINGLE_SELECT
-    mf_cycles = (0, penalty_cycles(scheme, 1,
-                                   PenaltyKind.MISFETCH_IMMEDIATE),
-                 penalty_cycles(scheme, 1, PenaltyKind.MISFETCH_INDIRECT))
-    todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
-    match_l = run.match.tolist()
-    src_l = walk.src.tolist()
-    near_l = run.near_ok.tolist()
-    mf_l = run.mf.tolist()
-    exit_pc_l = compiled.exit_pc.tolist()
-    target_l = compiled.exit_target.tolist()
-    line_size = run.line_size
-    lookup = engine.targets.lookup
-    update = engine.targets.update
-    imm = ind = imm_cyc = ind_cyc = 0
-    for b in todo.tolist():
-        exit_pc = exit_pc_l[b]
-        line = exit_pc // line_size
-        position = exit_pc % line_size
-        target = target_l[b]
-        if match_l[b] and src_l[b] != SRC_NEAR:
-            if lookup(line, position) != target:
-                kind = mf_l[b]
-                if kind == 1:
-                    imm += 1
-                    imm_cyc += mf_cycles[1]
-                elif kind == 2:
-                    ind += 1
-                    ind_cyc += mf_cycles[2]
-        if not near_l[b]:
-            update(line, position, target)
-    _charge_bulk(stats, PenaltyKind.MISFETCH_IMMEDIATE, imm, imm_cyc)
-    _charge_bulk(stats, PenaltyKind.MISFETCH_INDIRECT, ind, ind_cyc)
+    exit_line = run.compiled.exit_pc[run.todo] // run.line_size
+    run.charge_targets(
+        stats, engine.targets, np.zeros(run.todo.shape[0], dtype=np.int64),
+        exit_line,
+        [penalty_cycles(scheme, 1, PenaltyKind.MISFETCH_IMMEDIATE)],
+        [penalty_cycles(scheme, 1, PenaltyKind.MISFETCH_INDIRECT)])
     return stats
 
 
@@ -395,32 +534,71 @@ def _encode_select_entry(width: int, entry: SelectEntry):
     return sel, pay
 
 
+@lru_cache(maxsize=None)
 def _decode_select_entry(width: int, sel: int, pay: int) -> SelectEntry:
+    """Selector decode; entries are never mutated, so instances are shared."""
     return SelectEntry(decode_selector(width, sel),
                        BlockOutcomes(pay // 2, bool(pay % 2)))
 
 
-def _seed_select_arrays(width: int, entries) -> (List[int], List[int]):
-    """Encoded (selector, payload) arrays mirroring a select table.
+def _payload_base(width: int) -> int:
+    """Packing radix: ``sel * base + pay`` is one comparable integer."""
+    return 2 * width + 4
 
-    Cold entries encode to ``(0, 0)`` — exactly the fall-through
-    default a cold read returns — so reads need no presence check.
+
+def _seed_select(width: int, entries, half: str = "") -> np.ndarray:
+    """Select entries packed as ``sel * base + pay``.
+
+    ``half`` names the :class:`DualSelectEntry` half to pack.  Cold
+    entries encode to 0 — exactly the fall-through default a cold read
+    returns — so reads need no presence check.
     """
-    sels = [0] * len(entries)
-    pays = [0] * len(entries)
+    packed = np.zeros(len(entries), dtype=np.int64)
+    if entries.count(None) == len(entries):
+        return packed
+    base = _payload_base(width)
     for i, entry in enumerate(entries):
         if entry is not None:
-            sels[i], pays[i] = _encode_select_entry(width, entry)
-    return sels, pays
+            sel, pay = _encode_select_entry(
+                width, getattr(entry, half) if half else entry)
+            packed[i] = sel * base + pay
+    return packed
 
 
-def _st_slots(run: _Run) -> np.ndarray:
+def _select_key(run: _Run, select) -> np.ndarray:
     """Select-table slot of every block (anchor-indexed reads/writes)."""
-    select = getattr(run, "select_like")
-    n_tables = select.n_tables
-    n_entries = select.n_entries
-    table = (run.anchor_start % run.line_size) % n_tables
-    return table * n_entries + (run.base & (n_entries - 1))
+    table = (run.anchor_start % run.line_size) % select.n_tables
+    return table * select.n_entries + (run.base & (select.n_entries - 1))
+
+
+def _replay_select(run: _Run, stats: FetchStats, seeds, tables, blocks,
+                   keys, writes, misselect, ghr) -> List:
+    """Verify and train select tables over one event stream.
+
+    ``seeds`` holds each table's packed entries (:func:`_seed_select`).
+    Event ``i`` reads table ``tables[i]`` at slot ``keys[i]`` for block
+    ``blocks[i]`` and, when ``writes[i]``, stores that block's walk.  A
+    stored selector that disagrees with the walk charges
+    ``misselect[i]`` cycles; an agreeing selector with a different
+    payload charges ``ghr[i]``.  Returns the decoded final entry of
+    every written slot as ``(table, slot, entry)``.
+    """
+    walk = run.walk
+    width = run.width
+    base = _payload_base(width)
+    packed = walk.sel * base + walk.pay
+    size = seeds[0].shape[0]
+    observed, fin_k, fin_v = replay_last_write(
+        tables * size + keys, packed[blocks], writes, np.concatenate(seeds))
+    mis = (observed // base) != walk.sel[blocks]
+    bad_pay = ~mis & (observed != packed[blocks])
+    for kind, hit, cycles in ((PenaltyKind.MISSELECT, mis, misselect),
+                              (PenaltyKind.GHR, bad_pay, ghr)):
+        _charge_bulk(stats, kind, int(np.count_nonzero(hit)),
+                     int(cycles[hit].sum()))
+    return [(k // size, k % size,
+             _decode_select_entry(width, v // base, v % base))
+            for k, v in zip(fin_k.tolist(), fin_v.tolist())]
 
 
 # ----------------------------------------------------------------------
@@ -428,30 +606,27 @@ def _st_slots(run: _Run) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def run_dual_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`DualBlockEngine.run` (no timeline recording).
-
-    Dispatches to the kernel backend selected by ``REPRO_BACKEND``.
-    """
-    from .backends import active_backend
-    return active_backend().run_dual(engine, fetch_input)
+    """Vectorized :meth:`DualBlockEngine.run` (no timeline recording)."""
+    run, stats = _prep_dual(engine, fetch_input)
+    if run.n == 0:
+        return stats
+    return _residual_dual(engine, run, stats)
 
 
 def _prep_dual(engine, fetch_input) -> tuple:
-    """Backend-shared front half of the dual-block run.
+    """Front half of the dual-block run.
 
     Everything up to (and including) the bank-conflict charges; the
-    residual select-table / dual-target replay is backend-specific.
+    residual replays the select table and the dual target array.
     """
     run = _Run(engine, fetch_input)
     compiled = run.compiled
     n = run.n
     stats = _empty_stats(run.trace, n, base_cycles=1 + (n - 1 + 1) // 2)
-    run.match = None
     if n == 0:
         return run, stats
     scheme = DOUBLE_SELECT if engine.double else SINGLE_SELECT
     run.resolve()
-    walk = run.walk
 
     match, early, late = run.classify()
     slot_arr = ((np.arange(n, dtype=np.int64) % 2) == 1) \
@@ -481,126 +656,69 @@ def _prep_dual(engine, fetch_input) -> tuple:
                  count * penalty_cycles(scheme, 2,
                                         PenaltyKind.BANK_CONFLICT))
 
-    run.match = match
-    run.near_ok = (walk.src == SRC_NEAR) \
-        & (walk.pred_exit == compiled.act_exit)
-    run.mf = run.misfetch_kinds()
+    run.finish(match)
     return run, stats
 
 
-def _residual_dual_numpy(engine, run, stats) -> FetchStats:
-    """Reference serial residual: select table + dual target array."""
-    compiled = run.compiled
-    walk = run.walk
-    match = run.match
+def _residual_dual(engine, run, stats) -> FetchStats:
+    """Select table (one or both halves) + dual target array.
+
+    Pair ``(e, e + 1)`` is indexed by block ``e``'s slot.  Under double
+    selection the first half verifies block ``e`` on every pair; both
+    halves are trained only by complete pairs.
+    """
     n = run.n
     width = run.width
     scheme = DOUBLE_SELECT if engine.double else SINGLE_SELECT
-    run.select_like = engine.select
-    st_slot = _st_slots(run).tolist()
-    if engine.double:
-        firsts = [None if e is None else e.first
-                  for e in engine.select._entries]
-        seconds = [None if e is None else e.second
-                   for e in engine.select._entries]
-        st1_sel, st1_pay = _seed_select_arrays(width, firsts)
-        st2_sel, st2_pay = _seed_select_arrays(width, seconds)
-        ms1 = penalty_cycles(scheme, 1, PenaltyKind.MISSELECT)
-        g1 = penalty_cycles(scheme, 1, PenaltyKind.GHR)
-    else:
-        st1_sel = st1_pay = None
-        st2_sel, st2_pay = _seed_select_arrays(width,
-                                               engine.select._entries)
+    select = engine.select
+    st_key = _select_key(run, select)
+    even = np.arange(0, n, 2, dtype=np.int64)
+    paired = even + 1 < n
+    eo = even[paired]
+    entries = select._entries
     ms2 = penalty_cycles(scheme, 2, PenaltyKind.MISSELECT)
     g2 = penalty_cycles(scheme, 2, PenaltyKind.GHR)
+    n_pairs = eo.shape[0]
+    if engine.double:
+        seeds = [_seed_select(width, entries, "first"),
+                 _seed_select(width, entries, "second")]
+        n_even = even.shape[0]
+        tables = np.repeat(np.array([0, 1], dtype=np.int64),
+                           [n_even, n_pairs])
+        written = _replay_select(
+            run, stats, seeds, tables,
+            np.concatenate([even, eo + 1]),
+            np.concatenate([st_key[even], st_key[eo]]),
+            np.concatenate([paired, np.ones(n_pairs, dtype=bool)]),
+            np.repeat(np.array(
+                [penalty_cycles(scheme, 1, PenaltyKind.MISSELECT), ms2],
+                dtype=np.int64), [n_even, n_pairs]),
+            np.repeat(np.array(
+                [penalty_cycles(scheme, 1, PenaltyKind.GHR), g2],
+                dtype=np.int64), [n_even, n_pairs]))
+        # Both halves of a slot are written by the same complete pairs.
+        halves = {(t, slot): entry for t, slot, entry in written}
+        for t, slot, entry in written:
+            if t == 0:
+                entries[slot] = DualSelectEntry(entry, halves[(1, slot)])
+    else:
+        written = _replay_select(
+            run, stats, [_seed_select(width, entries)],
+            np.zeros(n_pairs, dtype=np.int64), eo + 1, st_key[eo],
+            np.ones(n_pairs, dtype=bool),
+            np.full(n_pairs, ms2, dtype=np.int64),
+            np.full(n_pairs, g2, dtype=np.int64))
+        for _, slot, entry in written:
+            entries[slot] = entry
 
-    mf = run.mf.tolist()
-    mf_cycles = {
-        (1, s): penalty_cycles(scheme, s, PenaltyKind.MISFETCH_IMMEDIATE)
-        for s in (1, 2)
-    }
-    mf_cycles.update({
-        (2, s): penalty_cycles(scheme, s, PenaltyKind.MISFETCH_INDIRECT)
-        for s in (1, 2)
-    })
-    near_ok = run.near_ok.tolist()
-    has_exit = compiled.has_exit.tolist()
-    is_ret = run.is_ret.tolist()
-    match_l = match.tolist()
-    src_l = walk.src.tolist()
-    sel_l = walk.sel.tolist()
-    pay_l = walk.pay.tolist()
-    exit_pc_l = compiled.exit_pc.tolist()
-    target_l = compiled.exit_target.tolist()
-    line0 = compiled.line0.tolist()
-    line_size = run.line_size
-    lookup = engine.targets.lookup
-    update = engine.targets.update
-    tallies: Dict[PenaltyKind, List[int]] = {}
-
-    def bump(kind: PenaltyKind, cyc: int) -> None:
-        entry = tallies.get(kind)
-        if entry is None:
-            tallies[kind] = [1, cyc]
-        else:
-            entry[0] += 1
-            entry[1] += cyc
-
-    def handle_target(b: int, which: int, slot: int,
-                      anchor_line: int) -> None:
-        if not has_exit[b] or is_ret[b]:
-            return
-        exit_pc = exit_pc_l[b]
-        position = exit_pc % line_size
-        target = target_l[b]
-        if match_l[b] and src_l[b] != SRC_NEAR:
-            if lookup(which, anchor_line, position) != target:
-                kind = mf[b]
-                if kind:
-                    bump(PenaltyKind.MISFETCH_IMMEDIATE if kind == 1
-                         else PenaltyKind.MISFETCH_INDIRECT,
-                         mf_cycles[(kind, slot)])
-        if not near_ok[b]:
-            update(which, anchor_line, position, target)
-
-    double = engine.double
-    for e in range(0, n, 2):
-        slot = st_slot[e]
-        anchor_line = line0[e]
-        if double:
-            if st1_sel[slot] != sel_l[e]:
-                bump(PenaltyKind.MISSELECT, ms1)
-            elif st1_pay[slot] != pay_l[e]:
-                bump(PenaltyKind.GHR, g1)
-        handle_target(e, which=1, slot=1, anchor_line=anchor_line)
-        o = e + 1
-        if o >= n:
-            break
-        if st2_sel[slot] != sel_l[o]:
-            bump(PenaltyKind.MISSELECT, ms2)
-        elif st2_pay[slot] != pay_l[o]:
-            bump(PenaltyKind.GHR, g2)
-        if double:
-            st1_sel[slot] = sel_l[e]
-            st1_pay[slot] = pay_l[e]
-        st2_sel[slot] = sel_l[o]
-        st2_pay[slot] = pay_l[o]
-        handle_target(o, which=2, slot=2, anchor_line=anchor_line)
-
-    for kind, (count, cycles) in tallies.items():
-        _charge_bulk(stats, kind, count, cycles)
-
-    # Select-table state write-back (exact, including repeated runs).
-    written = sorted({st_slot[e] for e in range(0, n - 1, 2)})
-    entries = engine.select._entries
-    for slot in written:
-        second = _decode_select_entry(width, st2_sel[slot], st2_pay[slot])
-        if double:
-            entries[slot] = DualSelectEntry(
-                _decode_select_entry(width, st1_sel[slot], st1_pay[slot]),
-                second)
-        else:
-            entries[slot] = second
+    todo = run.todo
+    which = todo % 2
+    run.charge_targets(
+        stats, engine.targets, which, run.compiled.line0[todo - which],
+        [penalty_cycles(scheme, s, PenaltyKind.MISFETCH_IMMEDIATE)
+         for s in (1, 2)],
+        [penalty_cycles(scheme, s, PenaltyKind.MISFETCH_INDIRECT)
+         for s in (1, 2)])
     return stats
 
 
@@ -609,20 +727,56 @@ def _residual_dual_numpy(engine, run, stats) -> FetchStats:
 # ----------------------------------------------------------------------
 
 def run_multi_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`MultiBlockEngine.run`.
+    """Vectorized :meth:`MultiBlockEngine.run`."""
+    run, stats = _prep_multi(engine, fetch_input)
+    if run.n == 0:
+        return stats
+    return _residual_multi(engine, run, stats)
 
-    Dispatches to the kernel backend selected by ``REPRO_BACKEND``.
+
+def _bank_conflicts(line0: np.ndarray, group: int, n_banks: int,
+                    self_aligned: bool) -> np.ndarray:
+    """Conflict mask ``[n_groups, group]`` of the multi engine's claims.
+
+    Group ``a`` fetches blocks ``a*group + 1 ..`` together; each claims
+    its lines in order, skipping lines already claimed, and a line whose
+    bank another claimed line holds is a conflict (and stays
+    unclaimed).  The ``<= 2 * group`` (block, line) positions are
+    walked in order, vectorized across groups.
     """
-    from .backends import active_backend
-    return active_backend().run_multi(engine, fetch_input)
+    n = line0.shape[0]
+    n_groups = (n + group - 1) // group
+    first = np.arange(n_groups, dtype=np.int64) * group + 1
+    offsets = (0, 1) if self_aligned else (0,)
+    claimed_lines: List[np.ndarray] = []
+    claimed_banks: List[np.ndarray] = []
+    conflict = np.zeros((n_groups, group), dtype=bool)
+    for k in range(group):
+        block = first + k
+        valid = block < n
+        start = np.where(valid, line0[np.minimum(block, n - 1)], -1)
+        for offset in offsets:
+            line = np.where(valid, start + offset, -1)
+            bank = np.where(valid, line % n_banks, -1)
+            seen = np.zeros(n_groups, dtype=bool)
+            taken = np.zeros(n_groups, dtype=bool)
+            for prior_line, prior_bank in zip(claimed_lines,
+                                              claimed_banks):
+                seen |= prior_line == line
+                taken |= prior_bank == bank
+            clash = valid & ~seen & taken
+            conflict[:, k] |= clash
+            claim = valid & ~seen & ~taken
+            claimed_lines.append(np.where(claim, line, -1))
+            claimed_banks.append(np.where(claim, bank, -2))
+    return conflict
 
 
 def _prep_multi(engine, fetch_input) -> tuple:
-    """Backend-shared front half of the N-block run.
+    """Front half of the N-block run.
 
     Includes the bank claim-set charges (pure geometry, no predictor
-    state); the residual select-table / target-array replay is
-    backend-specific.
+    state); the residual replays the select tables and target arrays.
     """
     run = _Run(engine, fetch_input)
     compiled = run.compiled
@@ -631,12 +785,10 @@ def _prep_multi(engine, fetch_input) -> tuple:
     stats = _empty_stats(
         run.trace, n,
         base_cycles=1 + (n - 2 + group) // group if n > 1 else 1)
-    run.match = None
     if n == 0:
         return run, stats
     scheme = DOUBLE_SELECT if engine.double else SINGLE_SELECT
     run.resolve()
-    walk = run.walk
 
     match, early, late = run.classify()
     slot_arr = np.arange(n, dtype=np.int64) % group  # slot - 1
@@ -658,157 +810,64 @@ def _prep_multi(engine, fetch_input) -> tuple:
                      count * penalty_cycles_slot(scheme, slot,
                                                  PenaltyKind.RETURN))
 
-    # Bank claim sets over each group fetched together (a+1..a+n);
-    # depends only on line geometry, so it is backend-shared.
-    bank = [0] + [penalty_cycles_slot(scheme, s,
-                                      PenaltyKind.BANK_CONFLICT)
-                  for s in range(1, group + 2)]
-    line0 = compiled.line0.tolist()
-    n_banks = run.geometry.n_banks
-    self_aligned = run.geometry.kind == SELF_ALIGNED
-    bank_count = 0
-    bank_cycles = 0
-    for a in range(0, n, group):
-        claimed_lines = set()
-        claimed_banks = set()
-        slot_i = 0
-        for b in range(a + 1, min(a + group + 1, n)):
-            slot_i += 1
-            first = line0[b]
-            lines = (first, first + 1) if self_aligned else (first,)
-            conflict = False
-            for line in lines:
-                if line in claimed_lines:
-                    continue
-                bank_of = line % n_banks
-                if bank_of in claimed_banks:
-                    conflict = True
-                else:
-                    claimed_lines.add(line)
-                    claimed_banks.add(bank_of)
-            if conflict and slot_i >= 2:
-                bank_count += 1
-                bank_cycles += bank[slot_i]
-    _charge_bulk(stats, PenaltyKind.BANK_CONFLICT, bank_count, bank_cycles)
+    # Bank claim sets over each group fetched together (a+1..a+n); only
+    # the second and later members pay.
+    conflict = _bank_conflicts(compiled.line0, group, run.geometry.n_banks,
+                               run.geometry.kind == SELF_ALIGNED)
+    bank = np.array([penalty_cycles_slot(scheme, s,
+                                         PenaltyKind.BANK_CONFLICT)
+                     for s in range(1, group + 1)], dtype=np.int64)
+    conflict[:, 0] = False
+    count = int(np.count_nonzero(conflict))
+    _charge_bulk(stats, PenaltyKind.BANK_CONFLICT, count,
+                 int((conflict * bank).sum()))
 
-    run.match = match
-    run.near_ok = (walk.src == SRC_NEAR) \
-        & (walk.pred_exit == compiled.act_exit)
-    run.mf = run.misfetch_kinds()
+    run.finish(match)
     return run, stats
 
 
-def _residual_multi_numpy(engine, run, stats) -> FetchStats:
-    """Reference serial residual: select tables + per-slot targets."""
-    compiled = run.compiled
-    walk = run.walk
-    match = run.match
+def _residual_multi(engine, run, stats) -> FetchStats:
+    """Select tables + per-slot target arrays, indexed by the anchor.
+
+    Group ``a`` verifies and trains block ``a + k`` against select
+    table ``k`` (double selection: the anchor itself uses table 0;
+    single: table ``k - 1`` serves slot ``k + 1``).
+    """
     n = run.n
     group = engine.n
-    width = run.width
-    max_slot = group
     scheme = DOUBLE_SELECT if engine.double else SINGLE_SELECT
     if engine.selects:
-        run.select_like = engine.selects[0]
-        st_slot = _st_slots(run).tolist()
-        tables = [_seed_select_arrays(width, t._entries)
-                  for t in engine.selects]
-    else:
-        st_slot = None
-        tables = []
-    # Slot-1 verification exists only under double selection (Table 3
-    # marks single/slot-1 MISSELECT and GHR N/A), so only build it there.
-    ms = [0] + [penalty_cycles_slot(scheme, s, PenaltyKind.MISSELECT)
-                if (engine.double or s >= 2) else 0
-                for s in range(1, max_slot + 1)]
-    gh = [0] + [penalty_cycles_slot(scheme, s, PenaltyKind.GHR)
-                if (engine.double or s >= 2) else 0
-                for s in range(1, max_slot + 1)]
-    mf_cycles = {}
-    for s in range(1, max_slot + 1):
-        mf_cycles[(1, s)] = penalty_cycles_slot(
-            scheme, s, PenaltyKind.MISFETCH_IMMEDIATE)
-        mf_cycles[(2, s)] = penalty_cycles_slot(
-            scheme, s, PenaltyKind.MISFETCH_INDIRECT)
+        idx = np.arange(n, dtype=np.int64)
+        st_key = _select_key(run, engine.selects[0])[idx - idx % group]
+        blocks = [np.arange(t if engine.double else t + 1, n, group,
+                            dtype=np.int64)
+                  for t in range(len(engine.selects))]
+        counts = [b.shape[0] for b in blocks]
+        slots = [t + 1 if engine.double else t + 2
+                 for t in range(len(engine.selects))]
+        events = np.concatenate(blocks)
+        written = _replay_select(
+            run, stats,
+            [_seed_select(run.width, t._entries) for t in engine.selects],
+            np.repeat(np.arange(len(blocks), dtype=np.int64), counts),
+            events, st_key[events], np.ones(events.shape[0], dtype=bool),
+            np.repeat(np.array([penalty_cycles_slot(
+                scheme, s, PenaltyKind.MISSELECT) for s in slots],
+                dtype=np.int64), counts),
+            np.repeat(np.array([penalty_cycles_slot(
+                scheme, s, PenaltyKind.GHR) for s in slots],
+                dtype=np.int64), counts))
+        for t, slot, entry in written:
+            engine.selects[t]._entries[slot] = entry
 
-    mf = run.mf.tolist()
-    near_ok = run.near_ok.tolist()
-    has_exit = compiled.has_exit.tolist()
-    is_ret = run.is_ret.tolist()
-    match_l = match.tolist()
-    src_l = walk.src.tolist()
-    sel_l = walk.sel.tolist()
-    pay_l = walk.pay.tolist()
-    exit_pc_l = compiled.exit_pc.tolist()
-    target_l = compiled.exit_target.tolist()
-    line0 = compiled.line0.tolist()
-    line_size = run.line_size
-    lookup = engine.targets.lookup
-    update = engine.targets.update
-    double = engine.double
-    tallies: Dict[PenaltyKind, List[int]] = {}
-
-    def bump(kind: PenaltyKind, cyc: int) -> None:
-        entry = tallies.get(kind)
-        if entry is None:
-            tallies[kind] = [1, cyc]
-        else:
-            entry[0] += 1
-            entry[1] += cyc
-
-    def handle_target(b: int, slot: int, anchor_line: int) -> None:
-        if not has_exit[b] or is_ret[b]:
-            return
-        exit_pc = exit_pc_l[b]
-        position = exit_pc % line_size
-        target = target_l[b]
-        if match_l[b] and src_l[b] != SRC_NEAR:
-            if lookup(slot, anchor_line, position) != target:
-                kind = mf[b]
-                if kind:
-                    bump(PenaltyKind.MISFETCH_IMMEDIATE if kind == 1
-                         else PenaltyKind.MISFETCH_INDIRECT,
-                         mf_cycles[(kind, slot)])
-        if not near_ok[b]:
-            update(slot, anchor_line, position, target)
-
-    written = [set() for _ in tables]
-    for a in range(0, n, group):
-        anchor_line = line0[a]
-        slot_a = st_slot[a] if st_slot is not None else 0
-        if double:
-            t_sel, t_pay = tables[0]
-            if t_sel[slot_a] != sel_l[a]:
-                bump(PenaltyKind.MISSELECT, ms[1])
-            elif t_pay[slot_a] != pay_l[a]:
-                bump(PenaltyKind.GHR, gh[1])
-            t_sel[slot_a] = sel_l[a]
-            t_pay[slot_a] = pay_l[a]
-            written[0].add(slot_a)
-        handle_target(a, slot=1, anchor_line=anchor_line)
-        for k in range(1, group):
-            j = a + k
-            if j >= n:
-                break
-            t_sel, t_pay = tables[k] if double else tables[k - 1]
-            if t_sel[slot_a] != sel_l[j]:
-                bump(PenaltyKind.MISSELECT, ms[k + 1])
-            elif t_pay[slot_a] != pay_l[j]:
-                bump(PenaltyKind.GHR, gh[k + 1])
-            t_sel[slot_a] = sel_l[j]
-            t_pay[slot_a] = pay_l[j]
-            written[k if double else k - 1].add(slot_a)
-            handle_target(j, slot=k + 1, anchor_line=anchor_line)
-
-    for kind, (count, cycles) in tallies.items():
-        _charge_bulk(stats, kind, count, cycles)
-
-    for table, (t_sel, t_pay), touched in zip(engine.selects, tables,
-                                              written):
-        entries = table._entries
-        for slot in sorted(touched):
-            entries[slot] = _decode_select_entry(width, t_sel[slot],
-                                                 t_pay[slot])
+    todo = run.todo
+    which = todo % group
+    run.charge_targets(
+        stats, engine.targets, which, run.compiled.line0[todo - which],
+        [penalty_cycles_slot(scheme, s, PenaltyKind.MISFETCH_IMMEDIATE)
+         for s in range(1, group + 1)],
+        [penalty_cycles_slot(scheme, s, PenaltyKind.MISFETCH_INDIRECT)
+         for s in range(1, group + 1)])
     return stats
 
 
@@ -817,26 +876,23 @@ def _residual_multi_numpy(engine, run, stats) -> FetchStats:
 # ----------------------------------------------------------------------
 
 def run_two_ahead_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`TwoBlockAheadEngine.run`.
-
-    Dispatches to the kernel backend selected by ``REPRO_BACKEND``.
-    """
-    from .backends import active_backend
-    return active_backend().run_two_ahead(engine, fetch_input)
+    """Vectorized :meth:`TwoBlockAheadEngine.run`."""
+    run, stats = _prep_two_ahead(engine, fetch_input)
+    if run.n == 0:
+        return stats
+    return _residual_two_ahead(engine, run, stats)
 
 
 def _prep_two_ahead(engine, fetch_input) -> tuple:
-    """Backend-shared front half of the two-block-ahead run."""
+    """Front half of the two-block-ahead run."""
     run = _Run(engine, fetch_input, ahead=True)
     compiled = run.compiled
     n = run.n
     stats = _empty_stats(run.trace, n, base_cycles=1 + n // 2)
-    run.match = None
     if n == 0:
         return run, stats
     scheme = SINGLE_SELECT
     run.resolve()
-    walk = run.walk
 
     match, early, late = run.classify()
     # Pairs are (odd, even): odd indices are slot 1, even are slot 2.
@@ -871,59 +927,19 @@ def _prep_two_ahead(engine, fetch_input) -> tuple:
                  count * penalty_cycles(scheme, 2,
                                         PenaltyKind.BANK_CONFLICT))
 
-    run.match = match
-    run.near_ok = (walk.src == SRC_NEAR) \
-        & (walk.pred_exit == compiled.act_exit)
-    run.mf = run.misfetch_kinds()
+    run.finish(match)
     return run, stats
 
 
-def _residual_two_ahead_numpy(engine, run, stats) -> FetchStats:
-    """Reference serial residual: ahead-line indexed dual NLS array."""
-    compiled = run.compiled
-    walk = run.walk
-    match = run.match
+def _residual_two_ahead(engine, run, stats) -> FetchStats:
+    """Dual NLS array indexed by each block's ahead (anchor) line."""
     scheme = SINGLE_SELECT
-    mf = run.mf.tolist()
-    mf_cycles = {
-        (1, s): penalty_cycles(scheme, s, PenaltyKind.MISFETCH_IMMEDIATE)
-        for s in (1, 2)
-    }
-    mf_cycles.update({
-        (2, s): penalty_cycles(scheme, s, PenaltyKind.MISFETCH_INDIRECT)
-        for s in (1, 2)
-    })
-    near_ok = run.near_ok.tolist()
-    anchor_line = (run.anchor_start // run.line_size).tolist()
-    match_l = match.tolist()
-    src_l = walk.src.tolist()
-    exit_pc_l = compiled.exit_pc.tolist()
-    target_l = compiled.exit_target.tolist()
-    line_size = run.line_size
-    lookup = engine.targets.lookup
-    update = engine.targets.update
-    tallies: Dict[PenaltyKind, List[int]] = {}
-    for b in np.nonzero(compiled.has_exit & ~run.is_ret)[0].tolist():
-        slot = 1 if b % 2 == 1 else 2
-        exit_pc = exit_pc_l[b]
-        position = exit_pc % line_size
-        target = target_l[b]
-        line = anchor_line[b]
-        if match_l[b] and src_l[b] != SRC_NEAR:
-            if lookup(slot, line, position) != target:
-                kind = mf[b]
-                if kind:
-                    key = (PenaltyKind.MISFETCH_IMMEDIATE if kind == 1
-                           else PenaltyKind.MISFETCH_INDIRECT)
-                    entry = tallies.get(key)
-                    cyc = mf_cycles[(kind, slot)]
-                    if entry is None:
-                        tallies[key] = [1, cyc]
-                    else:
-                        entry[0] += 1
-                        entry[1] += cyc
-        if not near_ok[b]:
-            update(slot, line, position, target)
-    for kind, (count, cycles) in tallies.items():
-        _charge_bulk(stats, kind, count, cycles)
+    todo = run.todo
+    run.charge_targets(
+        stats, engine.targets, 1 - todo % 2,
+        run.anchor_start[todo] // run.line_size,
+        [penalty_cycles(scheme, s, PenaltyKind.MISFETCH_IMMEDIATE)
+         for s in (1, 2)],
+        [penalty_cycles(scheme, s, PenaltyKind.MISFETCH_INDIRECT)
+         for s in (1, 2)])
     return stats

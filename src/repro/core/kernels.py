@@ -616,3 +616,130 @@ def stale_bit_windows(compiled: CompiledBlocks, line_size: int,
     return StaleWindows(window=window, accesses=n_reads,
                         stale_hits=stale_hits, final_slots=final_slots,
                         final_lines=final_lines)
+
+
+# ----------------------------------------------------------------------
+# Keyed replay of select tables and target arrays
+# ----------------------------------------------------------------------
+
+def replay_last_write(keys: np.ndarray, values: np.ndarray,
+                      writes: np.ndarray, init: np.ndarray):
+    """Replay a keyed observe-then-maybe-write event stream.
+
+    Event ``i`` (in time order) observes the state stored under
+    ``keys[i]`` *before* the event, then — when ``writes[i]`` — stores
+    ``values[i]`` there.  Returns ``(observed, final_keys,
+    final_values)``: the per-event observations plus the final state of
+    every key that received at least one write event (``final_keys``
+    ascending).  A write event always counts, even when it stores the
+    value already present: the scalar engines replace cold ``None``
+    entries with real objects on every write, and state parity requires
+    mirroring that.
+
+    Select tables and NLS target arrays are tag-less direct-mapped
+    stores, so grouping events by key with a stable sort and resolving
+    each observation to the latest preceding write inside its key
+    segment (a segmented running maximum) replays them exactly.
+    """
+    m = int(keys.shape[0])
+    if m == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    order = _grouping_order(keys)
+    k_s = keys[order]
+    w_s = writes[order]
+    v_s = values[order]
+    idx = np.arange(m, dtype=np.int64)
+    seg_start = np.ones(m, dtype=bool)
+    seg_start[1:] = k_s[1:] != k_s[:-1]
+    # Index of each event's segment start (its key's first event).
+    seg_first = np.maximum.accumulate(np.where(seg_start, idx, np.int64(0)))
+    # Index of the latest write event at or before each position.
+    last_w = np.maximum.accumulate(np.where(w_s, idx, np.int64(-1)))
+    prev = np.empty(m, dtype=np.int64)
+    prev[0] = -1
+    prev[1:] = last_w[:-1]
+    # A preceding write is visible only when it falls inside the same
+    # key segment; otherwise the event reads the seeded initial state.
+    valid = prev >= seg_first
+    observed_s = np.where(valid, v_s[np.maximum(prev, np.int64(0))],
+                          init[k_s])
+    observed = np.empty(m, dtype=np.int64)
+    observed[order] = observed_s
+    seg_end = np.ones(m, dtype=bool)
+    seg_end[:-1] = seg_start[1:]
+    written = seg_end & (last_w >= seg_first)
+    final_keys = np.asarray(k_s[written], dtype=np.int64)
+    final_values = np.asarray(v_s[np.maximum(last_w, np.int64(0))][written],
+                              dtype=np.int64)
+    return observed, final_keys, final_values
+
+
+def _count_below(values: np.ndarray, ends: np.ndarray,
+                 bounds: np.ndarray) -> np.ndarray:
+    """``#{j < ends[q] : values[j] < bounds[q]}`` for every query ``q``.
+
+    ``values`` lie in ``[-1, len(values))``.  The prefix ``[0, x)`` is
+    the union of one aligned block of size ``2**k`` per set bit ``k`` of
+    ``x``; each level keeps ``values`` sorted inside its blocks (as one
+    globally sorted array of ``block * span + value`` keys), so a block's
+    count is a single ``searchsorted``.  Level ``k`` is built from level
+    ``k - 1`` by relabelling blocks and merging adjacent sorted runs.
+    """
+    m = int(values.shape[0])
+    levels = max(1, m.bit_length())
+    span = np.int64(m + 2)  # shifted values lie in [0, m + 1]
+    shifted = np.full(1 << levels, m + 1, dtype=np.int64)
+    shifted[:m] = values + 1
+    keyed = np.arange(1 << levels, dtype=np.int64) * span + shifted
+    total = np.zeros(ends.shape[0], dtype=np.int64)
+    for k in range(levels):
+        if k:
+            keyed = (keyed // span >> 1) * span + keyed % span
+            keyed.sort(kind="stable")  # merges adjacent sorted runs
+        hit = ((ends >> k) & 1).astype(bool)
+        if hit.any():
+            block = (ends[hit] >> k) - 1
+            total[hit] += (np.searchsorted(keyed, block * span
+                                           + bounds[hit] + 1)
+                           - (block << k))
+    return total
+
+
+def lru_resident(groups: np.ndarray, keys: np.ndarray,
+                 associativity: int) -> np.ndarray:
+    """Whether each LRU touch finds its key resident, for a whole run.
+
+    Touch ``i`` (in time order) references ``keys[i]`` in the LRU set
+    ``groups[i]`` (a key always lives in the same set), which holds at
+    most ``associativity`` keys and evicts the least recently touched.
+    A key is resident before touch ``i`` iff it was touched before, at
+    ``p``, and fewer than ``associativity`` distinct keys of its set
+    were touched in between — and that count is ``#{j in (p, i) :
+    prev(j) < p}``, each distinct key counted at its first touch after
+    ``p``.  Warm sets are replayed by passing their contents as leading
+    touches, least recently used first.
+    """
+    m = int(keys.shape[0])
+    if m == 0:
+        return np.zeros(0, dtype=bool)
+    # Set-major order keeps each set's touches contiguous and in time
+    # order, so between-touch ranges never leave their set.
+    order = _grouping_order(groups)
+    k_s = keys[order]
+    by_key = _grouping_order(k_s)
+    same = k_s[by_key[1:]] == k_s[by_key[:-1]]
+    prev = np.full(m, -1, dtype=np.int64)
+    prev[by_key[1:][same]] = by_key[:-1][same]
+    resident = prev >= 0
+    idx = np.arange(m, dtype=np.int64)
+    # Fewer touches than ways in between: resident without counting.
+    far = np.nonzero(resident & (idx - prev > associativity))[0]
+    if far.shape[0]:
+        p = prev[far]
+        between = (_count_below(prev, far, p)
+                   - _count_below(prev, p + 1, p))
+        resident[far] = between < associativity
+    out = np.empty(m, dtype=bool)
+    out[order] = resident
+    return out

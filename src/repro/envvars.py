@@ -40,14 +40,6 @@ class EnvVar:
 #: Every environment variable the project reads, alphabetically.
 REGISTRY: Tuple[EnvVar, ...] = (
     EnvVar(
-        name="REPRO_BACKEND",
-        summary="Kernel backend for the fast engine tier: 'numpy' "
-                "(pure-numpy kernels) or 'compiled' (exec-generated "
-                "shape-specialized kernels); both bit-identical.",
-        default="numpy",
-        owner="repro.core.backends",
-    ),
-    EnvVar(
         name="REPRO_CACHE_DIR",
         summary="Persistent disk-cache root for traces, blocks, "
                 "compiled arrays and sweep journals ('off' disables).",
@@ -58,7 +50,7 @@ REGISTRY: Tuple[EnvVar, ...] = (
         name="REPRO_CACHE_MAX_BYTES",
         summary="Size budget for the persistent disk cache; "
                 "least-recently-used artifacts are evicted beyond it.",
-        default="2 GiB",
+        default="4 GiB",
         owner="repro.runtime.cache",
     ),
     EnvVar(
@@ -88,14 +80,6 @@ REGISTRY: Tuple[EnvVar, ...] = (
                 "'auto'); serial when unset.",
         default="serial",
         owner="repro.runtime.executor",
-    ),
-    EnvVar(
-        name="REPRO_KERNEL_GATE",
-        summary="Generated-kernel lint gate in the compiled backend: "
-                "'enforce' (reject kernels with REP7xx findings), "
-                "'warn' (report to stderr and continue) or 'off'.",
-        default="enforce",
-        owner="repro.core.backends.codegen",
     ),
     EnvVar(
         name="REPRO_PROFILE",

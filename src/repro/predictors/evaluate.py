@@ -152,11 +152,14 @@ def _grouping_order(slots: np.ndarray) -> np.ndarray:
     """Stable argsort of a nonnegative integer array.
 
     numpy's ``kind="stable"`` is an O(n) radix sort only for <=16-bit
-    dtypes, so wide-but-bounded keys (PHT slots) are sorted as two
-    16-bit LSD radix passes: stable-sort by the low half, then
-    stable-sort that order by the high half.
+    dtypes, so keys below 2**16 sort as ``uint16`` and wide-but-bounded
+    keys (PHT slots) as two 16-bit LSD radix passes: stable-sort by the
+    low half, then stable-sort that order by the high half.
     """
-    if len(slots) < (1 << 14) or int(slots.max()) >= (1 << 32):
+    top = int(slots.max()) if len(slots) else 0
+    if top < (1 << 16):
+        return np.argsort(slots.astype(np.uint16), kind="stable")
+    if len(slots) < (1 << 14) or top >= (1 << 32):
         return np.argsort(slots, kind="stable")
     low = (slots & np.int64(0xFFFF)).astype(np.uint16)
     high = (slots >> np.int64(16)).astype(np.uint16)

@@ -255,7 +255,10 @@ def sample_config(rng: random.Random, engine: str) -> Dict[str, Any]:
     }
     if engine in ("single", "dual") and rng.random() < 0.3:
         overrides["target_kind"] = "btb"
-        overrides["btb_associativity"] = rng.choice((1, 2, 4))
+        ways = rng.choice((1, 2, 4, 8))
+        overrides["btb_associativity"] = ways
+        if rng.random() < 0.25:
+            overrides["target_entries"] = ways  # one fully associative set
     if engine == "single" and rng.random() < 0.3:
         overrides["bit_entries"] = rng.choice((2, 4, 8, 32))
     if engine in ("dual", "multi") and rng.random() < 0.4:

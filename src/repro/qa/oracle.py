@@ -26,15 +26,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
 from .. import envvars
-from ..core.backends import BACKEND_ENV, available_backends
 from ..core.engine_mode import ENGINE_ENV
 from ..cpu.tracer_mode import TRACER_ENV
 from .cases import QACase, case_engine
 from .state import describe_diff, engine_state, stats_snapshot
 
 __all__ = ["ModeRun", "OracleVerdict", "engine_mode_env",
-           "backend_mode_env", "tracer_mode_env", "run_mode",
-           "check_case", "check_tracer_parity"]
+           "tracer_mode_env", "run_mode", "check_case",
+           "check_tracer_parity"]
 
 
 @contextmanager
@@ -58,13 +57,6 @@ def engine_mode_env(mode: str) -> Iterator[None]:
 
 
 @contextmanager
-def backend_mode_env(mode: str) -> Iterator[None]:
-    """Temporarily pin ``REPRO_BACKEND`` to ``mode``."""
-    with _pinned_env(BACKEND_ENV, mode):
-        yield
-
-
-@contextmanager
 def tracer_mode_env(mode: str) -> Iterator[None]:
     """Temporarily pin ``REPRO_TRACER`` to ``mode``."""
     with _pinned_env(TRACER_ENV, mode):
@@ -76,16 +68,10 @@ class ModeRun:
     """Everything one engine mode produced for a case."""
 
     mode: str
-    backend: Optional[str] = None
     stats: List[Any] = field(default_factory=list)
     state: Optional[Dict[str, Any]] = None
     recovery_log: Optional[List[Any]] = None
     error: Optional[str] = None
-
-    def label(self) -> str:
-        if self.backend is not None:
-            return f"{self.mode}/{self.backend}"
-        return self.mode
 
     @property
     def crashed(self) -> bool:
@@ -101,8 +87,6 @@ class OracleVerdict:
     reason: Optional[str] = None
     scalar: Optional[ModeRun] = None
     fast: Optional[ModeRun] = None
-    #: Extra fast-tier runs keyed by kernel backend (``REPRO_BACKEND``).
-    backends: Dict[str, ModeRun] = field(default_factory=dict)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -112,26 +96,11 @@ class OracleVerdict:
         return text
 
 
-@contextmanager
-def _maybe_backend_env(backend: Optional[str]) -> Iterator[None]:
-    if backend is None:
-        yield
-    else:
-        with backend_mode_env(backend):
-            yield
-
-
-def run_mode(case: QACase, mode: str,
-             backend: Optional[str] = None) -> ModeRun:
-    """Run ``case`` on a fresh engine under one ``REPRO_ENGINE`` mode.
-
-    ``backend`` additionally pins ``REPRO_BACKEND`` for the run, giving
-    the oracle a second differential axis over the fast tier's kernel
-    backends (the scalar reference never consults the backend).
-    """
-    run = ModeRun(mode=mode, backend=backend)
+def run_mode(case: QACase, mode: str) -> ModeRun:
+    """Run ``case`` on a fresh engine under one ``REPRO_ENGINE`` mode."""
+    run = ModeRun(mode=mode)
     try:
-        with engine_mode_env(mode), _maybe_backend_env(backend):
+        with engine_mode_env(mode):
             engine = case_engine(case)
             fetch_input = case.fetch_input()
             for _ in range(case.repeats):
@@ -155,7 +124,7 @@ def _compare_runs(verdict: OracleVerdict, reference: ModeRun,
     Returns False (and marks the verdict failed) on the first
     divergence; crash handling mirrors the scalar-vs-fast contract.
     """
-    who = candidate.label()
+    who = candidate.mode
     if reference.crashed and candidate.crashed:
         ref_last = reference.error.strip().splitlines()[-1] \
             if reference.error else ""
@@ -164,14 +133,14 @@ def _compare_runs(verdict: OracleVerdict, reference: ModeRun,
         if ref_last != cand_last:
             verdict.passed = False
             verdict.reason = (f"modes crashed differently: "
-                              f"{reference.label()} {ref_last!r} vs "
+                              f"{reference.mode} {ref_last!r} vs "
                               f"{who} {cand_last!r}")
             return False
         return True
     if reference.crashed or candidate.crashed:
         crashed = reference if reference.crashed else candidate
         verdict.passed = False
-        verdict.reason = (f"{crashed.label()} mode crashed: "
+        verdict.reason = (f"{crashed.mode} mode crashed: "
                           + (crashed.error or "").strip()
                           .splitlines()[-1])
         return False
@@ -202,16 +171,8 @@ def _compare_runs(verdict: OracleVerdict, reference: ModeRun,
     return True
 
 
-def check_case(case: QACase,
-               backends: Optional[List[str]] = None) -> OracleVerdict:
-    """Differential verdict for one case (never raises for a finding).
-
-    ``backends`` pins the fast tier to each named kernel backend in
-    turn and requires every run to match the scalar reference bit-exact
-    (stats, full predictor state, recovery log).  ``None`` keeps the
-    classic two-run scalar-vs-fast check under the ambient backend; an
-    empty list expands to every backend available in this interpreter.
-    """
+def check_case(case: QACase) -> OracleVerdict:
+    """Differential verdict for one case (never raises for a finding)."""
     scalar = run_mode(case, "scalar")
     fast = run_mode(case, "fast")
     verdict = OracleVerdict(case=case, passed=True, scalar=scalar,
@@ -221,18 +182,7 @@ def check_case(case: QACase,
     # it usually means the generator produced a config the engine
     # legitimately refuses.  Crash handling (including the both-crashed
     # traceback comparison) lives in _compare_runs.
-    if not _compare_runs(verdict, scalar, fast):
-        return verdict
-    if scalar.crashed:
-        return verdict  # identical refusal; no backend axis to probe
-
-    if backends is not None:
-        names = backends or available_backends()
-        for name in names:
-            pinned = run_mode(case, "fast", backend=name)
-            verdict.backends[name] = pinned
-            if not _compare_runs(verdict, scalar, pinned):
-                return verdict
+    _compare_runs(verdict, scalar, fast)
     return verdict
 
 

@@ -66,6 +66,12 @@ DEFAULT_MAX_BYTES = 4 * 1024 ** 3
 #: Subdirectory corrupt artifacts are moved into.
 QUARANTINE_DIR = "quarantine"
 
+#: Subdirectory earlier versions persisted and nothing reads any more
+#: (the exec-generated kernels of the retired compiled backend).
+#: :func:`purge` empties it and :func:`evict` drops it first, with the
+#: quarantine.
+ORPHAN_KERNELS = "compiled/kernels"
+
 #: Values of ``REPRO_CACHE_DIR`` that disable the disk cache.
 _DISABLED = {"", "0", "off", "none", "disable", "disabled"}
 
@@ -454,17 +460,19 @@ def store_compiled(arrays: dict, name: str, budget: int,
 def purge() -> int:
     """Delete every cached artifact; returns the number removed.
 
-    Covers traces, segmentations, quarantined files, checksum sidecars
-    and sweep journals.  Only this module's own subdirectories are
-    touched, so an unrelated ``REPRO_CACHE_DIR`` cannot lose foreign
-    files.  Sidecars are deleted but not counted — the return value is
-    the number of artifacts, matching pre-checksum behaviour.
+    Covers traces, segmentations, quarantined files, checksum sidecars,
+    sweep journals and :data:`ORPHAN_KERNELS`.  Only this module's own
+    subdirectories are touched, so an unrelated ``REPRO_CACHE_DIR``
+    cannot lose foreign files.  Sidecars are deleted but not counted —
+    the return value is the number of artifacts, matching pre-checksum
+    behaviour.
     """
     root = cache_dir()
     if root is None:
         return 0
     removed = 0
-    for sub in ("traces", "blocks", "compiled", QUARANTINE_DIR):
+    for sub in ("traces", "blocks", "compiled", QUARANTINE_DIR,
+                ORPHAN_KERNELS):
         directory = root / sub
         if not directory.is_dir():
             continue
@@ -492,9 +500,10 @@ def evict(limit: Optional[int] = None) -> int:
     """Delete oldest artifacts until the cache fits a byte budget.
 
     ``limit`` defaults to ``REPRO_CACHE_MAX_BYTES`` (4 GiB unless set;
-    ``off`` disables the bound).  Quarantined files are evicted first —
-    they exist only for post-mortems — then traces and segmentations by
-    oldest modification time.  Returns the number of artifacts removed.
+    ``off`` disables the bound).  Quarantined files and
+    :data:`ORPHAN_KERNELS` are evicted first — nothing reads them — then
+    traces and segmentations by oldest modification time.  Returns the
+    number of artifacts removed.
     """
     root = cache_dir()
     if root is None:
@@ -506,8 +515,8 @@ def evict(limit: Optional[int] = None) -> int:
 
     entries: List[Tuple[int, float, Path, int]] = []
     total = 0
-    for sub, rank in ((QUARANTINE_DIR, 0), ("traces", 1), ("blocks", 1),
-                      ("compiled", 1)):
+    for sub, rank in ((QUARANTINE_DIR, 0), (ORPHAN_KERNELS, 0),
+                      ("traces", 1), ("blocks", 1), ("compiled", 1)):
         directory = root / sub
         if not directory.is_dir():
             continue

@@ -145,7 +145,7 @@ class TestReports:
         payload = json.loads(render_json(corpus_result))
         families = {"1": "determinism", "2": "dtype", "3": "parity",
                     "4": "env", "5": "exceptions", "6": "async",
-                    "7": "kernel", "0": "framework"}
+                    "0": "framework"}
         for finding in payload["findings"]:
             assert finding["family"] == families[finding["rule"][3]]
 
@@ -207,7 +207,7 @@ class TestCli:
         proc = _cli("--list-rules")
         assert proc.returncode == 0
         for rule in ("REP001", "REP101", "REP201", "REP301", "REP401",
-                     "REP501", "REP601", "REP701"):
+                     "REP501", "REP601"):
             assert rule in proc.stdout
 
     def test_missing_path_is_usage_error(self):

@@ -41,8 +41,7 @@ ALLOWED_MYPY_EXCLUSIONS = frozenset({
 })
 
 #: Modules that must always be strictly checked (never excluded).
-STRICT_MODULES = ("repro.analysis", "repro.analysis.*", "repro.envvars",
-                  "repro.core.backends", "repro.core.backends.*")
+STRICT_MODULES = ("repro.analysis", "repro.analysis.*", "repro.envvars")
 
 
 def _pyproject_data():
@@ -150,23 +149,6 @@ def test_strict_modules_never_excluded():
             excluded.update(modules)
     for module in STRICT_MODULES:
         assert module not in excluded
-
-
-def test_backends_reenabled_under_core_wildcard():
-    """The legacy ``repro.core.*`` exclusion must not swallow backends.
-
-    The backend package postdates the typing gate; a later override
-    with ``ignore_errors = false`` re-enables strict checking for it.
-    """
-    mypy = _pyproject_data()["tool"]["mypy"]
-    reenabled = set()
-    for override in mypy.get("overrides", ()):
-        if override.get("ignore_errors") is False:
-            modules = override["module"]
-            if isinstance(modules, str):
-                modules = [modules]
-            reenabled.update(modules)
-    assert {"repro.core.backends", "repro.core.backends.*"} <= reenabled
 
 
 # -- optional: run mypy when the environment has it ---------------------

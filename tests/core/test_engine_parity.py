@@ -53,10 +53,20 @@ ENGINES = {
     "single-btb": (SingleBlockEngine,
                    {"target_kind": "btb", "target_entries": 64,
                     "btb_associativity": 4}),
+    "single-btb-fa": (SingleBlockEngine,
+                      {"target_kind": "btb", "target_entries": 4,
+                       "btb_associativity": 4}),
     "single-nott": (SingleBlockEngine,
                     {"track_not_taken_targets": False}),
     "dual-single": (DualBlockEngine, {}),
     "dual-double": (DualBlockEngine, {"selection": DOUBLE_SELECT}),
+    "dual-btb": (DualBlockEngine,
+                 {"target_kind": "btb", "target_entries": 64,
+                  "btb_associativity": 4}),
+    "dual-btb-double": (DualBlockEngine,
+                        {"target_kind": "btb", "target_entries": 32,
+                         "btb_associativity": 2,
+                         "selection": DOUBLE_SELECT}),
     "multi-1": (lambda c: MultiBlockEngine(c, 1), {}),
     "multi-3": (lambda c: MultiBlockEngine(c, 3), {}),
     "multi-3-double": (lambda c: MultiBlockEngine(c, 3),
@@ -96,7 +106,8 @@ def test_scalar_fast_parity(engine_name, geometry_name, monkeypatch):
 
 
 @pytest.mark.parametrize("engine_name", [
-    "single-bit", "single-btb", "dual-double", "multi-3", "two-ahead"])
+    "single-bit", "single-btb", "single-btb-fa", "dual-double", "dual-btb",
+    "dual-btb-double", "multi-3", "two-ahead"])
 def test_warm_rerun_parity(engine_name, monkeypatch):
     """Warm tables: run li, then gcc, then li again on ONE engine.
 

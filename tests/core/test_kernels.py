@@ -3,12 +3,17 @@
 Each kernel is locked against the scalar structure it compiles away:
 the selector encoding against ``BlockPrediction`` equality, the counter
 scan against saturating-counter replay, the batched walk against
-``walk_block``, bank-conflict pairs against ``blocks_conflict``, and
-the compiled-arrays disk cache against a recompile.
+``walk_block``, bank-conflict pairs against ``blocks_conflict``, the
+LRU residency kernel against an ``OrderedDict`` set, and the
+compiled-arrays disk cache against a recompile.  The keyed last-write
+replay is locked in ``tests/core/test_backends.py``.
 """
+
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.kernels import (
     CODE_COND_LONG,
@@ -19,6 +24,7 @@ from repro.core.kernels import (
     compile_fetch_input,
     decode_selector,
     encode_selector,
+    lru_resident,
     pair_conflicts,
     resolve_walks,
     scan_counters,
@@ -237,3 +243,42 @@ def test_compiled_cache_invalidates_on_record_count():
     stale = disk_cache.load_compiled(name, budget, geometry, False, digest,
                                      fetch_input.trace.n_records + 1)
     assert stale is None
+
+
+# -- lru_resident ---------------------------------------------------------
+
+
+def _lru_reference(groups, keys, associativity):
+    """Touch an ``OrderedDict`` per set, exactly as ``BlockBTB`` does."""
+    sets = {}
+    resident = []
+    for group, key in zip(groups, keys):
+        bucket = sets.setdefault(group, OrderedDict())
+        resident.append(key in bucket)
+        if key in bucket:
+            bucket.move_to_end(key)
+        else:
+            if len(bucket) >= associativity:
+                bucket.popitem(last=False)
+            bucket[key] = None
+    return resident
+
+
+@settings(max_examples=200, deadline=None)
+@given(associativity=st.integers(1, 8), n_sets=st.integers(1, 4),
+       warm=st.booleans(),
+       lines=st.lists(st.integers(0, 40), max_size=300))
+def test_lru_resident_matches_ordered_dict(associativity, n_sets, warm,
+                                           lines):
+    if warm:
+        # Warm contents replay as leading touches, least recent first:
+        # up to ``associativity`` distinct resident lines per set.
+        seeds = []
+        for index in range(n_sets):
+            seeds += [index + n_sets * k for k in range(associativity)]
+        lines = seeds + lines
+    keys = np.asarray(lines, dtype=np.int64)
+    groups = keys % n_sets
+    got = lru_resident(groups, keys, associativity)
+    assert got.tolist() == _lru_reference(groups.tolist(), lines,
+                                          associativity)

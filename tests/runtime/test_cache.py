@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import envvars
 from repro.icache import CacheGeometry
 from repro.runtime import cache
 from repro.trace import segment_blocks
@@ -223,6 +224,23 @@ class TestEvict:
         assert not any((cache_dir / "quarantine").iterdir())
         assert cache.load_trace(NAME, BUDGET, digest) is not None
 
+    def test_orphaned_kernels_evicted_first(self, cache_dir, trace,
+                                            digest):
+        kernel = cache_dir / "compiled" / "kernels" / "single-0123.py"
+        kernel.parent.mkdir(parents=True)
+        kernel.write_text("def kernel():\n    pass\n" * 64)
+        cache.store_trace(trace, NAME, BUDGET, digest)
+        path, = (cache_dir / "traces").glob("*.npz")
+        os.utime(path, (1, 1))  # older than the kernel, still kept
+        assert cache.evict(path.stat().st_size + 200) == 1
+        assert not kernel.exists()
+        assert cache.load_trace(NAME, BUDGET, digest) is not None
+
+    def test_registry_documents_default_bound(self):
+        entry, = [var for var in envvars.REGISTRY
+                  if var.name == cache.MAX_BYTES_ENV]
+        assert entry.default == f"{cache.DEFAULT_MAX_BYTES // 1024 ** 3} GiB"
+
     def test_garbage_bound_rejected(self, monkeypatch):
         monkeypatch.setenv(cache.MAX_BYTES_ENV, "huge")
         with pytest.raises(ValueError, match=cache.MAX_BYTES_ENV):
@@ -239,6 +257,13 @@ class TestPurge:
                            digest)
         assert cache.purge() == 2
         assert cache.load_trace(NAME, BUDGET, digest) is None
+
+    def test_purge_removes_orphaned_kernels(self, cache_dir):
+        kernel = cache_dir / "compiled" / "kernels" / "single-0123.py"
+        kernel.parent.mkdir(parents=True)
+        kernel.write_text("def kernel():\n    pass\n")
+        assert cache.purge() == 1
+        assert not kernel.exists()
 
     def test_purge_spares_foreign_files(self, cache_dir, trace, digest):
         foreign = cache_dir / "keep.txt"

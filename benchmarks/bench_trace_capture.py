@@ -1,14 +1,17 @@
-"""Trace-capture throughput: scalar reference tracer vs the fast tier.
+"""Trace-capture throughput: scalar reference tracer vs the fast tracer.
 
 Measures wall-clock capture time per registered workload under both
-``REPRO_TRACER`` modes at a mid-size budget, one headline cell at 10x
-that budget (where the fast tier's compiled superblocks amortise), and a
-streaming demonstration: a paper-scale capture spooled through
+``REPRO_TRACER`` modes at a mid-size budget — one row per workload for
+each tier, the scalar ``Machine`` and the superblock tracer — one
+headline cell at 10x that budget (where compiled superblocks amortise),
+and a streaming demonstration: a paper-scale capture spooled through
 :class:`~repro.trace.chunks.TraceChunkWriter` in a fresh subprocess so
 its peak RSS can be read from the OS — the number that shows memory is
 bounded by the chunk size, not the trace length.
 
-Results land in ``benchmarks/results/BENCH_trace_capture.json``.  Knobs:
+Results land in ``benchmarks/results/BENCH_trace_capture.json``, and the
+capture tables of ``docs/performance.md`` are re-rendered from them
+(``--render`` does only that, from the committed record).  Knobs:
 
 * ``BENCH_TRACE_BUDGET`` — per-workload budget (default 10^6);
 * ``BENCH_TRACE_DEMO`` — streaming-demo budget (default 10^8 standalone,
@@ -32,6 +35,13 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_trace_capture.json"
+DOC_PATH = REPO_ROOT / "docs" / "performance.md"
+
+#: Markers around the capture tables in ``DOC_PATH``; :func:`render_doc`
+#: rewrites what lies between them from the results record.
+TABLE_BEGIN = ("<!-- capture-table: rendered by "
+               "benchmarks/bench_trace_capture.py -->")
+TABLE_END = "<!-- /capture-table -->"
 
 BUDGET = int(os.environ.get("BENCH_TRACE_BUDGET", "1000000"))
 HEADLINE_WORKLOAD = "su2cor"
@@ -143,6 +153,55 @@ def run_streaming_demo(budget: int, per_chunk: int = 1 << 20) -> dict:
     return stats
 
 
+def _exp(n: int) -> str:
+    """``10^k`` for exact powers of ten, the plain count otherwise."""
+    k = round(math.log10(n))
+    return f"10^{k}" if 10 ** k == n else f"{n:,}"
+
+
+def capture_tables(results: dict) -> str:
+    """Markdown summary and per-workload tables for ``results``."""
+    sweep, head = results["sweep"], results["headline"]
+    rows = sweep["workloads"]
+    budget = _exp(sweep["budget"])
+    best = max(rows, key=lambda n: rows[n]["speedup"])
+    worst = min(rows, key=lambda n: rows[n]["speedup"])
+    lines = ["| Measurement | Result |", "| --- | --- |",
+             f"| Geomean over all {len(rows)} workloads, {budget} | "
+             f"**{sweep['geomean_speedup']:.2f}×** |",
+             f"| Best cell ({best}), {budget} | "
+             f"{rows[best]['speedup']:.2f}× |",
+             f"| Worst cell ({worst}), {budget} | "
+             f"{rows[worst]['speedup']:.2f}× |",
+             f"| Headline: {head['workload']} at {_exp(head['budget'])} | "
+             f"{head['scalar_s']:.2f} s → {head['fast_s']:.2f} s "
+             f"(**{head['speedup']:.2f}×**) |"]
+    demo = results.get("streaming_demo")
+    if demo:
+        lines.append(
+            f"| Streaming demo: {demo['workload']} at "
+            f"**{_exp(demo['budget'])}** | {demo['elapsed_s']:.1f} s, "
+            f"{demo['mips']} M instructions/s, "
+            f"{demo['records'] / 1e6:.2f} M records in {demo['chunks']} "
+            f"chunks, **peak RSS {demo['max_rss_mb']:.0f} MiB** |")
+    lines += ["", f"| Workload ({budget}) | `scalar` | `fast` | Speedup |",
+              "| --- | --- | --- | --- |"]
+    for name in sorted(rows):
+        row = rows[name]
+        lines.append(f"| {name} | {row['scalar_s']:.3f} s | "
+                     f"{row['fast_s']:.3f} s | {row['speedup']:.2f}× |")
+    return "\n".join(lines)
+
+
+def render_doc(results: dict) -> None:
+    """Rewrite the capture tables in ``docs/performance.md``."""
+    text = DOC_PATH.read_text()
+    head, rest = text.split(TABLE_BEGIN, 1)
+    _, tail = rest.split(TABLE_END, 1)
+    DOC_PATH.write_text(f"{head}{TABLE_BEGIN}\n{capture_tables(results)}"
+                        f"\n{TABLE_END}{tail}")
+
+
 def run_benchmark(demo_budget: int) -> dict:
     results = {"sweep": run_sweep(),
                "headline": run_headline(BUDGET * 10)}
@@ -151,18 +210,25 @@ def run_benchmark(demo_budget: int) -> dict:
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True)
                             + "\n")
+    render_doc(results)
     print(f"results -> {RESULTS_PATH}")
     return results
+
+
+def _check(results: dict) -> None:
+    assert results["sweep"]["geomean_speedup"] > 1.0, \
+        "fast tracer lost to scalar on geomean"
 
 
 def test_trace_capture_benchmark():
     """Pytest entry: sweep + headline; demo only when opted in."""
     demo_budget = int(os.environ.get("BENCH_TRACE_DEMO", "0"))
-    results = run_benchmark(demo_budget)
-    assert results["sweep"]["geomean_speedup"] > 1.0, \
-        "fast tracer lost to scalar on geomean"
+    _check(run_benchmark(demo_budget))
 
 
 if __name__ == "__main__":
-    demo = int(os.environ.get("BENCH_TRACE_DEMO", str(10**8)))
-    run_benchmark(demo)
+    if sys.argv[1:] == ["--render"]:
+        render_doc(json.loads(RESULTS_PATH.read_text()))
+    else:
+        demo = int(os.environ.get("BENCH_TRACE_DEMO", str(10**8)))
+        _check(run_benchmark(demo))

@@ -13,9 +13,9 @@ of a dispatch loop iteration.
 Semantics are kept bit-identical to :class:`repro.cpu.machine.Machine`:
 the same signed-64-bit wrap (inlined branchlessly), the same C-style
 DIV/MOD truncation, the same fault messages at the same PCs, and the
-same control-record stream.  The walk stops at vectorizable loop
-headers (:attr:`CompiledProgram.stop_pcs`) so the batched stepper of
-:mod:`repro.cpu.vector` always sees those loops at their header.
+same control-record stream.  A walk stops only at a control exit (a
+conditional branch, an unguarded indirect transfer or HALT), a
+revisited PC or the instruction cap.
 
 A superblock returns the next PC to execute; after recording a HALT it
 sets the shared ``hlt`` cell (a returned ``-1`` alone is a *fault* — an
@@ -28,7 +28,7 @@ can run before handing over to the scalar tail.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List
+from typing import Callable, List
 
 from .machine import MachineError
 from .tables import CompiledProgram
@@ -106,7 +106,6 @@ class _Emitter:
 
 
 def compile_superblock(cp: CompiledProgram, start: int,
-                       stop_pcs: FrozenSet[int],
                        namespace: dict) -> Callable[[], int]:
     """Compile the superblock starting at ``start`` into a function.
 
@@ -120,11 +119,11 @@ def compile_superblock(cp: CompiledProgram, start: int,
     interpreter's list memory keeps that huge value; ``mem`` then holds
     the wrapped mirror and ``hi`` the exact value loads must observe).
     """
-    ops = cp.ops_l
-    rds = cp.rd_l
-    rs1s = cp.rs1_l
-    rs2s = cp.rs2_l
-    imms = cp.imm_l
+    ops = cp.ops
+    rds = cp.rd
+    rs1s = cp.rs1
+    rs2s = cp.rs2
+    imms = cp.imm
     n_code = cp.n_code
     msize = cp.data_size
 
@@ -151,8 +150,7 @@ def compile_superblock(cp: CompiledProgram, start: int,
         Returns the target when inlining continues; emits an exit and
         returns ``-1`` otherwise.
         """
-        if (target in seen or target in stop_pcs
-                or e.count >= SUPERBLOCK_CAP):
+        if target in seen or e.count >= SUPERBLOCK_CAP:
             e.exit(str(target))
             return -1
         if not 0 <= target < n_code:

@@ -1,31 +1,27 @@
-"""FastMachine: the vectorized trace-capture driver.
+"""FastMachine: the compiled trace-capture driver.
 
 Drop-in replacement for :class:`repro.cpu.machine.Machine` behind the
-``REPRO_TRACER=fast`` knob.  Execution runs through three tiers sharing
+``REPRO_TRACER=fast`` knob.  Execution runs through two tiers sharing
 one architectural state (register list, numpy data memory, instruction
 counter):
 
-1. **Batched steppers** (:mod:`repro.cpu.vector`) — installed at
-   vectorizable loop headers; one call commits up to tens of thousands
-   of iterations with a handful of numpy operations.
-2. **Generated superblocks** (:mod:`repro.cpu.codegen`) — everything
-   else on the hot path: straight-line runs, calls, rejected loops.
-   Compiled lazily per entry PC, so indirect jumps to arbitrary
-   addresses just materialise new superblocks.
-3. **A scalar tail** — a per-instruction loop identical to
+1. **Generated superblocks** (:mod:`repro.cpu.codegen`) — the whole hot
+   path: straight-line runs, calls and loop bodies.  Compiled lazily
+   per entry PC, so indirect jumps to arbitrary addresses just
+   materialise new superblocks.
+2. **A scalar tail** — a per-instruction loop identical to
    :meth:`Machine.run`, used for the final stretch before the
    instruction budget so truncation lands on exactly the same
    instruction as the interpreter.
 
-The dispatch invariant: tiers are only entered while the executed count
-is below ``soft = max_instructions - SUPERBLOCK_CAP``, and one tier call
-consumes at most ``SUPERBLOCK_CAP`` instructions (steppers budget-cut
-their batches against ``soft``), so the tail always takes over strictly
-before the budget and replicates the interpreter's final records and
-synthetic-HALT truncation bit for bit.
+The dispatch invariant: superblocks are only entered while the executed
+count is below ``soft = max_instructions - SUPERBLOCK_CAP``, and one
+superblock call consumes at most ``SUPERBLOCK_CAP`` instructions, so
+the tail always takes over strictly before the budget and replicates
+the interpreter's final records and synthetic-HALT truncation bit for
+bit.
 
-Records accumulate as Python lists while scalar tiers run and as numpy
-segments when steppers emit batches; ``run`` concatenates them into one
+Records accumulate as Python lists; ``run`` converts them into one
 :class:`~repro.trace.record.Trace`, while ``run_streaming`` hands
 bounded-size array segments to a sink callback so a ``10^8``-instruction
 capture never materialises the full trace in memory.
@@ -40,7 +36,6 @@ import numpy as np
 from .codegen import SUPERBLOCK_CAP, compile_superblock
 from .machine import MachineError, RunResult
 from .tables import CompiledProgram, compile_program
-from .vector import Stepper, compile_loop
 from ..isa.kinds import InstrKind
 from ..isa.opcodes import Op
 from ..isa.program import Program
@@ -70,7 +65,7 @@ RecordSink = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 
 
 class FastMachine:
-    """Executes one program with the tiered fast tracer.
+    """Executes one program with the compiled fast tracer.
 
     Mirrors the :class:`~repro.cpu.machine.Machine` interface —
     ``regs``/``mem`` inspection and ``run`` — with ``mem`` held as an
@@ -83,7 +78,6 @@ class FastMachine:
         self.regs: List[int] = [0] * 32
         self.mem = np.zeros(self.cp.data_size, dtype=np.int64)
         self.ctr: List[int] = [0]
-        self.soft = 0
         self._hlt: List[int] = [0]
         #: Memory words whose interpreter value exceeds int64 (unwrapped
         #: SRL-by-0 results); ``mem`` keeps a wrapped mirror.  Empty for
@@ -93,11 +87,6 @@ class FastMachine:
         self._rec_kind: List[int] = []
         self._rec_taken: List[bool] = []
         self._rec_target: List[int] = []
-        self._segments: List[Tuple[np.ndarray, np.ndarray,
-                                   np.ndarray, np.ndarray]] = []
-        self._buffered = 0
-        self._sink: Optional[RecordSink] = None
-        self._flush_records = 0
         self._fns: Dict[int, Callable[[], int]] = {}
         self._ns = {
             "R": self.regs,
@@ -116,8 +105,7 @@ class FastMachine:
     def run(self, max_instructions: int = 10_000_000) -> RunResult:
         """Execute from the entry; same contract as :meth:`Machine.run`."""
         halted, truncated, executed = self._execute(max_instructions)
-        self._seal()
-        pc, kind, taken, target = self._concat_segments()
+        pc, kind, taken, target = self._take_records()
         trace = Trace(
             entry_pc=self.program.entry,
             n_instructions=executed,
@@ -133,83 +121,46 @@ class FastMachine:
                       ) -> Tuple[int, bool, bool]:
         """Execute, handing record segments of bounded size to ``sink``.
 
-        Returns ``(n_instructions, halted, truncated)``.  Peak memory is
-        bounded by ``flush_records`` plus one stepper batch, independent
-        of the trace length.
+        Returns ``(n_instructions, halted, truncated)``.  Each segment
+        holds at most ``flush_records + SUPERBLOCK_CAP`` records, so
+        peak memory is independent of the trace length.
         """
-        self._sink = sink
-        self._flush_records = max(1, flush_records)
-        try:
-            halted, truncated, executed = self._execute(max_instructions)
-            self._seal()
-            self._flush()
-        finally:
-            self._sink = None
+        halted, truncated, executed = self._execute(
+            max_instructions, sink, max(1, flush_records))
+        if self._rec_pc:
+            sink(*self._take_records())
         return executed, halted, truncated
 
     # -- record plumbing ------------------------------------------------
 
-    def emit_batch(self, pc: np.ndarray, kind: np.ndarray,
-                   taken: np.ndarray, target: np.ndarray) -> None:
-        """Append one stepper batch, keeping stream order with the lists."""
-        self._seal()
-        self._segments.append((pc, kind, taken, target))
-        self._buffered += int(pc.shape[0])
-        if self._sink is not None \
-                and self._buffered >= self._flush_records:
-            self._flush()
-
-    def _seal(self) -> None:
-        """Convert the scalar-tier record lists into one numpy segment."""
-        if not self._rec_pc:
-            return
-        self._segments.append((
-            np.asarray(self._rec_pc, dtype=np.int64),
-            np.asarray(self._rec_kind, dtype=np.uint8),
-            np.asarray(self._rec_taken, dtype=bool),
-            np.asarray(self._rec_target, dtype=np.int64),
-        ))
-        self._buffered += len(self._rec_pc)
+    def _take_records(self) -> Tuple[np.ndarray, np.ndarray,
+                                     np.ndarray, np.ndarray]:
+        """Move the buffered record lists out as four numpy arrays."""
+        records = (np.asarray(self._rec_pc, dtype=np.int64),
+                   np.asarray(self._rec_kind, dtype=np.uint8),
+                   np.asarray(self._rec_taken, dtype=bool),
+                   np.asarray(self._rec_target, dtype=np.int64))
         # Clear in place: the generated superblocks hold bound appends.
         del self._rec_pc[:]
         del self._rec_kind[:]
         del self._rec_taken[:]
         del self._rec_target[:]
-
-    def _flush(self) -> None:
-        if self._sink is None:
-            return
-        for segment in self._segments:
-            self._sink(*segment)
-        del self._segments[:]
-        self._buffered = 0
-
-    def _concat_segments(self) -> Tuple[np.ndarray, np.ndarray,
-                                        np.ndarray, np.ndarray]:
-        if not self._segments:
-            return (np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.uint8),
-                    np.zeros(0, dtype=bool),
-                    np.zeros(0, dtype=np.int64))
-        if len(self._segments) == 1:
-            return self._segments[0]
-        return (np.concatenate([s[0] for s in self._segments]),
-                np.concatenate([s[1] for s in self._segments]),
-                np.concatenate([s[2] for s in self._segments]),
-                np.concatenate([s[3] for s in self._segments]))
+        return records
 
     # -- execution ------------------------------------------------------
 
-    def _execute(self, max_instructions: int) -> Tuple[bool, bool, int]:
+    def _execute(self, max_instructions: int,
+                 sink: Optional[RecordSink] = None,
+                 flush_records: int = 0) -> Tuple[bool, bool, int]:
         ctr = self.ctr
         hlt = self._hlt
         fns = self._fns
         rec = self._rec_pc
-        self.soft = max_instructions - SUPERBLOCK_CAP
+        soft = max_instructions - SUPERBLOCK_CAP
         pc = self.program.entry
         halted = False
 
-        while ctr[0] < self.soft:
+        while ctr[0] < soft:
             fn = fns.get(pc)
             if fn is None:
                 fn = self._compile_at(pc)
@@ -217,10 +168,8 @@ class FastMachine:
             if hlt[0]:
                 halted = True
                 break
-            if self._sink is not None \
-                    and len(rec) >= self._flush_records:
-                self._seal()
-                self._flush()
+            if sink is not None and len(rec) >= flush_records:
+                sink(*self._take_records())
 
         if not halted:
             pc, halted = self._scalar_tail(pc, max_instructions)
@@ -240,17 +189,7 @@ class FastMachine:
     def _compile_at(self, pc: int) -> Callable[[], int]:
         if not 0 <= pc < self.cp.n_code:
             raise MachineError(f"PC out of range: {pc}")
-        fn: Optional[Callable[[], int]] = None
-        info = self.cp.loops.get(pc)
-        if info is not None:
-            plan = compile_loop(self.cp, info)
-            if plan is not None:
-                fallback = compile_superblock(self.cp, pc,
-                                              self.cp.stop_pcs, self._ns)
-                fn = Stepper(self, plan, fallback)
-        if fn is None:
-            fn = compile_superblock(self.cp, pc, self.cp.stop_pcs,
-                                    self._ns)
+        fn = compile_superblock(self.cp, pc, self._ns)
         self._fns[pc] = fn
         return fn
 
@@ -263,11 +202,11 @@ class FastMachine:
         instructions — and any fault inside them — are bit-identical.
         """
         cp = self.cp
-        ops = cp.ops_l
-        rds = cp.rd_l
-        rs1s = cp.rs1_l
-        rs2s = cp.rs2_l
-        imms = cp.imm_l
+        ops = cp.ops
+        rds = cp.rd
+        rs1s = cp.rs1
+        rs2s = cp.rs2
+        imms = cp.imm
         regs = self.regs
         mem = self.mem
         hi = self.hi_mem

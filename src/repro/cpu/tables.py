@@ -1,181 +1,46 @@
-"""Program compilation for the fast tracer: flat tables and loop shapes.
+"""Program compilation for the fast tracer: flat decode tables.
 
-The vectorized tracer never walks :class:`~repro.isa.instructions.Instruction`
+The fast tracer never walks :class:`~repro.isa.instructions.Instruction`
 objects at run time.  :func:`compile_program` decodes a
-:class:`~repro.isa.program.Program` once into a structure-of-arrays form —
-per-PC opcode / kind / destination / operand / immediate vectors — and
-discovers the structural facts the two execution tiers need:
-
-* **superblock boundaries** — addresses the generated-code tier must not
-  inline across (vectorizable loop headers own their own stepper);
-* **natural loops** — innermost ``[header, latch]`` regions with a single
-  back edge and forward-only internal control flow, the candidates the
-  batched stepper of :mod:`repro.cpu.vector` tries to close-form.
+:class:`~repro.isa.program.Program` once into a structure-of-arrays form
+— per-PC opcode / destination / operand / immediate lists of plain
+Python ints, the cheapest thing for the superblock generator and the
+scalar tail to index.
 
 Everything here is static: one :class:`CompiledProgram` is built per
-program and shared by every run, so the cost is amortised across sweeps.
+program and shared by every superblock compiled for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List
 
-import numpy as np
-
-from ..isa.kinds import InstrKind, classify_op
-from ..isa.opcodes import Op
 from ..isa.program import Program
-
-_K_COND = int(InstrKind.COND)
-_K_JUMP = int(InstrKind.JUMP)
-
-#: Back-edge shapes a vectorizable loop may have.
-LOOP_SHAPE_COND = "cond"   #: latch is a conditional branch taken to the header
-LOOP_SHAPE_JUMP = "jump"   #: latch is an unconditional ``J`` to the header
-
-
-@dataclass(frozen=True)
-class LoopInfo:
-    """One structurally vectorizable natural loop.
-
-    The region is ``[header, latch]`` inclusive; the latch holds the only
-    back edge.  ``shape`` distinguishes rotated (do-while) loops whose
-    latch conditional *is* the back edge from while-style loops closed by
-    an unconditional jump.  Structural candidacy is necessary but not
-    sufficient — :mod:`repro.cpu.vector` still has to classify every
-    loop-carried register before a stepper is installed.
-    """
-
-    header: int
-    latch: int
-    shape: str
 
 
 @dataclass
 class CompiledProgram:
-    """Flat decode tables plus loop/CFG structure for one program."""
+    """Flat decode tables for one program (one row per PC)."""
 
-    program: Program
     n_code: int
-    entry: int
     data_size: int
-    #: Structure-of-arrays decode (one row per PC).
-    op: np.ndarray        #: ``uint8`` opcode values
-    rd: np.ndarray        #: ``uint8`` destination register
-    rs1: np.ndarray       #: ``uint8`` first source register
-    rs2: np.ndarray       #: ``uint8`` second source register
-    imm: np.ndarray       #: ``int64`` immediate / absolute target
-    kind: np.ndarray      #: ``uint8`` :class:`InstrKind` per PC
-    #: Python-int mirrors of the SoA rows (fast indexing for codegen).
-    ops_l: List[int] = field(repr=False, default_factory=list)
-    rd_l: List[int] = field(repr=False, default_factory=list)
-    rs1_l: List[int] = field(repr=False, default_factory=list)
-    rs2_l: List[int] = field(repr=False, default_factory=list)
-    imm_l: List[int] = field(repr=False, default_factory=list)
-    kind_l: List[int] = field(repr=False, default_factory=list)
-    #: Structurally vectorizable loops, by header PC.
-    loops: Dict[int, LoopInfo] = field(default_factory=dict)
-    #: PCs the superblock builder must stop at (loop headers).
-    stop_pcs: frozenset = frozenset()
-
-
-def _find_loops(ops: List[int], imms: List[int],
-                kinds: List[int]) -> Dict[int, LoopInfo]:
-    """Innermost single-back-edge loops with forward-only interior flow.
-
-    A candidate is a backward edge ``latch -> header`` from either a
-    conditional branch or a ``J``.  The region is rejected when it
-    contains calls, indirect transfers, HALT, another backward edge, or
-    a jump escaping the region — those run on the generated-code tier.
-    """
-    op_j = int(Op.J)
-    back_edges: List[Tuple[int, int, str]] = []
-    for pc, kind in enumerate(kinds):
-        if kind == _K_COND and imms[pc] <= pc:
-            back_edges.append((imms[pc], pc, LOOP_SHAPE_COND))
-        elif ops[pc] == op_j and imms[pc] <= pc:
-            back_edges.append((imms[pc], pc, LOOP_SHAPE_JUMP))
-
-    loops: Dict[int, LoopInfo] = {}
-    for header, latch, shape in back_edges:
-        if header in loops:          # two back edges to one header
-            del loops[header]
-            continue
-        ok = True
-        for pc in range(header, latch + 1):
-            kind = kinds[pc]
-            op = ops[pc]
-            if kind in (int(InstrKind.CALL), int(InstrKind.RETURN),
-                        int(InstrKind.INDIRECT), int(InstrKind.HALT)):
-                ok = False
-                break
-            if kind == _K_COND:
-                if pc == latch and shape == LOOP_SHAPE_COND:
-                    continue         # the back edge itself
-                if imms[pc] <= pc:
-                    ok = False       # inner loop or second back edge
-                    break
-            elif op == op_j:
-                if pc == latch and shape == LOOP_SHAPE_JUMP:
-                    continue
-                if imms[pc] <= pc or imms[pc] > latch:
-                    ok = False       # inner back edge or escaping jump
-                    break
-        if ok:
-            loops[header] = LoopInfo(header=header, latch=latch,
-                                     shape=shape)
-    # Keep innermost loops only: a region containing another header is
-    # an outer loop and runs on the generated-code tier.  (Single-back-
-    # edge regions cannot nest unless the check above missed an inner
-    # back edge, but two loops may share a latch-free prefix.)
-    headers = sorted(loops)
-    nested = set()
-    for h in headers:
-        info = loops[h]
-        for other in headers:
-            if other != h and info.header <= other <= info.latch:
-                nested.add(h)
-                break
-    for h in nested:
-        del loops[h]
-    return loops
+    ops: List[int]        #: opcode values
+    rd: List[int]         #: destination register
+    rs1: List[int]        #: first source register
+    rs2: List[int]        #: second source register
+    imm: List[int]        #: immediate / absolute target
 
 
 def compile_program(program: Program) -> CompiledProgram:
-    """Decode ``program`` into flat tables and discover its loops."""
+    """Decode ``program`` into flat tables."""
     instrs = program.instructions
-    n = len(instrs)
-    op = np.zeros(n, dtype=np.uint8)
-    rd = np.zeros(n, dtype=np.uint8)
-    rs1 = np.zeros(n, dtype=np.uint8)
-    rs2 = np.zeros(n, dtype=np.uint8)
-    imm = np.zeros(n, dtype=np.int64)
-    kind = np.zeros(n, dtype=np.uint8)
-    for pc, inst in enumerate(instrs):
-        op[pc] = int(inst.op)
-        rd[pc] = inst.rd
-        rs1[pc] = inst.rs1
-        rs2[pc] = inst.rs2
-        imm[pc] = inst.imm
-        kind[pc] = int(classify_op(inst.op))
-
-    ops_l = op.tolist()
-    imm_l = imm.tolist()
-    kind_l = kind.tolist()
-    loops = _find_loops(ops_l, imm_l, kind_l)
     return CompiledProgram(
-        program=program,
-        n_code=n,
-        entry=program.entry,
+        n_code=len(instrs),
         data_size=program.data_size,
-        op=op, rd=rd, rs1=rs1, rs2=rs2, imm=imm, kind=kind,
-        ops_l=ops_l,
-        rd_l=rd.tolist(),
-        rs1_l=rs1.tolist(),
-        rs2_l=rs2.tolist(),
-        imm_l=imm_l,
-        kind_l=kind_l,
-        loops=loops,
-        stop_pcs=frozenset(loops),
+        ops=[int(inst.op) for inst in instrs],
+        rd=[inst.rd for inst in instrs],
+        rs1=[inst.rs1 for inst in instrs],
+        rs2=[inst.rs2 for inst in instrs],
+        imm=[inst.imm for inst in instrs],
     )

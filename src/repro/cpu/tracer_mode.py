@@ -6,9 +6,9 @@ the ``REPRO_ENGINE`` split of :mod:`repro.core.engine_mode`:
 * ``scalar`` — the reference interpreter of :mod:`repro.cpu.machine`,
   kept as the readable ground truth;
 * ``fast`` (default) — the compiled tracer of :mod:`repro.cpu.fast`:
-  exec-generated superblock steppers plus the batched loop vectorizer of
-  :mod:`repro.cpu.vector`, locked bit-exact against the scalar machine
-  by the tracer parity suite and the qa differential oracle.
+  exec-generated superblocks plus a scalar tail for the last stretch
+  before the budget, locked bit-exact against the scalar machine by the
+  tracer parity suite and the qa differential oracle.
 
 The knob follows the other runtime environment variables: validated
 eagerly (a bad value raises :class:`ValueError` naming the variable)
@@ -48,5 +48,5 @@ def tracer_mode() -> str:
 
 
 def use_fast_tracer() -> bool:
-    """True when the vectorized tracer should capture traces."""
+    """True when the compiled fast tracer should capture traces."""
     return tracer_mode() == TRACER_FAST

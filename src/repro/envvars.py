@@ -146,17 +146,11 @@ REGISTRY: Tuple[EnvVar, ...] = (
     ),
     EnvVar(
         name="REPRO_TRACER",
-        summary="Trace-capture tier: 'fast' (vectorized tiered tracer) "
-                "or 'scalar' (reference interpreter), bit-identical.",
+        summary="Trace-capture tier: 'fast' (compiled superblocks plus "
+                "a scalar tail) or 'scalar' (reference interpreter), "
+                "bit-identical.",
         default="fast",
         owner="repro.cpu.tracer_mode",
-    ),
-    EnvVar(
-        name="REPRO_TRACE_CACHE",
-        summary="Legacy flat trace-cache directory, still honoured "
-                "alongside the digest-keyed REPRO_CACHE_DIR cache.",
-        default="disabled",
-        owner="repro.workloads.base",
     ),
     EnvVar(
         name="REPRO_TRACE_CHUNK",

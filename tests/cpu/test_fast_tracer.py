@@ -4,15 +4,18 @@ The scalar :class:`~repro.cpu.machine.Machine` is ground truth; the
 vectorized :class:`~repro.cpu.fast.FastMachine` must reproduce it
 bit-for-bit — every trace record, the run counters, and the full
 architectural end state.  The suite sweeps every registered workload at
-a 10^5-instruction budget and then pins the arithmetic corners the
-vector tier is most likely to get wrong (64-bit wrap, C-style division
-truncation, shift-amount masking, logical-shift of negatives).
+a 10^5-instruction budget, sweeps the budgets around the superblock cap
+where the dispatch loop hands off to the scalar tail, and then pins the
+arithmetic corners the generated code is most likely to get wrong
+(64-bit wrap, C-style division truncation, shift-amount masking,
+logical-shift of negatives).
 """
 
 import numpy as np
 import pytest
 
 from repro.cpu import FastMachine, Machine
+from repro.cpu.codegen import SUPERBLOCK_CAP
 from repro.isa import ProgramBuilder
 from repro.workloads.registry import REGISTRY, workload_names
 
@@ -58,6 +61,49 @@ class TestWorkloadParity:
         program = REGISTRY.program(name)
         s_res, _f_res = assert_capture_parity(program, PARITY_BUDGET)
         assert s_res.instructions >= PARITY_BUDGET or s_res.halted
+
+
+def _loop_nest():
+    """Counted loops with memory traffic, then a while loop whose
+    500-instruction body makes superblocks long enough that one entered
+    just short of the soft limit would overrun the budget."""
+    b = ProgramBuilder(name="loopnest")
+    with b.function("main"):
+        with b.for_range("r3", 0, 6):
+            with b.for_range("r5", 0, 4):
+                b.asm.addi("r4", "r4", 3)
+                b.asm.st("r4", "r5", 0)
+                b.asm.ld("r6", "r5", 0)
+                b.asm.add("r7", "r7", "r6")
+            b.asm.li("r8", 0)
+            b.asm.li("r10", 2)
+            with b.while_("lt", "r8", "r10"):
+                b.asm.addi("r8", "r8", 1)
+                for i in range(250):
+                    b.asm.addi("r11", "r11", i)
+                    b.asm.xor("r9", "r9", "r11")
+    return b.build()
+
+
+#: Budgets around the soft limit ``budget - SUPERBLOCK_CAP`` below which
+#: superblocks run and past which the scalar tail takes over.
+BOUNDARY_BUDGETS = (1, SUPERBLOCK_CAP - 1, SUPERBLOCK_CAP,
+                    SUPERBLOCK_CAP + 1, 2 * SUPERBLOCK_CAP + 7)
+
+
+class TestBudgetBoundary:
+    """Truncation lands on the same record wherever the handoff falls."""
+
+    @pytest.mark.parametrize("budget", BOUNDARY_BUDGETS)
+    def test_loop_nest(self, budget):
+        s_res, _ = assert_capture_parity(_loop_nest(), budget)
+        assert s_res.trace.truncated
+
+    @pytest.mark.parametrize("budget", BOUNDARY_BUDGETS)
+    def test_call_heavy_analog(self, budget):
+        s_res, _ = assert_capture_parity(REGISTRY.program("vortex"),
+                                         budget)
+        assert s_res.trace.truncated
 
 
 def _run_pair(build):
@@ -188,6 +234,7 @@ class TestStreamingCapture:
                                            max_instructions=20_000,
                                            flush_records=512)
         assert len(sizes) > 1
-        # Each flush carries at most one over-full buffer: the bound is
-        # flush_records plus one stepper batch, never the whole trace.
-        assert sum(sizes) > 512
+        # A flush fires once the buffer reaches flush_records, and one
+        # superblock (or the scalar tail plus its synthetic HALT) adds
+        # at most SUPERBLOCK_CAP records past that.
+        assert max(sizes) <= 512 + SUPERBLOCK_CAP

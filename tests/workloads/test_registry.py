@@ -100,31 +100,58 @@ class TestRegistryClass:
         assert reg.program("t") is not first
 
 
+def _counting_builder(trips):
+    """A one-loop program whose dynamic length depends on ``trips``."""
+    from repro.isa import ProgramBuilder
+
+    def build():
+        b = ProgramBuilder(name="cached")
+        with b.function("main"):
+            with b.for_range("r3", 0, trips):
+                b.asm.addi("r4", "r4", 1)
+        return b.build()
+
+    return build
+
+
 class TestDiskCache:
+    """Traces persist in the digest-keyed ``REPRO_CACHE_DIR`` cache."""
+
     def test_trace_persisted_and_reloaded(self, tmp_path, monkeypatch):
         import numpy as np
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        build = _counting_builder(50)
         reg = WorkloadRegistry()
-        from repro.isa import ProgramBuilder
-
-        def build():
-            b = ProgramBuilder(name="cached")
-            with b.function("main"):
-                with b.for_range("r3", 0, 50):
-                    b.asm.addi("r4", "r4", 1)
-            return b.build()
-
         reg.register("cached", "int", "d")(build)
         first = reg.trace("cached", 2_000)
-        assert (tmp_path / "cached-2000.npz").exists()
-        # A fresh registry (new process stand-in) loads from disk.
+        assert len(list((tmp_path / "traces").glob("cached-2000-*.npz"))) \
+            == 1
+        # A fresh registry (new process stand-in) loads from disk: the
+        # tracer must not run again.
+        def no_capture(_program):
+            raise AssertionError("trace was recaptured, not reloaded")
+
+        monkeypatch.setattr("repro.cpu.capture_machine", no_capture)
         reg2 = WorkloadRegistry()
         reg2.register("cached", "int", "d")(build)
         second = reg2.trace("cached", 2_000)
         assert second.n_instructions == first.n_instructions
         np.testing.assert_array_equal(second.pc, first.pc)
 
-    def test_disabled_without_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-        reg = WorkloadRegistry()
-        assert reg._disk_cache_path("x", 10) is None
+    def test_changed_builder_recaptures(self, tmp_path, monkeypatch):
+        from repro.cpu import Machine
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        old = WorkloadRegistry()
+        old.register("cached", "int", "d")(_counting_builder(10))
+        stale = old.trace("cached", 2_000)
+        # Same name and budget, different program: the digest key must
+        # miss and the fresh program's trace be captured.
+        new = WorkloadRegistry()
+        new.register("cached", "int", "d")(_counting_builder(200))
+        fresh = new.trace("cached", 2_000)
+        expected = Machine(new.program("cached")).run(
+            max_instructions=2_000).trace
+        assert fresh.n_instructions == expected.n_instructions
+        assert fresh.n_instructions > stale.n_instructions
+        assert len(list((tmp_path / "traces").glob("cached-2000-*.npz"))) \
+            == 2

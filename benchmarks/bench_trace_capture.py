@@ -2,20 +2,17 @@
 
 Measures wall-clock capture time per registered workload under both
 ``REPRO_TRACER`` modes at a mid-size budget — one row per workload for
-each tier, the scalar ``Machine`` and the superblock tracer — one
-headline cell at 10x that budget (where compiled superblocks amortise),
-and a streaming demonstration: a paper-scale capture spooled through
-:class:`~repro.trace.chunks.TraceChunkWriter` in a fresh subprocess so
-its peak RSS can be read from the OS — the number that shows memory is
-bounded by the chunk size, not the trace length.
+each tier, the scalar ``Machine`` and the superblock tracer — and one
+headline cell at 10x that budget (where compiled superblocks amortise).
+The headline cell also reports the end-to-end peak RSS of turning that
+budget into engine input: ``load_fetch_input`` plus
+``compile_fetch_input`` on a cold temporary cache, in a fresh subprocess
+so the peak can be read from the OS.
 
 Results land in ``benchmarks/results/BENCH_trace_capture.json``, and the
 capture tables of ``docs/performance.md`` are re-rendered from them
-(``--render`` does only that, from the committed record).  Knobs:
-
-* ``BENCH_TRACE_BUDGET`` — per-workload budget (default 10^6);
-* ``BENCH_TRACE_DEMO`` — streaming-demo budget (default 10^8 standalone,
-  0 disables; the pytest wrapper defaults it to 0 to stay quick).
+(``--render`` does only that, from the committed record).  The one knob
+is ``BENCH_TRACE_BUDGET``, the per-workload budget (default 10^6).
 
 Runs standalone (``python benchmarks/bench_trace_capture.py``) or under
 pytest; either way it fails if the fast tracer loses to scalar on
@@ -46,31 +43,20 @@ TABLE_END = "<!-- /capture-table -->"
 BUDGET = int(os.environ.get("BENCH_TRACE_BUDGET", "1000000"))
 HEADLINE_WORKLOAD = "su2cor"
 
-#: Streaming-demo subprocess body: capture with a bounded chunk writer,
-#: report instruction count, records, wall-clock and peak RSS.
-_DEMO_SCRIPT = r"""
-import json, resource, sys, time
-from repro.cpu.fast import FastMachine
-from repro.trace.chunks import ChunkedTrace, TraceChunkWriter
-from repro.workloads.registry import REGISTRY
+#: Headline peak-RSS subprocess body: capture, segment and compile one
+#: workload on a cold cache, then report the process's peak RSS.
+_RSS_SCRIPT = r"""
+import json, resource, sys
+from repro.core.kernels import compile_fetch_input
+from repro.icache import CacheGeometry
+from repro.workloads.registry import load_fetch_input
 
-name, budget, per_chunk, path = (sys.argv[1], int(sys.argv[2]),
-                                 int(sys.argv[3]), sys.argv[4])
-program = REGISTRY.program(name)
-start = time.perf_counter()
-with TraceChunkWriter(path, entry_pc=program.entry, name=name,
-                      records_per_chunk=per_chunk) as writer:
-    executed, halted, truncated = FastMachine(program).run_streaming(
-        writer, max_instructions=budget, flush_records=per_chunk)
-    writer.close(executed, truncated=truncated)
-elapsed = time.perf_counter() - start
-with ChunkedTrace(path) as trace:
-    n_records, n_chunks = trace.n_records, trace.n_chunks
+name, budget = sys.argv[1], int(sys.argv[2])
+fetch_input = load_fetch_input(name, CacheGeometry.normal(8), budget)
+compile_fetch_input(fetch_input, near_block=False)
 print(json.dumps({
-    "instructions": executed,
-    "records": n_records,
-    "chunks": n_chunks,
-    "elapsed_s": elapsed,
+    "records": fetch_input.trace.n_records,
+    "blocks": fetch_input.blocks.n_blocks,
     "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                   / 1024.0,
 }))
@@ -110,47 +96,32 @@ def run_sweep(budget: int = BUDGET) -> dict:
             "geomean_speedup": round(geomean, 2)}
 
 
+def _peak_rss_mb(name: str, budget: int) -> float:
+    """Cold-cache fetch input plus compile in a subprocess; peak RSS."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+                   REPRO_CACHE_DIR=tmp)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RSS_SCRIPT, name, str(budget)],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"peak-RSS run failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])["max_rss_mb"]
+
+
 def run_headline(budget: int) -> dict:
     """One large-budget cell where compiled superblocks amortise."""
     scalar_s = _time_capture(HEADLINE_WORKLOAD, "scalar", budget)
     fast_s = _time_capture(HEADLINE_WORKLOAD, "fast", budget)
+    max_rss_mb = _peak_rss_mb(HEADLINE_WORKLOAD, budget)
     print(f"headline {HEADLINE_WORKLOAD} @ {budget:.0e}: "
           f"scalar {scalar_s:.2f}s fast {fast_s:.2f}s "
-          f"x{scalar_s / fast_s:.1f}")
+          f"x{scalar_s / fast_s:.1f}, "
+          f"end-to-end peak RSS {max_rss_mb:.0f} MiB")
     return {"workload": HEADLINE_WORKLOAD, "budget": budget,
             "scalar_s": round(scalar_s, 3), "fast_s": round(fast_s, 3),
-            "speedup": round(scalar_s / fast_s, 2)}
-
-
-def run_streaming_demo(budget: int, per_chunk: int = 1 << 20) -> dict:
-    """Paper-scale chunked capture in a subprocess; peak RSS from the OS."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = str(Path(tmp) / "demo.chunks")
-        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", _DEMO_SCRIPT, HEADLINE_WORKLOAD,
-             str(budget), str(per_chunk), path],
-            cwd=REPO_ROOT, env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise RuntimeError(f"streaming demo failed:\n{proc.stderr}")
-        container_mb = Path(path).stat().st_size / 2**20 \
-            if Path(path).exists() else None
-    stats = json.loads(proc.stdout.splitlines()[-1])
-    stats.update({
-        "workload": HEADLINE_WORKLOAD,
-        "budget": budget,
-        "records_per_chunk": per_chunk,
-        "container_mb": round(container_mb, 1) if container_mb else None,
-        "mips": round(stats["instructions"] / stats["elapsed_s"] / 1e6,
-                      1),
-        "max_rss_mb": round(stats["max_rss_mb"], 1),
-        "elapsed_s": round(stats["elapsed_s"], 2),
-    })
-    print(f"streaming {HEADLINE_WORKLOAD} @ {budget:.0e}: "
-          f"{stats['elapsed_s']}s, {stats['mips']} Mips, "
-          f"peak RSS {stats['max_rss_mb']} MiB, "
-          f"{stats['chunks']} chunks")
-    return stats
+            "speedup": round(scalar_s / fast_s, 2),
+            "max_rss_mb": round(max_rss_mb, 1)}
 
 
 def _exp(n: int) -> str:
@@ -175,17 +146,10 @@ def capture_tables(results: dict) -> str:
              f"{rows[worst]['speedup']:.2f}× |",
              f"| Headline: {head['workload']} at {_exp(head['budget'])} | "
              f"{head['scalar_s']:.2f} s → {head['fast_s']:.2f} s "
-             f"(**{head['speedup']:.2f}×**) |"]
-    demo = results.get("streaming_demo")
-    if demo:
-        lines.append(
-            f"| Streaming demo: {demo['workload']} at "
-            f"**{_exp(demo['budget'])}** | {demo['elapsed_s']:.1f} s, "
-            f"{demo['mips']} M instructions/s, "
-            f"{demo['records'] / 1e6:.2f} M records in {demo['chunks']} "
-            f"chunks, **peak RSS {demo['max_rss_mb']:.0f} MiB** |")
-    lines += ["", f"| Workload ({budget}) | `scalar` | `fast` | Speedup |",
-              "| --- | --- | --- | --- |"]
+             f"(**{head['speedup']:.2f}×**); end-to-end peak RSS "
+             f"{head['max_rss_mb']:.0f} MiB |",
+             "", f"| Workload ({budget}) | `scalar` | `fast` | Speedup |",
+             "| --- | --- | --- | --- |"]
     for name in sorted(rows):
         row = rows[name]
         lines.append(f"| {name} | {row['scalar_s']:.3f} s | "
@@ -202,11 +166,9 @@ def render_doc(results: dict) -> None:
                         f"\n{TABLE_END}{tail}")
 
 
-def run_benchmark(demo_budget: int) -> dict:
+def run_benchmark() -> dict:
     results = {"sweep": run_sweep(),
                "headline": run_headline(BUDGET * 10)}
-    if demo_budget > 0:
-        results["streaming_demo"] = run_streaming_demo(demo_budget)
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True)
                             + "\n")
@@ -221,14 +183,12 @@ def _check(results: dict) -> None:
 
 
 def test_trace_capture_benchmark():
-    """Pytest entry: sweep + headline; demo only when opted in."""
-    demo_budget = int(os.environ.get("BENCH_TRACE_DEMO", "0"))
-    _check(run_benchmark(demo_budget))
+    """Pytest entry: the sweep and the headline cell."""
+    _check(run_benchmark())
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--render"]:
         render_doc(json.loads(RESULTS_PATH.read_text()))
     else:
-        demo = int(os.environ.get("BENCH_TRACE_DEMO", str(10**8)))
-        _check(run_benchmark(demo))
+        _check(run_benchmark())

@@ -144,8 +144,6 @@ def _apply_runtime(args) -> None:
     from .cpu import tracer_mode
     from .runtime import faults, profile, resilience
     from .runtime.executor import JOBS_ENV
-    from .trace.chunks import chunk_records
-    from .workloads.base import stream_threshold
 
     if getattr(args, "engine", None) is not None:
         os.environ[engine_mode.ENGINE_ENV] = args.engine
@@ -160,8 +158,6 @@ def _apply_runtime(args) -> None:
 
     engine_mode.engine_mode()
     tracer_mode()
-    chunk_records()
-    stream_threshold()
     profile.enabled()
     n_jobs()
     resilience.retry_limit()

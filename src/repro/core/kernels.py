@@ -216,21 +216,13 @@ def _compile(fetch_input: FetchInput, near_block: bool) -> CompiledBlocks:
     window[cols[None, :] >= limit[:, None]] = CODE_NONBRANCH
 
     # Conditional stream: record windows partition the trace, so the
-    # per-block conds are the global conditional stream chunked by the
-    # blocks' record windows.  A chunked trace provides the stream
-    # directly (built one chunk at a time) so the full record arrays
-    # never materialise for paper-scale captures.
-    stream = getattr(trace, "cond_stream", None)
-    if stream is not None:
-        cond_prefix, cond_pc, cond_taken = stream()
-        cond_pc = cond_pc.astype(np.int64, copy=False)
-        cond_taken = cond_taken.astype(bool, copy=False)
-    else:
-        cond_mask = trace.cond_mask
-        cond_prefix = np.zeros(len(cond_mask) + 1, dtype=np.int64)
-        np.cumsum(cond_mask, out=cond_prefix[1:])
-        cond_pc = trace.pc[cond_mask].astype(np.int64)
-        cond_taken = trace.taken[cond_mask].astype(bool)
+    # per-block conds are the global conditional stream split by the
+    # blocks' record windows.
+    cond_mask = trace.cond_mask
+    cond_prefix = np.zeros(len(cond_mask) + 1, dtype=np.int64)
+    np.cumsum(cond_mask, out=cond_prefix[1:])
+    cond_pc = trace.pc[cond_mask].astype(np.int64)
+    cond_taken = trace.taken[cond_mask].astype(bool)
     first_rec = blocks.first_rec.astype(np.int64)
     n_recs = blocks.n_recs.astype(np.int64)
     conds_before = cond_prefix[first_rec]

@@ -22,14 +22,12 @@ the interpreter's final records and synthetic-HALT truncation bit for
 bit.
 
 Records accumulate as Python lists; ``run`` converts them into one
-:class:`~repro.trace.record.Trace`, while ``run_streaming`` hands
-bounded-size array segments to a sink callback so a ``10^8``-instruction
-capture never materialises the full trace in memory.
+:class:`~repro.trace.record.Trace`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -56,12 +54,6 @@ _K_HALT = int(InstrKind.HALT)
 def _wrap(value: int) -> int:
     value &= _WORD_MASK
     return value - (1 << 64) if value & (1 << 63) else value
-
-
-#: Signature of a streaming record sink: four equal-length arrays of
-#: dtype int64 / uint8 / bool / int64 in execution order.
-RecordSink = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-                      None]
 
 
 class FastMachine:
@@ -105,57 +97,30 @@ class FastMachine:
     def run(self, max_instructions: int = 10_000_000) -> RunResult:
         """Execute from the entry; same contract as :meth:`Machine.run`."""
         halted, truncated, executed = self._execute(max_instructions)
-        pc, kind, taken, target = self._take_records()
         trace = Trace(
             entry_pc=self.program.entry,
             n_instructions=executed,
-            pc=pc, kind=kind, taken=taken, target=target,
+            pc=np.asarray(self._rec_pc, dtype=np.int64),
+            kind=np.asarray(self._rec_kind, dtype=np.uint8),
+            taken=np.asarray(self._rec_taken, dtype=bool),
+            target=np.asarray(self._rec_target, dtype=np.int64),
             truncated=truncated,
             name=self.program.name,
         )
-        return RunResult(trace=trace, instructions=executed, halted=halted)
-
-    def run_streaming(self, sink: RecordSink,
-                      max_instructions: int = 10_000_000,
-                      flush_records: int = 1 << 20
-                      ) -> Tuple[int, bool, bool]:
-        """Execute, handing record segments of bounded size to ``sink``.
-
-        Returns ``(n_instructions, halted, truncated)``.  Each segment
-        holds at most ``flush_records + SUPERBLOCK_CAP`` records, so
-        peak memory is independent of the trace length.
-        """
-        halted, truncated, executed = self._execute(
-            max_instructions, sink, max(1, flush_records))
-        if self._rec_pc:
-            sink(*self._take_records())
-        return executed, halted, truncated
-
-    # -- record plumbing ------------------------------------------------
-
-    def _take_records(self) -> Tuple[np.ndarray, np.ndarray,
-                                     np.ndarray, np.ndarray]:
-        """Move the buffered record lists out as four numpy arrays."""
-        records = (np.asarray(self._rec_pc, dtype=np.int64),
-                   np.asarray(self._rec_kind, dtype=np.uint8),
-                   np.asarray(self._rec_taken, dtype=bool),
-                   np.asarray(self._rec_target, dtype=np.int64))
-        # Clear in place: the generated superblocks hold bound appends.
+        # Free the record lists in place: the generated superblocks hold
+        # their bound appends.
         del self._rec_pc[:]
         del self._rec_kind[:]
         del self._rec_taken[:]
         del self._rec_target[:]
-        return records
+        return RunResult(trace=trace, instructions=executed, halted=halted)
 
     # -- execution ------------------------------------------------------
 
-    def _execute(self, max_instructions: int,
-                 sink: Optional[RecordSink] = None,
-                 flush_records: int = 0) -> Tuple[bool, bool, int]:
+    def _execute(self, max_instructions: int) -> Tuple[bool, bool, int]:
         ctr = self.ctr
         hlt = self._hlt
         fns = self._fns
-        rec = self._rec_pc
         soft = max_instructions - SUPERBLOCK_CAP
         pc = self.program.entry
         halted = False
@@ -168,8 +133,6 @@ class FastMachine:
             if hlt[0]:
                 halted = True
                 break
-            if sink is not None and len(rec) >= flush_records:
-                sink(*self._take_records())
 
         if not halted:
             pc, halted = self._scalar_tail(pc, max_instructions)

@@ -153,25 +153,11 @@ REGISTRY: Tuple[EnvVar, ...] = (
         owner="repro.cpu.tracer_mode",
     ),
     EnvVar(
-        name="REPRO_TRACE_CHUNK",
-        summary="Records per compressed chunk when traces are captured "
-                "in streaming mode (bounds peak capture memory).",
-        default="1048576",
-        owner="repro.trace.chunks",
-    ),
-    EnvVar(
         name="REPRO_TRACE_LEN",
         summary="Dynamic instruction budget per workload for the "
                 "experiment runners (>= 1000).",
         default="120000",
         owner="repro.experiments.common",
-    ),
-    EnvVar(
-        name="REPRO_TRACE_STREAM",
-        summary="Instruction-budget threshold above which trace capture "
-                "streams chunks to disk instead of materializing.",
-        default="10000000",
-        owner="repro.workloads.base",
     ),
 )
 

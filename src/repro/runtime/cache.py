@@ -12,8 +12,7 @@ Layout and keying:
 
 * Directory: ``REPRO_CACHE_DIR`` (default ``~/.cache/repro``); set it to
   the empty string, ``0``, ``off`` or ``none`` to disable persistence.
-* Traces: ``traces/<name>-<budget>-<digest>-v<version>.npz`` (flat) or
-  ``....chunks`` (streamed chunk containers for paper-scale budgets);
+* Traces: ``traces/<name>-<budget>-<digest>-v<version>.npz``;
   ``<version>`` is :data:`repro.trace.record.CAPTURE_VERSION`, so
   artifacts from an older capture pipeline are never served.
 * Segmentations: ``blocks/<name>-<budget>-<geometry>-<digest>.npz``.
@@ -50,7 +49,6 @@ import numpy as np
 
 from ..icache.geometry import CacheGeometry
 from ..trace.blocks import BlockStream
-from ..trace.chunks import ChunkedTrace
 from ..trace.record import CAPTURE_VERSION, Trace
 from . import faults
 
@@ -72,6 +70,11 @@ QUARANTINE_DIR = "quarantine"
 #: quarantine.
 ORPHAN_KERNELS = "compiled/kernels"
 
+#: Suffix of the streamed-capture trace containers earlier versions
+#: wrote under ``traces/``; nothing reads them any more, so
+#: :func:`evict` ranks them with :data:`ORPHAN_KERNELS`.
+ORPHAN_TRACE_SUFFIX = ".chunks"
+
 #: Values of ``REPRO_CACHE_DIR`` that disable the disk cache.
 _DISABLED = {"", "0", "off", "none", "disable", "disabled"}
 
@@ -81,7 +84,6 @@ _DIGEST_LEN = 16
 #: Errors treated as artifact corruption when reading.
 READ_ERRORS = (OSError, ValueError, KeyError, EOFError,
                zipfile.BadZipFile)
-_READ_ERRORS = READ_ERRORS  # backwards-compatible alias
 
 _CHECKSUM_SUFFIX = ".sha256"
 
@@ -147,11 +149,6 @@ def _trace_path(root: Path, name: str, budget: int, digest: str) -> Path:
     # entry, and the embedded stamp catches hand-copied files.
     return (root / "traces" /
             f"{name}-{budget}-{digest}-v{CAPTURE_VERSION}.npz")
-
-
-def _chunked_path(root: Path, name: str, budget: int, digest: str) -> Path:
-    return (root / "traces" /
-            f"{name}-{budget}-{digest}-v{CAPTURE_VERSION}.chunks")
 
 
 def _blocks_path(root: Path, name: str, budget: int,
@@ -317,47 +314,6 @@ def store_trace(trace: Trace, name: str, budget: int, digest: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Chunked traces (streamed capture of paper-scale runs)
-# ----------------------------------------------------------------------
-
-def chunked_trace_path(name: str, budget: int,
-                       digest: str) -> Optional[Path]:
-    """Where a streamed capture should write its chunk container.
-
-    ``None`` when the cache is disabled — streaming capture then has
-    nowhere durable to spool and callers fall back to materialising.
-    """
-    root = cache_dir()
-    if root is None:
-        return None
-    return _chunked_path(root, name, budget, digest)
-
-
-def load_chunked_trace(name: str, budget: int,
-                       digest: str) -> Optional[ChunkedTrace]:
-    """Open a cached chunk container, or ``None`` on a miss.
-
-    Version-mismatched or corrupt containers are quarantined exactly
-    like flat trace artifacts (:class:`ChunkedTrace` raises
-    :class:`ValueError` for both, which is in :data:`READ_ERRORS`).
-    """
-    root = cache_dir()
-    if root is None:
-        return None
-    path = _chunked_path(root, name, budget, digest)
-    return _read_artifact(path, ChunkedTrace, "trace", name)
-
-
-def seal_chunked_trace(path: Path) -> None:
-    """Write the integrity sidecar for a freshly captured container.
-
-    :class:`~repro.trace.chunks.TraceChunkWriter` already renames a
-    temporary file into place, so only the checksum is left to add.
-    """
-    _write_checksum(path)
-
-
-# ----------------------------------------------------------------------
 # Block segmentations
 # ----------------------------------------------------------------------
 
@@ -461,7 +417,8 @@ def purge() -> int:
     """Delete every cached artifact; returns the number removed.
 
     Covers traces, segmentations, quarantined files, checksum sidecars,
-    sweep journals and :data:`ORPHAN_KERNELS`.  Only this module's own
+    sweep journals and the orphans (:data:`ORPHAN_KERNELS`,
+    :data:`ORPHAN_TRACE_SUFFIX` containers).  Only this module's own
     subdirectories are touched, so an unrelated ``REPRO_CACHE_DIR``
     cannot lose foreign files.  Sidecars are deleted but not counted —
     the return value is the number of artifacts, matching pre-checksum
@@ -500,9 +457,10 @@ def evict(limit: Optional[int] = None) -> int:
     """Delete oldest artifacts until the cache fits a byte budget.
 
     ``limit`` defaults to ``REPRO_CACHE_MAX_BYTES`` (4 GiB unless set;
-    ``off`` disables the bound).  Quarantined files and
-    :data:`ORPHAN_KERNELS` are evicted first — nothing reads them — then
-    traces and segmentations by oldest modification time.  Returns the
+    ``off`` disables the bound).  Quarantined files,
+    :data:`ORPHAN_KERNELS` and :data:`ORPHAN_TRACE_SUFFIX` containers
+    are evicted first — nothing reads them — then traces and
+    segmentations by oldest modification time.  Returns the
     number of artifacts removed.
     """
     root = cache_dir()
@@ -536,7 +494,9 @@ def evict(limit: Optional[int] = None) -> int:
                 except OSError:
                     pass
             total += size
-            entries.append((rank, stat.st_mtime, path, size))
+            orphan = path.suffix == ORPHAN_TRACE_SUFFIX
+            entries.append((0 if orphan else rank, stat.st_mtime, path,
+                            size))
 
     removed = 0
     for rank, _, path, size in sorted(entries, key=lambda e: e[:2]):

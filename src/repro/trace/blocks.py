@@ -74,40 +74,19 @@ class BlockStream:
         return float(self.n_instr.mean()) if len(self.start) else 0.0
 
 
-def segment_blocks(trace, geometry: CacheGeometry) -> BlockStream:
+def segment_blocks(trace: Trace, geometry: CacheGeometry) -> BlockStream:
     """Split ``trace`` into fetch blocks under ``geometry``.
 
-    Accepts both a materialised :class:`~repro.trace.record.Trace` and a
-    :class:`~repro.trace.chunks.ChunkedTrace`; the latter is walked one
-    chunk at a time, so peak memory during segmentation of a huge
-    capture is one chunk of records plus the block arrays themselves.
-    """
-    iter_chunks = getattr(trace, "iter_chunks", None)
-    if iter_chunks is not None:
-        chunks = iter_chunks()
-    else:
-        chunks = iter([(trace.pc, trace.kind, trace.taken, trace.target)])
-    arrays = _segment_stream(trace.entry_pc, chunks, geometry)
-    return BlockStream(trace=trace, geometry=geometry, **arrays)
-
-
-def _segment_stream(entry_pc: int, chunks, geometry: CacheGeometry):
-    """Core segmentation loop over an iterator of record chunks.
-
-    The record pointer only ever moves forward, so the stream is
-    consumed through a cursor over the current chunk (as plain Python
-    lists) plus a running base offset — the chunk boundary check is one
-    extra comparison per record peek.
+    The record pointer only ever moves forward, so the loop walks the
+    trace's record arrays (as plain Python lists) with one cursor.
     """
     k_halt = int(InstrKind.HALT)
 
-    t_pc: list = []
-    t_kind: list = []
-    t_taken: list = []
-    t_target: list = []
-    rec_base = 0       # global record index of t_pc[0]
-    n_local = 0        # records in the current chunk
-    i = 0              # cursor within the current chunk
+    t_pc = trace.pc.tolist()
+    t_kind = trace.kind.tolist()
+    t_taken = trace.taken.tolist()
+    t_target = trace.target.tolist()
+    i = 0
 
     b_start = []
     b_n = []
@@ -117,31 +96,19 @@ def _segment_stream(entry_pc: int, chunks, geometry: CacheGeometry):
     b_n_recs = []
 
     block_limit = geometry.block_limit
-    cur = entry_pc
+    cur = trace.entry_pc
     done = False
     while not done:
         limit = block_limit(cur)
         geo_end = cur + limit - 1
-        first_rec = rec_base + i
+        first_rec = i
         # Defaults: fall through at the geometry limit.
         n = limit
         exit_kind = EXIT_FALLTHROUGH
         next_start = geo_end + 1
+        # The trace always ends with HALT, which terminates the outer
+        # loop before the cursor can run past the records.
         while True:
-            if i == n_local:
-                # The trace always ends with HALT, which terminates the
-                # outer loop before the cursor can run past the stream,
-                # so the iterator cannot be exhausted here.
-                rec_base += n_local
-                i = 0
-                n_local = 0
-                while not n_local:
-                    c_pc, c_kind, c_taken, c_target = next(chunks)
-                    t_pc = c_pc.tolist()
-                    t_kind = c_kind.tolist()
-                    t_taken = c_taken.tolist()
-                    t_target = c_target.tolist()
-                    n_local = len(t_pc)
             pc_r = t_pc[i]
             if pc_r > geo_end:
                 break  # next control event is beyond this block
@@ -168,10 +135,12 @@ def _segment_stream(entry_pc: int, chunks, geometry: CacheGeometry):
         b_exit_kind.append(exit_kind)
         b_exit_target.append(next_start)
         b_first_rec.append(first_rec)
-        b_n_recs.append(rec_base + i - first_rec)
+        b_n_recs.append(i - first_rec)
         cur = next_start
 
-    return dict(
+    return BlockStream(
+        trace=trace,
+        geometry=geometry,
         start=np.asarray(b_start, dtype=np.int64),
         n_instr=np.asarray(b_n, dtype=np.int64),
         exit_kind=np.asarray(b_exit_kind, dtype=np.uint8),

@@ -22,12 +22,11 @@ import numpy as np
 from ..isa.kinds import InstrKind
 
 #: Version stamp of the trace-capture pipeline, embedded in every saved
-#: trace artifact (flat ``.npz`` and chunked containers alike).  Version
-#: 1 is the unstamped scalar-era format; version 2 introduced the tiered
-#: fast tracer and chunked capture.  Loading an artifact with a
-#: different version raises :class:`ValueError` — the cache layer
-#: translates that into quarantine-and-recompute, so a stale capture
-#: can never be served as current.
+#: trace ``.npz``.  Version 1 is the unstamped scalar-era format;
+#: version 2 introduced the compiled fast tracer.  Loading an artifact
+#: with a different version raises :class:`ValueError` — the cache
+#: layer translates that into quarantine-and-recompute, so a stale
+#: capture can never be served as current.
 CAPTURE_VERSION = 2
 
 

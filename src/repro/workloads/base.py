@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..isa.program import Program
+from ..trace.record import Trace
 
 SUITE_INT = "int"
 SUITE_FP = "fp"
@@ -26,34 +27,6 @@ SUITE_FP = "fp"
 SUITE_EXTRA = "extra"
 
 _SUITES = (SUITE_INT, SUITE_FP, SUITE_EXTRA)
-
-#: Environment variable: instruction budget above which trace capture
-#: streams fixed-size chunks to the disk cache instead of materialising
-#: the whole record stream in memory.
-STREAM_ENV = "REPRO_TRACE_STREAM"
-
-#: Default streaming threshold (10^7 instructions).
-DEFAULT_STREAM_THRESHOLD = 10_000_000
-
-
-def stream_threshold() -> int:
-    """Streaming threshold from ``REPRO_TRACE_STREAM`` (validated)."""
-    from .. import envvars
-
-    raw = envvars.read(STREAM_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_STREAM_THRESHOLD
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise ValueError(
-            f"{STREAM_ENV} must be a positive integer, got {raw!r}") \
-            from None
-    if value < 1:
-        raise ValueError(
-            f"{STREAM_ENV} must be a positive integer, got {value}")
-    return value
-
 
 @dataclass(frozen=True)
 class Workload:
@@ -84,7 +57,7 @@ class WorkloadRegistry:
     def __init__(self) -> None:
         self._workloads: Dict[str, Workload] = {}
         self._programs: Dict[str, Program] = {}
-        self._traces: Dict[Tuple[str, int], object] = {}
+        self._traces: Dict[Tuple[str, int], Trace] = {}
         self._digests: Dict[str, str] = {}
 
     def register(self, name: str, suite: str,
@@ -136,24 +109,16 @@ class WorkloadRegistry:
                 self.program(name))
         return self._digests[name]
 
-    def trace(self, name: str, max_instructions: int):
+    def trace(self, name: str, max_instructions: int) -> Trace:
         """Execute (and cache) the workload's trace.
 
         Capture goes through the tracer selected by ``REPRO_TRACER``
-        (:func:`repro.cpu.capture_machine`).  Budgets at or above
-        ``REPRO_TRACE_STREAM`` are captured *streaming*: the fast tracer
-        hands bounded record segments to a chunk writer spooling
-        straight into the disk cache, and a lazily-read
-        :class:`~repro.trace.chunks.ChunkedTrace` is returned instead of
-        a materialised trace — peak capture memory is one chunk
-        (``REPRO_TRACE_CHUNK`` records) regardless of budget.
-
-        Traces are memoised per process and, unless disabled via
-        ``REPRO_CACHE_DIR``, persisted by :mod:`repro.runtime.cache` so
-        repeated invocations — including parallel sweep workers — skip
-        the interpreter entirely.  Entries are keyed by the program
-        digest, so a rebuilt workload recaptures instead of being served
-        a stale trace.
+        (:func:`repro.cpu.capture_machine`).  Traces are memoised per
+        process and, unless disabled via ``REPRO_CACHE_DIR``, persisted
+        by :mod:`repro.runtime.cache` so repeated invocations — including
+        parallel sweep workers — skip the interpreter entirely.  Entries
+        are keyed by the program digest, so a rebuilt workload recaptures
+        instead of being served a stale trace.
         """
         from ..cpu import capture_machine
         from ..runtime import cache as disk_cache, profile
@@ -163,13 +128,6 @@ class WorkloadRegistry:
             with profile.phase("trace"):
                 trace = disk_cache.load_trace(name, max_instructions,
                                               self.digest(name))
-                if trace is None \
-                        and max_instructions >= stream_threshold():
-                    trace = disk_cache.load_chunked_trace(
-                        name, max_instructions, self.digest(name))
-                    if trace is None:
-                        trace = self._capture_chunked(name,
-                                                      max_instructions)
                 if trace is None:
                     program = self.program(name)
                     trace = capture_machine(program).run(
@@ -178,40 +136,6 @@ class WorkloadRegistry:
                                            self.digest(name))
                 self._traces[key] = trace
         return self._traces[key]
-
-    def _capture_chunked(self, name: str, max_instructions: int):
-        """Stream one capture into the disk cache as a chunk container.
-
-        Returns the resulting
-        :class:`~repro.trace.chunks.ChunkedTrace`, or ``None`` when
-        streaming is unavailable — the scalar reference tracer has no
-        streaming path, and with the disk cache disabled there is
-        nowhere durable to spool — in which case the caller falls back
-        to materialised capture.
-        """
-        from ..cpu import use_fast_tracer
-        from ..cpu.fast import FastMachine
-        from ..runtime import cache as disk_cache
-        from ..trace.chunks import (ChunkedTrace, TraceChunkWriter,
-                                    chunk_records)
-
-        if not use_fast_tracer():
-            return None
-        path = disk_cache.chunked_trace_path(name, max_instructions,
-                                             self.digest(name))
-        if path is None:
-            return None
-        program = self.program(name)
-        per_chunk = chunk_records()
-        with TraceChunkWriter(path, entry_pc=program.entry, name=name,
-                              records_per_chunk=per_chunk) as writer:
-            executed, halted, truncated = FastMachine(
-                program).run_streaming(writer,
-                                       max_instructions=max_instructions,
-                                       flush_records=per_chunk)
-            writer.close(executed, truncated=truncated)
-        disk_cache.seal_chunked_trace(path)
-        return ChunkedTrace(path)
 
     def clear_caches(self) -> None:
         """Drop cached programs, traces and digests (tests)."""

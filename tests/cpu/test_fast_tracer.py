@@ -199,42 +199,3 @@ class TestArithmeticCorners:
         assert machine.regs[7] == (1 << 64) - 1
         assert machine.regs[9] == (1 << 64) - 1
         assert machine.hi_mem.get(100) == (1 << 64) - 1
-
-
-class TestStreamingCapture:
-    def test_run_streaming_matches_run(self):
-        program = REGISTRY.program("compress")
-        reference = FastMachine(program).run(max_instructions=20_000)
-
-        parts = []
-
-        def sink(pc, kind, taken, target):
-            parts.append((pc.copy(), kind.copy(), taken.copy(),
-                          target.copy()))
-            return len(parts)
-
-        executed, halted, truncated = FastMachine(program).run_streaming(
-            sink, max_instructions=20_000, flush_records=1024)
-        assert executed == reference.instructions
-        assert halted == reference.halted
-        assert truncated == reference.trace.truncated
-        for i, field in enumerate(("pc", "kind", "taken", "target")):
-            streamed = np.concatenate([p[i] for p in parts])
-            np.testing.assert_array_equal(
-                streamed, getattr(reference.trace, field))
-
-    def test_flush_bounds_segment_size(self):
-        program = REGISTRY.program("compress")
-        sizes = []
-
-        def sink(pc, _kind, _taken, _target):
-            sizes.append(len(pc))
-
-        FastMachine(program).run_streaming(sink,
-                                           max_instructions=20_000,
-                                           flush_records=512)
-        assert len(sizes) > 1
-        # A flush fires once the buffer reaches flush_records, and one
-        # superblock (or the scalar tail plus its synthetic HALT) adds
-        # at most SUPERBLOCK_CAP records past that.
-        assert max(sizes) <= 512 + SUPERBLOCK_CAP

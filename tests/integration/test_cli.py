@@ -81,8 +81,6 @@ class TestCLI:
 
     @pytest.mark.parametrize("variable,value", [
         ("REPRO_TRACER", "bogus"),
-        ("REPRO_TRACE_CHUNK", "abc"),
-        ("REPRO_TRACE_STREAM", "-5"),
     ])
     def test_bad_capture_env_exits_2(self, capsys, monkeypatch,
                                      variable, value):

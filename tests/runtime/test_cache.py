@@ -13,6 +13,7 @@ from repro import envvars
 from repro.icache import CacheGeometry
 from repro.runtime import cache
 from repro.trace import segment_blocks
+from repro.trace.record import CAPTURE_VERSION
 from repro.workloads import get_workload, load_trace
 
 BUDGET = 5_000
@@ -176,6 +177,30 @@ class TestIntegrity:
         path.with_name(path.name + ".sha256").unlink()
         assert cache.load_trace(NAME, BUDGET, digest) is not None
 
+    def test_stale_capture_version_quarantined(self, cache_dir, trace,
+                                               digest):
+        cache.store_trace(trace, NAME, BUDGET, digest)
+        path, = (cache_dir / "traces").glob("*.npz")
+        with np.load(path) as data:
+            fields = {key: data[key] for key in data.files}
+        fields["capture_version"] = np.int64(CAPTURE_VERSION - 1)
+        np.savez_compressed(path, **fields)
+        path.with_name(path.name + ".sha256").unlink()
+        with pytest.warns(RuntimeWarning, match="capture version"):
+            assert cache.load_trace(NAME, BUDGET, digest) is None
+        assert not path.exists()
+        assert (cache_dir / "quarantine" / path.name).exists()
+
+    def test_abandoned_tmp_file_is_a_clean_miss(self, cache_dir, digest):
+        dest = cache._trace_path(cache_dir, NAME, BUDGET, digest)
+        dest.parent.mkdir(parents=True)
+        tmp = dest.with_name(f".{dest.stem}.{os.getpid()}.tmp.npz")
+        tmp.write_bytes(b"partial capture, never renamed")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cache.load_trace(NAME, BUDGET, digest) is None
+        assert tmp.exists()  # left for post-mortems, never opened
+
     def test_corrupt_blocks_quarantined(self, cache_dir, trace, digest):
         cache.store_blocks(segment_blocks(trace, GEOMETRY), NAME,
                            BUDGET, digest)
@@ -231,9 +256,17 @@ class TestEvict:
         kernel.write_text("def kernel():\n    pass\n" * 64)
         cache.store_trace(trace, NAME, BUDGET, digest)
         path, = (cache_dir / "traces").glob("*.npz")
-        os.utime(path, (1, 1))  # older than the kernel, still kept
-        assert cache.evict(path.stat().st_size + 200) == 1
+        # A streamed-capture container from older versions, newer than
+        # the flat trace, with its sidecar.
+        chunks = path.with_suffix(cache.ORPHAN_TRACE_SUFFIX)
+        chunks.write_bytes(b"PK" * 512)
+        chunks_side = chunks.with_name(chunks.name + ".sha256")
+        chunks_side.write_text("0" * 64)
+        os.utime(path, (1, 1))  # older than both orphans, still kept
+        assert cache.evict(path.stat().st_size + 200) == 2
         assert not kernel.exists()
+        assert not chunks.exists()
+        assert not chunks_side.exists()
         assert cache.load_trace(NAME, BUDGET, digest) is not None
 
     def test_registry_documents_default_bound(self):
@@ -262,8 +295,15 @@ class TestPurge:
         kernel = cache_dir / "compiled" / "kernels" / "single-0123.py"
         kernel.parent.mkdir(parents=True)
         kernel.write_text("def kernel():\n    pass\n")
-        assert cache.purge() == 1
+        chunks = cache_dir / "traces" / f"{NAME}-{BUDGET}-0123-v2.chunks"
+        chunks.parent.mkdir()
+        chunks.write_bytes(b"PK")
+        chunks_side = chunks.with_name(chunks.name + ".sha256")
+        chunks_side.write_text("0" * 64)
+        assert cache.purge() == 2  # the sidecar goes uncounted
         assert not kernel.exists()
+        assert not chunks.exists()
+        assert not chunks_side.exists()
 
     def test_purge_spares_foreign_files(self, cache_dir, trace, digest):
         foreign = cache_dir / "keep.txt"

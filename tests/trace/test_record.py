@@ -5,6 +5,7 @@ import pytest
 
 from repro.isa import InstrKind
 from repro.trace import Trace
+from repro.trace.record import CAPTURE_VERSION
 
 K_COND = int(InstrKind.COND)
 K_JUMP = int(InstrKind.JUMP)
@@ -97,3 +98,28 @@ class TestPersistence:
         path = tmp_path / "trace.npz"
         t.save(path)
         assert Trace.load(path).truncated is True
+
+
+class TestCaptureVersion:
+    def _restamp(self, tmp_path, version):
+        """Save a trace, then rewrite it stamped ``version`` (None = no
+        stamp, the scalar-era v1 format)."""
+        path = tmp_path / "trace.npz"
+        tiny_trace().save(path)
+        with np.load(path) as data:
+            fields = {key: data[key] for key in data.files
+                      if key != "capture_version"}
+        if version is not None:
+            fields["capture_version"] = np.int64(version)
+        np.savez_compressed(path, **fields)
+        return path
+
+    def test_stale_version_rejected(self, tmp_path):
+        path = self._restamp(tmp_path, CAPTURE_VERSION - 1)
+        with pytest.raises(ValueError, match="capture version"):
+            Trace.load(path)
+
+    def test_unstamped_v1_rejected(self, tmp_path):
+        path = self._restamp(tmp_path, None)
+        with pytest.raises(ValueError, match="capture version 1"):
+            Trace.load(path)

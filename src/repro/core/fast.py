@@ -19,7 +19,9 @@ last-write replay :func:`~repro.core.kernels.replay_last_write`, and
 the set-associative block BTB through the LRU residency kernel
 :func:`~repro.core.kernels.lru_resident`.  Python loops remain only
 for the RAS and for writing final table state back, one iteration per
-stored entry rather than per block.
+stored entry rather than per block.  Under ``REPRO_PROFILE=1`` the two
+halves are timed as the ``prep`` and ``residual`` phases, nested inside
+the executor's ``engine`` phase.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 from ..icache.geometry import SELF_ALIGNED
 from ..predictors.evaluate import _grouping_order, packed_history
 from ..predictors.ghr import BlockOutcomes
+from ..runtime import profile
 from ..targets.bit import BitCode
 from ..targets.btb import BlockBTB, DualBTBTargetArray, _Entry
 from ..targets.nls import DualNLSTargetArray
@@ -451,10 +454,12 @@ def _replay_btb(btb: BlockBTB, which, lines, positions, values):
 
 def run_single_fast(engine, fetch_input) -> FetchStats:
     """Vectorized :meth:`SingleBlockEngine.run` (no recovery tracking)."""
-    run, stats = _prep_single(engine, fetch_input)
+    with profile.phase("prep"):
+        run, stats = _prep_single(engine, fetch_input)
     if run.n == 0:
         return stats
-    return _residual_single(engine, run, stats)
+    with profile.phase("residual"):
+        return _residual_single(engine, run, stats)
 
 
 def _prep_single(engine, fetch_input) -> tuple:
@@ -607,10 +612,12 @@ def _replay_select(run: _Run, stats: FetchStats, seeds, tables, blocks,
 
 def run_dual_fast(engine, fetch_input) -> FetchStats:
     """Vectorized :meth:`DualBlockEngine.run` (no timeline recording)."""
-    run, stats = _prep_dual(engine, fetch_input)
+    with profile.phase("prep"):
+        run, stats = _prep_dual(engine, fetch_input)
     if run.n == 0:
         return stats
-    return _residual_dual(engine, run, stats)
+    with profile.phase("residual"):
+        return _residual_dual(engine, run, stats)
 
 
 def _prep_dual(engine, fetch_input) -> tuple:
@@ -728,10 +735,12 @@ def _residual_dual(engine, run, stats) -> FetchStats:
 
 def run_multi_fast(engine, fetch_input) -> FetchStats:
     """Vectorized :meth:`MultiBlockEngine.run`."""
-    run, stats = _prep_multi(engine, fetch_input)
+    with profile.phase("prep"):
+        run, stats = _prep_multi(engine, fetch_input)
     if run.n == 0:
         return stats
-    return _residual_multi(engine, run, stats)
+    with profile.phase("residual"):
+        return _residual_multi(engine, run, stats)
 
 
 def _bank_conflicts(line0: np.ndarray, group: int, n_banks: int,
@@ -877,10 +886,12 @@ def _residual_multi(engine, run, stats) -> FetchStats:
 
 def run_two_ahead_fast(engine, fetch_input) -> FetchStats:
     """Vectorized :meth:`TwoBlockAheadEngine.run`."""
-    run, stats = _prep_two_ahead(engine, fetch_input)
+    with profile.phase("prep"):
+        run, stats = _prep_two_ahead(engine, fetch_input)
     if run.n == 0:
         return stats
-    return _residual_two_ahead(engine, run, stats)
+    with profile.phase("residual"):
+        return _residual_two_ahead(engine, run, stats)
 
 
 def _prep_two_ahead(engine, fetch_input) -> tuple:

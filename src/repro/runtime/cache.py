@@ -3,10 +3,11 @@
 Interpreting a workload analog is by far the most expensive step of any
 sweep: every experiment re-executes 18 programs for ``REPRO_TRACE_LEN``
 instructions before a single prediction is made.  This module persists the
-two interpreter-derived artifacts — the compressed control-flow
-:class:`~repro.trace.record.Trace` and its per-geometry block segmentation
-— as ``.npz`` files so that warm runs skip the interpreter (and the
-segmenter) entirely.
+three interpreter-derived artifacts — the compressed control-flow
+:class:`~repro.trace.record.Trace`, its per-geometry block segmentation
+and the compiled block stream the vectorized engines replay — as ``.npz``
+files so that warm runs skip the interpreter, the segmenter and the
+kernel compile entirely.
 
 Layout and keying:
 
@@ -19,6 +20,12 @@ Layout and keying:
 * Compiled engine inputs (structure-of-arrays block streams for the
   vectorized kernels):
   ``compiled/<name>-<budget>-<geometry>-nb<0|1>-<digest>.npz``.
+* Stored width: every writer passes its arrays through :func:`narrow`,
+  which keeps each non-empty integer array in the narrowest of
+  uint8/int8/uint16/int16/uint32/int32 that holds its values, so zlib
+  does not compress int64 padding.  The readers cast every array back
+  to its in-memory dtype, so all-int64 artifacts of earlier versions
+  load unchanged.
 * Integrity: every artifact gets a ``<file>.sha256`` sidecar, verified
   on read.
 * Corrupt artifacts move to ``quarantine/`` (with a warning) instead of
@@ -86,6 +93,10 @@ READ_ERRORS = (OSError, ValueError, KeyError, EOFError,
                zipfile.BadZipFile)
 
 _CHECKSUM_SUFFIX = ".sha256"
+
+#: Stored integer widths :func:`narrow` chooses from, narrowest first.
+_NARROW_DTYPES = tuple(np.dtype(t) for t in (
+    np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32))
 
 
 def cache_dir() -> Optional[Path]:
@@ -163,6 +174,39 @@ def _compiled_path(root: Path, name: str, budget: int,
     return (root / "compiled" /
             f"{name}-{budget}-{_geometry_key(geometry)}"
             f"-nb{int(bool(near_block))}-{digest}.npz")
+
+
+# ----------------------------------------------------------------------
+# Stored width
+# ----------------------------------------------------------------------
+
+def narrow(array):
+    """``array`` in the narrowest integer dtype that holds its values.
+
+    Candidates are uint8, int8, uint16, int16, uint32 and int32, in that
+    order; the first whose range covers ``[array.min(), array.max()]``
+    and is narrower than ``array`` wins.  Bool, float, string, 0-d and
+    empty arrays, and arrays no candidate holds, come back unchanged.
+    The conversion is lossless, so a reader restores the original by
+    casting back to its in-memory dtype.
+    """
+    if np.ndim(array) == 0 or array.size == 0 \
+            or array.dtype.kind not in "iu":
+        return array
+    low, high = int(array.min()), int(array.max())
+    for dtype in _NARROW_DTYPES:
+        if dtype.itemsize >= array.dtype.itemsize:
+            break
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return array.astype(dtype)
+    return array
+
+
+def save_narrow(path: Path, **arrays) -> None:
+    """``np.savez_compressed`` with every array stored by :func:`narrow`."""
+    np.savez_compressed(path, **{key: narrow(value)
+                                 for key, value in arrays.items()})
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +396,7 @@ def store_blocks(blocks: BlockStream, name: str, budget: int,
     path = _blocks_path(root, name, budget, blocks.geometry, digest)
 
     def save(tmp: Path) -> None:
-        np.savez_compressed(
+        save_narrow(
             tmp,
             n_records=np.int64(blocks.trace.n_records),
             start=blocks.start,
@@ -404,7 +448,7 @@ def store_compiled(arrays: dict, name: str, budget: int,
     path = _compiled_path(root, name, budget, geometry, near_block, digest)
 
     def save(tmp: Path) -> None:
-        np.savez_compressed(tmp, n_records=np.int64(n_records), **arrays)
+        save_narrow(tmp, n_records=np.int64(n_records), **arrays)
 
     _atomic_write(path, save)
 

@@ -4,7 +4,10 @@ When enabled, the runtime accounts wall-clock per phase — trace
 generation, block segmentation, kernel compilation, engine execution and
 aggregation — prints a per-cell breakdown to stderr as cells finish, and
 attaches the sweep-level totals to the
-:class:`~repro.runtime.resilience.SweepReport`.
+:class:`~repro.runtime.resilience.SweepReport`.  The vectorized engines
+split ``engine`` into its shared-prep and residual-replay halves,
+``prep`` and ``residual``; those two nest inside ``engine`` (and a cold
+``compile`` nests inside ``prep``), so phases do not sum to wall-clock.
 
 The accounting is process-local: under ``REPRO_JOBS>1`` the per-cell
 lines come from worker stderr, while the report of the parent process
@@ -27,7 +30,8 @@ from typing import Dict
 PROFILE_ENV = "REPRO_PROFILE"
 
 #: Canonical phase order for display.
-PHASES = ("trace", "segment", "compile", "engine", "aggregate")
+PHASES = ("trace", "segment", "compile", "engine", "prep", "residual",
+          "aggregate")
 
 _FALSE = {"", "0", "off", "no", "false", "none"}
 _TRUE = {"1", "on", "yes", "true"}

@@ -105,8 +105,15 @@ class Trace:
     # ------------------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> None:
-        """Write the trace to an ``.npz`` file."""
-        np.savez_compressed(
+        """Write the trace to an ``.npz`` file.
+
+        Integer arrays are stored at their narrowest lossless width
+        (:func:`repro.runtime.cache.narrow`); :meth:`load` casts them
+        back.
+        """
+        from ..runtime.cache import save_narrow
+
+        save_narrow(
             Path(path),
             capture_version=np.int64(CAPTURE_VERSION),
             entry_pc=np.int64(self.entry_pc),

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..isa.program import Program
+from ..isa.program import Program, StaticCode
 from ..trace.record import Trace
 
 SUITE_INT = "int"
@@ -57,6 +57,7 @@ class WorkloadRegistry:
     def __init__(self) -> None:
         self._workloads: Dict[str, Workload] = {}
         self._programs: Dict[str, Program] = {}
+        self._static: Dict[str, StaticCode] = {}
         self._traces: Dict[Tuple[str, int], Trace] = {}
         self._digests: Dict[str, str] = {}
 
@@ -95,6 +96,20 @@ class WorkloadRegistry:
         if name not in self._programs:
             self._programs[name] = self.get(name).build()
         return self._programs[name]
+
+    def static_code(self, name: str) -> StaticCode:
+        """The program's static code map, built once and shared.
+
+        Every (analog, geometry) fetch input of one program holds this
+        same object, so its arrays are frozen read-only: no consumer
+        may mutate them.
+        """
+        if name not in self._static:
+            static = self.program(name).static_code()
+            static.kind.setflags(write=False)
+            static.direct_target.setflags(write=False)
+            self._static[name] = static
+        return self._static[name]
 
     def digest(self, name: str) -> str:
         """Content hash of the workload's assembled program.
@@ -138,8 +153,9 @@ class WorkloadRegistry:
         return self._traces[key]
 
     def clear_caches(self) -> None:
-        """Drop cached programs, traces and digests (tests)."""
+        """Drop cached programs, static maps, traces and digests (tests)."""
         self._programs.clear()
+        self._static.clear()
         self._traces.clear()
         self._digests.clear()
 

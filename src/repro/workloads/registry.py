@@ -85,7 +85,7 @@ def load_fetch_input(name: str, geometry: CacheGeometry,
         _fetch_inputs.move_to_end(key)
         return cached
     trace = REGISTRY.trace(name, max_instructions)
-    static = REGISTRY.program(name).static_code()
+    static = REGISTRY.static_code(name)
     digest = REGISTRY.digest(name)
     with profile.phase("segment"):
         blocks = disk_cache.load_blocks(trace, geometry, name,

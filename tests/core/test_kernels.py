@@ -223,14 +223,47 @@ def test_compiled_arrays_roundtrip_through_disk_cache():
     data = disk_cache.load_compiled(name, budget, geometry, False, digest,
                                     fetch_input.trace.n_records)
     assert data is not None
+    # Stored narrow, except act_exit: its FAR sentinel needs int64.
+    assert data["start"].dtype == np.uint16
+    assert data["exit_pc"].dtype == np.int16
+    assert data["act_exit"].dtype == np.int64
     loaded = CompiledBlocks.from_arrays(data, near_block=False)
+    _assert_same_compiled(loaded, compiled)
+
+
+def _assert_same_compiled(loaded, compiled):
+    """Every field matches in value and, for arrays, in dtype."""
     for field in vars(compiled):
         original = getattr(compiled, field)
         restored = getattr(loaded, field)
         if isinstance(original, np.ndarray):
+            assert restored.dtype == original.dtype, field
             assert np.array_equal(original, restored), field
         else:
             assert original == restored, field
+
+
+def test_int64_compiled_artifact_loads_bit_identically():
+    """An all-int64 artifact of earlier versions still loads exactly."""
+    from repro.runtime import cache as disk_cache
+
+    geometry = CacheGeometry.normal(8)
+    fetch_input = load_fetch_input("gcc", geometry, BUDGET)
+    name, budget, digest = fetch_input.cache_key
+    compiled = compile_fetch_input(fetch_input, near_block=True)
+    path = disk_cache._compiled_path(disk_cache.cache_dir(), name, budget,
+                                     geometry, True, digest)
+    legacy = {key: (array.astype(np.int64) if array.dtype.kind in "iu"
+                    else array)
+              for key, array in compiled.to_arrays().items()}
+    np.savez_compressed(
+        path, n_records=np.int64(fetch_input.trace.n_records), **legacy)
+    disk_cache._checksum_path(path).unlink(missing_ok=True)
+    data = disk_cache.load_compiled(name, budget, geometry, True, digest,
+                                    fetch_input.trace.n_records)
+    assert data is not None
+    assert data["window"].dtype == np.int64
+    _assert_same_compiled(CompiledBlocks.from_arrays(data, True), compiled)
 
 
 def test_compiled_cache_invalidates_on_record_count():

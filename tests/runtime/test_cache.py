@@ -73,6 +73,110 @@ class TestDigest:
         assert a != b
 
 
+TRACE_FIELDS = ("pc", "kind", "taken", "target")
+BLOCK_FIELDS = ("start", "n_instr", "exit_kind", "exit_target",
+                "first_rec", "n_recs")
+
+
+def assert_same_arrays(loaded, original, fields):
+    """Each field round-trips with its values *and* in-memory dtype."""
+    for field in fields:
+        restored = getattr(loaded, field)
+        expected = getattr(original, field)
+        assert restored.dtype == expected.dtype, field
+        np.testing.assert_array_equal(restored, expected, err_msg=field)
+
+
+class TestNarrow:
+    """The stored-width rule every cache writer applies."""
+
+    @pytest.mark.parametrize("values, dtype", [
+        ([0, 255], np.uint8),
+        ([0, 256], np.uint16),
+        ([-128, 127], np.int8),
+        ([-129, 0], np.int16),
+        ([-1, 200], np.int16),
+        ([0, 65_535], np.uint16),
+        ([0, 65_536], np.uint32),
+        ([-1, 65_535], np.int32),
+        ([0, 2 ** 32 - 1], np.uint32),
+        ([-1, 2 ** 31 - 1], np.int32),
+        ([-2 ** 31, 0], np.int32),
+    ])
+    def test_picks_narrowest_width(self, values, dtype):
+        array = np.array(values, dtype=np.int64)
+        stored = cache.narrow(array)
+        assert stored.dtype == dtype
+        np.testing.assert_array_equal(stored.astype(np.int64), array)
+
+    def test_negative_sentinel_kept(self):
+        exit_target = np.array([-1, 17, -1, 4], dtype=np.int64)
+        stored = cache.narrow(exit_target)
+        assert stored.dtype == np.int8
+        np.testing.assert_array_equal(stored, exit_target)
+
+    @pytest.mark.parametrize("values", [
+        [-1, 2 ** 31], [0, 2 ** 32], [-2 ** 31 - 1, 0], [0, 2 ** 62]])
+    def test_beyond_int32_stays_int64(self, values):
+        array = np.array(values, dtype=np.int64)
+        assert cache.narrow(array) is array
+
+    @pytest.mark.parametrize("array", [
+        np.array([True, False]),
+        np.array([0, 3, 255], dtype=np.uint8),
+        np.array([-5, 5], dtype=np.int8),
+        np.array([0.5, 2.0]),
+        np.zeros(0, dtype=np.int64),
+        np.zeros((0, 4), dtype=np.int64),
+        np.int64(7),
+        np.array(7, dtype=np.int64),
+        np.str_("compress"),
+    ], ids=["bool", "uint8", "int8", "float", "empty", "empty-2d",
+            "scalar", "0-d", "str"])
+    def test_passes_through_unchanged(self, array):
+        assert cache.narrow(array) is array
+
+    def test_never_widens(self):
+        array = np.array([0, 70_000], dtype=np.uint32)
+        assert cache.narrow(array) is array
+        small = np.array([1, 2], dtype=np.uint16)
+        assert cache.narrow(small).dtype == np.uint8
+
+
+class TestLegacyWidth:
+    """All-int64 artifacts of earlier versions still load bit-exactly."""
+
+    def test_int64_trace_loads(self, cache_dir, trace, digest):
+        path = cache._trace_path(cache_dir, NAME, BUDGET, digest)
+        path.parent.mkdir(parents=True)
+        np.savez_compressed(
+            path, capture_version=np.int64(CAPTURE_VERSION),
+            entry_pc=np.int64(trace.entry_pc),
+            n_instructions=np.int64(trace.n_instructions),
+            pc=trace.pc.astype(np.int64),
+            kind=trace.kind.astype(np.int64),
+            taken=trace.taken, target=trace.target.astype(np.int64),
+            truncated=np.bool_(trace.truncated), name=np.str_(trace.name))
+        loaded = cache.load_trace(NAME, BUDGET, digest)
+        assert loaded is not None
+        assert loaded.n_instructions == trace.n_instructions
+        assert loaded.entry_pc == trace.entry_pc
+        assert_same_arrays(loaded, trace, TRACE_FIELDS)
+
+    def test_int64_blocks_load(self, cache_dir, trace, digest):
+        blocks = segment_blocks(trace, GEOMETRY)
+        path = cache._blocks_path(cache_dir, NAME, BUDGET, GEOMETRY,
+                                  digest)
+        path.parent.mkdir(parents=True)
+        np.savez_compressed(
+            path, n_records=np.int64(trace.n_records),
+            **{field: getattr(blocks, field).astype(np.int64)
+               for field in BLOCK_FIELDS})
+        loaded = cache.load_blocks(trace, GEOMETRY, NAME, BUDGET, digest)
+        assert loaded is not None
+        assert_same_arrays(loaded, blocks, BLOCK_FIELDS)
+
+
 class TestTraceRoundTrip:
     def test_miss_then_hit(self, cache_dir, trace, digest):
         assert cache.load_trace(NAME, BUDGET, digest) is None
@@ -80,10 +184,19 @@ class TestTraceRoundTrip:
         loaded = cache.load_trace(NAME, BUDGET, digest)
         assert loaded is not None
         assert loaded.n_instructions == trace.n_instructions
-        np.testing.assert_array_equal(loaded.pc, trace.pc)
-        np.testing.assert_array_equal(loaded.kind, trace.kind)
-        np.testing.assert_array_equal(loaded.taken, trace.taken)
-        np.testing.assert_array_equal(loaded.target, trace.target)
+        assert loaded.entry_pc == trace.entry_pc
+        assert loaded.truncated == trace.truncated
+        assert loaded.name == trace.name
+        assert_same_arrays(loaded, trace, TRACE_FIELDS)
+
+    def test_stored_at_narrow_width(self, cache_dir, trace, digest):
+        cache.store_trace(trace, NAME, BUDGET, digest)
+        path, = (cache_dir / "traces").glob("*.npz")
+        with np.load(path) as data:
+            assert data["kind"].dtype == np.uint8
+            assert data["taken"].dtype == np.bool_
+            assert data["pc"].dtype.itemsize < 8
+            assert data["capture_version"].dtype == np.int64
 
     def test_digest_mismatch_misses(self, cache_dir, trace, digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
@@ -117,13 +230,16 @@ class TestBlocksRoundTrip:
         assert loaded is not None
         assert loaded.trace is trace
         assert loaded.geometry == GEOMETRY
-        np.testing.assert_array_equal(loaded.start, blocks.start)
-        np.testing.assert_array_equal(loaded.n_instr, blocks.n_instr)
-        np.testing.assert_array_equal(loaded.exit_kind, blocks.exit_kind)
-        np.testing.assert_array_equal(loaded.exit_target,
-                                      blocks.exit_target)
-        np.testing.assert_array_equal(loaded.first_rec, blocks.first_rec)
-        np.testing.assert_array_equal(loaded.n_recs, blocks.n_recs)
+        assert_same_arrays(loaded, blocks, BLOCK_FIELDS)
+
+    def test_stored_at_narrow_width(self, cache_dir, trace, digest):
+        blocks = segment_blocks(trace, GEOMETRY)
+        cache.store_blocks(blocks, NAME, BUDGET, digest)
+        path, = (cache_dir / "blocks").glob("*.npz")
+        with np.load(path) as data:
+            for field in BLOCK_FIELDS:
+                assert data[field].dtype.itemsize < 8, field
+            assert data["n_records"].dtype == np.int64
 
     def test_keyed_per_geometry(self, cache_dir, trace, digest):
         blocks = segment_blocks(trace, GEOMETRY)

@@ -70,6 +70,10 @@ class TestCaching:
         fi3 = load_fetch_input("swim", CacheGeometry.self_aligned(8), 2_000)
         assert fi1 is fi2
         assert fi3 is not fi1
+        # One static code map per program, shared and frozen.
+        assert fi3.static is fi1.static
+        assert not fi1.static.kind.flags.writeable
+        assert not fi1.static.direct_target.flags.writeable
 
 
 class TestRegistryClass:
@@ -96,8 +100,11 @@ class TestRegistryClass:
 
         reg.register("t", "int", "d")(build)
         first = reg.program("t")
+        static = reg.static_code("t")
+        assert reg.static_code("t") is static
         reg.clear_caches()
         assert reg.program("t") is not first
+        assert reg.static_code("t") is not static
 
 
 def _counting_builder(trips):

@@ -27,6 +27,15 @@ the faults a long campaign actually hits:
   When pools keep dying (or cannot be spawned at all) the scheduler
   finishes the sweep in-process with an explicit ``RuntimeWarning``,
   never silently.
+* **Pool ownership**: the slots live in a :class:`WorkerPools` holder.
+  A sweep given none (every CLI sweep) builds its own and shuts it down
+  when it ends; a caller that passes one — the prediction service, for
+  its whole lifetime — keeps the pools alive across sweeps and closes
+  the holder itself.  A crash, a deadline kill or the respawn budget
+  still terminates a slot's pool, which respawns lazily either way.
+  Pools fork lazily, at the first cell dispatched to them, and the
+  worker shim applies the parent's current ``REPRO_FAULT_SPEC`` to each
+  cell, so a worker forked before the spec changed still honours it.
 * **Checkpoint/resume**: labeled sweeps journal every completed cell's
   result to ``<cache-dir>/journal/<label>-<digest>/`` (atomic,
   checksummed); an interrupted rerun skips finished cells
@@ -407,16 +416,19 @@ class Journal:
 # ----------------------------------------------------------------------
 
 def _pool_cell(fn: Callable, cell, index: int, attempt: int,
-               inject: bool, shard: int):
+               inject: bool, shard: int, fault_spec: Optional[str]):
     """Worker-side shim: apply injected faults, then run the cell.
 
     ``shard`` labels the worker's profile output, so per-cell phase
-    lines on stderr stay attributable per shard.
+    lines on stderr stay attributable per shard.  ``fault_spec`` is the
+    parent's ``REPRO_FAULT_SPEC`` at dispatch: a long-lived worker was
+    forked before the current sweep scoped it, so the cell carries it.
     """
     profile.set_shard(shard)
-    if inject:
-        faults.apply_cell_faults(index, attempt, isolated=True)
-    return fn(cell)
+    with scoped_environ({faults.FAULTS_ENV: fault_spec}):
+        if inject:
+            faults.apply_cell_faults(index, attempt, isolated=True)
+        return fn(cell)
 
 
 def _new_pool() -> ProcessPoolExecutor:
@@ -462,6 +474,37 @@ class _Slot:
     deadline: Optional[float] = None
 
 
+class WorkerPools:
+    """The worker slots of one or more sweeps, and their lazy pools.
+
+    A sweep run without a holder creates one and closes it when the
+    sweep ends.  A caller that keeps one across sweeps (the prediction
+    service) reuses live worker processes and must :meth:`close` it.
+    """
+
+    def __init__(self) -> None:
+        self.slots: List[_Slot] = []
+
+    def take(self, n: int) -> List[_Slot]:
+        """The first ``n`` slots, adding empty ones; no pool is forked."""
+        while len(self.slots) < n:
+            self.slots.append(_Slot())
+        return self.slots[:n]
+
+    def close(self) -> None:
+        """Shut every pool down, killing any worker still mid-cell.
+
+        Idle workers exit cleanly.  A busy one is left only by an
+        interrupted sweep, and waiting for it could block for good.
+        """
+        slots, self.slots = self.slots, []
+        for slot in slots:
+            if slot.future is not None:
+                _terminate_pool(slot.pool)
+            elif slot.pool is not None:
+                slot.pool.shutdown(wait=True)
+
+
 # ----------------------------------------------------------------------
 # The resilient executor
 # ----------------------------------------------------------------------
@@ -469,7 +512,8 @@ class _Slot:
 def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
                   warm: Optional[Callable[[Sequence], None]] = None,
                   label: Optional[str] = None,
-                  inject_faults: bool = True) -> SweepResult:
+                  inject_faults: bool = True,
+                  pools: Optional[WorkerPools] = None) -> SweepResult:
     """Order-preserving resilient map of ``fn`` over ``cells``.
 
     Semantics match :func:`repro.runtime.executor.execute` — results in
@@ -483,6 +527,8 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
     :func:`repro.runtime.shard.run_sharded_loop`.  One worker runs
     in-process, so a serial sweep needs no picklable work and spawns no
     process.  The worker count only moves wall-clock, never numbers.
+    ``pools`` keeps the worker processes alive past this sweep (see
+    :class:`WorkerPools`); without it the sweep owns its own.
     """
     from . import shard
     from .executor import n_jobs, unpicklable_reason
@@ -531,7 +577,8 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
                     stacklevel=3)
         shard.run_sharded_loop(fn, cells, pending, results, report,
                                shard.partition(cells, workers), workers,
-                               retries, timeout, inject_faults, journal)
+                               retries, timeout, inject_faults, journal,
+                               pools)
     finally:
         if profiling:
             report.phase_seconds = profile.delta_since(profile_base)

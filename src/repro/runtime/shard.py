@@ -20,15 +20,19 @@ asserts the steal policy as an invariant rather than trusting it.
 The driver runs one worker in-process (no pool, no deadline, first
 attempts in pending order) and two or more on the single-worker pools of
 :mod:`repro.runtime.resilience`, with the same retry budget, per-cell
-deadline kills and pool-respawn budget.  When pools keep dying the same
-scheduler carries on with the in-process worker, so attempts and
-retries are accounted in one place.  Journaled sweeps checkpoint every
-cell as ``cell-<i>.pkl`` keyed by *global* cell index, so a resume may
-use a different worker count and still merge bit-exact.
+deadline kills and pool-respawn budget.  Those pools belong to a
+:class:`~repro.runtime.resilience.WorkerPools` holder: the sweep's own
+(shut down when it ends) or its caller's (left running for the next
+sweep).  When pools keep dying the same scheduler carries on with the
+in-process worker, so attempts and retries are accounted in one place.
+Journaled sweeps checkpoint every cell as ``cell-<i>.pkl`` keyed by
+*global* cell index, so a resume may use a different worker count and
+still merge bit-exact.
 """
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
 from collections import deque
@@ -39,7 +43,7 @@ from typing import (Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple)
 
 from . import faults
-from .resilience import FAILED
+from .resilience import FAILED, WorkerPools
 
 #: Scheduler verdicts returned by :meth:`ShardScheduler.fail`.
 RETRY = "retry"
@@ -370,7 +374,8 @@ def run_sharded_loop(fn: Callable, cells: Sequence,
                      pending: Sequence[int], results: List, report,
                      plan: ShardPlan, n_workers: int, retries: int,
                      timeout: Optional[float], inject: bool,
-                     journal) -> None:
+                     journal, pools: Optional[WorkerPools] = None,
+                     ) -> None:
     """Drive :class:`ShardScheduler` until every pending cell is terminal.
 
     One worker runs in-process.  Two or more run on single-worker
@@ -378,7 +383,9 @@ def run_sharded_loop(fn: Callable, cells: Sequence,
     scheduler finishes the sweep on the in-process worker.  Successful
     cells land in ``results`` and the ``journal``; failures are marked
     on ``report.outcomes`` by the scheduler, and the schedule itself is
-    recorded as ``report.shards``.
+    recorded as ``report.shards``.  ``pools`` is the caller's
+    :class:`~repro.runtime.resilience.WorkerPools`, left running at the
+    end; without one the sweep creates and shuts down its own.
     """
     from . import resilience as res
 
@@ -397,8 +404,15 @@ def run_sharded_loop(fn: Callable, cells: Sequence,
             journal.record(index, value)
 
     if n_workers > 1:
-        why = _drive_pools(scheduler, fn, cells, report, timeout, inject,
-                           succeed)
+        owned = pools is None
+        if owned:
+            pools = WorkerPools()
+        try:
+            why = _drive_pools(scheduler, fn, cells, report, timeout,
+                               inject, succeed, pools.take(n_workers))
+        finally:
+            if owned:
+                pools.close()
         if why is not None:
             report.degraded_serial = True
             warnings.warn(
@@ -441,17 +455,20 @@ def _drive_in_process(scheduler: ShardScheduler, fn: Callable,
 
 def _drive_pools(scheduler: ShardScheduler, fn: Callable,
                  cells: Sequence, report, timeout: Optional[float],
-                 inject: bool, succeed: Callable) -> Optional[str]:
-    """Run the scheduler's workers on single-worker process pools.
+                 inject: bool, succeed: Callable,
+                 slots: List) -> Optional[str]:
+    """Run the scheduler's workers on the single-worker pools of ``slots``.
 
-    Returns ``None`` when the pools stop — every cell terminal — or the
-    reason they were abandoned after too many pool failures; abandoned
-    in-flight cells go back to their queues for the in-process worker.
+    Live pools are reused and left running; a missing one forks when
+    its slot is first handed a cell.  Returns ``None`` when every cell
+    is terminal, or the reason the pools were abandoned after too many
+    failures; abandoned in-flight cells go back to their queues for the
+    in-process worker.
     """
     from . import resilience as res
 
-    slots = [res._Slot() for _ in range(scheduler.n_workers)]
     budget = max(res.POOL_RESPAWN_BUDGET, 2 * len(slots))
+    fault_spec = os.environ.get(faults.FAULTS_ENV)
 
     while not scheduler.finished:
         if report.pool_respawns > budget:
@@ -475,7 +492,7 @@ def _drive_pools(scheduler: ShardScheduler, fn: Callable,
                 slot.future = slot.pool.submit(
                     res._pool_cell, fn, cells[assignment.cell],
                     assignment.cell, assignment.attempt, inject,
-                    assignment.shard)
+                    assignment.shard, fault_spec)
             except (BrokenProcessPool, OSError, RuntimeError):
                 scheduler.unacquire(worker)
                 report.pool_respawns += 1
@@ -531,8 +548,4 @@ def _drive_pools(scheduler: ShardScheduler, fn: Callable,
                 scheduler.fail(worker,
                                f"cell exceeded {timeout}s deadline",
                                timed_out=True)
-
-    for slot in slots:
-        if slot.pool is not None:
-            slot.pool.shutdown(wait=True)
     return None

@@ -56,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=3000,
                        help="instructions per workload trace")
         p.add_argument("--jobs", type=int, default=2,
-                       help="sweep worker processes per batch")
+                       help="fast-rung worker processes, kept for "
+                            "the service's lifetime")
         p.add_argument("--queue", type=int, default=None,
                        help="admission queue bound (default: "
                             "REPRO_SERVE_QUEUE)")

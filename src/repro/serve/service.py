@@ -32,6 +32,15 @@ Faults are honoured deterministically: the service snapshots
 death and deadline kills exercise the executor's *real* recovery
 paths), and applies ``fail`` directives inside the worker body as typed
 failures.
+
+The fast rung's worker processes live as long as the service: one
+:class:`~repro.runtime.resilience.WorkerPools` holder serves every
+batch, so a worker keeps its loaded traces and compiled arrays from one
+batch to the next, and :meth:`PredictionService.stop` shuts it down.
+Pools are forked lazily at the first pooled batch, which fixes the
+worker environment at that moment; the batch's translated fault spec is
+not part of it, because it travels with each cell instead.  A crash, a
+deadline kill or the respawn budget still replaces a slot's worker.
 """
 
 from __future__ import annotations
@@ -179,6 +188,8 @@ class PredictionService:
         self._inflight: Dict[str, "asyncio.Future[ServeResponse]"] = {}
         self._dispatcher: Optional["asyncio.Task[None]"] = None
         self._executor: Optional[ThreadPoolExecutor] = None
+        #: Fast-rung worker slots, reused by every batch until stop().
+        self._pools = resilience.WorkerPools()
         self._running = False
         self._service_estimate = INITIAL_SERVICE_ESTIMATE
 
@@ -220,12 +231,13 @@ class PredictionService:
                 error_type="ServiceShutdown",
                 error="service stopped before the request was batched"))
         if self._executor is not None:
-            # The dispatcher is already drained, but shutdown(wait=True)
-            # still joins the worker thread — do that join off-loop so a
-            # slow in-flight engine call cannot stall the event loop.
+            # The dispatcher is already drained, but shutting the worker
+            # pools down and joining the dispatch thread both block — do
+            # them off-loop so a slow engine call cannot stall the loop.
             executor, self._executor = self._executor, None
-            await asyncio.get_running_loop().run_in_executor(
-                None, executor.shutdown)
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(executor, self._pools.close)
+            await loop.run_in_executor(None, executor.shutdown)
 
     async def __aenter__(self) -> "PredictionService":
         await self.start()
@@ -509,7 +521,7 @@ class PredictionService:
                    cell_timeout: Optional[float],
                    ) -> Tuple[Optional[List[Any]],
                               resilience.SweepReport]:
-        """Fast rung: the batch through the resilient worker pool."""
+        """Fast rung: the batch through the service's worker pools."""
         cells = [(request.to_dict(), 0) for request in requests]
         overrides: Dict[str, Optional[str]] = {
             faults.FAULTS_ENV: self._translated_spec(requests)}
@@ -519,7 +531,7 @@ class PredictionService:
             with resilience.scoped_environ(overrides):
                 sweep = resilience.run_resilient(
                     execute_request_cell, cells, jobs=self._jobs,
-                    label=None, inject_faults=True)
+                    label=None, inject_faults=True, pools=self._pools)
             return list(sweep.results), sweep.report
         except resilience.SweepError as exc:
             return None, exc.report

@@ -14,6 +14,7 @@ sweeps do not re-run the interpreter.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -27,6 +28,13 @@ SUITE_FP = "fp"
 SUITE_EXTRA = "extra"
 
 _SUITES = (SUITE_INT, SUITE_FP, SUITE_EXTRA)
+
+#: Bound on the in-memory trace cache, LRU like the fetch-input cache of
+#: :mod:`repro.workloads.registry`.  A long-lived service worker sees
+#: every (workload, budget) its callers ask for, so an unbounded cache
+#: would grow for as long as the service runs; an evicted trace reloads
+#: from the persistent disk cache.
+TRACE_CACHE_MAX = 64
 
 @dataclass(frozen=True)
 class Workload:
@@ -58,7 +66,8 @@ class WorkloadRegistry:
         self._workloads: Dict[str, Workload] = {}
         self._programs: Dict[str, Program] = {}
         self._static: Dict[str, StaticCode] = {}
-        self._traces: Dict[Tuple[str, int], Trace] = {}
+        self._traces: "OrderedDict[Tuple[str, int], Trace]" = \
+            OrderedDict()
         self._digests: Dict[str, str] = {}
 
     def register(self, name: str, suite: str,
@@ -133,13 +142,16 @@ class WorkloadRegistry:
         by :mod:`repro.runtime.cache` so repeated invocations — including
         parallel sweep workers — skip the interpreter entirely.  Entries
         are keyed by the program digest, so a rebuilt workload recaptures
-        instead of being served a stale trace.
+        instead of being served a stale trace.  The in-memory layer is
+        LRU-bounded at :data:`TRACE_CACHE_MAX`.
         """
         from ..cpu import capture_machine
         from ..runtime import cache as disk_cache, profile
 
         key = (name, max_instructions)
-        if key not in self._traces:
+        if key in self._traces:
+            self._traces.move_to_end(key)
+        else:
             with profile.phase("trace"):
                 trace = disk_cache.load_trace(name, max_instructions,
                                               self.digest(name))
@@ -150,6 +162,8 @@ class WorkloadRegistry:
                     disk_cache.store_trace(trace, name, max_instructions,
                                            self.digest(name))
                 self._traces[key] = trace
+            while len(self._traces) > TRACE_CACHE_MAX:
+                self._traces.popitem(last=False)
         return self._traces[key]
 
     def clear_caches(self) -> None:

@@ -6,6 +6,8 @@ a fault fires on an exact (cell, attempt) pair, so each test proves one
 recovery transition and the bit-exactness of the recovered results.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.runtime import cache, faults, resilience
@@ -178,6 +180,75 @@ class TestTimeout:
             run_resilient(_square, CELLS, jobs=2)
         assert excinfo.value.report.failed_cells == [2]
         assert "deadline" in excinfo.value.report.outcomes[2].error
+
+
+@pytest.fixture()
+def pool_spawns(monkeypatch):
+    """Count the single-worker pools the sweeps fork."""
+    spawned = []
+    real = resilience._new_pool
+
+    def counting():
+        spawned.append(1)
+        return real()
+
+    monkeypatch.setattr(resilience, "_new_pool", counting)
+    return spawned
+
+
+class TestWorkerPools:
+    def test_sweep_without_holder_shuts_its_pools_down(self, pool_spawns):
+        sweep = run_resilient(_square, CELLS, jobs=2)
+        assert sweep.results == EXPECTED
+        assert len(pool_spawns) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_held_pools_fork_once_across_sweeps(self, pool_spawns):
+        pools = resilience.WorkerPools()
+        try:
+            for _ in range(3):
+                sweep = run_resilient(_square, CELLS, jobs=2, pools=pools)
+                assert sweep.results == EXPECTED
+                assert sweep.report.clean
+            assert len(pool_spawns) == 2  # one per worker, not per sweep
+            assert len(multiprocessing.active_children()) == 2
+        finally:
+            pools.close()
+        assert multiprocessing.active_children() == []
+
+    def test_held_pools_honour_a_fault_spec_set_between_sweeps(
+            self, monkeypatch):
+        pools = resilience.WorkerPools()
+        try:
+            run_resilient(_square, CELLS, jobs=2, pools=pools)
+            # The workers are already alive: the spec must reach them
+            # with the cells, not through their (stale) environment.
+            monkeypatch.setenv(faults.FAULTS_ENV, "crash:cell=1")
+            sweep = run_resilient(_square, CELLS, jobs=2, pools=pools)
+        finally:
+            pools.close()
+        assert sweep.results == EXPECTED
+        assert sweep.report.retried_cells == [1]
+        assert sweep.report.outcomes[1].attempts == 2
+        assert sweep.report.pool_respawns == 1
+
+    def test_held_pools_kill_a_hang_at_the_deadline(self, monkeypatch):
+        pools = resilience.WorkerPools()
+        try:
+            run_resilient(_square, CELLS, jobs=2, pools=pools)
+            monkeypatch.setenv(faults.FAULTS_ENV, "hang:cell=2")
+            monkeypatch.setenv(resilience.TIMEOUT_ENV, "1")
+            sweep = run_resilient(_square, CELLS, jobs=2, pools=pools)
+            # The killed slot respawns lazily; the next sweep runs clean
+            # on the same holder.
+            monkeypatch.delenv(faults.FAULTS_ENV)
+            after = run_resilient(_square, CELLS, jobs=2, pools=pools)
+        finally:
+            pools.close()
+        assert sweep.results == EXPECTED
+        assert sweep.report.timed_out_cells == [2]
+        assert sweep.report.pool_respawns == 1
+        assert after.results == EXPECTED and after.report.clean
 
 
 class TestJournalResume:

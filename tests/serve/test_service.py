@@ -7,11 +7,13 @@ response metadata.
 """
 
 import asyncio
+import multiprocessing
 import time
 
 import pytest
 
-from repro.runtime import faults
+from repro.core import engine_mode
+from repro.runtime import faults, resilience
 from repro.serve import PredictionService, ServeRequest, ServiceOverload
 from repro.serve.requests import (
     FAILED,
@@ -22,6 +24,7 @@ from repro.serve.requests import (
     SERVED,
     SHED,
 )
+from repro.serve.requests import payload_digest, stats_payload
 from repro.serve.service import _Pending
 
 
@@ -321,3 +324,86 @@ class TestShardRouting:
             assert a.status == b.status == SERVED
             assert a.payload_digest == b.payload_digest, \
                 "parallel dispatch must not change any payload"
+
+
+#: Two clean requests: a batch of them forks both worker pools.
+WARM = (REQUEST, OTHER)
+#: A later batch: one faulted request next to a clean neighbour.
+FAULTED = ServeRequest(workload="kmp", engine="single", budget=2000)
+NEIGHBOUR = ServeRequest(workload="compress", engine="single",
+                         budget=2000)
+
+
+def _scalar_digest(request):
+    with resilience.scoped_environ(
+            {engine_mode.ENGINE_ENV: engine_mode.ENGINE_SCALAR}):
+        return payload_digest(stats_payload(request.run()))
+
+
+class TestLongLivedPools:
+    """The fast rung's workers outlive a batch and still recover."""
+
+    def test_pools_fork_once_across_batches(self, monkeypatch):
+        spawned = []
+        real = resilience._new_pool
+
+        def counting():
+            spawned.append(1)
+            return real()
+
+        monkeypatch.setattr(resilience, "_new_pool", counting)
+        batches = [(ServeRequest(workload="kmp", engine=e, budget=2000),
+                    ServeRequest(workload="compress", engine=e,
+                                 budget=2000))
+                   for e in ("dual", "single", "two_ahead")]
+
+        async def body():
+            async with _service() as svc:
+                for pair in batches:
+                    outs = await asyncio.gather(
+                        *(svc.submit(r) for r in pair))
+                    assert [o.rung for o in outs] == [RUNG_FAST] * 2
+                return svc.metrics
+
+        metrics = _run(body())
+        assert metrics.batches == len(batches)
+        assert len(spawned) == 2  # one per job, not one per batch
+
+    def _faulted_batch(self, deadline):
+        async def body():
+            async with _service() as svc:
+                warm = await asyncio.gather(*(svc.submit(r) for r in WARM))
+                assert [o.rung for o in warm] == [RUNG_FAST] * 2
+                assert len(multiprocessing.active_children()) == 2
+                hit, neighbour = await asyncio.gather(
+                    svc.submit(FAULTED, deadline=deadline),
+                    svc.submit(NEIGHBOUR, deadline=deadline))
+                return hit, neighbour, svc.metrics
+
+        return _run(body())
+
+    @pytest.mark.parametrize("action,deadline", [("crash", None),
+                                                 ("hang", 3.0)])
+    def test_fault_in_a_later_batch_hits_a_live_worker(
+            self, monkeypatch, action, deadline):
+        monkeypatch.setenv(faults.FAULTS_ENV,
+                           f"{action}:request={FAULTED.digest()[:8]}")
+        start = time.monotonic()
+        hit, neighbour, metrics = self._faulted_batch(deadline)
+        assert time.monotonic() - start < 30.0
+        assert (hit.status, hit.rung) == (SERVED, RUNG_FAST)
+        assert hit.attempts == 2  # faulted once, retried clean
+        assert metrics.pool_respawns == 1
+        assert metrics.cell_timeouts == (1 if action == "hang" else 0)
+        assert hit.payload_digest == _scalar_digest(FAULTED)
+        assert (neighbour.status, neighbour.rung) == (SERVED, RUNG_FAST)
+        assert neighbour.payload_digest == _scalar_digest(NEIGHBOUR)
+
+    def test_stop_leaves_no_worker_processes(self):
+        async def body():
+            async with _service() as svc:
+                await asyncio.gather(*(svc.submit(r) for r in WARM))
+                assert len(multiprocessing.active_children()) == 2
+
+        _run(body())
+        assert multiprocessing.active_children() == []

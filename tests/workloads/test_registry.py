@@ -162,3 +162,37 @@ class TestDiskCache:
         assert fresh.n_instructions > stale.n_instructions
         assert len(list((tmp_path / "traces").glob("cached-2000-*.npz"))) \
             == 2
+
+    def test_trace_cache_is_lru_bounded(self, tmp_path, monkeypatch):
+        import numpy as np
+        from repro.workloads import base
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(base, "TRACE_CACHE_MAX", 2)
+        reg = WorkloadRegistry()
+        reg.register("cached", "int", "d")(_counting_builder(2_000))
+        first = reg.trace("cached", 1_000)
+        reg.trace("cached", 1_500)
+        assert reg.trace("cached", 1_000) is first  # a hit refreshes it
+        reg.trace("cached", 2_000)
+        # Never above the bound, and the least recently used went.
+        assert list(reg._traces) == [("cached", 1_000), ("cached", 2_000)]
+        reg.trace("cached", 3_000)
+        assert len(reg._traces) == 2
+        assert ("cached", 1_000) not in reg._traces
+
+        # The evicted trace reloads from disk, bit for bit, without
+        # running the tracer again.
+        def no_capture(_program):
+            raise AssertionError("trace was recaptured, not reloaded")
+
+        monkeypatch.setattr("repro.cpu.capture_machine", no_capture)
+        again = reg.trace("cached", 1_000)
+        assert again is not first
+        assert len(reg._traces) == 2
+        assert (again.entry_pc, again.n_instructions, again.truncated) \
+            == (first.entry_pc, first.n_instructions, first.truncated)
+        for name in ("pc", "kind", "taken", "target"):
+            old, new = getattr(first, name), getattr(again, name)
+            assert new.dtype == old.dtype
+            np.testing.assert_array_equal(new, old)

@@ -1,6 +1,6 @@
 """Vectorized fetch-engine runs (``REPRO_ENGINE=fast``).
 
-Each ``run_*_fast`` function replays one engine's whole block stream
+One driver, :func:`_run_fast`, replays any engine's whole block stream
 with the batched kernels of :mod:`repro.core.kernels`.  Every number
 charged — and every piece of predictor state left behind (PHT
 counters, select tables, target arrays, BTB LRU order, RAS, BIT
@@ -10,11 +10,31 @@ table) — is bit-identical to the scalar engines, which
 The scalar loops in ``single.py``/``dual.py``/``multi.py``/
 ``two_ahead.py`` remain the readable ground truth; the engines
 dispatch here based on :func:`repro.core.engine_mode.use_fast_engine`.
+As in the paper's Section 5, the mechanisms are one machine with
+different fetch schedules ("another block prediction basically
+requires another select table and target array"), so each
+``run_*_fast`` entry point only declares its engine's schedule:
 
-Each run has two halves.  ``_prep_*`` runs the counter scan, walk
+=========  =====  =====  =====  ============  ==========================
+engine     N      shift  ahead  target line   select tables
+=========  =====  =====  =====  ============  ==========================
+single     1      0      no     exit line     none (separate BIT table)
+dual       2      0      no     group anchor  one, or two halves; only
+                                              complete groups train
+multi      ``n``  0      no     group anchor  one per predicted slot
+two-ahead  2      1      yes    ahead anchor  none (serialization)
+=========  =====  =====  =====  ============  ==========================
+
+Block ``i`` fills slot ``(i + shift) % N`` and is charged that slot's
+Table 3 column (:func:`~repro.core.penalties.penalty_cycles_slot`).
+With ``ahead`` indexing, block ``i`` indexes the PHT and its target
+array through block ``i - 1``.
+
+Each run has two halves.  :func:`_prep` runs the counter scan, walk
 resolution, divergence and bank-conflict charges and the RAS replay.
-``_residual_*`` then replays the select-table and target-array event
-streams: tag-less stores (select tables, NLS arrays) through the keyed
+The residual half (:func:`_replay_selects`, :func:`_residual_targets`)
+then replays the select-table and target-array event streams:
+tag-less stores (select tables, NLS arrays) through the keyed
 last-write replay :func:`~repro.core.kernels.replay_last_write`, and
 the set-associative block BTB through the LRU residency kernel
 :func:`~repro.core.kernels.lru_resident`.  Python loops remain only
@@ -27,11 +47,10 @@ the executor's ``engine`` phase.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..icache.geometry import SELF_ALIGNED
 from ..predictors.evaluate import _grouping_order, packed_history
 from ..predictors.ghr import BlockOutcomes
 from ..runtime import profile
@@ -43,16 +62,17 @@ from .kernels import (
     CODE_COND_LONG,
     CompiledBlocks,
     WalkArrays,
+    bank_conflicts,
     compile_fetch_input,
     decode_selector,
     encode_selector,
     lru_resident,
-    pair_conflicts,
     replay_last_write,
     resolve_walks,
     scan_counters,
     stale_bit_windows,
 )
+from .multi import MultiTargetArray
 from .penalties import (
     DOUBLE_SELECT,
     PenaltyKind,
@@ -60,7 +80,7 @@ from .penalties import (
     penalty_cycles,
     penalty_cycles_slot,
 )
-from .select_table import DualSelectEntry, SelectEntry
+from .select_table import DualSelectEntry, DualSelectTable, SelectEntry
 from .selection import SRC_NEAR
 from .stats import FetchStats
 
@@ -88,7 +108,8 @@ def _charge_bulk(stats: FetchStats, kind: PenaltyKind, count: int,
 class _Run:
     """Per-run bundle: compiled arrays, resolved walks, actuals."""
 
-    def __init__(self, engine, fetch_input, ahead: bool = False) -> None:
+    def __init__(self, engine, fetch_input, group: int, shift: int,
+                 ahead: bool) -> None:
         config = engine.config
         geometry = config.geometry
         if geometry != fetch_input.geometry:
@@ -102,11 +123,17 @@ class _Run:
             fetch_input, config.near_block)
         self.n = self.compiled.n_blocks
         self.trace = fetch_input.trace
+        self.group = group
+        self.shift = shift
         self.ahead = ahead
         self.walk: WalkArrays = None  # set by resolve()
         self.stale_walk = None
         self.stale = None
         self.match = None  # set by finish()
+
+    def slot_of(self, blocks: np.ndarray) -> np.ndarray:
+        """0-based fetch slot of ``blocks``: ``(i + shift) % group``."""
+        return (blocks + self.shift) % self.group
 
     # -- PHT base indices ------------------------------------------------
 
@@ -196,19 +223,20 @@ class _Run:
         live = ~self.compiled.is_halt
         return p == act, (p < act) & live, (p > act) & live
 
-    def cond_charges(self, early, late, slot_arr, base_arr,
-                     slot2_extra, late_extra: bool):
+    def cond_charges(self, early, late, slot, cycles_by_slot,
+                     late_extra: bool):
         """COND count/cycles per the engines' shared footnote rules.
 
-        ``slot2_extra`` marks blocks that always pay +1 (second-slot
-        re-fetch); first-slot EARLY blocks pay +1 when valid
-        instructions remained; ``late_extra`` adds +1 on LATE when
-        not-taken targets are untracked.
+        Second and later slots always pay +1 (re-fetch); first-slot
+        EARLY blocks pay +1 when valid instructions remained;
+        ``late_extra`` adds +1 on LATE when not-taken targets are
+        untracked.
         """
         charged = early | late
         remaining = (self.compiled.n_instr - 1 - self.walk.pred_exit) > 0
-        cycles = base_arr[slot_arr] + slot2_extra.astype(np.int64)
-        cycles += (~slot2_extra) & early & remaining
+        later = slot >= 1
+        cycles = cycles_by_slot[slot] + later.astype(np.int64)
+        cycles += ~later & early & remaining
         if late_extra:
             cycles += late
         count = int(np.count_nonzero(charged))
@@ -338,8 +366,10 @@ def _replay_targets(targets, which, lines, positions, values):
         return _replay_btb(targets, which, lines, positions, values)
     if isinstance(targets, DualNLSTargetArray):
         arrays = [targets.first, targets.second]
-    else:  # NLSTargetArray, or the multi engine's per-slot arrays
-        arrays = getattr(targets, "_arrays", [targets])
+    elif isinstance(targets, MultiTargetArray):
+        arrays = targets._arrays
+    else:  # NLSTargetArray
+        arrays = [targets]
     return _replay_nls(arrays, which, lines, positions, values)
 
 
@@ -449,88 +479,180 @@ def _replay_btb(btb: BlockBTB, which, lines, positions, values):
 
 
 # ----------------------------------------------------------------------
-# Single-block engine
+# The engines' fetch schedules
 # ----------------------------------------------------------------------
 
 def run_single_fast(engine, fetch_input) -> FetchStats:
     """Vectorized :meth:`SingleBlockEngine.run` (no recovery tracking)."""
-    with profile.phase("prep"):
-        run, stats = _prep_single(engine, fetch_input)
-    if run.n == 0:
-        return stats
-    with profile.phase("residual"):
-        return _residual_single(engine, run, stats)
+    return _run_fast(engine, fetch_input, group=1, targets=engine.targets,
+                     exit_line=True, bit_table=engine.bit_table)
 
 
-def _prep_single(engine, fetch_input) -> tuple:
-    """Front half of the single-block run.
+def run_dual_fast(engine, fetch_input) -> FetchStats:
+    """Vectorized :meth:`DualBlockEngine.run` (no timeline recording)."""
+    return _run_fast(engine, fetch_input, group=2, targets=engine.targets,
+                     selects=[engine.select], double=engine.double,
+                     train_partial=False)
 
-    Runs every vectorized phase (counter scan, BIT handling, COND and
-    RETURN charges, RAS replay) and all engine-state mutation *except*
-    the target array, then returns ``(run, stats)`` with the residual
-    inputs recorded by :meth:`_Run.finish` (``run.match`` stays
-    ``None`` when ``run.n == 0``).
+
+def run_multi_fast(engine, fetch_input) -> FetchStats:
+    """Vectorized :meth:`MultiBlockEngine.run`."""
+    return _run_fast(engine, fetch_input, group=engine.n,
+                     targets=engine.targets, selects=engine.selects,
+                     double=engine.double)
+
+
+def run_two_ahead_fast(engine, fetch_input) -> FetchStats:
+    """Vectorized :meth:`TwoBlockAheadEngine.run`."""
+    return _run_fast(engine, fetch_input, group=2, targets=engine.targets,
+                     shift=1, ahead=True, late_taken_extra=False,
+                     serialization_penalty=engine.serialization_penalty)
+
+
+# ----------------------------------------------------------------------
+# The driver
+# ----------------------------------------------------------------------
+
+def _run_fast(engine, fetch_input, *, group: int, targets,
+              selects: Sequence = (), double: bool = False,
+              train_partial: bool = True, shift: int = 0,
+              ahead: bool = False, exit_line: bool = False,
+              late_taken_extra: bool = True,
+              serialization_penalty: int = 0,
+              bit_table=None) -> FetchStats:
+    """Replay one engine's block stream under its fetch schedule.
+
+    * ``group`` blocks share a fetch cycle; block ``i`` fills slot
+      ``(i + shift) % group``.
+    * ``targets`` and ``selects`` are the engine's target array and
+      select tables; a :class:`DualSelectTable` holds two tables as the
+      halves of one entry.  ``double`` picks Table 3's double-selection
+      column.  With ``train_partial`` false, a group cut short by the
+      end of the stream trains no select table.
+    * ``ahead`` indexes the PHT and target array through the previous
+      block.  ``exit_line`` indexes the target array by each block's own
+      exit line instead: the single engine, which has no cold-start
+      group.
+    * ``late_taken_extra`` lets an untracked not-taken target cost LATE
+      divergences a cycle; ``serialization_penalty`` is charged to each
+      later second-slot block; ``bit_table`` is the single engine's
+      separate BIT table.
     """
-    run = _Run(engine, fetch_input)
+    scheme = DOUBLE_SELECT if double else SINGLE_SELECT
+    with profile.phase("prep"):
+        run = _Run(engine, fetch_input, group, shift, ahead)
+        n = run.n
+        # The single engine fetches one block per cycle; the grouped
+        # schedules fetch b0 alone, then one group of N per cycle.
+        stats = _empty_stats(
+            run.trace, n, base_cycles=n if exit_line
+            else 1 + (max(n, 1) - 2 + group) // group)
+        if n == 0:
+            return stats
+        late_extra = late_taken_extra \
+            and not run.config.track_not_taken_targets
+        _prep(run, stats, scheme, engine.ras, bit_table, late_extra,
+              serialization_penalty)
+    with profile.phase("residual"):
+        if selects:
+            _replay_selects(run, stats, scheme, selects, double,
+                            train_partial)
+        _residual_targets(run, stats, scheme, targets, exit_line)
+    return stats
+
+
+def _slot_cycles(scheme: str, slots, kind: PenaltyKind) -> np.ndarray:
+    """Table 3 cycles of ``kind`` for each 0-based fetch slot."""
+    return np.array([penalty_cycles_slot(scheme, s + 1, kind)
+                     for s in slots], dtype=np.int64)
+
+
+def _prep(run: _Run, stats: FetchStats, scheme: str, ras, bit_table,
+          late_extra: bool, serialization_penalty: int) -> None:
+    """Front half: every charge and state update but the residual's.
+
+    Resolves the walks (and the BIT table's stale walks), charges BIT,
+    COND, RETURN, serialization and bank-conflict cycles, replays the
+    RAS and records the residual inputs (:meth:`_Run.finish`).
+    """
     compiled = run.compiled
-    n = run.n
-    stats = _empty_stats(run.trace, n, base_cycles=n)
-    if n == 0:
-        return run, stats
-    scheme = SINGLE_SELECT
-    run.resolve(bit_table=engine.bit_table)
-    walk = run.walk
+    group = run.group
+    run.resolve(bit_table=bit_table)
 
     # Separate BIT table: stale-walk mismatches, counters and state.
-    if engine.bit_table is not None:
+    if bit_table is not None:
+        walk = run.walk
         mismatch = (run.stale_walk.sel != walk.sel) \
             | (run.stale_walk.pay != walk.pay)
         count = int(np.count_nonzero(mismatch))
         _charge_bulk(stats, PenaltyKind.BIT, count,
                      count * penalty_cycles(scheme, 1, PenaltyKind.BIT))
-        bit = engine.bit_table
-        bit.accesses += run.stale.accesses
-        bit.stale_hits += run.stale.stale_hits
-        for slot, line in zip(run.stale.final_slots.tolist(),
-                              run.stale.final_lines.tolist()):
-            bit._lines[slot] = line
-            bit._codes[slot] = _line_codes_tuple(compiled, line,
-                                                 run.line_size)
+        bit_table.accesses += run.stale.accesses
+        bit_table.stale_hits += run.stale.stale_hits
+        for entry, line in zip(run.stale.final_slots.tolist(),
+                               run.stale.final_lines.tolist()):
+            bit_table._lines[entry] = line
+            bit_table._codes[entry] = _line_codes_tuple(compiled, line,
+                                                        run.line_size)
 
+    slot = run.slot_of(np.arange(run.n, dtype=np.int64))
     match, early, late = run.classify()
-    slot_arr = np.zeros(n, dtype=np.int64)
-    base_arr = np.array([penalty_cycles(scheme, 1, PenaltyKind.COND)],
-                        dtype=np.int64)
     count, cycles = run.cond_charges(
-        early, late, slot_arr, base_arr,
-        slot2_extra=np.zeros(n, dtype=bool),
-        late_extra=not run.config.track_not_taken_targets)
+        early, late, slot,
+        _slot_cycles(scheme, range(group), PenaltyKind.COND), late_extra)
     _charge_bulk(stats, PenaltyKind.COND, count, cycles)
 
-    peeks = run.replay_ras(engine.ras)
+    peeks = run.replay_ras(ras)
     ret_bad = match & run.is_ret & (peeks != compiled.exit_target)
-    count = int(np.count_nonzero(ret_bad))
-    _charge_bulk(stats, PenaltyKind.RETURN, count,
-                 count * penalty_cycles(scheme, 1, PenaltyKind.RETURN))
+    ret_cycles = _slot_cycles(scheme, range(group), PenaltyKind.RETURN)
+    _charge_bulk(stats, PenaltyKind.RETURN,
+                 int(np.count_nonzero(ret_bad)),
+                 int(ret_cycles[slot[ret_bad]].sum()))
+
+    if serialization_penalty:
+        # Each second-slot block after b0 waits on its first's prediction.
+        count = int(np.count_nonzero(slot[1:] == 1))
+        _charge_bulk(stats, PenaltyKind.MISSELECT, count,
+                     count * serialization_penalty)
+
+    if group > 1:
+        # Bank claim sets over each group fetched together; the first
+        # member never pays.
+        conflict = bank_conflicts(compiled.line0, group,
+                                  run.geometry)[:, 1:]
+        bank = _slot_cycles(scheme, range(1, group),
+                            PenaltyKind.BANK_CONFLICT)
+        _charge_bulk(stats, PenaltyKind.BANK_CONFLICT,
+                     int(np.count_nonzero(conflict)),
+                     int((conflict * bank).sum()))
 
     run.finish(match)
-    return run, stats
 
 
-def _residual_single(engine, run, stats) -> FetchStats:
-    """The exit-line-indexed NLS array or block BTB."""
-    scheme = SINGLE_SELECT
-    exit_line = run.compiled.exit_pc[run.todo] // run.line_size
+def _residual_targets(run: _Run, stats: FetchStats, scheme: str, targets,
+                      exit_line: bool) -> None:
+    """Replay the target array: slot ``s`` uses target number ``s``.
+
+    Entries are indexed by the block's exit line, or else by the first
+    line of the block that anchors its prediction: its group's first
+    block, or with ``ahead`` indexing the previous block.
+    """
+    todo = run.todo
+    which = run.slot_of(todo)
+    if exit_line:
+        line = run.compiled.exit_pc[todo] // run.line_size
+    else:
+        anchor = todo if run.ahead else todo - which
+        line = run.anchor_start[anchor] // run.line_size
+    slots = range(run.group)
     run.charge_targets(
-        stats, engine.targets, np.zeros(run.todo.shape[0], dtype=np.int64),
-        exit_line,
-        [penalty_cycles(scheme, 1, PenaltyKind.MISFETCH_IMMEDIATE)],
-        [penalty_cycles(scheme, 1, PenaltyKind.MISFETCH_INDIRECT)])
-    return stats
+        stats, targets, which, line,
+        _slot_cycles(scheme, slots, PenaltyKind.MISFETCH_IMMEDIATE),
+        _slot_cycles(scheme, slots, PenaltyKind.MISFETCH_INDIRECT))
 
 
 # ----------------------------------------------------------------------
-# Select-table encoding shared by the dual/multi fast paths
+# Select tables
 # ----------------------------------------------------------------------
 
 def _encode_select_entry(width: int, entry: SelectEntry):
@@ -551,10 +673,11 @@ def _payload_base(width: int) -> int:
     return 2 * width + 4
 
 
-def _seed_select(width: int, entries, half: str = "") -> np.ndarray:
+def _seed_select(width: int, entries,
+                 part: Optional[Callable] = None) -> np.ndarray:
     """Select entries packed as ``sel * base + pay``.
 
-    ``half`` names the :class:`DualSelectEntry` half to pack.  Cold
+    ``part`` picks the :class:`DualSelectEntry` half to pack.  Cold
     entries encode to 0 — exactly the fall-through default a cold read
     returns — so reads need no presence check.
     """
@@ -565,392 +688,72 @@ def _seed_select(width: int, entries, half: str = "") -> np.ndarray:
     for i, entry in enumerate(entries):
         if entry is not None:
             sel, pay = _encode_select_entry(
-                width, getattr(entry, half) if half else entry)
+                width, part(entry) if part else entry)
             packed[i] = sel * base + pay
     return packed
 
 
-def _select_key(run: _Run, select) -> np.ndarray:
-    """Select-table slot of every block (anchor-indexed reads/writes)."""
-    table = (run.anchor_start % run.line_size) % select.n_tables
-    return table * select.n_entries + (run.base & (select.n_entries - 1))
+def _replay_selects(run: _Run, stats: FetchStats, scheme: str, selects,
+                    double: bool, train_partial: bool) -> None:
+    """Verify and train every select table over one event stream.
 
-
-def _replay_select(run: _Run, stats: FetchStats, seeds, tables, blocks,
-                   keys, writes, misselect, ghr) -> List:
-    """Verify and train select tables over one event stream.
-
-    ``seeds`` holds each table's packed entries (:func:`_seed_select`).
-    Event ``i`` reads table ``tables[i]`` at slot ``keys[i]`` for block
-    ``blocks[i]`` and, when ``writes[i]``, stores that block's walk.  A
-    stored selector that disagrees with the walk charges
-    ``misselect[i]`` cycles; an agreeing selector with a different
-    payload charges ``ghr[i]``.  Returns the decoded final entry of
-    every written slot as ``(table, slot, entry)``.
+    Table ``t`` predicts slot ``t`` of each group under double selection
+    (the anchor verifies its own selector too) and slot ``t + 1`` under
+    single selection; all are indexed by the group's anchor.  A stored
+    selector that disagrees with the walk charges a misselect; an
+    agreeing selector with a different payload charges GHR.  Each table
+    then holds the last walk written to each of its slots.
     """
-    walk = run.walk
+    n = run.n
+    group = run.group
     width = run.width
+    halves = isinstance(selects[0], DualSelectTable)
+    if halves:
+        entries = selects[0]._entries
+        seeds = [_seed_select(width, entries, lambda e: e.first),
+                 _seed_select(width, entries, lambda e: e.second)]
+    else:
+        seeds = [_seed_select(width, table._entries) for table in selects]
+    served = [t if double else t + 1 for t in range(len(seeds))]
+    blocks = [np.arange(s, n, group, dtype=np.int64) for s in served]
+    events = np.concatenate(blocks)
+    tables = np.repeat(np.arange(len(seeds), dtype=np.int64),
+                       [b.shape[0] for b in blocks])
+    anchors = events - run.slot_of(events)
+    writes = np.ones(events.shape[0], dtype=bool) if train_partial \
+        else anchors + group <= n
+
+    walk = run.walk
     base = _payload_base(width)
     packed = walk.sel * base + walk.pay
     size = seeds[0].shape[0]
     observed, fin_k, fin_v = replay_last_write(
-        tables * size + keys, packed[blocks], writes, np.concatenate(seeds))
-    mis = (observed // base) != walk.sel[blocks]
-    bad_pay = ~mis & (observed != packed[blocks])
-    for kind, hit, cycles in ((PenaltyKind.MISSELECT, mis, misselect),
-                              (PenaltyKind.GHR, bad_pay, ghr)):
+        tables * size + _select_key(run, selects[0], anchors),
+        packed[events], writes, np.concatenate(seeds))
+    mis = (observed // base) != walk.sel[events]
+    bad_pay = ~mis & (observed != packed[events])
+    for kind, hit in ((PenaltyKind.MISSELECT, mis),
+                      (PenaltyKind.GHR, bad_pay)):
         _charge_bulk(stats, kind, int(np.count_nonzero(hit)),
-                     int(cycles[hit].sum()))
-    return [(k // size, k % size,
-             _decode_select_entry(width, v // base, v % base))
-            for k, v in zip(fin_k.tolist(), fin_v.tolist())]
+                     int(_slot_cycles(scheme, served, kind)[
+                         tables[hit]].sum()))
 
-
-# ----------------------------------------------------------------------
-# Dual-block engine
-# ----------------------------------------------------------------------
-
-def run_dual_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`DualBlockEngine.run` (no timeline recording)."""
-    with profile.phase("prep"):
-        run, stats = _prep_dual(engine, fetch_input)
-    if run.n == 0:
-        return stats
-    with profile.phase("residual"):
-        return _residual_dual(engine, run, stats)
-
-
-def _prep_dual(engine, fetch_input) -> tuple:
-    """Front half of the dual-block run.
-
-    Everything up to (and including) the bank-conflict charges; the
-    residual replays the select table and the dual target array.
-    """
-    run = _Run(engine, fetch_input)
-    compiled = run.compiled
-    n = run.n
-    stats = _empty_stats(run.trace, n, base_cycles=1 + (n - 1 + 1) // 2)
-    if n == 0:
-        return run, stats
-    scheme = DOUBLE_SELECT if engine.double else SINGLE_SELECT
-    run.resolve()
-
-    match, early, late = run.classify()
-    slot_arr = ((np.arange(n, dtype=np.int64) % 2) == 1) \
-        .astype(np.int64)  # 0=slot1, 1=slot2
-    base_arr = np.array(
-        [penalty_cycles(scheme, 1, PenaltyKind.COND),
-         penalty_cycles(scheme, 2, PenaltyKind.COND)], dtype=np.int64)
-    count, cycles = run.cond_charges(
-        early, late, slot_arr, base_arr, slot2_extra=slot_arr.astype(bool),
-        late_extra=not run.config.track_not_taken_targets)
-    _charge_bulk(stats, PenaltyKind.COND, count, cycles)
-
-    peeks = run.replay_ras(engine.ras)
-    ret_bad = match & run.is_ret & (peeks != compiled.exit_target)
-    for slot in (1, 2):
-        in_slot = ret_bad & (slot_arr == slot - 1)
-        count = int(np.count_nonzero(in_slot))
-        _charge_bulk(stats, PenaltyKind.RETURN, count,
-                     count * penalty_cycles(scheme, slot,
-                                            PenaltyKind.RETURN))
-
-    # Bank conflicts: pairs (i+1, i+2) for every completed (i, i+1).
-    conflicts = pair_conflicts(compiled, run.geometry)
-    odd = np.arange(1, n - 1, 2, dtype=np.int64)
-    count = int(np.count_nonzero(conflicts[odd]))
-    _charge_bulk(stats, PenaltyKind.BANK_CONFLICT, count,
-                 count * penalty_cycles(scheme, 2,
-                                        PenaltyKind.BANK_CONFLICT))
-
-    run.finish(match)
-    return run, stats
-
-
-def _residual_dual(engine, run, stats) -> FetchStats:
-    """Select table (one or both halves) + dual target array.
-
-    Pair ``(e, e + 1)`` is indexed by block ``e``'s slot.  Under double
-    selection the first half verifies block ``e`` on every pair; both
-    halves are trained only by complete pairs.
-    """
-    n = run.n
-    width = run.width
-    scheme = DOUBLE_SELECT if engine.double else SINGLE_SELECT
-    select = engine.select
-    st_key = _select_key(run, select)
-    even = np.arange(0, n, 2, dtype=np.int64)
-    paired = even + 1 < n
-    eo = even[paired]
-    entries = select._entries
-    ms2 = penalty_cycles(scheme, 2, PenaltyKind.MISSELECT)
-    g2 = penalty_cycles(scheme, 2, PenaltyKind.GHR)
-    n_pairs = eo.shape[0]
-    if engine.double:
-        seeds = [_seed_select(width, entries, "first"),
-                 _seed_select(width, entries, "second")]
-        n_even = even.shape[0]
-        tables = np.repeat(np.array([0, 1], dtype=np.int64),
-                           [n_even, n_pairs])
-        written = _replay_select(
-            run, stats, seeds, tables,
-            np.concatenate([even, eo + 1]),
-            np.concatenate([st_key[even], st_key[eo]]),
-            np.concatenate([paired, np.ones(n_pairs, dtype=bool)]),
-            np.repeat(np.array(
-                [penalty_cycles(scheme, 1, PenaltyKind.MISSELECT), ms2],
-                dtype=np.int64), [n_even, n_pairs]),
-            np.repeat(np.array(
-                [penalty_cycles(scheme, 1, PenaltyKind.GHR), g2],
-                dtype=np.int64), [n_even, n_pairs]))
-        # Both halves of a slot are written by the same complete pairs.
-        halves = {(t, slot): entry for t, slot, entry in written}
+    written = [(k // size, k % size,
+                _decode_select_entry(width, v // base, v % base))
+               for k, v in zip(fin_k.tolist(), fin_v.tolist())]
+    if halves:
+        # Both halves of a slot are written by the same complete groups.
+        second = {slot: entry for t, slot, entry in written if t == 1}
         for t, slot, entry in written:
             if t == 0:
-                entries[slot] = DualSelectEntry(entry, halves[(1, slot)])
+                entries[slot] = DualSelectEntry(entry, second[slot])
     else:
-        written = _replay_select(
-            run, stats, [_seed_select(width, entries)],
-            np.zeros(n_pairs, dtype=np.int64), eo + 1, st_key[eo],
-            np.ones(n_pairs, dtype=bool),
-            np.full(n_pairs, ms2, dtype=np.int64),
-            np.full(n_pairs, g2, dtype=np.int64))
-        for _, slot, entry in written:
-            entries[slot] = entry
-
-    todo = run.todo
-    which = todo % 2
-    run.charge_targets(
-        stats, engine.targets, which, run.compiled.line0[todo - which],
-        [penalty_cycles(scheme, s, PenaltyKind.MISFETCH_IMMEDIATE)
-         for s in (1, 2)],
-        [penalty_cycles(scheme, s, PenaltyKind.MISFETCH_INDIRECT)
-         for s in (1, 2)])
-    return stats
-
-
-# ----------------------------------------------------------------------
-# Multi-block engine
-# ----------------------------------------------------------------------
-
-def run_multi_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`MultiBlockEngine.run`."""
-    with profile.phase("prep"):
-        run, stats = _prep_multi(engine, fetch_input)
-    if run.n == 0:
-        return stats
-    with profile.phase("residual"):
-        return _residual_multi(engine, run, stats)
-
-
-def _bank_conflicts(line0: np.ndarray, group: int, n_banks: int,
-                    self_aligned: bool) -> np.ndarray:
-    """Conflict mask ``[n_groups, group]`` of the multi engine's claims.
-
-    Group ``a`` fetches blocks ``a*group + 1 ..`` together; each claims
-    its lines in order, skipping lines already claimed, and a line whose
-    bank another claimed line holds is a conflict (and stays
-    unclaimed).  The ``<= 2 * group`` (block, line) positions are
-    walked in order, vectorized across groups.
-    """
-    n = line0.shape[0]
-    n_groups = (n + group - 1) // group
-    first = np.arange(n_groups, dtype=np.int64) * group + 1
-    offsets = (0, 1) if self_aligned else (0,)
-    claimed_lines: List[np.ndarray] = []
-    claimed_banks: List[np.ndarray] = []
-    conflict = np.zeros((n_groups, group), dtype=bool)
-    for k in range(group):
-        block = first + k
-        valid = block < n
-        start = np.where(valid, line0[np.minimum(block, n - 1)], -1)
-        for offset in offsets:
-            line = np.where(valid, start + offset, -1)
-            bank = np.where(valid, line % n_banks, -1)
-            seen = np.zeros(n_groups, dtype=bool)
-            taken = np.zeros(n_groups, dtype=bool)
-            for prior_line, prior_bank in zip(claimed_lines,
-                                              claimed_banks):
-                seen |= prior_line == line
-                taken |= prior_bank == bank
-            clash = valid & ~seen & taken
-            conflict[:, k] |= clash
-            claim = valid & ~seen & ~taken
-            claimed_lines.append(np.where(claim, line, -1))
-            claimed_banks.append(np.where(claim, bank, -2))
-    return conflict
-
-
-def _prep_multi(engine, fetch_input) -> tuple:
-    """Front half of the N-block run.
-
-    Includes the bank claim-set charges (pure geometry, no predictor
-    state); the residual replays the select tables and target arrays.
-    """
-    run = _Run(engine, fetch_input)
-    compiled = run.compiled
-    n = run.n
-    group = engine.n
-    stats = _empty_stats(
-        run.trace, n,
-        base_cycles=1 + (n - 2 + group) // group if n > 1 else 1)
-    if n == 0:
-        return run, stats
-    scheme = DOUBLE_SELECT if engine.double else SINGLE_SELECT
-    run.resolve()
-
-    match, early, late = run.classify()
-    slot_arr = np.arange(n, dtype=np.int64) % group  # slot - 1
-    max_slot = group
-    base_arr = np.array(
-        [penalty_cycles_slot(scheme, s, PenaltyKind.COND)
-         for s in range(1, max_slot + 1)], dtype=np.int64)
-    count, cycles = run.cond_charges(
-        early, late, slot_arr, base_arr, slot2_extra=slot_arr >= 1,
-        late_extra=not run.config.track_not_taken_targets)
-    _charge_bulk(stats, PenaltyKind.COND, count, cycles)
-
-    peeks = run.replay_ras(engine.ras)
-    ret_bad = match & run.is_ret & (peeks != compiled.exit_target)
-    for slot in range(1, max_slot + 1):
-        in_slot = ret_bad & (slot_arr == slot - 1)
-        count = int(np.count_nonzero(in_slot))
-        _charge_bulk(stats, PenaltyKind.RETURN, count,
-                     count * penalty_cycles_slot(scheme, slot,
-                                                 PenaltyKind.RETURN))
-
-    # Bank claim sets over each group fetched together (a+1..a+n); only
-    # the second and later members pay.
-    conflict = _bank_conflicts(compiled.line0, group, run.geometry.n_banks,
-                               run.geometry.kind == SELF_ALIGNED)
-    bank = np.array([penalty_cycles_slot(scheme, s,
-                                         PenaltyKind.BANK_CONFLICT)
-                     for s in range(1, group + 1)], dtype=np.int64)
-    conflict[:, 0] = False
-    count = int(np.count_nonzero(conflict))
-    _charge_bulk(stats, PenaltyKind.BANK_CONFLICT, count,
-                 int((conflict * bank).sum()))
-
-    run.finish(match)
-    return run, stats
-
-
-def _residual_multi(engine, run, stats) -> FetchStats:
-    """Select tables + per-slot target arrays, indexed by the anchor.
-
-    Group ``a`` verifies and trains block ``a + k`` against select
-    table ``k`` (double selection: the anchor itself uses table 0;
-    single: table ``k - 1`` serves slot ``k + 1``).
-    """
-    n = run.n
-    group = engine.n
-    scheme = DOUBLE_SELECT if engine.double else SINGLE_SELECT
-    if engine.selects:
-        idx = np.arange(n, dtype=np.int64)
-        st_key = _select_key(run, engine.selects[0])[idx - idx % group]
-        blocks = [np.arange(t if engine.double else t + 1, n, group,
-                            dtype=np.int64)
-                  for t in range(len(engine.selects))]
-        counts = [b.shape[0] for b in blocks]
-        slots = [t + 1 if engine.double else t + 2
-                 for t in range(len(engine.selects))]
-        events = np.concatenate(blocks)
-        written = _replay_select(
-            run, stats,
-            [_seed_select(run.width, t._entries) for t in engine.selects],
-            np.repeat(np.arange(len(blocks), dtype=np.int64), counts),
-            events, st_key[events], np.ones(events.shape[0], dtype=bool),
-            np.repeat(np.array([penalty_cycles_slot(
-                scheme, s, PenaltyKind.MISSELECT) for s in slots],
-                dtype=np.int64), counts),
-            np.repeat(np.array([penalty_cycles_slot(
-                scheme, s, PenaltyKind.GHR) for s in slots],
-                dtype=np.int64), counts))
         for t, slot, entry in written:
-            engine.selects[t]._entries[slot] = entry
-
-    todo = run.todo
-    which = todo % group
-    run.charge_targets(
-        stats, engine.targets, which, run.compiled.line0[todo - which],
-        [penalty_cycles_slot(scheme, s, PenaltyKind.MISFETCH_IMMEDIATE)
-         for s in range(1, group + 1)],
-        [penalty_cycles_slot(scheme, s, PenaltyKind.MISFETCH_INDIRECT)
-         for s in range(1, group + 1)])
-    return stats
+            selects[t]._entries[slot] = entry
 
 
-# ----------------------------------------------------------------------
-# Two-block-ahead engine
-# ----------------------------------------------------------------------
-
-def run_two_ahead_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`TwoBlockAheadEngine.run`."""
-    with profile.phase("prep"):
-        run, stats = _prep_two_ahead(engine, fetch_input)
-    if run.n == 0:
-        return stats
-    with profile.phase("residual"):
-        return _residual_two_ahead(engine, run, stats)
-
-
-def _prep_two_ahead(engine, fetch_input) -> tuple:
-    """Front half of the two-block-ahead run."""
-    run = _Run(engine, fetch_input, ahead=True)
-    compiled = run.compiled
-    n = run.n
-    stats = _empty_stats(run.trace, n, base_cycles=1 + n // 2)
-    if n == 0:
-        return run, stats
-    scheme = SINGLE_SELECT
-    run.resolve()
-
-    match, early, late = run.classify()
-    # Pairs are (odd, even): odd indices are slot 1, even are slot 2.
-    index = np.arange(n, dtype=np.int64)
-    slot_arr = (index % 2 == 0).astype(np.int64)  # 0=slot1, 1=slot2
-    base_arr = np.array(
-        [penalty_cycles(scheme, 1, PenaltyKind.COND),
-         penalty_cycles(scheme, 2, PenaltyKind.COND)], dtype=np.int64)
-    count, cycles = run.cond_charges(
-        early, late, slot_arr, base_arr, slot2_extra=slot_arr.astype(bool),
-        late_extra=False)
-    _charge_bulk(stats, PenaltyKind.COND, count, cycles)
-
-    peeks = run.replay_ras(engine.ras)
-    ret_bad = match & run.is_ret & (peeks != compiled.exit_target)
-    for slot in (1, 2):
-        in_slot = ret_bad & (slot_arr == slot - 1)
-        count = int(np.count_nonzero(in_slot))
-        _charge_bulk(stats, PenaltyKind.RETURN, count,
-                     count * penalty_cycles(scheme, slot,
-                                            PenaltyKind.RETURN))
-
-    if engine.serialization_penalty:
-        count = int(np.count_nonzero((index % 2 == 0) & (index >= 2)))
-        _charge_bulk(stats, PenaltyKind.MISSELECT, count,
-                     count * engine.serialization_penalty)
-
-    conflicts = pair_conflicts(compiled, run.geometry)
-    odd = np.arange(1, n - 1, 2, dtype=np.int64)
-    count = int(np.count_nonzero(conflicts[odd]))
-    _charge_bulk(stats, PenaltyKind.BANK_CONFLICT, count,
-                 count * penalty_cycles(scheme, 2,
-                                        PenaltyKind.BANK_CONFLICT))
-
-    run.finish(match)
-    return run, stats
-
-
-def _residual_two_ahead(engine, run, stats) -> FetchStats:
-    """Dual NLS array indexed by each block's ahead (anchor) line."""
-    scheme = SINGLE_SELECT
-    todo = run.todo
-    run.charge_targets(
-        stats, engine.targets, 1 - todo % 2,
-        run.anchor_start[todo] // run.line_size,
-        [penalty_cycles(scheme, s, PenaltyKind.MISFETCH_IMMEDIATE)
-         for s in (1, 2)],
-        [penalty_cycles(scheme, s, PenaltyKind.MISFETCH_INDIRECT)
-         for s in (1, 2)])
-    return stats
+def _select_key(run: _Run, select, blocks: np.ndarray) -> np.ndarray:
+    """Select-table slot that ``blocks`` (the anchors) read and write."""
+    table = (run.anchor_start[blocks] % run.line_size) % select.n_tables
+    return table * select.n_entries \
+        + (run.base[blocks] & (select.n_entries - 1))

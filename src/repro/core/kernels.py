@@ -26,7 +26,7 @@ and the parity suite keeps both bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -456,40 +456,51 @@ def resolve_walks(window: np.ndarray, width: int,
 
 
 # ----------------------------------------------------------------------
-# Bank-conflict pairs (dual / two-ahead)
+# Bank conflicts of the blocks fetched together
 # ----------------------------------------------------------------------
 
-def pair_conflicts(compiled: CompiledBlocks,
+def bank_conflicts(line0: np.ndarray, group: int,
                    geometry: CacheGeometry) -> np.ndarray:
-    """``out[j]`` = blocks ``j`` and ``j+1`` collide on a cache bank.
+    """Conflict mask ``[n_groups, group]`` of each cycle's fetch group.
 
-    Vectorised :func:`repro.icache.banks.blocks_conflict` for
-    consecutive block pairs.  Normal/extended blocks read one line each;
-    self-aligned blocks always read their aligned line pair.
+    Group ``a`` fetches blocks ``a*group + 1 ..`` together (``b0`` ships
+    alone).  Each claims its lines in order, skipping lines already
+    claimed, and a line whose bank another claimed line holds is a
+    conflict (and stays unclaimed).  Normal/extended blocks read one
+    line each; self-aligned blocks always read their aligned line pair.
+    At ``group=2`` this is :func:`repro.icache.banks.blocks_conflict` of
+    every pair ``(2a+1, 2a+2)``.  The ``<= 2 * group`` (block, line)
+    positions are walked in order, vectorized across groups; slots past
+    the end of the stream never conflict.
     """
-    n = compiled.n_blocks
-    out = np.zeros(n, dtype=bool)
-    if n < 2:
-        return out
-    nb = geometry.n_banks
-    f1 = compiled.line0[:-1]
-    f2 = compiled.line0[1:]
-    if geometry.kind != SELF_ALIGNED:
-        out[:-1] = (f2 != f1) & ((f2 % nb) == (f1 % nb))
-        return out
-    bf1 = f1 % nb
-    bf2 = (f1 + 1) % nb
-    a, b = f2, f2 + 1
-    a_shared = (a == f1) | (a == f1 + 1)
-    a_bank = a % nb
-    a_hit = ~a_shared & ((a_bank == bf1) | (a_bank == bf2))
-    a_claimed = ~a_shared & ~a_hit
-    b_shared = (b == f1) | (b == f1 + 1)
-    b_bank = b % nb
-    b_hit = ~b_shared & ((b_bank == bf1) | (b_bank == bf2)
-                         | (a_claimed & (b_bank == a_bank)))
-    out[:-1] = a_hit | b_hit
-    return out
+    n = line0.shape[0]
+    n_groups = (n + group - 1) // group
+    # Pad the stream to whole groups: a padded slot trails every real
+    # block of its group, so its claims can only touch other padding.
+    padded = np.zeros(n_groups * group + 1, dtype=np.int64)
+    padded[:n] = line0
+    blocks = padded[1:].reshape(n_groups, group)
+    n_banks = geometry.n_banks
+    offsets = (0, 1) if geometry.kind == SELF_ALIGNED else (0,)
+    claimed_lines: List[np.ndarray] = []
+    claimed_banks: List[np.ndarray] = []
+    conflict = np.zeros((n_groups, group), dtype=bool)
+    for k in range(group):
+        for offset in offsets:
+            line = blocks[:, k] + offset
+            bank = line % n_banks
+            seen = np.zeros(n_groups, dtype=bool)
+            taken = np.zeros(n_groups, dtype=bool)
+            for prior_line, prior_bank in zip(claimed_lines,
+                                              claimed_banks):
+                seen |= prior_line == line
+                taken |= prior_bank == bank
+            conflict[:, k] |= ~seen & taken
+            claim = ~seen & ~taken
+            claimed_lines.append(np.where(claim, line, -1))
+            claimed_banks.append(np.where(claim, bank, -1))
+    conflict.reshape(-1)[max(n - 1, 0):] = False
+    return conflict
 
 
 # ----------------------------------------------------------------------

@@ -160,27 +160,6 @@ class QACase:
                 f"-B{self.block_width}/{self.family}/{self.digest(8)}")
 
 
-def default_config_overrides() -> Dict[str, Any]:
-    """The override keys :mod:`repro.qa.generators` may emit.
-
-    Shrinking walks exactly these keys, so keeping the list in one place
-    stops the generator and the shrinker drifting apart.
-    """
-    return {
-        "history_length": 10,
-        "n_pht_tables": 1,
-        "n_select_tables": 1,
-        "target_kind": "nls",
-        "target_entries": 256,
-        "btb_associativity": 4,
-        "near_block": False,
-        "ras_size": 32,
-        "bit_entries": None,
-        "selection": "single",
-        "track_not_taken_targets": True,
-    }
-
-
 def case_engine(case: QACase) -> Any:
     """Construct a fresh engine for ``case`` (any of the four kinds)."""
     from ..core.dual import DualBlockEngine

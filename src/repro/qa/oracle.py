@@ -19,15 +19,13 @@ hits *is* a divergence).
 
 from __future__ import annotations
 
-import os
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, ContextManager, Dict, List, Optional
 
-from .. import envvars
 from ..core.engine_mode import ENGINE_ENV
 from ..cpu.tracer_mode import TRACER_ENV
+from ..runtime.resilience import scoped_environ
 from .cases import QACase, case_engine
 from .state import describe_diff, engine_state, stats_snapshot
 
@@ -36,31 +34,14 @@ __all__ = ["ModeRun", "OracleVerdict", "engine_mode_env",
            "check_tracer_parity"]
 
 
-@contextmanager
-def _pinned_env(variable: str, mode: str) -> Iterator[None]:
-    previous = envvars.read(variable)
-    os.environ[variable] = mode
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(variable, None)
-        else:
-            os.environ[variable] = previous
-
-
-@contextmanager
-def engine_mode_env(mode: str) -> Iterator[None]:
+def engine_mode_env(mode: str) -> ContextManager[None]:
     """Temporarily pin ``REPRO_ENGINE`` to ``mode``."""
-    with _pinned_env(ENGINE_ENV, mode):
-        yield
+    return scoped_environ({ENGINE_ENV: mode})
 
 
-@contextmanager
-def tracer_mode_env(mode: str) -> Iterator[None]:
+def tracer_mode_env(mode: str) -> ContextManager[None]:
     """Temporarily pin ``REPRO_TRACER`` to ``mode``."""
-    with _pinned_env(TRACER_ENV, mode):
-        yield
+    return scoped_environ({TRACER_ENV: mode})
 
 
 @dataclass

@@ -106,11 +106,6 @@ def set_shard(shard: int | None) -> None:
     _shard = shard
 
 
-def current_shard() -> int | None:
-    """Shard id labelling this process's profile output, if any."""
-    return _shard
-
-
 def reset() -> None:
     """Drop all accumulated totals and the shard label (tests)."""
     global _shard

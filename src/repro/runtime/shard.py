@@ -65,12 +65,6 @@ class ShardPlan:
     def n_cells(self) -> int:
         return len(self.assignment)
 
-    def shard_of(self, index: int) -> int:
-        return self.assignment[index]
-
-    def cells_in(self, shard: int) -> List[int]:
-        return [i for i, s in enumerate(self.assignment) if s == shard]
-
     def counts(self) -> List[int]:
         out = [0] * self.n_shards
         for s in self.assignment:

@@ -25,14 +25,6 @@ IM = N
 OUTER = 1_000_000
 
 
-def _bit_reverse(value: int, bits: int) -> int:
-    out = 0
-    for _ in range(bits):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
-
-
 @REGISTRY.register("turb3d", SUITE_FP,
                    "FFT butterflies with bit-reversal permutation")
 def build(outer: int = OUTER) -> Program:

@@ -98,6 +98,8 @@ ENGINES = {
     "single": lambda c: SingleBlockEngine(c),
     "single-btb": None,  # built below: the 4-way LRU BTB residual
     "dual-double": lambda c: DualBlockEngine(c),
+    "multi-2": lambda c: MultiBlockEngine(c, 2),
+    "multi-2-double": lambda c: MultiBlockEngine(c, 2),
     "multi-3": lambda c: MultiBlockEngine(c, 3),
     "two-ahead": lambda c: TwoBlockAheadEngine(c),
 }
@@ -105,7 +107,7 @@ ENGINES = {
 
 def _build(engine_name):
     kw = {"n_select_tables": 4}
-    if engine_name == "dual-double":
+    if engine_name.endswith("-double"):
         kw["selection"] = DOUBLE_SELECT
     if engine_name == "single-btb":
         kw.update(target_kind="btb", target_entries=64,

@@ -68,6 +68,11 @@ ENGINES = {
                          "btb_associativity": 2,
                          "selection": DOUBLE_SELECT}),
     "multi-1": (lambda c: MultiBlockEngine(c, 1), {}),
+    # N=2 shares dual's schedule but not its table layout: per-slot
+    # select tables and target arrays, every block trains.
+    "multi-2": (lambda c: MultiBlockEngine(c, 2), {}),
+    "multi-2-double": (lambda c: MultiBlockEngine(c, 2),
+                       {"selection": DOUBLE_SELECT}),
     "multi-3": (lambda c: MultiBlockEngine(c, 3), {}),
     "multi-3-double": (lambda c: MultiBlockEngine(c, 3),
                        {"selection": DOUBLE_SELECT}),
@@ -107,7 +112,8 @@ def test_scalar_fast_parity(engine_name, geometry_name, monkeypatch):
 
 @pytest.mark.parametrize("engine_name", [
     "single-bit", "single-btb", "single-btb-fa", "dual-double", "dual-btb",
-    "dual-btb-double", "multi-3", "two-ahead"])
+    "dual-btb-double", "multi-2", "multi-2-double", "multi-3",
+    "two-ahead"])
 def test_warm_rerun_parity(engine_name, monkeypatch):
     """Warm tables: run li, then gcc, then li again on ONE engine.
 

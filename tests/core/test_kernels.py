@@ -3,7 +3,7 @@
 Each kernel is locked against the scalar structure it compiles away:
 the selector encoding against ``BlockPrediction`` equality, the counter
 scan against saturating-counter replay, the batched walk against
-``walk_block``, bank-conflict pairs against ``blocks_conflict``, the
+``walk_block``, bank conflicts of pairs against ``blocks_conflict``, the
 LRU residency kernel against an ``OrderedDict`` set, and the
 compiled-arrays disk cache against a recompile.  The keyed last-write
 replay is locked in ``tests/core/test_backends.py``.
@@ -21,11 +21,11 @@ from repro.core.kernels import (
     CODE_OTHER,
     CODE_RETURN,
     CompiledBlocks,
+    bank_conflicts,
     compile_fetch_input,
     decode_selector,
     encode_selector,
     lru_resident,
-    pair_conflicts,
     resolve_walks,
     scan_counters,
 )
@@ -177,15 +177,24 @@ def test_resolve_walks_matches_walk_block():
 
 
 # ----------------------------------------------------------------------
-# Bank-conflict pairs
+# Bank conflicts of pairs (N=2)
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("geometry", GEOMETRIES,
                          ids=["normal", "extend", "align"])
 def test_pair_conflicts_matches_blocks_conflict(geometry):
+    """At N=2 the kernel is ``blocks_conflict`` of each fetched pair.
+
+    Group ``a`` fetches blocks ``(2a+1, 2a+2)``; prepending a copy of
+    block 0 shifts the grouping by one, so the two calls together cover
+    every consecutive pair ``(j, j+1)``.
+    """
     fetch_input = load_fetch_input("go", geometry, BUDGET)
     compiled = compile_fetch_input(fetch_input, near_block=False)
-    fast = pair_conflicts(compiled, geometry)
+    line0 = compiled.line0
+    odd = bank_conflicts(line0, 2, geometry)
+    even = bank_conflicts(np.concatenate([line0[:1], line0]), 2, geometry)
+    assert not odd[:, 0].any() and not even[:, 0].any()
     blocks = fetch_input.blocks
     for j in range(blocks.n_blocks - 1):
         expect = blocks_conflict(
@@ -194,7 +203,8 @@ def test_pair_conflicts_matches_blocks_conflict(geometry):
                                      int(blocks.n_instr[j])),
             geometry.lines_for_block(int(blocks.start[j + 1]),
                                      int(blocks.n_instr[j + 1])))
-        assert bool(fast[j]) == expect, f"pair {j}"
+        fast = odd[j // 2, 1] if j % 2 else even[j // 2, 1]
+        assert bool(fast) == expect, f"pair {j}"
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.core import (
     TARGET_BTB,
     penalty_cycles_slot,
 )
+from repro.core.engine_mode import ENGINE_ENV
 from repro.cpu import Machine
 from repro.icache import CacheGeometry
 from repro.trace import SyntheticSpec, synthetic_program
@@ -28,7 +29,12 @@ def synthetic_input(seed=3, geometry=GEO, budget=60_000, **spec_kw):
 
 
 class TestDualEquivalence:
-    """MultiBlockEngine(n=2) must be cycle-for-cycle the dual engine."""
+    """MultiBlockEngine(n=2) must be cycle-for-cycle the dual engine.
+
+    Under ``REPRO_ENGINE=fast`` both engines run one vectorized driver
+    with the same fetch schedule, so only the scalar run compares two
+    independent loops; both engine modes are checked.
+    """
 
     @pytest.mark.parametrize("selection", [SINGLE_SELECT, DOUBLE_SELECT])
     @pytest.mark.parametrize("geometry", [
@@ -36,16 +42,18 @@ class TestDualEquivalence:
         CacheGeometry.extended(8),
         CacheGeometry.self_aligned(8),
     ], ids=["normal", "extended", "self_aligned"])
-    def test_identical_stats(self, selection, geometry):
+    def test_identical_stats(self, selection, geometry, monkeypatch):
         fi = synthetic_input(seed=11, geometry=geometry, irregularity=0.6)
         config = EngineConfig(geometry=geometry, selection=selection,
                               n_select_tables=8)
-        dual = DualBlockEngine(config).run(fi)
-        multi = MultiBlockEngine(config, n_blocks_per_cycle=2).run(fi)
-        assert multi.base_cycles == dual.base_cycles
-        assert multi.event_counts == dual.event_counts
-        assert multi.event_cycles == dual.event_cycles
-        assert multi.ipc_f == dual.ipc_f
+        for mode in ("scalar", "fast"):
+            monkeypatch.setenv(ENGINE_ENV, mode)
+            dual = DualBlockEngine(config).run(fi)
+            multi = MultiBlockEngine(config, n_blocks_per_cycle=2).run(fi)
+            assert multi.base_cycles == dual.base_cycles, mode
+            assert multi.event_counts == dual.event_counts, mode
+            assert multi.event_cycles == dual.event_cycles, mode
+            assert multi.ipc_f == dual.ipc_f, mode
 
 
 class TestValidation:

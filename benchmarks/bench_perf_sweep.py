@@ -20,8 +20,9 @@ machine-readable record: per-figure wall-clock, engine mode and cache
 state for every scenario, plus the scalar/fast speedup.  The module
 runs standalone (``python benchmarks/bench_perf_sweep.py``) or under
 pytest; either way it fails if the fast engine regresses below scalar,
-and it re-renders the engine table of ``docs/performance.md`` from the
-record (``--render`` does only that, from the committed record).
+and it re-renders the fig6 wall-clock table and the engine table of
+``docs/performance.md`` from the record (``--render`` does only that,
+from the committed record).
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_perf_sweep.json"
 DOC_PATH = REPO_ROOT / "docs" / "performance.md"
 
-#: Markers around the engine table in ``DOC_PATH``; :func:`render_doc`
-#: rewrites what lies between them from the results record.
+#: Markers around the rendered tables in ``DOC_PATH``; :func:`render_doc`
+#: rewrites what lies between each pair from the results record.
+FIG6_BEGIN = ("<!-- fig6-table: rendered by "
+              "benchmarks/bench_perf_sweep.py -->")
+FIG6_END = "<!-- /fig6-table -->"
 TABLE_BEGIN = ("<!-- engine-table: rendered by "
                "benchmarks/bench_perf_sweep.py -->")
 TABLE_END = "<!-- /engine-table -->"
@@ -132,6 +136,27 @@ def measure() -> dict:
     }
 
 
+def fig6_table(results: dict) -> str:
+    """Markdown cold/warm/parallel fig6 table of one results record."""
+    budget = f"{results['budget']:,}".replace(",", " ")
+    lines = [f"`python -m repro fig6` at a {budget}-instruction budget on "
+             f"a {results['cpus']}-CPU host (subprocess wall-clock):",
+             "",
+             "| Scenario | Wall-clock | vs. cold |",
+             "| --- | --- | --- |",
+             f"| Cold cache, serial | {results['cold_s']:.2f} s | 1.00× |",
+             f"| Warm cache, serial | {results['warm_s']:.2f} s "
+             f"| {results['warm_speedup']:.2f}× |"]
+    if results["parallel_s"] is not None:
+        lines.append(f"| Warm cache, `REPRO_JOBS=auto` ({results['cpus']} "
+                     f"workers) | {results['parallel_s']:.2f} s "
+                     f"| {results['parallel_speedup']:.2f}× |")
+    else:
+        lines.append(f"| Warm cache, `REPRO_JOBS=auto` | not measured "
+                     f"({results['parallel_skipped']}) | |")
+    return "\n".join(lines)
+
+
 def engine_table(results: dict) -> str:
     """Markdown scalar-vs-fast table of one results record."""
     seconds = {(row["figure"], row["engine"]): row["seconds"]
@@ -150,13 +175,19 @@ def engine_table(results: dict) -> str:
     return "\n".join(lines)
 
 
+def _splice(text: str, begin: str, end: str, body: str) -> str:
+    """``text`` with what lies between ``begin`` and ``end`` replaced."""
+    head, rest = text.split(begin, 1)
+    _, tail = rest.split(end, 1)
+    return f"{head}{begin}\n{body}\n{end}{tail}"
+
+
 def render_doc(results: dict) -> None:
-    """Rewrite the engine table in ``docs/performance.md``."""
-    text = DOC_PATH.read_text()
-    head, rest = text.split(TABLE_BEGIN, 1)
-    _, tail = rest.split(TABLE_END, 1)
-    DOC_PATH.write_text(f"{head}{TABLE_BEGIN}\n{engine_table(results)}\n"
-                        f"{TABLE_END}{tail}")
+    """Rewrite the fig6 and engine tables in ``docs/performance.md``."""
+    text = _splice(DOC_PATH.read_text(), FIG6_BEGIN, FIG6_END,
+                   fig6_table(results))
+    DOC_PATH.write_text(_splice(text, TABLE_BEGIN, TABLE_END,
+                                engine_table(results)))
 
 
 def _record(results: dict) -> None:

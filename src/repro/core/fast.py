@@ -51,7 +51,6 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..predictors.evaluate import _grouping_order, packed_history
 from ..predictors.ghr import BlockOutcomes
 from ..runtime import profile
 from ..targets.bit import BitCode
@@ -62,11 +61,13 @@ from .kernels import (
     CODE_COND_LONG,
     CompiledBlocks,
     WalkArrays,
+    _grouping_order,
     bank_conflicts,
     compile_fetch_input,
     decode_selector,
     encode_selector,
     lru_resident,
+    packed_history,
     replay_last_write,
     resolve_walks,
     scan_counters,

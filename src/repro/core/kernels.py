@@ -7,11 +7,11 @@ numpy arrays (:class:`CompiledBlocks`) and resolves whole runs at once:
 
 * every block's GHR value and PHT base index come straight from the
   trace (the architectural history is a pure function of the conditional
-  outcome stream — ``packed_history``);
-* every PHT counter read (the walks) and write (the training) is
-  resolved by one segmented clamped-shift scan
-  (:func:`~repro.predictors.evaluate._clamped_scan_transfers`), with
-  reads as identity transfers ordered before the same block's writes;
+  outcome stream — :func:`packed_history`);
+* every PHT counter write (the training) is resolved by one write scan
+  (:func:`scan_writes`: closed form for single-outcome slots, a
+  segmented clamped-shift scan for the rest), and every read (the
+  walks) by a binary search over those writes (:func:`scan_counters`);
 * the first-predicted-taken walk of every block is a handful of
   row-wise reductions over the packed ``uint8`` window matrix
   (:func:`resolve_walks`).
@@ -20,7 +20,10 @@ The compiled form is memoised on the ``FetchInput`` and persisted
 through the runtime cache (``<cache-dir>/compiled/``) when the input
 came from the workload registry.  :mod:`repro.core.fast` drives these
 kernels per engine; the scalar loops remain the readable ground truth
-and the parity suite keeps both bit-identical.
+and the parity suite keeps both bit-identical.  This module is the one
+vectorized counter layer: Figure 6's
+:func:`~repro.predictors.evaluate.direction_accuracy_sweep` runs on
+:func:`scan_writes` too.
 """
 
 from __future__ import annotations
@@ -34,13 +37,6 @@ from ..icache.geometry import CacheGeometry, SELF_ALIGNED
 from ..isa.kinds import InstrKind
 from ..isa.program import StaticCode
 from ..predictors.counters import COUNTER_MAX, COUNTER_MIN
-from ..predictors.evaluate import (
-    _NO_HI,
-    _NO_LO,
-    _clamped_scan_transfers,
-    _grouping_order,
-    packed_history,
-)
 from ..runtime import cache as disk_cache
 from ..runtime import profile
 from .config import FetchInput
@@ -281,8 +277,203 @@ def compile_fetch_input(fetch_input: FetchInput,
 
 
 # ----------------------------------------------------------------------
-# Batched counter-bank resolution (PHT reads interleaved with training)
+# Grouping and history streams
 # ----------------------------------------------------------------------
+
+def _grouping_order(slots: np.ndarray) -> np.ndarray:
+    """Stable argsort of a nonnegative integer array.
+
+    numpy's ``kind="stable"`` is an O(n) radix sort only for <=16-bit
+    dtypes, so keys below 2**16 sort as ``uint16`` and wide-but-bounded
+    keys (PHT slots) as two 16-bit LSD radix passes: stable-sort by the
+    low half, then stable-sort that order by the high half.
+    """
+    top = int(slots.max()) if len(slots) else 0
+    if top < (1 << 16):
+        return np.argsort(slots.astype(np.uint16), kind="stable")
+    if len(slots) < (1 << 14) or top >= (1 << 32):
+        return np.argsort(slots, kind="stable")
+    low = (slots & np.int64(0xFFFF)).astype(np.uint16)
+    high = (slots >> np.int64(16)).astype(np.uint16)
+    order = np.argsort(low, kind="stable")
+    return order[np.argsort(high[order], kind="stable")]
+
+
+def packed_history(outcomes: np.ndarray, history_length: int) -> np.ndarray:
+    """GHR value after each prefix of ``outcomes`` (newest bit in the LSB).
+
+    Returns an ``int64`` array of length ``len(outcomes) + 1`` whose entry
+    ``t`` is the register value once the first ``t`` outcomes have been
+    shifted in (entry 0 is the all-zeros cold register).
+    """
+    outcomes = np.asarray(outcomes, dtype=np.int64)
+    n = len(outcomes)
+    padded = np.zeros(n + history_length, dtype=np.int64)
+    padded[history_length:] = outcomes
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, history_length)[:n + 1]
+    weights = (np.int64(1) << np.arange(history_length - 1, -1, -1,
+                                        dtype=np.int64))
+    return windows @ weights
+
+
+# ----------------------------------------------------------------------
+# 2-bit counter scan (PHT training streams)
+# ----------------------------------------------------------------------
+#
+# A counter update is the clamped shift  s -> min(hi, max(lo, s + k)),
+# and clamped shifts compose into clamped shifts, so the state every
+# write finds falls out of an O(log n)-pass Hillis-Steele scan over the
+# writes grouped (stably) by slot.  :func:`scan_writes` is the one entry
+# point: the engines' :func:`scan_counters` and Figure 6's
+# ``direction_accuracy_sweep`` both resolve their writes through it.
+
+#: Sentinel clamp bounds that can never bind for a 2-bit counter.
+_NO_LO = np.int64(-8)
+_NO_HI = np.int64(8)
+
+
+@dataclass
+class WriteScan:
+    """A write stream grouped by slot, with every write's counter states.
+
+    Arrays are in grouped order: slots ascending, stream order within a
+    slot, so ``slot == slots[order]``.
+    """
+
+    order: np.ndarray      #: int64[m] stream index of each grouped write
+    slot: np.ndarray       #: int64[m]
+    taken: np.ndarray      #: bool[m]
+    seg_start: np.ndarray  #: bool[m] first write of its slot
+    before: np.ndarray     #: int8[m] state the write found (predicted from)
+    after: np.ndarray      #: int8[m] state the write left behind
+
+
+def scan_writes(counters: np.ndarray, slots: np.ndarray,
+                taken: np.ndarray) -> WriteScan:
+    """Replay a (slot, outcome) write stream over 2-bit counters.
+
+    Each slot starts from ``counters[slot]`` (cold or warm) and takes its
+    writes in stream order, exactly as a sequential ``counter_update``
+    loop.
+
+    A slot whose writes all share one outcome saturates monotonically:
+    from state ``s`` its write ``j`` (counting from 0) finds
+    ``min(3, s + j)`` (all taken) or ``max(0, s - j)`` (all not taken),
+    the bound itself from ``j = 3`` on.  Those slots are answered in
+    closed form and only the mixed ones go through the scan.
+    """
+    m = slots.shape[0]
+    order = _grouping_order(slots)
+    s_slot = slots[order]
+    s_taken = taken[order]
+    seg_start = np.ones(m, dtype=bool)
+    seg_start[1:] = s_slot[1:] != s_slot[:-1]
+    starts = np.flatnonzero(seg_start)
+    seg_len = np.diff(starts, append=m)
+    n_taken = np.add.reduceat(s_taken, starts, dtype=np.int64)
+    init = counters[s_slot[starts]].astype(np.int8)
+
+    # Closed form: the bound everywhere, then each slot's first writes
+    # (wrong for mixed slots, which the scan overwrites below).
+    before = np.where(s_taken, np.int8(COUNTER_MAX), np.int8(COUNTER_MIN))
+    step = np.where(n_taken > 0, np.int8(1), np.int8(-1))
+    for j in range(COUNTER_MAX - COUNTER_MIN):
+        reach = seg_len > j
+        before[starts[reach] + j] = np.clip(
+            init[reach] + step[reach] * np.int8(j), COUNTER_MIN, COUNTER_MAX)
+
+    mixed = (n_taken > 0) & (n_taken < seg_len)
+    if mixed.any():
+        sub = np.flatnonzero(np.repeat(mixed, seg_len))
+        before[sub] = _clamped_scan_transfers(
+            s_taken[sub], seg_start[sub],
+            np.repeat(init[mixed], seg_len[mixed]))
+
+    after = before + np.where(s_taken, np.int8(1), np.int8(-1))
+    np.clip(after, COUNTER_MIN, COUNTER_MAX, out=after)
+    return WriteScan(order=order, slot=s_slot, taken=s_taken,
+                     seg_start=seg_start, before=before, after=after)
+
+
+def _clamped_scan_transfers(taken: np.ndarray, seg_start: np.ndarray,
+                            init: np.ndarray) -> np.ndarray:
+    """Segmented clamped-shift scan over a grouped write stream.
+
+    ``taken`` holds the writes' outcomes grouped by slot, ``seg_start``
+    flags each slot's first write and ``init`` holds each write's slot's
+    starting state (constant within a segment).  Every segment has at
+    least two writes (single-outcome slots never get here).  Returns the
+    state each write found.
+    """
+    n = taken.shape[0]
+    # The composite over a window is again a clamped shift; its net shift
+    # is bounded by the window length, so int16 holds every composite for
+    # any segment shorter than 32k writes (int64 otherwise).
+    indices = np.arange(n, dtype=np.int64)
+    pos = indices - np.maximum.accumulate(
+        np.where(seg_start, indices, np.int64(0)))
+    max_pos = int(pos.max())
+    dtype = np.int16 if max_pos < 30000 else np.int64
+    # Per-write transfer as a clamped shift (k, lo, hi): taken -> s+1
+    # capped at COUNTER_MAX; not taken -> s-1 floored at COUNTER_MIN.
+    k = np.where(taken, dtype(1), dtype(-1))
+    lo = np.where(taken, dtype(_NO_LO), dtype(COUNTER_MIN))
+    hi = np.where(taken, dtype(COUNTER_MAX), dtype(_NO_HI))
+
+    # After the pass at distance d, element i's composite covers the
+    # writes [i-2d+1, i] clipped to its segment — so i participates in
+    # that pass iff pos[i] >= d, a static condition.  Keeping the
+    # triples sorted by descending position makes every pass's active
+    # set a contiguous prefix: the only random access left is gathering
+    # each element's partner at original distance d.
+    if dtype is np.int16:
+        by_pos = np.argsort((-pos).astype(np.int16), kind="stable")
+    else:
+        by_pos = np.argsort(-pos)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_pos] = indices
+    neg_sorted = -pos[by_pos]
+    k = k[by_pos]
+    lo = lo[by_pos]
+    hi = hi[by_pos]
+
+    distance = 1
+    while distance <= max_pos:
+        count = int(np.searchsorted(neg_sorted, -distance, side="right"))
+        partner = rank[by_pos[:count] - distance]
+        # Gathered copies of the earlier composite (1)...
+        pk = k[partner]
+        plo = lo[partner]
+        phi = hi[partner]
+        # ...composed in place with views of the later one (2):
+        # K = k1+k2, HI = min(hi2, max(lo2, hi1+k2)),
+        # LO = max(lo2, lo1+k2).  All reads of the active prefix happen
+        # before the writes below, so same-pass partners see the pass's
+        # input values, as Hillis-Steele requires.
+        ak = k[:count]
+        alo = lo[:count]
+        ahi = hi[:count]
+        phi += ak
+        np.maximum(phi, alo, out=phi)
+        np.minimum(phi, ahi, out=phi)
+        plo += ak
+        np.maximum(plo, alo, out=plo)
+        pk += ak
+        k[:count] = pk
+        lo[:count] = plo
+        hi[:count] = phi
+        distance *= 2
+
+    # Composites were reordered and restored by position; the per-write
+    # base is constant within a segment and indexed in grouped order.
+    base = init.astype(dtype)
+    after = np.minimum(hi[rank], np.maximum(lo[rank], base + k[rank]))
+    before = np.empty(n, dtype=dtype)
+    before[1:] = after[:-1]
+    before[seg_start] = base[seg_start]
+    return before
+
 
 def scan_counters(counters: np.ndarray,
                   read_blocks: np.ndarray, read_slots: np.ndarray,
@@ -295,59 +486,40 @@ def scan_counters(counters: np.ndarray,
     ``2*block + is_write`` — so the counter state a read observes is
     determined by the writes to its slot with a smaller time key.
     ``counters`` is a snapshot of the table (each slot starts from its
-    current state).
+    current state).  The write stream must arrive in block order
+    (``write_blocks`` nondecreasing, as the compiled cond arrays are), so
+    :func:`scan_writes`' stable grouping keeps each slot's writes in time
+    order.
 
-    Reads are pure observers, so only the write stream needs grouping
-    and the clamped saturating scan; each read then finds its preceding
-    same-slot write count with a binary search over the packed
-    ``slot * stride + time`` write keys — the read array itself is
-    never sorted or scattered.
+    Reads are pure observers: only the writes go through
+    :func:`scan_writes`, and each read then finds its preceding same-slot
+    write count with a binary search over the packed ``slot * stride +
+    time`` write keys — the read array itself is never sorted or
+    scattered.
 
     Returns ``(read_taken, final_slots, final_states)``: the taken
     prediction of every read (in input order) and the post-run state of
     every written slot (ascending), for write-back.
     """
-    n_r = len(read_slots)
-    n_w = len(write_slots)
-    if n_r + n_w == 0 or n_w == 0:
+    if len(write_slots) == 0:
         empty = np.zeros(0, dtype=np.int64)
-        reads = (counters[read_slots] >= TAKEN_MIN
-                 if n_r else np.zeros(0, dtype=bool))
-        return reads, empty, empty.copy()
+        return counters[read_slots] >= TAKEN_MIN, empty, empty.copy()
 
-    # Group writes by slot, time-ascending inside each group.  The
-    # write stream arrives in block order from the compiled cond
-    # arrays, so a stable grouping sort preserves time; fall back to a
-    # full (slot, time) sort if it is ever out of order.
-    if np.all(write_blocks[1:] >= write_blocks[:-1]):
-        wg = _grouping_order(write_slots)
-    else:
-        wg = np.lexsort((write_blocks, write_slots))
-    ws = write_slots[wg]
-    wb = write_blocks[wg]
-    wt = write_taken[wg]
-    w_start = np.empty(n_w, dtype=bool)
-    w_start[0] = True
-    w_start[1:] = ws[1:] != ws[:-1]
-    k = np.where(wt, 1, -1)
-    lo = np.where(wt, _NO_LO, np.int64(COUNTER_MIN))
-    hi = np.where(wt, np.int64(COUNTER_MAX), _NO_HI)
-    _, after_w = _clamped_scan_transfers(k, lo, hi, w_start,
-                                         counters[ws])
-
-    w_end = np.empty(n_w, dtype=bool)
-    w_end[:-1] = w_start[1:]
-    w_end[-1] = True
+    scan = scan_writes(counters, write_slots, write_taken)
+    ws = scan.slot
+    after_w = scan.after
+    w_end = np.append(scan.seg_start, True)[1:]
     final_slots = ws[w_end]
     final_states = after_w[w_end].astype(np.int64)
 
-    if n_r == 0:
+    if len(read_slots) == 0:
         return np.zeros(0, dtype=bool), final_slots, final_states
 
     # Packed search keys: stride past the largest time key so keys
     # ascend with (slot, time).  Reads use time 2*block, writes
     # 2*block + 1, so a read at block b observes only writes at blocks
     # strictly before b — exactly the scalar interleaving.
+    wb = write_blocks[scan.order]
     stride = 2 * np.int64(max(int(read_blocks.max()),
                               int(write_blocks.max()))) + 2
     wkey = ws * stride + 2 * wb + 1

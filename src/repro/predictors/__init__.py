@@ -13,11 +13,7 @@ from .evaluate import (
     DirectionResult,
     direction_accuracy_sweep,
     evaluate_blocked_direction,
-    evaluate_blocked_direction_vectorized,
     evaluate_scalar_direction,
-    evaluate_scalar_direction_vectorized,
-    packed_history,
-    simulate_counter_stream,
 )
 from .ghr import BlockOutcomes, GlobalHistory, pack_block_outcomes
 from .scalar import INDEX_GHR, INDEX_GSHARE, ScalarPHT
@@ -40,10 +36,6 @@ __all__ = [
     "direction_accuracy_sweep",
     "evaluate_bac_direction",
     "evaluate_blocked_direction",
-    "evaluate_blocked_direction_vectorized",
     "evaluate_scalar_direction",
-    "evaluate_scalar_direction_vectorized",
     "pack_block_outcomes",
-    "packed_history",
-    "simulate_counter_stream",
 ]

@@ -1,8 +1,9 @@
 """Unit tests for the vectorized fetch-engine kernels.
 
 Each kernel is locked against the scalar structure it compiles away:
-the selector encoding against ``BlockPrediction`` equality, the counter
-scan against saturating-counter replay, the batched walk against
+the selector encoding against ``BlockPrediction`` equality, the write
+scan and the read/write counter scan against saturating-counter
+replay, the batched walk against
 ``walk_block``, bank conflicts of pairs against ``blocks_conflict``, the
 LRU residency kernel against an ``OrderedDict`` set, and the
 compiled-arrays disk cache against a recompile.  The keyed last-write
@@ -28,6 +29,7 @@ from repro.core.kernels import (
     lru_resident,
     resolve_walks,
     scan_counters,
+    scan_writes,
 )
 from repro.core.selection import (
     SRC_ARRAY,
@@ -38,6 +40,7 @@ from repro.core.selection import (
 )
 from repro.icache import CacheGeometry
 from repro.icache.banks import blocks_conflict
+from repro.predictors.counters import COUNTER_MAX, counter_update
 from repro.workloads import load_fetch_input
 
 BUDGET = 5_000
@@ -77,6 +80,54 @@ def test_cold_selector_encodes_to_zero():
 # ----------------------------------------------------------------------
 # Counter scan
 # ----------------------------------------------------------------------
+
+def _check_scan_writes(counters, slots, taken):
+    """``scan_writes`` against ``counter_update`` applied in stream order."""
+    scan = scan_writes(np.array(counters, dtype=np.int64),
+                       np.array(slots, dtype=np.int64),
+                       np.array(taken, dtype=bool))
+    state = dict(enumerate(counters))
+    before, after = [], []
+    for slot, outcome in zip(slots, taken):
+        before.append(state[slot])
+        state[slot] = counter_update(state[slot], outcome)
+        after.append(state[slot])
+    # Grouped order: slots ascending, stream order inside each slot.
+    grouped = sorted(range(len(slots)), key=lambda i: (slots[i], i))
+    assert scan.order.tolist() == grouped
+    assert scan.before.tolist() == [before[i] for i in grouped]
+    assert scan.after.tolist() == [after[i] for i in grouped]
+
+
+def test_scan_writes_matches_counter_update():
+    # Every warm start state against all-taken, all-not-taken and mixed
+    # slots of 1-6 writes: single-outcome slots take the closed form and
+    # cross both saturation bounds, mixed ones go through the scan.
+    cases = []
+    for start in range(COUNTER_MAX + 1):
+        for length in range(1, 7):
+            half = (length + 1) // 2
+            cases += [(start, [True] * length), (start, [False] * length)]
+            if length > 1:
+                cases += [(start, [True] * half + [False] * (length - half)),
+                          (start, [False] * half + [True] * (length - half))]
+    for start, outcomes in cases:
+        _check_scan_writes([start], [0] * len(outcomes), outcomes)
+    # All cases at once, one slot each, writes interleaved round-robin.
+    counters = [start for start, _ in cases]
+    stream = sorted((step, slot, taken)
+                    for slot, (_, outcomes) in enumerate(cases)
+                    for step, taken in enumerate(outcomes))
+    _check_scan_writes(counters, [slot for _, slot, _ in stream],
+                       [taken for _, _, taken in stream])
+    # A random multi-slot stream over a random warm table.
+    rng = np.random.default_rng(5)
+    counters = rng.integers(0, COUNTER_MAX + 1, size=30).tolist()
+    slots = rng.integers(0, 30, size=1_500).tolist()
+    taken = (rng.random(1_500) < rng.choice([0.0, 0.5, 0.9, 1.0],
+                                            size=30)[slots]).tolist()
+    _check_scan_writes(counters, slots, taken)
+
 
 def _scalar_counter_replay(counters, reads, writes):
     """Replay (block-ordered, reads-before-writes) on plain ints."""

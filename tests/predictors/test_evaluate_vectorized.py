@@ -1,21 +1,32 @@
-"""Vectorized direction kernels are bit-exact with the reference loops."""
+"""The vectorized direction path is bit-exact with the reference loops.
+
+Figure 6's sweep builds each configuration's PHT slot stream with
+elementwise arithmetic and resolves every counter with the fetch
+engines' write scan (:func:`repro.core.kernels.scan_writes`).  These
+tests lock the stream helpers and that scan against the sequential
+evaluators: misprediction counts and final counter tables.
+"""
 
 import numpy as np
 import pytest
 
+from repro.core.kernels import _grouping_order, packed_history, scan_writes
 from repro.icache import CacheGeometry
 from repro.predictors import (
+    COUNTER_INIT,
     BlockedPHT,
+    DirectionResult,
     ScalarPHT,
     direction_accuracy_sweep,
     evaluate_blocked_direction,
-    evaluate_blocked_direction_vectorized,
     evaluate_scalar_direction,
-    evaluate_scalar_direction_vectorized,
-    packed_history,
-    simulate_counter_stream,
 )
-from repro.predictors.evaluate import _grouping_order
+from repro.predictors.evaluate import (
+    _block_sampling,
+    _blocked_slots_from,
+    _cond_streams,
+    _scalar_slots,
+)
 from repro.workloads import load_fetch_input
 
 BUDGET = 8_000
@@ -59,10 +70,22 @@ class TestGroupingOrder:
             _grouping_order(slots), np.argsort(slots, kind="stable"))
 
 
+def _replay(slots, taken, counters):
+    """Scan a write stream from ``counters`` (a predictor's backing
+    list), write the final states back and return the mispredicts."""
+    scan = scan_writes(np.asarray(counters, dtype=np.int64),
+                       np.asarray(slots, dtype=np.int64),
+                       np.asarray(taken, dtype=bool))
+    last = np.append(scan.seg_start, True)[1:]
+    for slot, state in zip(scan.slot[last].tolist(),
+                           scan.after[last].tolist()):
+        counters[slot] = state
+    return int(np.count_nonzero((scan.before >= 2) != scan.taken))
+
+
 class TestCounterStream:
     def _reference(self, slots, taken):
-        from repro.predictors.counters import (COUNTER_INIT,
-                                               counter_predicts_taken,
+        from repro.predictors.counters import (counter_predicts_taken,
                                                counter_update)
 
         counters = {}
@@ -78,23 +101,26 @@ class TestCounterStream:
         rng = np.random.default_rng(3)
         slots = rng.integers(0, 40, size=2_000)
         taken = rng.random(2_000) < 0.7
-        wrong, finals = simulate_counter_stream(slots, taken)
+        counters = [COUNTER_INIT] * 40
+        wrong = _replay(slots, taken, counters)
         ref_wrong, ref_finals = self._reference(slots.tolist(),
                                                 taken.tolist())
         assert wrong == ref_wrong
-        assert finals == ref_finals
+        assert {slot: counters[slot] for slot in ref_finals} == ref_finals
 
     def test_writes_back_into_counters(self):
-        slots = np.array([0, 0, 2, 2, 2])
-        taken = np.array([True, True, False, False, False])
-        counters = [2, 2, 2]
-        simulate_counter_stream(slots, taken, counters)
-        assert counters == [3, 2, 0]
+        # Warm slots: 0 climbs from 0, 2 falls from 3; 1 is untouched.
+        slots = np.array([0, 0, 2, 2])
+        taken = np.array([True, True, False, False])
+        counters = [0, 2, 3]
+        _replay(slots, taken, counters)
+        assert counters == [2, 2, 1]
 
     def test_empty_stream(self):
-        wrong, finals = simulate_counter_stream(np.array([], dtype=int),
-                                                np.array([], dtype=bool))
-        assert (wrong, finals) == (0, {})
+        counters = [1, 3]
+        wrong = _replay(np.array([], dtype=int), np.array([], dtype=bool),
+                        counters)
+        assert (wrong, counters) == (0, [1, 3])
 
 
 class TestEvaluatorEquivalence:
@@ -102,20 +128,27 @@ class TestEvaluatorEquivalence:
     def test_scalar_bit_exact(self, fetch_input, h):
         ref_pht = ScalarPHT(history_length=h, n_tables=8)
         ref = evaluate_scalar_direction(fetch_input.trace, ref_pht)
+        pcs, outcomes = _cond_streams(fetch_input.trace)
         vec_pht = ScalarPHT(history_length=h, n_tables=8)
-        vec = evaluate_scalar_direction_vectorized(fetch_input.trace,
-                                                   vec_pht)
-        assert vec == ref
+        # GHR before conditional t = first t outcomes shifted in.
+        slots = _scalar_slots(pcs, packed_history(outcomes, h)[:-1],
+                              vec_pht)
+        wrong = _replay(slots, outcomes, vec_pht._counters)
+        assert DirectionResult(n_cond=len(pcs), mispredicts=wrong) == ref
         assert vec_pht._counters == ref_pht._counters
 
     @pytest.mark.parametrize("h", HISTORIES)
     def test_blocked_bit_exact(self, fetch_input, h):
         ref_pht = BlockedPHT(history_length=h, block_width=8)
         ref = evaluate_blocked_direction(fetch_input.blocks, ref_pht)
+        pcs, outcomes = _cond_streams(fetch_input.trace)
         vec_pht = BlockedPHT(history_length=h, block_width=8)
-        vec = evaluate_blocked_direction_vectorized(fetch_input.blocks,
-                                                    vec_pht)
-        assert vec == ref
+        lines, shifts = _block_sampling(fetch_input.blocks)
+        slots = _blocked_slots_from(vec_pht, pcs,
+                                    packed_history(outcomes, h), lines,
+                                    shifts)
+        wrong = _replay(slots, outcomes, vec_pht._counters)
+        assert DirectionResult(n_cond=len(pcs), mispredicts=wrong) == ref
         assert vec_pht._counters == ref_pht._counters
 
     def test_batched_sweep_matches_reference(self, fetch_input):

@@ -16,9 +16,12 @@ numpy arrays (:class:`CompiledBlocks`) and resolves whole runs at once:
   row-wise reductions over the packed ``uint8`` window matrix
   (:func:`resolve_walks`).
 
-The compiled form is memoised on the ``FetchInput`` and persisted
-through the runtime cache (``<cache-dir>/compiled/``) when the input
-came from the workload registry.  :mod:`repro.core.fast` drives these
+The near-block flag changes only the BIT encoding, so the compiled
+form is one read-only, near-block-independent base per ``FetchInput``
+(memoised on it, and persisted through the runtime cache as one
+``<cache-dir>/compiled/`` artifact when the input came from the
+workload registry) plus a per-flag ``window``/``code_of_addr`` pair
+rebuilt on demand and never stored.  :mod:`repro.core.fast` drives these
 kernels per engine; the scalar loops remain the readable ground truth
 and the parity suite keeps both bit-identical.  This module is the one
 vectorized counter layer: Figure 6's
@@ -39,6 +42,7 @@ from ..isa.program import StaticCode
 from ..predictors.counters import COUNTER_MAX, COUNTER_MIN
 from ..runtime import cache as disk_cache
 from ..runtime import profile
+from ..trace.blocks import BlockStream
 from .config import FetchInput
 from .selection import SRC_ARRAY, SRC_FALLTHROUGH, SRC_NEAR, SRC_RAS
 
@@ -102,7 +106,9 @@ class CompiledBlocks:
     All per-block arrays have one entry per fetch block, in fetch order;
     the conditional arrays are the trace's conditional-branch stream.
     ``window`` holds each block's true BIT codes padded with non-branch
-    beyond the geometry limit, so row-wise kernels need no masks.
+    beyond the geometry limit, so row-wise kernels need no masks.  Only
+    ``window`` and ``code_of_addr`` depend on ``near_block``: the two
+    views of one fetch input share every other array (read-only).
     """
 
     near_block: bool
@@ -126,61 +132,43 @@ class CompiledBlocks:
     cond_pos: np.ndarray     #: int64[m] pc % block_width
     cond_taken: np.ndarray   #: bool[m]
 
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Array payload for the persistent cache."""
-        return {
-            "start": self.start, "limit": self.limit,
-            "n_instr": self.n_instr, "exit_kind": self.exit_kind,
-            "exit_target": self.exit_target, "exit_pc": self.exit_pc,
-            "exit_direct": self.exit_direct, "act_exit": self.act_exit,
-            "line0": self.line0, "window": self.window,
-            "code_of_addr": self.code_of_addr,
-            "conds_before": self.conds_before, "n_conds": self.n_conds,
-            "cond_block": self.cond_block, "cond_pos": self.cond_pos,
-            "cond_taken": self.cond_taken,
-        }
 
-    @classmethod
-    def from_arrays(cls, data, near_block: bool) -> "CompiledBlocks":
-        """Rebuild from :meth:`to_arrays` output (or a loaded ``.npz``)."""
-        start = np.asarray(data["start"], dtype=np.int64)
-        exit_kind = np.asarray(data["exit_kind"], dtype=np.int64)
-        return cls(
-            near_block=near_block,
-            n_blocks=len(start),
-            start=start,
-            limit=np.asarray(data["limit"], dtype=np.int64),
-            n_instr=np.asarray(data["n_instr"], dtype=np.int64),
-            exit_kind=exit_kind,
-            exit_target=np.asarray(data["exit_target"], dtype=np.int64),
-            has_exit=(exit_kind != 0) & (exit_kind != K_HALT),
-            is_halt=exit_kind == K_HALT,
-            exit_pc=np.asarray(data["exit_pc"], dtype=np.int64),
-            exit_direct=np.asarray(data["exit_direct"], dtype=np.int64),
-            act_exit=np.asarray(data["act_exit"], dtype=np.int64),
-            line0=np.asarray(data["line0"], dtype=np.int64),
-            window=np.asarray(data["window"], dtype=np.uint8),
-            code_of_addr=np.asarray(data["code_of_addr"], dtype=np.uint8),
-            conds_before=np.asarray(data["conds_before"], dtype=np.int64),
-            n_conds=np.asarray(data["n_conds"], dtype=np.int64),
-            cond_block=np.asarray(data["cond_block"], dtype=np.int64),
-            cond_pos=np.asarray(data["cond_pos"], dtype=np.int64),
-            cond_taken=np.asarray(data["cond_taken"], dtype=bool),
-        )
+#: Base arrays the ``compiled/`` artifact persists, with their in-memory
+#: dtypes.  The rest of the base is the ``BlockStream``'s own arrays
+#: (``start``, ``n_instr``, ``exit_target``) or derives from its
+#: ``exit_kind`` (``has_exit``, ``is_halt``).
+STORED_DTYPES = {
+    "limit": np.int64, "exit_pc": np.int64, "exit_direct": np.int64,
+    "act_exit": np.int64, "line0": np.int64, "conds_before": np.int64,
+    "n_conds": np.int64, "cond_block": np.int64, "cond_pos": np.int64,
+    "cond_taken": bool,
+}
 
 
-def _compile(fetch_input: FetchInput, near_block: bool) -> CompiledBlocks:
-    """Build the structure-of-arrays form of one fetch input."""
+def _stream_arrays(blocks: BlockStream) -> Dict[str, np.ndarray]:
+    """Base arrays taken from the block stream (int64 ones by reference)."""
+    exit_kind = blocks.exit_kind.astype(np.int64)
+    return {
+        "start": np.asarray(blocks.start, dtype=np.int64),
+        "n_instr": np.asarray(blocks.n_instr, dtype=np.int64),
+        "exit_kind": exit_kind,
+        "exit_target": np.asarray(blocks.exit_target, dtype=np.int64),
+        "has_exit": (exit_kind != 0) & (exit_kind != K_HALT),
+        "is_halt": exit_kind == K_HALT,
+    }
+
+
+def _stored_arrays(fetch_input: FetchInput,
+                   stream: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Compute the :data:`STORED_DTYPES` arrays of one fetch input."""
     blocks = fetch_input.blocks
     geometry = fetch_input.geometry
     trace = fetch_input.trace
     width = geometry.block_width
     line_size = geometry.line_size
-
-    start = blocks.start.astype(np.int64)
-    n_instr = blocks.n_instr.astype(np.int64)
-    exit_kind = blocks.exit_kind.astype(np.int64)
-    exit_target = blocks.exit_target.astype(np.int64)
+    start = stream["start"]
+    n_instr = stream["n_instr"]
+    has_exit = stream["has_exit"]
     n = len(start)
 
     if geometry.kind == SELF_ALIGNED:
@@ -189,27 +177,15 @@ def _compile(fetch_input: FetchInput, near_block: bool) -> CompiledBlocks:
         room = line_size - start % line_size
         limit = np.minimum(room, width)
 
-    has_exit = (exit_kind != 0) & (exit_kind != K_HALT)
-    is_halt = exit_kind == K_HALT
     exit_pc = np.where(has_exit, start + n_instr - 1, np.int64(-1))
-    act_exit = np.where(has_exit | is_halt,
+    act_exit = np.where(has_exit | stream["is_halt"],
                         np.where(has_exit, n_instr - 1, FAR), FAR)
 
-    code_of_addr = encode_static_codes(fetch_input.static, line_size,
-                                       near_block)
-    n_static = len(code_of_addr)
     direct = np.asarray(fetch_input.static.direct_target,
                         dtype=np.int64)
     exit_direct = np.full(n, -1, dtype=np.int64)
-    known = has_exit & (exit_pc < n_static)
+    known = has_exit & (exit_pc < len(direct))
     exit_direct[known] = direct[exit_pc[known]]
-
-    cols = np.arange(width, dtype=np.int64)
-    addrs = start[:, None] + cols[None, :]
-    window = np.zeros((n, width), dtype=np.uint8)
-    in_text = addrs < n_static
-    window[in_text] = code_of_addr[addrs[in_text]]
-    window[cols[None, :] >= limit[:, None]] = CODE_NONBRANCH
 
     # Conditional stream: record windows partition the trace, so the
     # per-block conds are the global conditional stream split by the
@@ -218,33 +194,94 @@ def _compile(fetch_input: FetchInput, near_block: bool) -> CompiledBlocks:
     cond_prefix = np.zeros(len(cond_mask) + 1, dtype=np.int64)
     np.cumsum(cond_mask, out=cond_prefix[1:])
     cond_pc = trace.pc[cond_mask].astype(np.int64)
-    cond_taken = trace.taken[cond_mask].astype(bool)
     first_rec = blocks.first_rec.astype(np.int64)
     n_recs = blocks.n_recs.astype(np.int64)
     conds_before = cond_prefix[first_rec]
     n_conds = cond_prefix[first_rec + n_recs] - conds_before
-    cond_block = np.repeat(np.arange(n, dtype=np.int64), n_conds)
 
-    return CompiledBlocks(
-        near_block=near_block, n_blocks=n, start=start, limit=limit,
-        n_instr=n_instr, exit_kind=exit_kind, exit_target=exit_target,
-        has_exit=has_exit, is_halt=is_halt, exit_pc=exit_pc,
-        exit_direct=exit_direct, act_exit=act_exit,
-        line0=start // line_size, window=window,
-        code_of_addr=code_of_addr, conds_before=conds_before,
-        n_conds=n_conds, cond_block=cond_block,
-        cond_pos=cond_pc % width, cond_taken=cond_taken,
-    )
+    return {
+        "limit": limit, "exit_pc": exit_pc, "exit_direct": exit_direct,
+        "act_exit": act_exit, "line0": start // line_size,
+        "conds_before": conds_before, "n_conds": n_conds,
+        "cond_block": np.repeat(np.arange(n, dtype=np.int64), n_conds),
+        "cond_pos": cond_pc % width,
+        "cond_taken": trace.taken[cond_mask].astype(bool),
+    }
+
+
+def _frozen(base: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Read-only views of ``base``: both flags' views share them."""
+    views = {}
+    for key, array in base.items():
+        view = array.view()
+        view.setflags(write=False)
+        views[key] = view
+    return views
+
+
+def _compile_base(fetch_input: FetchInput) -> Dict[str, np.ndarray]:
+    """Every near-block-independent array of one fetch input."""
+    stream = _stream_arrays(fetch_input.blocks)
+    return _frozen({**stream, **_stored_arrays(fetch_input, stream)})
+
+
+def _view(base: Dict[str, np.ndarray], fetch_input: FetchInput,
+          near_block: bool) -> CompiledBlocks:
+    """``base`` plus the BIT window of one near-block flag."""
+    width = fetch_input.geometry.block_width
+    code_of_addr = encode_static_codes(
+        fetch_input.static, fetch_input.geometry.line_size, near_block)
+    n_static = len(code_of_addr)
+    start = base["start"]
+    cols = np.arange(width, dtype=np.int64)
+    addrs = start[:, None] + cols[None, :]
+    window = np.zeros((len(start), width), dtype=np.uint8)
+    in_text = addrs < n_static
+    window[in_text] = code_of_addr[addrs[in_text]]
+    window[cols[None, :] >= base["limit"][:, None]] = CODE_NONBRANCH
+    return CompiledBlocks(near_block=near_block, n_blocks=len(start),
+                          window=window, code_of_addr=code_of_addr,
+                          **base)
+
+
+def _compile(fetch_input: FetchInput, near_block: bool) -> CompiledBlocks:
+    """Build the structure-of-arrays form of one fetch input afresh."""
+    return _view(_compile_base(fetch_input), fetch_input, near_block)
+
+
+def _load_base(fetch_input: FetchInput) -> Dict[str, np.ndarray]:
+    """The base of ``fetch_input``: from disk when cached, else compiled.
+
+    Inputs loaded through the workload registry carry a ``cache_key``
+    and persist their :data:`STORED_DTYPES` arrays under
+    ``<cache-dir>/compiled/``; the loader casts them back to their
+    in-memory dtypes.
+    """
+    key = getattr(fetch_input, "cache_key", None)
+    if key is None:
+        return _compile_base(fetch_input)
+    name, budget, digest = key
+    n_records = fetch_input.trace.n_records
+    data = disk_cache.load_compiled(name, budget, fetch_input.geometry,
+                                    digest, n_records)
+    stream = _stream_arrays(fetch_input.blocks)
+    if data is not None and len(data["limit"]) == len(stream["start"]):
+        return _frozen({**stream, **{
+            field: np.asarray(data[field], dtype=dtype)
+            for field, dtype in STORED_DTYPES.items()}})
+    stored = _stored_arrays(fetch_input, stream)  # miss or stale artifact
+    disk_cache.store_compiled(stored, name, budget, fetch_input.geometry,
+                              digest, n_records)
+    return _frozen({**stream, **stored})
 
 
 def compile_fetch_input(fetch_input: FetchInput,
                         near_block: bool) -> CompiledBlocks:
     """Compiled form of ``fetch_input``, memoised and disk-cached.
 
-    The in-process memo lives on the ``FetchInput`` itself (keyed by the
-    near-block flag, the only config knob that changes the compiled
-    arrays).  Inputs loaded through the workload registry additionally
-    carry a ``cache_key`` and persist under ``<cache-dir>/compiled/``.
+    One near-block-independent base is memoised on the ``FetchInput``
+    (and persisted, see :func:`_load_base`); each flag's view adds its
+    own ``window`` and ``code_of_addr`` and is memoised beside it.
     """
     memo = getattr(fetch_input, "_compiled", None)
     if memo is None:
@@ -254,25 +291,10 @@ def compile_fetch_input(fetch_input: FetchInput,
     if compiled is not None:
         return compiled
     with profile.phase("compile"):
-        key = getattr(fetch_input, "cache_key", None)
-        if key is not None:
-            name, budget, digest = key
-            data = disk_cache.load_compiled(
-                name, budget, fetch_input.geometry, near_block, digest,
-                fetch_input.trace.n_records)
-            if data is not None:
-                compiled = CompiledBlocks.from_arrays(data, near_block)
-                if compiled.n_blocks != fetch_input.blocks.n_blocks:
-                    compiled = None  # stale artifact; recompile
-        if compiled is None:
-            compiled = _compile(fetch_input, near_block)
-            if key is not None:
-                name, budget, digest = key
-                disk_cache.store_compiled(
-                    compiled.to_arrays(), name, budget,
-                    fetch_input.geometry, near_block, digest,
-                    fetch_input.trace.n_records)
-    memo[near_block] = compiled
+        base = memo.get("base")
+        if base is None:
+            base = memo["base"] = _load_base(fetch_input)
+        compiled = memo[near_block] = _view(base, fetch_input, near_block)
     return compiled
 
 

@@ -18,7 +18,6 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from ..core.kernels import TAKEN_MIN, packed_history, scan_writes
 from ..icache.geometry import CacheGeometry
 from ..isa.kinds import InstrKind
 from ..trace.blocks import BlockStream
@@ -209,6 +208,10 @@ def direction_accuracy_sweep(
     rather than once per configuration.  Bit-exact with running the
     sequential evaluators once per history length.
     """
+    # Imported here: ``repro.core`` loads every engine, which a caller
+    # of the predictors alone should not pay for.
+    from ..core.kernels import TAKEN_MIN, packed_history, scan_writes
+
     hs = list(history_lengths)
     pcs, outcomes = _cond_streams(trace)
     n_cond = len(pcs)

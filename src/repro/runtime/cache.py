@@ -17,9 +17,11 @@ Layout and keying:
   ``<version>`` is :data:`repro.trace.record.CAPTURE_VERSION`, so
   artifacts from an older capture pipeline are never served.
 * Segmentations: ``blocks/<name>-<budget>-<geometry>-<digest>.npz``.
-* Compiled engine inputs (structure-of-arrays block streams for the
-  vectorized kernels):
-  ``compiled/<name>-<budget>-<geometry>-nb<0|1>-<digest>.npz``.
+* Compiled engine inputs (the near-block-independent arrays of the
+  vectorized kernels' structure-of-arrays block streams, one artifact
+  for both near-block views; the per-flag BIT windows are rebuilt on
+  load and never stored):
+  ``compiled/<name>-<budget>-<geometry>-<digest>.npz``.
 * Stored width: every writer passes its arrays through :func:`narrow`,
   which keeps each non-empty integer array in the narrowest of
   uint8/int8/uint16/int16/uint32/int32 that holds its values, so zlib
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import shutil
 import warnings
 import zipfile
@@ -81,6 +84,12 @@ ORPHAN_KERNELS = "compiled/kernels"
 #: wrote under ``traces/``; nothing reads them any more, so
 #: :func:`evict` ranks them with :data:`ORPHAN_KERNELS`.
 ORPHAN_TRACE_SUFFIX = ".chunks"
+
+#: Name part of the per-near-block-flag compilations earlier versions
+#: wrote under ``compiled/`` (``-nb0-``/``-nb1-`` before the digest);
+#: nothing reads them any more, so :func:`evict` ranks them with
+#: :data:`ORPHAN_KERNELS`.
+ORPHAN_COMPILED = re.compile(r"-nb[01]-[0-9a-f]+\.npz$")
 
 #: Values of ``REPRO_CACHE_DIR`` that disable the disk cache.
 _DISABLED = {"", "0", "off", "none", "disable", "disabled"}
@@ -169,11 +178,9 @@ def _blocks_path(root: Path, name: str, budget: int,
 
 
 def _compiled_path(root: Path, name: str, budget: int,
-                   geometry: CacheGeometry, near_block: bool,
-                   digest: str) -> Path:
+                   geometry: CacheGeometry, digest: str) -> Path:
     return (root / "compiled" /
-            f"{name}-{budget}-{_geometry_key(geometry)}"
-            f"-nb{int(bool(near_block))}-{digest}.npz")
+            f"{name}-{budget}-{_geometry_key(geometry)}-{digest}.npz")
 
 
 # ----------------------------------------------------------------------
@@ -415,9 +422,8 @@ def store_blocks(blocks: BlockStream, name: str, budget: int,
 # ----------------------------------------------------------------------
 
 def load_compiled(name: str, budget: int, geometry: CacheGeometry,
-                  near_block: bool, digest: str,
-                  n_records: int) -> Optional[dict]:
-    """Read a cached kernel compilation as a dict of arrays.
+                  digest: str, n_records: int) -> Optional[dict]:
+    """Read a cached kernel compilation base as a dict of arrays.
 
     Returns ``None`` on a miss, on a quarantined file, or when the
     artifact was compiled from a trace with a different record count
@@ -426,7 +432,7 @@ def load_compiled(name: str, budget: int, geometry: CacheGeometry,
     root = cache_dir()
     if root is None:
         return None
-    path = _compiled_path(root, name, budget, geometry, near_block, digest)
+    path = _compiled_path(root, name, budget, geometry, digest)
 
     def load(source: Path) -> Optional[dict]:
         with np.load(source) as data:
@@ -439,13 +445,13 @@ def load_compiled(name: str, budget: int, geometry: CacheGeometry,
 
 
 def store_compiled(arrays: dict, name: str, budget: int,
-                   geometry: CacheGeometry, near_block: bool,
-                   digest: str, n_records: int) -> None:
+                   geometry: CacheGeometry, digest: str,
+                   n_records: int) -> None:
     """Persist a kernel compilation (no-op when the cache is disabled)."""
     root = cache_dir()
     if root is None:
         return
-    path = _compiled_path(root, name, budget, geometry, near_block, digest)
+    path = _compiled_path(root, name, budget, geometry, digest)
 
     def save(tmp: Path) -> None:
         save_narrow(tmp, n_records=np.int64(n_records), **arrays)
@@ -462,11 +468,11 @@ def purge() -> int:
 
     Covers traces, segmentations, quarantined files, checksum sidecars,
     sweep journals and the orphans (:data:`ORPHAN_KERNELS`,
-    :data:`ORPHAN_TRACE_SUFFIX` containers).  Only this module's own
-    subdirectories are touched, so an unrelated ``REPRO_CACHE_DIR``
-    cannot lose foreign files.  Sidecars are deleted but not counted —
-    the return value is the number of artifacts, matching pre-checksum
-    behaviour.
+    :data:`ORPHAN_TRACE_SUFFIX` containers, :data:`ORPHAN_COMPILED`
+    compilations).  Only this module's own subdirectories are touched,
+    so an unrelated ``REPRO_CACHE_DIR`` cannot lose foreign files.
+    Sidecars are deleted but not counted — the return value is the
+    number of artifacts, matching pre-checksum behaviour.
     """
     root = cache_dir()
     if root is None:
@@ -502,10 +508,10 @@ def evict(limit: Optional[int] = None) -> int:
 
     ``limit`` defaults to ``REPRO_CACHE_MAX_BYTES`` (4 GiB unless set;
     ``off`` disables the bound).  Quarantined files,
-    :data:`ORPHAN_KERNELS` and :data:`ORPHAN_TRACE_SUFFIX` containers
-    are evicted first — nothing reads them — then traces and
-    segmentations by oldest modification time.  Returns the
-    number of artifacts removed.
+    :data:`ORPHAN_KERNELS`, :data:`ORPHAN_TRACE_SUFFIX` containers and
+    :data:`ORPHAN_COMPILED` compilations are evicted first — nothing
+    reads them — then traces, segmentations and compilations by oldest
+    modification time.  Returns the number of artifacts removed.
     """
     root = cache_dir()
     if root is None:
@@ -538,7 +544,8 @@ def evict(limit: Optional[int] = None) -> int:
                 except OSError:
                     pass
             total += size
-            orphan = path.suffix == ORPHAN_TRACE_SUFFIX
+            orphan = (path.suffix == ORPHAN_TRACE_SUFFIX
+                      or ORPHAN_COMPILED.search(path.name) is not None)
             entries.append((0 if orphan else rank, stat.st_mtime, path,
                             size))
 

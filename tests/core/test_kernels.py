@@ -5,23 +5,29 @@ the selector encoding against ``BlockPrediction`` equality, the write
 scan and the read/write counter scan against saturating-counter
 replay, the batched walk against
 ``walk_block``, bank conflicts of pairs against ``blocks_conflict``, the
-LRU residency kernel against an ``OrderedDict`` set, and the
-compiled-arrays disk cache against a recompile.  The keyed last-write
+LRU residency kernel against an ``OrderedDict`` set, and both
+near-block views of the compiled arrays (one shared, read-only base,
+one persisted artifact) against a fresh compile.  The keyed last-write
 replay is locked in ``tests/core/test_backends.py``.
 """
 
+import dataclasses
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import kernels
+from repro.core.config import FetchInput
 from repro.core.kernels import (
     CODE_COND_LONG,
     CODE_NONBRANCH,
     CODE_OTHER,
     CODE_RETURN,
+    STORED_DTYPES,
     CompiledBlocks,
+    _compile,
     bank_conflicts,
     compile_fetch_input,
     decode_selector,
@@ -272,7 +278,91 @@ def test_compile_is_memoised_per_input():
     assert near is not a
 
 
-def test_compiled_arrays_roundtrip_through_disk_cache():
+#: Every near-block-independent field: shared by both flags' views.
+BASE_FIELDS = [field.name for field in dataclasses.fields(CompiledBlocks)
+               if field.name not in ("near_block", "n_blocks", "window",
+                                     "code_of_addr")]
+
+
+def _fresh(fetch_input):
+    """A memo-free copy of ``fetch_input`` under the same cache key."""
+    copy = FetchInput(trace=fetch_input.trace, static=fetch_input.static,
+                      geometry=fetch_input.geometry,
+                      blocks=fetch_input.blocks)
+    copy.cache_key = fetch_input.cache_key
+    return copy
+
+
+def _forbid_recompile(monkeypatch):
+    """Make a base that misses the disk cache fail the test."""
+    def no_recompile(*args):
+        raise AssertionError("warm base was recompiled")
+    monkeypatch.setattr(kernels, "_stored_arrays", no_recompile)
+
+
+def _compiled_files(root):
+    return sorted((root / "compiled").glob("*.npz"))
+
+
+@pytest.mark.parametrize("order", [(False, True), (True, False)],
+                         ids=["far-first", "near-first"])
+@pytest.mark.parametrize("geometry", GEOMETRIES,
+                         ids=["normal", "extend", "align"])
+def test_views_match_fresh_compile(geometry, order, tmp_path, monkeypatch):
+    """Both views equal a fresh ``_compile``, cold (compiled and stored)
+    and warm (base loaded from the one artifact, windows rebuilt)."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    source = load_fetch_input("go", geometry, BUDGET)
+    expect = {flag: _compile(source, flag) for flag in (False, True)}
+    assert not _compiled_files(tmp_path)
+    for phase in ("cold", "warm"):
+        if phase == "warm":
+            _forbid_recompile(monkeypatch)
+        fetch_input = _fresh(source)
+        for flag in order:
+            compiled = compile_fetch_input(fetch_input, flag)
+            assert compiled.near_block is flag
+            _assert_same_compiled(compiled, expect[flag])
+        artifact, = _compiled_files(tmp_path)
+        assert "-nb" not in artifact.name
+
+
+@pytest.mark.parametrize("phase", ["cold", "warm"])
+def test_views_share_every_base_array(phase, tmp_path, monkeypatch):
+    """Only the window and its code map are per flag; the base aliases
+    the block stream's int64 arrays instead of copying them."""
+    assert len(BASE_FIELDS) == 16
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    fetch_input = _fresh(load_fetch_input("compress",
+                                          CacheGeometry.normal(8), BUDGET))
+    if phase == "warm":
+        compile_fetch_input(fetch_input, False)
+        _forbid_recompile(monkeypatch)
+        fetch_input = _fresh(fetch_input)
+    far = compile_fetch_input(fetch_input, near_block=False)
+    near = compile_fetch_input(fetch_input, near_block=True)
+    for field in BASE_FIELDS:
+        assert np.shares_memory(getattr(far, field), getattr(near, field)), \
+            field
+    assert not np.shares_memory(far.window, near.window)
+    for field in ("start", "n_instr", "exit_target"):
+        assert np.shares_memory(getattr(far, field),
+                                getattr(fetch_input.blocks, field)), field
+
+
+def test_base_arrays_are_read_only():
+    """A write through one view cannot corrupt the other flag's cells."""
+    fetch_input = load_fetch_input("compress", CacheGeometry.normal(8),
+                                   BUDGET)
+    compiled = compile_fetch_input(fetch_input, near_block=True)
+    for field in BASE_FIELDS:
+        array = getattr(compiled, field)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    assert compile_fetch_input(fetch_input, False).window.flags.writeable
+
+
+def test_compiled_arrays_roundtrip_through_disk_cache(monkeypatch):
     from repro.runtime import cache as disk_cache
 
     geometry = CacheGeometry.extended(8)
@@ -281,15 +371,24 @@ def test_compiled_arrays_roundtrip_through_disk_cache():
     name, budget, digest = fetch_input.cache_key
     compiled = compile_fetch_input(fetch_input, near_block=False)
 
-    data = disk_cache.load_compiled(name, budget, geometry, False, digest,
+    data = disk_cache.load_compiled(name, budget, geometry, digest,
                                     fetch_input.trace.n_records)
     assert data is not None
+    # One artifact for both flags: no window, nothing the segmentation
+    # already stores.
+    assert set(data) == set(STORED_DTYPES)
     # Stored narrow, except act_exit: its FAR sentinel needs int64.
-    assert data["start"].dtype == np.uint16
     assert data["exit_pc"].dtype == np.int16
     assert data["act_exit"].dtype == np.int64
-    loaded = CompiledBlocks.from_arrays(data, near_block=False)
-    _assert_same_compiled(loaded, compiled)
+    # ``start`` is stored once, narrow, with the segmentation.
+    with np.load(disk_cache._blocks_path(disk_cache.cache_dir(), name,
+                                         budget, geometry, digest)) as raw:
+        assert raw["start"].dtype == np.uint16
+    expect = {flag: _compile(fetch_input, flag) for flag in (False, True)}
+    _forbid_recompile(monkeypatch)
+    warm = _fresh(fetch_input)
+    for flag in (False, True):
+        _assert_same_compiled(compile_fetch_input(warm, flag), expect[flag])
 
 
 def _assert_same_compiled(loaded, compiled):
@@ -304,7 +403,7 @@ def _assert_same_compiled(loaded, compiled):
             assert original == restored, field
 
 
-def test_int64_compiled_artifact_loads_bit_identically():
+def test_int64_compiled_artifact_loads_bit_identically(monkeypatch):
     """An all-int64 artifact of earlier versions still loads exactly."""
     from repro.runtime import cache as disk_cache
 
@@ -313,18 +412,24 @@ def test_int64_compiled_artifact_loads_bit_identically():
     name, budget, digest = fetch_input.cache_key
     compiled = compile_fetch_input(fetch_input, near_block=True)
     path = disk_cache._compiled_path(disk_cache.cache_dir(), name, budget,
-                                     geometry, True, digest)
-    legacy = {key: (array.astype(np.int64) if array.dtype.kind in "iu"
-                    else array)
-              for key, array in compiled.to_arrays().items()}
+                                     geometry, digest)
+    legacy = {}
+    for field in STORED_DTYPES:
+        array = getattr(compiled, field)
+        legacy[field] = (array.astype(np.int64) if array.dtype.kind in "iu"
+                         else array)
     np.savez_compressed(
         path, n_records=np.int64(fetch_input.trace.n_records), **legacy)
     disk_cache._checksum_path(path).unlink(missing_ok=True)
-    data = disk_cache.load_compiled(name, budget, geometry, True, digest,
+    data = disk_cache.load_compiled(name, budget, geometry, digest,
                                     fetch_input.trace.n_records)
     assert data is not None
-    assert data["window"].dtype == np.int64
-    _assert_same_compiled(CompiledBlocks.from_arrays(data, True), compiled)
+    assert data["exit_pc"].dtype == np.int64
+    expect = {flag: _compile(fetch_input, flag) for flag in (True, False)}
+    _forbid_recompile(monkeypatch)
+    warm = _fresh(fetch_input)
+    for flag in (True, False):
+        _assert_same_compiled(compile_fetch_input(warm, flag), expect[flag])
 
 
 def test_compiled_cache_invalidates_on_record_count():
@@ -334,7 +439,7 @@ def test_compiled_cache_invalidates_on_record_count():
     fetch_input = load_fetch_input("li", geometry, BUDGET)
     name, budget, digest = fetch_input.cache_key
     compile_fetch_input(fetch_input, near_block=False)
-    stale = disk_cache.load_compiled(name, budget, geometry, False, digest,
+    stale = disk_cache.load_compiled(name, budget, geometry, digest,
                                      fetch_input.trace.n_records + 1)
     assert stale is None
 

@@ -125,3 +125,24 @@ class TestBACBaseline:
             BACCost.for_branches(0)
         with pytest.raises(ValueError):
             blocked_pht_lookups(0)
+
+
+def test_import_leaves_the_engines_unloaded():
+    """``import repro.predictors`` does not pull in ``repro.core``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, repro.predictors\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "repro.predictors.evaluate" in loaded
+    assert "repro.core.fast" not in loaded
+    assert "repro.core.dual" not in loaded

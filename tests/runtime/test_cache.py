@@ -385,6 +385,25 @@ class TestEvict:
         assert not chunks_side.exists()
         assert cache.load_trace(NAME, BUDGET, digest) is not None
 
+    def test_per_flag_compilations_evicted_first(self, cache_dir, digest):
+        arrays = {"limit": np.arange(4096, dtype=np.int64)}
+        cache.store_compiled(arrays, NAME, BUDGET, GEOMETRY, digest, 7)
+        path, = (cache_dir / "compiled").glob("*.npz")
+        # The per-near-block-flag artifacts older versions wrote beside
+        # it, newer than the one-artifact layout, with their sidecars.
+        stem = path.name[:-len(f"-{digest}.npz")]
+        orphans = [path.with_name(f"{stem}-nb{flag}-{digest}.npz")
+                   for flag in (0, 1)]
+        for orphan in orphans:
+            orphan.write_bytes(b"PK" * 512)
+            orphan.with_name(orphan.name + ".sha256").write_text("0" * 64)
+        os.utime(path, (1, 1))  # older than both orphans, still kept
+        assert cache.evict(path.stat().st_size + 200) == 2
+        assert not any(orphan.exists() for orphan in orphans)
+        assert not any((cache_dir / "compiled").glob("*-nb*.sha256"))
+        data = cache.load_compiled(NAME, BUDGET, GEOMETRY, digest, 7)
+        assert np.array_equal(data["limit"], arrays["limit"])
+
     def test_registry_documents_default_bound(self):
         entry, = [var for var in envvars.REGISTRY
                   if var.name == cache.MAX_BYTES_ENV]

@@ -9,6 +9,10 @@ budget into engine input: ``load_fetch_input`` plus
 ``compile_fetch_input`` on a cold temporary cache, in a fresh subprocess
 so the peak can be read from the OS.
 
+A ``segment`` section times ``segment_blocks`` on the fast tracer's
+traces: summed over the 18 SPEC95 analogs at the sweep budget, once per
+paper cache geometry (Table 6), plus the headline trace under normal(8).
+
 Results land in ``benchmarks/results/BENCH_trace_capture.json``, and the
 capture tables of ``docs/performance.md`` are re-rendered from them
 (``--render`` does only that, from the committed record).  The one knob
@@ -40,6 +44,9 @@ TABLE_BEGIN = ("<!-- capture-table: rendered by "
                "benchmarks/bench_trace_capture.py -->")
 TABLE_END = "<!-- /capture-table -->"
 
+#: The paper's three cache geometries (Table 6), by name.
+SEGMENT_GEOMETRIES = ("normal", "extended", "self_aligned")
+
 BUDGET = int(os.environ.get("BENCH_TRACE_BUDGET", "1000000"))
 HEADLINE_WORKLOAD = "su2cor"
 
@@ -63,7 +70,8 @@ print(json.dumps({
 """
 
 
-def _time_capture(name: str, mode: str, budget: int) -> float:
+def _time_capture(name: str, mode: str, budget: int) -> tuple:
+    """Capture seconds and the captured trace."""
     from repro.cpu import capture_machine
     from repro.qa.oracle import tracer_mode_env
     from repro.workloads.registry import REGISTRY
@@ -71,8 +79,19 @@ def _time_capture(name: str, mode: str, budget: int) -> float:
     program = REGISTRY.program(name)
     with tracer_mode_env(mode):
         start = time.perf_counter()
-        capture_machine(program).run(max_instructions=budget)
-        return time.perf_counter() - start
+        trace = capture_machine(program).run(max_instructions=budget).trace
+        return time.perf_counter() - start, trace
+
+
+def _time_segment(trace, kind: str) -> tuple:
+    """``segment_blocks`` seconds and block count under ``kind``(8)."""
+    from repro.icache import CacheGeometry
+    from repro.trace import segment_blocks
+
+    geometry = getattr(CacheGeometry, kind)(8)
+    start = time.perf_counter()
+    blocks = segment_blocks(trace, geometry)
+    return time.perf_counter() - start, blocks.n_blocks
 
 
 def run_sweep(budget: int = BUDGET) -> dict:
@@ -81,8 +100,8 @@ def run_sweep(budget: int = BUDGET) -> dict:
 
     rows = {}
     for name in workload_names():
-        scalar_s = _time_capture(name, "scalar", budget)
-        fast_s = _time_capture(name, "fast", budget)
+        scalar_s = _time_capture(name, "scalar", budget)[0]
+        fast_s = _time_capture(name, "fast", budget)[0]
         rows[name] = {
             "scalar_s": round(scalar_s, 4),
             "fast_s": round(fast_s, 4),
@@ -94,6 +113,26 @@ def run_sweep(budget: int = BUDGET) -> dict:
                        / len(rows))
     return {"budget": budget, "workloads": rows,
             "geomean_speedup": round(geomean, 2)}
+
+
+def run_segment(budget: int = BUDGET) -> dict:
+    """Segmentation seconds per geometry, summed over the SPEC95 analogs."""
+    from repro.workloads import SPEC95
+
+    totals = {kind: [0.0, 0] for kind in SEGMENT_GEOMETRIES}
+    for name in SPEC95:
+        _, trace = _time_capture(name, "fast", budget)
+        for kind in SEGMENT_GEOMETRIES:
+            seconds, blocks = _time_segment(trace, kind)
+            totals[kind][0] += seconds
+            totals[kind][1] += blocks
+    geometries = {}
+    for kind, (seconds, blocks) in totals.items():
+        geometries[kind] = {"seconds": round(seconds, 4), "blocks": blocks,
+                            "blocks_per_s": round(blocks / seconds)}
+        print(f"segment {kind:12s} {seconds:6.3f}s  {blocks:9d} blocks")
+    return {"budget": budget, "workloads": len(SPEC95),
+            "geometries": geometries}
 
 
 def _peak_rss_mb(name: str, budget: int) -> float:
@@ -111,16 +150,19 @@ def _peak_rss_mb(name: str, budget: int) -> float:
 
 def run_headline(budget: int) -> dict:
     """One large-budget cell where compiled superblocks amortise."""
-    scalar_s = _time_capture(HEADLINE_WORKLOAD, "scalar", budget)
-    fast_s = _time_capture(HEADLINE_WORKLOAD, "fast", budget)
+    scalar_s = _time_capture(HEADLINE_WORKLOAD, "scalar", budget)[0]
+    fast_s, trace = _time_capture(HEADLINE_WORKLOAD, "fast", budget)
+    segment_s = _time_segment(trace, "normal")[0]
+    del trace
     max_rss_mb = _peak_rss_mb(HEADLINE_WORKLOAD, budget)
     print(f"headline {HEADLINE_WORKLOAD} @ {budget:.0e}: "
           f"scalar {scalar_s:.2f}s fast {fast_s:.2f}s "
-          f"x{scalar_s / fast_s:.1f}, "
+          f"x{scalar_s / fast_s:.1f}, segment {segment_s:.2f}s, "
           f"end-to-end peak RSS {max_rss_mb:.0f} MiB")
     return {"workload": HEADLINE_WORKLOAD, "budget": budget,
             "scalar_s": round(scalar_s, 3), "fast_s": round(fast_s, 3),
             "speedup": round(scalar_s / fast_s, 2),
+            "segment_s": round(segment_s, 3),
             "max_rss_mb": round(max_rss_mb, 1)}
 
 
@@ -131,8 +173,9 @@ def _exp(n: int) -> str:
 
 
 def capture_tables(results: dict) -> str:
-    """Markdown summary and per-workload tables for ``results``."""
+    """Markdown summary, per-workload and segmentation tables."""
     sweep, head = results["sweep"], results["headline"]
+    segment = results["segment"]
     rows = sweep["workloads"]
     budget = _exp(sweep["budget"])
     best = max(rows, key=lambda n: rows[n]["speedup"])
@@ -147,13 +190,21 @@ def capture_tables(results: dict) -> str:
              f"| Headline: {head['workload']} at {_exp(head['budget'])} | "
              f"{head['scalar_s']:.2f} s → {head['fast_s']:.2f} s "
              f"(**{head['speedup']:.2f}×**); end-to-end peak RSS "
-             f"{head['max_rss_mb']:.0f} MiB |",
+             f"{head['max_rss_mb']:.0f} MiB; `segment_blocks` "
+             f"{head['segment_s']:.2f} s |",
              "", f"| Workload ({budget}) | `scalar` | `fast` | Speedup |",
              "| --- | --- | --- | --- |"]
     for name in sorted(rows):
         row = rows[name]
         lines.append(f"| {name} | {row['scalar_s']:.3f} s | "
                      f"{row['fast_s']:.3f} s | {row['speedup']:.2f}× |")
+    lines += ["", f"| Geometry ({segment['workloads']} analogs, "
+              f"{_exp(segment['budget'])}) | Blocks | `segment_blocks` | "
+              "Blocks/s |", "| --- | --- | --- | --- |"]
+    for kind, row in segment["geometries"].items():
+        lines.append(f"| {kind}(8) | {row['blocks']:,} | "
+                     f"{row['seconds']:.3f} s | "
+                     f"{row['blocks_per_s'] / 1e6:.1f} M |")
     return "\n".join(lines)
 
 
@@ -168,6 +219,7 @@ def render_doc(results: dict) -> None:
 
 def run_benchmark() -> dict:
     results = {"sweep": run_sweep(),
+               "segment": run_segment(),
                "headline": run_headline(BUDGET * 10)}
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True)

@@ -171,12 +171,7 @@ def _stored_arrays(fetch_input: FetchInput,
     has_exit = stream["has_exit"]
     n = len(start)
 
-    if geometry.kind == SELF_ALIGNED:
-        limit = np.full(n, width, dtype=np.int64)
-    else:
-        room = line_size - start % line_size
-        limit = np.minimum(room, width)
-
+    limit = geometry.block_limits(start)
     exit_pc = np.where(has_exit, start + n_instr - 1, np.int64(-1))
     act_exit = np.where(has_exit | stream["is_halt"],
                         np.where(has_exit, n_instr - 1, FAR), FAR)

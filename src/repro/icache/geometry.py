@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 NORMAL = "normal"
 EXTENDED = "extended"
 SELF_ALIGNED = "self_aligned"
@@ -86,6 +88,14 @@ class CacheGeometry:
             return self.block_width
         room = self.line_size - (start % self.line_size)
         return room if room < self.block_width else self.block_width
+
+    def block_limits(self, starts: np.ndarray) -> np.ndarray:
+        """:meth:`block_limit` of every address in ``starts`` (``int64``)."""
+        starts = np.asarray(starts, dtype=np.int64)
+        if self.kind == SELF_ALIGNED:
+            return np.full(starts.shape, self.block_width, dtype=np.int64)
+        room = self.line_size - starts % self.line_size
+        return np.minimum(room, self.block_width, out=room)
 
     def line_index(self, addr: int) -> int:
         """Physical line index holding ``addr``."""

@@ -10,6 +10,21 @@ Because the trace is the correct path and the paper assumes perfect recovery
 on the trace and the cache geometry, never on predictor state.  Segmentation
 therefore runs once per (trace, geometry) and every engine replays the same
 block stream, charging penalty cycles for its own mispredictions.
+
+Segmentation is array arithmetic in three levels, with no per-block loop:
+
+* **runs**: the taken records and the HALT split the trace into
+  straight-line runs.  Run 0 starts at ``entry_pc``; every later run
+  starts at the previous run-ending record's target.
+* **segments**: a normal or extended run is cut at every line boundary
+  (one segment per line it touches); a self-aligned run is one segment.
+* **blocks**: each segment holds one block every ``block_width``
+  instructions.  Each block fills its geometry limit, except a run's last
+  block, which stops at the run-ending record and takes its kind and
+  target.
+
+A record's block follows directly from its run, its line and its offset
+in the segment, so the record windows are one ``bincount`` away.
 """
 
 from __future__ import annotations
@@ -18,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..icache.geometry import CacheGeometry
+from ..icache.geometry import SELF_ALIGNED, CacheGeometry
 from ..isa.kinds import InstrKind
 from .record import Trace
 
@@ -74,77 +89,109 @@ class BlockStream:
         return float(self.n_instr.mean()) if len(self.start) else 0.0
 
 
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    """Start offset of each group of ``counts`` consecutive items."""
+    firsts = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=firsts[1:])
+    return firsts
+
+
+def _check_fetch_points(trace: Trace, pc: np.ndarray,
+                        is_halt: np.ndarray) -> None:
+    """Reject a record that precedes the point where fetch reached it.
+
+    Fetch reaches record ``i`` at ``entry_pc`` (``i == 0``), at the
+    previous record's target when that was taken, and just past the
+    previous record otherwise.  A record before that point would give a
+    block a non-positive length.
+    """
+    if np.any(is_halt[:-1]):
+        first = int(np.flatnonzero(is_halt)[0])
+        raise ValueError(
+            f"malformed trace: HALT at record {first} is not the last")
+    taken = trace.taken[:-1]
+    fetch = np.empty_like(pc)
+    fetch[0] = trace.entry_pc
+    np.add(pc[:-1], 1, out=fetch[1:])
+    fetch[1:][taken] = trace.target[:-1][taken]
+    bad = np.flatnonzero(pc < fetch)
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(
+            f"malformed trace: record {i} at pc {int(pc[i])} precedes "
+            f"its fetch point {int(fetch[i])}")
+
+
 def segment_blocks(trace: Trace, geometry: CacheGeometry) -> BlockStream:
     """Split ``trace`` into fetch blocks under ``geometry``.
 
-    The record pointer only ever moves forward, so the loop walks the
-    trace's record arrays (as plain Python lists) with one cursor.
+    Raises :class:`ValueError` when a record precedes the address fetch
+    reached it at, or when a HALT record is not the last.
     """
-    k_halt = int(InstrKind.HALT)
+    pc = trace.pc
+    kind = trace.kind
+    is_halt = kind == int(InstrKind.HALT)
+    _check_fetch_points(trace, pc, is_halt)
+    width = geometry.block_width
 
-    t_pc = trace.pc.tolist()
-    t_kind = trace.kind.tolist()
-    t_taken = trace.taken.tolist()
-    t_target = trace.target.tolist()
-    i = 0
+    # Runs: [run_start, run_end], each closed by a taken record or HALT.
+    end_rec = np.flatnonzero(trace.taken | is_halt)
+    run_end = pc[end_rec]
+    run_start = np.empty_like(run_end)
+    run_start[0] = trace.entry_pc
+    run_start[1:] = trace.target[end_rec[:-1]]
+    rec_run = np.zeros(len(pc), dtype=np.int64)
+    rec_run[end_rec[:-1] + 1] = 1
+    np.cumsum(rec_run, out=rec_run)
 
-    b_start = []
-    b_n = []
-    b_exit_kind = []
-    b_exit_target = []
-    b_first_rec = []
-    b_n_recs = []
+    # Segments: one per (run, line) touched, or one per self-aligned run.
+    if geometry.kind == SELF_ALIGNED:
+        seg_start, seg_end = run_start, run_end
+        rec_seg = rec_run
+    else:
+        line_size = geometry.line_size
+        first_line = run_start // line_size
+        segs = run_end // line_size - first_line + 1
+        line_of_seg0 = first_line - _exclusive_cumsum(segs)
+        seg_run = np.repeat(np.arange(len(segs)), segs)
+        seg_line = np.arange(len(seg_run)) + line_of_seg0[seg_run]
+        seg_start = np.maximum(seg_line * line_size, run_start[seg_run])
+        seg_end = np.minimum(seg_line * line_size + (line_size - 1),
+                             run_end[seg_run])
+        del seg_run, seg_line
+        rec_seg = pc // line_size - line_of_seg0[rec_run]
+    del rec_run
 
-    block_limit = geometry.block_limit
-    cur = trace.entry_pc
-    done = False
-    while not done:
-        limit = block_limit(cur)
-        geo_end = cur + limit - 1
-        first_rec = i
-        # Defaults: fall through at the geometry limit.
-        n = limit
-        exit_kind = EXIT_FALLTHROUGH
-        next_start = geo_end + 1
-        # The trace always ends with HALT, which terminates the outer
-        # loop before the cursor can run past the records.
-        while True:
-            pc_r = t_pc[i]
-            if pc_r > geo_end:
-                break  # next control event is beyond this block
-            kind_r = t_kind[i]
-            if kind_r == k_halt:
-                n = pc_r - cur + 1
-                exit_kind = k_halt
-                next_start = pc_r + 1
-                i += 1
-                done = True
-                break
-            if t_taken[i]:
-                n = pc_r - cur + 1
-                exit_kind = kind_r
-                next_start = t_target[i]
-                i += 1
-                break
-            # Not-taken conditional inside the block.
-            i += 1
-            if pc_r == geo_end:
-                break  # block ends exactly at a not-taken conditional
-        b_start.append(cur)
-        b_n.append(n)
-        b_exit_kind.append(exit_kind)
-        b_exit_target.append(next_start)
-        b_first_rec.append(first_rec)
-        b_n_recs.append(i - first_rec)
-        cur = next_start
+    # Blocks: every ``width`` instructions from each segment's start.
+    per_seg = (seg_end - seg_start) // width + 1
+    first_block = _exclusive_cumsum(per_seg)
+    n_blocks = int(first_block[-1] + per_seg[-1])
+    start = np.repeat(seg_start - first_block * width, per_seg)
+    start += np.arange(0, n_blocks * width, width, dtype=np.int64)
+
+    rec_block = (first_block[rec_seg]
+                 + (pc - seg_start[rec_seg]) // width)
+    del rec_seg
+    n_recs = np.bincount(rec_block, minlength=n_blocks).astype(
+        np.int64, copy=False)
+    last = rec_block[end_rec]  # each run's last block
+    del rec_block
+
+    n_instr = geometry.block_limits(start)
+    n_instr[last] = run_end + 1 - start[last]
+    exit_target = start + n_instr
+    taken_exit = ~is_halt[end_rec]
+    exit_target[last[taken_exit]] = trace.target[end_rec[taken_exit]]
+    exit_kind = np.zeros(n_blocks, dtype=np.uint8)
+    exit_kind[last] = kind[end_rec]
 
     return BlockStream(
         trace=trace,
         geometry=geometry,
-        start=np.asarray(b_start, dtype=np.int64),
-        n_instr=np.asarray(b_n, dtype=np.int64),
-        exit_kind=np.asarray(b_exit_kind, dtype=np.uint8),
-        exit_target=np.asarray(b_exit_target, dtype=np.int64),
-        first_rec=np.asarray(b_first_rec, dtype=np.int64),
-        n_recs=np.asarray(b_n_recs, dtype=np.int64),
+        start=start,
+        n_instr=n_instr,
+        exit_kind=exit_kind,
+        exit_target=exit_target,
+        first_rec=_exclusive_cumsum(n_recs),
+        n_recs=n_recs,
     )

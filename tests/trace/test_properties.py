@@ -19,6 +19,8 @@ from repro.trace import (
     trace_stats,
 )
 
+from .test_blocks import assert_matches_reference
+
 K_HALT = int(InstrKind.HALT)
 
 specs = st.builds(
@@ -69,6 +71,8 @@ def test_trace_is_well_formed(spec):
 def test_segmentation_invariants(spec, geo):
     trace = run_spec(spec)
     bs = segment_blocks(trace, geo)
+    # Bit-identical to the reference loop, arrays and dtypes.
+    assert_matches_reference(trace, geo)
     # Conservation: blocks cover every executed instruction exactly once.
     assert bs.instructions == trace.n_instructions
     # Geometry: no block exceeds its limit.

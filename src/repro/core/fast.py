@@ -30,13 +30,17 @@ Table 3 column (:func:`~repro.core.penalties.penalty_cycles_slot`).
 With ``ahead`` indexing, block ``i`` indexes the PHT and its target
 array through block ``i - 1``.
 
-Each run has two halves.  :func:`_prep` runs the counter scan, walk
-resolution, divergence and bank-conflict charges and the RAS replay.
-The residual half (:func:`_replay_selects`, :func:`_residual_targets`)
-then replays the select-table and target-array event streams:
-tag-less stores (select tables, NLS arrays) through the keyed
-last-write replay :func:`~repro.core.kernels.replay_last_write`, and
-the set-associative block BTB through the LRU residency kernel
+Each run has two halves.  :func:`_prep` runs the counter scan and the
+walks over the view's BIT read list (:meth:`_Run.resolve`: a read of
+one of the block's own executed conditionals takes the counter state
+that conditional's training write found, only the rest search the
+write stream), then the divergence and bank-conflict charges and the
+RAS replay.  The residual half (:func:`_replay_selects`,
+:func:`_residual_targets`) then replays the select-table and
+target-array event streams: tag-less stores (select tables, NLS
+arrays) through the keyed last-write replay
+:func:`~repro.core.kernels.replay_last_write`, and the set-associative
+block BTB through the LRU residency kernel
 :func:`~repro.core.kernels.lru_resident`.  Python loops remain only
 for the RAS and for writing final table state back, one iteration per
 stored entry rather than per block.  Under ``REPRO_PROFILE=1`` the two
@@ -58,7 +62,6 @@ from ..targets.btb import BlockBTB, DualBTBTargetArray, _Entry
 from ..targets.nls import DualNLSTargetArray
 from .engine_common import K_CALL, K_COND, K_INDIRECT, K_JUMP, K_RETURN
 from .kernels import (
-    CODE_COND_LONG,
     CompiledBlocks,
     WalkArrays,
     _grouping_order,
@@ -69,9 +72,9 @@ from .kernels import (
     lru_resident,
     packed_history,
     replay_last_write,
-    resolve_walks,
     scan_counters,
     stale_bit_windows,
+    walk_reads,
 )
 from .multi import MultiTargetArray
 from .penalties import (
@@ -165,6 +168,15 @@ class _Run:
     def resolve(self, bit_table=None) -> None:
         """Resolve every PHT read, walk every block, train, write back.
 
+        A block executes its listed conditionals in column order, so a
+        read ranked below the block's conditional count is one of its
+        own executed conditionals (inside its instructions): its slot is
+        the one that conditional's training write updates next, so it
+        observes the state the write found.  The rest — reads past the
+        block's actual exit (a truncated trace's synthesised HALT may
+        sit on a conditional inside the block) and the BIT table's stale
+        reads — search the write stream.
+
         With ``bit_table`` (single engine, Figure 7) the stale windows
         are resolved in the same scan and ``self.stale_walk`` is set.
         """
@@ -173,11 +185,14 @@ class _Run:
         pht = self.pht
         self.base = self.pht_bases()
 
-        rb, cb = np.nonzero(compiled.window >= CODE_COND_LONG)
+        reads = compiled.reads
+        rb = reads.block
+        own = reads.rank < compiled.n_conds[rb]
+        read_write = np.where(own, compiled.conds_before[rb] + reads.rank,
+                              np.int64(-1))
         read_blocks = rb
-        read_slots = self.base[rb] + (compiled.start[rb] + cb) % width
+        read_slots = self.base[rb] + (compiled.start[rb] + reads.col) % width
         n_true = len(rb)
-        srb = scb = None
         if bit_table is not None:
             init_lines = np.array(
                 [-1 if line is None else line for line in bit_table._lines],
@@ -190,26 +205,24 @@ class _Run:
             self.stale = stale_bit_windows(
                 compiled, self.line_size, bit_table.n_entries, width,
                 init_lines, init_codes)
-            srb, scb = np.nonzero(self.stale.window >= CODE_COND_LONG)
+            srb = self.stale.reads.block
             read_blocks = np.concatenate([rb, srb])
             read_slots = np.concatenate(
-                [read_slots,
-                 self.base[srb] + (compiled.start[srb] + scb) % width])
+                [read_slots, self.base[srb]
+                 + (compiled.start[srb] + self.stale.reads.col) % width])
+            read_write = np.concatenate(
+                [read_write, np.full(len(srb), -1, dtype=np.int64)])
 
         write_slots = self.base[compiled.cond_block] + compiled.cond_pos
         counters = np.asarray(pht._counters, dtype=np.int64)
         preds, final_slots, final_states = scan_counters(
             counters, read_blocks, read_slots, compiled.cond_block,
-            write_slots, compiled.cond_taken)
+            write_slots, compiled.cond_taken, read_write)
 
-        pred_mat = np.zeros(compiled.window.shape, dtype=bool)
-        pred_mat[rb, cb] = preds[:n_true]
-        self.walk = resolve_walks(compiled.window, width, pred_mat)
+        self.walk = walk_reads(reads, width, preds[:n_true])
         if bit_table is not None:
-            stale_mat = np.zeros(compiled.window.shape, dtype=bool)
-            stale_mat[srb, scb] = preds[n_true:]
-            self.stale_walk = resolve_walks(self.stale.window, width,
-                                            stale_mat)
+            self.stale_walk = walk_reads(self.stale.reads, width,
+                                         preds[n_true:])
 
         store = pht._counters
         for slot, state in zip(final_slots.tolist(), final_states.tolist()):

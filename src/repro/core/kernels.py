@@ -8,19 +8,25 @@ numpy arrays (:class:`CompiledBlocks`) and resolves whole runs at once:
 * every block's GHR value and PHT base index come straight from the
   trace (the architectural history is a pure function of the conditional
   outcome stream — :func:`packed_history`);
+* the walks read the PHT only at conditional window positions, so a
+  view keeps those positions as a sparse :class:`ReadList` (row-major:
+  block, column, BIT code, rank in the row, plus each row's first
+  non-conditional branch) instead of a dense window matrix;
 * every PHT counter write (the training) is resolved by one write scan
   (:func:`scan_writes`: closed form for single-outcome slots, a
-  segmented clamped-shift scan for the rest), and every read (the
-  walks) by a binary search over those writes (:func:`scan_counters`);
-* the first-predicted-taken walk of every block is a handful of
-  row-wise reductions over the packed ``uint8`` window matrix
-  (:func:`resolve_walks`).
+  segmented clamped-shift scan for the rest).  A read of a conditional
+  its own block executes reads the very slot that conditional's write
+  trains, so it takes the state that write found; only the other reads
+  binary-search the writes (:func:`scan_counters`);
+* the first-predicted-taken walk of every block is one pass over the
+  list: the earlier of its first predicted-taken read and its first
+  non-conditional branch (:func:`walk_reads`).
 
 The near-block flag changes only the BIT encoding, so the compiled
 form is one read-only, near-block-independent base per ``FetchInput``
 (memoised on it, and persisted through the runtime cache as one
 ``<cache-dir>/compiled/`` artifact when the input came from the
-workload registry) plus a per-flag ``window``/``code_of_addr`` pair
+workload registry) plus a per-flag ``reads``/``code_of_addr`` pair
 rebuilt on demand and never stored.  :mod:`repro.core.fast` drives these
 kernels per engine; the scalar loops remain the readable ground truth
 and the parity suite keeps both bit-identical.  This module is the one
@@ -54,7 +60,7 @@ K_INDIRECT = int(InstrKind.INDIRECT)
 K_HALT = int(InstrKind.HALT)
 
 #: Integer BitCode values (``repro.targets.bit.BitCode``) used in the
-#: packed window matrices; near-block conditionals are codes 4..7.
+#: read lists and window matrices; near-block conditionals are 4..7.
 CODE_NONBRANCH = 0
 CODE_RETURN = 1
 CODE_OTHER = 2
@@ -100,15 +106,107 @@ def encode_static_codes(static: StaticCode, line_size: int,
 
 
 @dataclass
+class ReadList:
+    """The PHT reads of every block's walk, as a sparse row-major list.
+
+    A walk reads the PHT only at conditional window positions, and it
+    stops at the row's first non-conditional branch (RETURN/OTHER
+    always exit), so a row lists the conditionals before that branch,
+    in column order.  Per-read arrays have one entry per listed
+    conditional; per-row arrays one entry per block.  Columns and ranks
+    are at most the block width, so they are stored narrow.
+    """
+
+    block: np.ndarray     #: int32[r] owning block (nondecreasing)
+    col: np.ndarray       #: uint8[r] window column
+    code: np.ndarray      #: uint8[r] BIT code (>= CODE_COND_LONG)
+    rank: np.ndarray      #: uint8[r] conditionals before it in its row
+    stop_col: np.ndarray  #: uint8[n] first non-conditional branch, or W
+    stop_code: np.ndarray  #: uint8[n] its BIT code, or CODE_NONBRANCH
+    n_before: np.ndarray  #: uint8[n] listed conditionals of the row
+
+
+def _row_ranks(block: np.ndarray, n_before: np.ndarray) -> np.ndarray:
+    """Rank of every read within its row (``block`` nondecreasing)."""
+    row_first = np.zeros(len(n_before), dtype=np.int64)
+    np.cumsum(n_before[:-1], out=row_first[1:])
+    return np.arange(len(block), dtype=np.int64) - row_first[block]
+
+
+def _read_list(width: int, block: np.ndarray, col: np.ndarray,
+               code: np.ndarray, rank: np.ndarray, n_before: np.ndarray,
+               stop_col: np.ndarray, stop_code: np.ndarray) -> ReadList:
+    """Store every array of a read list narrow."""
+    narrow = np.min_scalar_type(width)
+    wide_rows = len(n_before) >= (1 << 31)
+    return ReadList(
+        block=block.astype(np.int64 if wide_rows else np.int32),
+        col=col.astype(narrow), code=code.astype(np.uint8),
+        rank=rank.astype(narrow), stop_col=stop_col.astype(narrow),
+        stop_code=stop_code.astype(np.uint8),
+        n_before=n_before.astype(narrow))
+
+
+def read_list(code_of_addr: np.ndarray, start: np.ndarray,
+              limit: np.ndarray, width: int) -> ReadList:
+    """The :class:`ReadList` of blocks ``[start, start + limit)``.
+
+    Built straight from the per-address codes: one ``searchsorted`` of
+    every block's bounds over the sorted other-branch addresses finds
+    its stop, and two over the sorted conditional addresses bound its
+    reads.  Addresses past the text segment are non-branches.
+    """
+    n = len(start)
+    branch = np.flatnonzero(code_of_addr != CODE_NONBRANCH)
+    is_cond = code_of_addr[branch] >= CODE_COND_LONG
+    cond_addr = branch[is_cond]
+    other_addr = np.append(branch[~is_cond], FAR)
+    end = start + limit
+    stop = np.minimum(other_addr[np.searchsorted(other_addr, start)], end)
+    has_stop = stop < end
+    stop_code = np.full(n, CODE_NONBRANCH, dtype=np.uint8)
+    stop_code[has_stop] = code_of_addr[stop[has_stop]]
+    lo = np.searchsorted(cond_addr, start)
+    n_before = np.searchsorted(cond_addr, stop) - lo
+    block = np.repeat(np.arange(n, dtype=np.int64), n_before)
+    rank = _row_ranks(block, n_before)
+    addr = cond_addr[lo[block] + rank]
+    return _read_list(
+        width, block, addr - start[block], code_of_addr[addr], rank,
+        n_before, np.where(has_stop, stop - start, np.int64(width)),
+        stop_code)
+
+
+def read_list_from_window(window: np.ndarray) -> ReadList:
+    """The :class:`ReadList` of a dense ``uint8[n, W]`` window matrix."""
+    n, width = window.shape
+    other = (window == CODE_RETURN) | (window == CODE_OTHER)
+    has_stop = other.any(axis=1)
+    first_other = np.argmax(other, axis=1)
+    stop_col = np.where(has_stop, first_other, np.int64(width))
+    cols = np.arange(width, dtype=np.int64)
+    cond = (window >= CODE_COND_LONG) & (cols[None, :] < stop_col[:, None])
+    block, col = np.nonzero(cond)
+    stop_code = np.where(
+        has_stop, window[np.arange(n, dtype=np.int64), first_other],
+        np.uint8(CODE_NONBRANCH))
+    n_before = np.count_nonzero(cond, axis=1)
+    return _read_list(width, block, col, window[block, col],
+                      _row_ranks(block, n_before), n_before, stop_col,
+                      stop_code)
+
+
+@dataclass
 class CompiledBlocks:
     """One trace's block stream flattened into structure-of-arrays form.
 
     All per-block arrays have one entry per fetch block, in fetch order;
     the conditional arrays are the trace's conditional-branch stream.
-    ``window`` holds each block's true BIT codes padded with non-branch
-    beyond the geometry limit, so row-wise kernels need no masks.  Only
-    ``window`` and ``code_of_addr`` depend on ``near_block``: the two
-    views of one fetch input share every other array (read-only).
+    ``reads`` lists each block's conditional BIT positions up to its
+    first non-conditional branch or its geometry limit
+    (:class:`ReadList`).  Only ``reads`` and
+    ``code_of_addr`` depend on ``near_block``: the two views of one
+    fetch input share every other array (read-only).
     """
 
     near_block: bool
@@ -124,7 +222,7 @@ class CompiledBlocks:
     exit_direct: np.ndarray  #: int64[n] static direct target at exit_pc
     act_exit: np.ndarray     #: int64[n] exit offset, FAR for fall-through
     line0: np.ndarray        #: int64[n] start line index
-    window: np.ndarray       #: uint8[n, W]
+    reads: ReadList          #: conditional window positions
     code_of_addr: np.ndarray  #: uint8[text size] per-address BIT codes
     conds_before: np.ndarray  #: int64[n] conds in trace before the block
     n_conds: np.ndarray      #: int64[n] conds inside the block
@@ -222,21 +320,14 @@ def _compile_base(fetch_input: FetchInput) -> Dict[str, np.ndarray]:
 
 def _view(base: Dict[str, np.ndarray], fetch_input: FetchInput,
           near_block: bool) -> CompiledBlocks:
-    """``base`` plus the BIT window of one near-block flag."""
-    width = fetch_input.geometry.block_width
+    """``base`` plus the BIT read list of one near-block flag."""
     code_of_addr = encode_static_codes(
         fetch_input.static, fetch_input.geometry.line_size, near_block)
-    n_static = len(code_of_addr)
     start = base["start"]
-    cols = np.arange(width, dtype=np.int64)
-    addrs = start[:, None] + cols[None, :]
-    window = np.zeros((len(start), width), dtype=np.uint8)
-    in_text = addrs < n_static
-    window[in_text] = code_of_addr[addrs[in_text]]
-    window[cols[None, :] >= base["limit"][:, None]] = CODE_NONBRANCH
+    reads = read_list(code_of_addr, start, base["limit"],
+                      fetch_input.geometry.block_width)
     return CompiledBlocks(near_block=near_block, n_blocks=len(start),
-                          window=window, code_of_addr=code_of_addr,
-                          **base)
+                          reads=reads, code_of_addr=code_of_addr, **base)
 
 
 def _compile(fetch_input: FetchInput, near_block: bool) -> CompiledBlocks:
@@ -276,7 +367,7 @@ def compile_fetch_input(fetch_input: FetchInput,
 
     One near-block-independent base is memoised on the ``FetchInput``
     (and persisted, see :func:`_load_base`); each flag's view adds its
-    own ``window`` and ``code_of_addr`` and is memoised beside it.
+    own ``reads`` and ``code_of_addr`` and is memoised beside it.
     """
     memo = getattr(fetch_input, "_compiled", None)
     if memo is None:
@@ -495,7 +586,8 @@ def _clamped_scan_transfers(taken: np.ndarray, seg_start: np.ndarray,
 def scan_counters(counters: np.ndarray,
                   read_blocks: np.ndarray, read_slots: np.ndarray,
                   write_blocks: np.ndarray, write_slots: np.ndarray,
-                  write_taken: np.ndarray):
+                  write_taken: np.ndarray,
+                  read_write: Optional[np.ndarray] = None):
     """Resolve every PHT read against the interleaved training stream.
 
     Each block's walk reads happen before its own training writes and
@@ -509,10 +601,13 @@ def scan_counters(counters: np.ndarray,
     order.
 
     Reads are pure observers: only the writes go through
-    :func:`scan_writes`, and each read then finds its preceding same-slot
-    write count with a binary search over the packed ``slot * stride +
-    time`` write keys — the read array itself is never sorted or
-    scattered.
+    :func:`scan_writes`.  ``read_write`` (one entry per read, optional)
+    names a write of the read's own block to the read's own slot: that
+    write is the next one the slot takes, so the read observes exactly
+    the state the write found.  Every other read (``read_write < 0``, or
+    all of them without the map) finds its preceding same-slot write
+    with a binary search over the packed ``slot * stride + time`` write
+    keys — the read array itself is never sorted.
 
     Returns ``(read_taken, final_slots, final_states)``: the taken
     prediction of every read (in input order) and the post-run state of
@@ -532,21 +627,42 @@ def scan_counters(counters: np.ndarray,
     if len(read_slots) == 0:
         return np.zeros(0, dtype=bool), final_slots, final_states
 
-    # Packed search keys: stride past the largest time key so keys
-    # ascend with (slot, time).  Reads use time 2*block, writes
-    # 2*block + 1, so a read at block b observes only writes at blocks
-    # strictly before b — exactly the scalar interleaving.
+    state = np.empty(len(read_slots), dtype=np.int8)
+    if read_write is None:
+        rest = np.arange(len(read_slots), dtype=np.int64)
+    else:
+        # Own-write reads: the state each write found, in stream order.
+        before = np.empty(len(write_slots), dtype=np.int8)
+        before[scan.order] = scan.before
+        own = read_write >= 0
+        state[own] = before[read_write[own]]
+        rest = np.flatnonzero(~own)
+    if len(rest):
+        state[rest] = _search_states(scan, counters, read_blocks[rest],
+                                     read_slots[rest], write_blocks)
+    return state >= TAKEN_MIN, final_slots, final_states
+
+
+def _search_states(scan: WriteScan, counters: np.ndarray,
+                   read_blocks: np.ndarray, read_slots: np.ndarray,
+                   write_blocks: np.ndarray) -> np.ndarray:
+    """Counter state each read observes, by binary search over the writes.
+
+    Packed search keys: stride past the largest time key so keys ascend
+    with (slot, time).  Reads use time 2*block, writes 2*block + 1, so a
+    read at block b observes only writes at blocks strictly before b —
+    exactly the scalar interleaving.
+    """
     wb = write_blocks[scan.order]
     stride = 2 * np.int64(max(int(read_blocks.max()),
                               int(write_blocks.max()))) + 2
-    wkey = ws * stride + 2 * wb + 1
+    wkey = scan.slot * stride + 2 * wb + 1
     pos = np.searchsorted(wkey, read_slots * stride + 2 * read_blocks,
                           side="left")
     slot_base = np.searchsorted(wkey, read_slots * stride, side="left")
     has_prior = pos > slot_base
-    state = np.where(has_prior, after_w[np.maximum(pos - 1, 0)],
-                     counters[read_slots])
-    return state >= TAKEN_MIN, final_slots, final_states
+    return np.where(has_prior, scan.after[np.maximum(pos - 1, 0)],
+                    counters[read_slots])
 
 
 # ----------------------------------------------------------------------
@@ -592,53 +708,46 @@ def decode_selector(width: int, sel: int) -> Tuple[int, Optional[int],
             None if near_code < 0 else near_code)
 
 
-def resolve_walks(window: np.ndarray, width: int,
-                  pred_mat: np.ndarray) -> WalkArrays:
-    """Resolve every block's walk given its window and read predictions.
+#: Prediction source of a walk's exit, by the exit's BIT code (a
+#: fall-through walk has CODE_NONBRANCH).
+_SRC_OF_CODE = np.array([SRC_FALLTHROUGH, SRC_RAS, SRC_ARRAY, SRC_ARRAY,
+                         SRC_NEAR, SRC_NEAR, SRC_NEAR, SRC_NEAR],
+                        dtype=np.int64)
 
-    ``pred_mat`` holds the PHT taken-prediction at every conditional
-    window position (other positions are ignored).  Predictions at
-    positions past the first exit cannot affect the result — exactly as
-    the scalar walk, which never reads them.
+
+def walk_reads(reads: ReadList, width: int, preds: np.ndarray) -> WalkArrays:
+    """Resolve every block's walk from its read list and read predictions.
+
+    ``preds`` holds the PHT taken-prediction of every read.  A block
+    exits at its first predicted-taken read, or else at its first
+    non-conditional branch (the row's stop), or falls through; every
+    listed read before the exit was predicted not taken, so the GHR
+    payload counts the exit read's rank (or the whole row).  Reads past
+    a block's first predicted-taken one cannot affect the result —
+    exactly as the scalar walk, which never reads them.
     """
-    n = len(window)
-    rows = np.arange(n, dtype=np.int64)
-    is_cond = window >= CODE_COND_LONG
-    # RETURN/OTHER always exit; conditionals exit when predicted taken.
-    # Codes are 0 non-branch / 1 return / 2 other / >=3 cond, so this
-    # is "branch and (unconditional or predicted taken)".
-    exit_ev = (window != CODE_NONBRANCH) & (~is_cond | pred_mat)
-    any_exit = exit_ev.any(axis=1)
-    first = np.argmax(exit_ev, axis=1)
-    exit_off = np.where(any_exit, first, np.int64(NO_EXIT))
-    exit_code = window[rows, first].astype(np.int64)
-
-    src = np.full(n, SRC_FALLTHROUGH, dtype=np.int64)
-    cond_exit = any_exit & (exit_code >= CODE_COND_LONG)
-    near_cond = cond_exit & (exit_code > CODE_COND_LONG)
-    src[any_exit & (exit_code == CODE_RETURN)] = SRC_RAS
-    src[any_exit & (exit_code == CODE_OTHER)] = SRC_ARRAY
-    src[cond_exit] = SRC_ARRAY
-    src[near_cond] = SRC_NEAR
-    near = np.where(near_cond, exit_code, np.int64(-1))
-
-    # Every conditional before the exit was predicted not taken (else it
-    # would have been the exit), so the payload is a prefix count — only
-    # the count strictly before the exit (or the row total) is needed,
-    # so count under a column mask instead of materializing a cumsum.
-    if width:
-        cols = np.arange(width, dtype=np.int64)
-        limit = np.where(any_exit, first, np.int64(width))
-        n_not_taken = np.count_nonzero(
-            is_cond & (cols < limit[:, None]), axis=1)
-    else:
-        n_not_taken = np.zeros(n, dtype=np.int64)
-    ends_taken = cond_exit
+    stop = reads.stop_col.astype(np.int64)
+    exit_off = np.where(stop < width, stop, np.int64(NO_EXIT))
+    exit_code = reads.stop_code.astype(np.int64)
+    n_not_taken = reads.n_before.astype(np.int64)
+    hit = np.flatnonzero(preds)
+    if len(hit):
+        hit_block = reads.block[hit]
+        first = hit[np.concatenate(
+            ([True], hit_block[1:] != hit_block[:-1]))]
+        rows = reads.block[first]
+        exit_off[rows] = reads.col[first]
+        exit_code[rows] = reads.code[first]
+        n_not_taken[rows] = reads.rank[first]
+    any_exit = exit_off >= 0
+    src = _SRC_OF_CODE[exit_code]
+    near = np.where(exit_code > CODE_COND_LONG, exit_code, np.int64(-1))
+    ends_taken = exit_code >= CODE_COND_LONG
     sel = (src * (width + 2) + (exit_off + 1)) * 16 + (near + 1)
     pay = n_not_taken * 2 + ends_taken
     return WalkArrays(
         exit_off=exit_off,
-        pred_exit=np.where(any_exit, first, FAR),
+        pred_exit=np.where(any_exit, exit_off, FAR),
         src=src, near=near, n_not_taken=n_not_taken,
         ends_taken=ends_taken, sel=sel, pay=pay,
     )
@@ -700,7 +809,7 @@ def bank_conflicts(line0: np.ndarray, group: int,
 class StaleWindows:
     """Vectorised separate-BIT-table behaviour for a whole run."""
 
-    window: np.ndarray       #: uint8[n, W] stale codes per block
+    reads: ReadList          #: the stale windows' conditional positions
     accesses: int            #: BITTable.access calls the run performs
     stale_hits: int          #: aliased non-empty reads
     final_slots: np.ndarray  #: int64 slots the run filled
@@ -716,7 +825,8 @@ def stale_bit_windows(compiled: CompiledBlocks, line_size: int,
     Each block reads its spanned lines' entries (stale if aliased) and
     then fills them with the true codes.  A per-slot forward fill over
     the (read, fill) event stream recovers which line each read saw;
-    gathering that line's true codes builds the stale window matrix.
+    gathering that line's true codes builds the stale window matrix,
+    which the walks take as a :class:`ReadList`.
     ``init_lines``/``init_codes`` seed slots from the table's pre-run
     state (-1 = never written); reads served by that state use the
     *stored* codes, which a warm table may have encoded from a different
@@ -805,7 +915,8 @@ def stale_bit_windows(compiled: CompiledBlocks, line_size: int,
     seeded = (cols[None, :] < limit[:, None]) & (stored_line >= 0) \
         & use_init
     window = np.where(seeded, init_codes[slot_mat, offs], window)
-    return StaleWindows(window=window, accesses=n_reads,
+    return StaleWindows(reads=read_list_from_window(window),
+                        accesses=n_reads,
                         stale_hits=stale_hits, final_slots=final_slots,
                         final_lines=final_lines)
 

@@ -19,8 +19,8 @@ Layout and keying:
 * Segmentations: ``blocks/<name>-<budget>-<geometry>-<digest>.npz``.
 * Compiled engine inputs (the near-block-independent arrays of the
   vectorized kernels' structure-of-arrays block streams, one artifact
-  for both near-block views; the per-flag BIT windows are rebuilt on
-  load and never stored):
+  for both near-block views; the per-flag BIT read lists are rebuilt
+  on load and never stored):
   ``compiled/<name>-<budget>-<geometry>-<digest>.npz``.
 * Stored width: every writer passes its arrays through :func:`narrow`,
   which keeps each non-empty integer array in the narrowest of

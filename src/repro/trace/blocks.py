@@ -126,7 +126,10 @@ def segment_blocks(trace: Trace, geometry: CacheGeometry) -> BlockStream:
     """Split ``trace`` into fetch blocks under ``geometry``.
 
     Raises :class:`ValueError` when a record precedes the address fetch
-    reached it at, or when a HALT record is not the last.
+    reached it at, when a HALT record is not the last, or when the
+    blocks cover a different instruction count than
+    ``trace.n_instructions`` (the engines align each block's records
+    with its instructions).
     """
     pc = trace.pc
     kind = trace.kind
@@ -179,6 +182,11 @@ def segment_blocks(trace: Trace, geometry: CacheGeometry) -> BlockStream:
 
     n_instr = geometry.block_limits(start)
     n_instr[last] = run_end + 1 - start[last]
+    covered = int(n_instr.sum())
+    if covered != trace.n_instructions:
+        raise ValueError(
+            f"malformed trace: its records cover {covered} instructions, "
+            f"not n_instructions={trace.n_instructions}")
     exit_target = start + n_instr
     taken_exit = ~is_halt[end_rec]
     exit_target[last[taken_exit]] = trace.target[end_rec[taken_exit]]

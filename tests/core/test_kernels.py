@@ -3,7 +3,8 @@
 Each kernel is locked against the scalar structure it compiles away:
 the selector encoding against ``BlockPrediction`` equality, the write
 scan and the read/write counter scan against saturating-counter
-replay, the batched walk against
+replay (and its own-write reads against the all-search path), both
+read-list constructors against each other and the list walk against
 ``walk_block``, bank conflicts of pairs against ``blocks_conflict``, the
 LRU residency kernel against an ``OrderedDict`` set, and both
 near-block views of the compiled arrays (one shared, read-only base,
@@ -18,24 +19,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import DualBlockEngine, EngineConfig, SingleBlockEngine
 from repro.core import kernels
 from repro.core.config import FetchInput
+from repro.core.engine_mode import ENGINE_ENV
 from repro.core.kernels import (
-    CODE_COND_LONG,
     CODE_NONBRANCH,
-    CODE_OTHER,
-    CODE_RETURN,
     STORED_DTYPES,
     CompiledBlocks,
+    ReadList,
     _compile,
     bank_conflicts,
     compile_fetch_input,
     decode_selector,
     encode_selector,
     lru_resident,
-    resolve_walks,
+    read_list,
+    read_list_from_window,
     scan_counters,
     scan_writes,
+    walk_reads,
 )
 from repro.core.selection import (
     SRC_ARRAY,
@@ -44,10 +47,13 @@ from repro.core.selection import (
     SRC_RAS,
     walk_block,
 )
+from repro.cpu import Machine
 from repro.icache import CacheGeometry
 from repro.icache.banks import blocks_conflict
+from repro.isa import Assembler
 from repro.predictors.counters import COUNTER_MAX, counter_update
-from repro.workloads import load_fetch_input
+from repro.qa.state import engine_state
+from repro.workloads import SPEC95, load_fetch_input
 
 BUDGET = 5_000
 
@@ -179,6 +185,57 @@ def test_scan_counters_matches_scalar_replay():
         assert expect_state[slot] == state
 
 
+def _own_write_stream(rng, n_slots, n_blocks, n_writes, n_reads):
+    """A random block-ordered stream plus an own-write map for its reads.
+
+    Each write that is the first of its block to its slot gets a read at
+    the same (block, slot) with probability 1/2, mapped to that write;
+    further random reads are left to the search (``-1``).
+    """
+    write_blocks = np.sort(rng.integers(0, n_blocks, size=n_writes))
+    write_slots = rng.integers(0, n_slots, size=n_writes)
+    write_taken = rng.random(size=n_writes) < rng.random()
+    firsts = {}
+    for i, key in enumerate(zip(write_blocks.tolist(),
+                                write_slots.tolist())):
+        firsts.setdefault(key, i)
+    own = [i for i in firsts.values() if rng.random() < 0.5]
+    reads = [(int(write_blocks[i]), int(write_slots[i]), i) for i in own]
+    reads += [(int(b), int(s), -1) for b, s in zip(
+        rng.integers(0, n_blocks, size=n_reads),
+        rng.integers(0, n_slots, size=n_reads))]
+    reads.sort(key=lambda read: read[0])
+    blocks, slots, read_write = (np.array(col, dtype=np.int64)
+                                 for col in zip(*reads))
+    return (blocks, slots, write_blocks.astype(np.int64),
+            write_slots.astype(np.int64), write_taken, read_write)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_counters_own_writes_match_search(seed):
+    """A read mapped to its own block's write to its slot observes the
+    state that write found: the same prediction as the binary search."""
+    rng = np.random.default_rng(seed)
+    n_slots = int(rng.integers(1, 60))
+    counters = rng.integers(0, COUNTER_MAX + 1, size=n_slots).astype(
+        np.int64)
+    read_blocks, read_slots, write_blocks, write_slots, write_taken, \
+        read_write = _own_write_stream(rng, n_slots, 200, 600, 150)
+    assert (read_write >= 0).any() and (read_write < 0).any()
+    searched = scan_counters(counters, read_blocks, read_slots,
+                             write_blocks, write_slots, write_taken)
+    mapped = scan_counters(counters, read_blocks, read_slots,
+                           write_blocks, write_slots, write_taken,
+                           read_write)
+    for got, expect in zip(mapped, searched):
+        assert np.array_equal(got, expect)
+    expect_reads, _ = _scalar_counter_replay(
+        counters, list(zip(read_blocks.tolist(), read_slots.tolist())),
+        list(zip(write_blocks.tolist(), write_slots.tolist(),
+                 write_taken.tolist())))
+    assert mapped[0].tolist() == expect_reads
+
+
 def test_scan_counters_empty():
     taken, slots, states = scan_counters(
         np.zeros(4, dtype=np.int64), *[np.zeros(0, dtype=np.int64)] * 4,
@@ -204,15 +261,22 @@ class _MatrixPHT:
         return bool(self._preds[position])
 
 
+def _random_window(rng, n, width):
+    """Random BIT codes, half of them plain, so every walk path occurs."""
+    window = rng.integers(0, 8, size=(n, width)).astype(np.uint8)
+    window[rng.random(window.shape) < 0.5] = CODE_NONBRANCH
+    return window
+
+
 def test_resolve_walks_matches_walk_block():
+    """The list walk equals ``walk_block`` over each dense window row."""
     rng = np.random.default_rng(11)
     width = 8
-    window = rng.integers(0, 8, size=(200, width)).astype(np.uint8)
-    # Bias in plain codes so fall-through and RAS paths both occur.
-    window[rng.random(window.shape) < 0.5] = CODE_NONBRANCH
+    window = _random_window(rng, 200, width)
     pred_mat = rng.random(window.shape) < 0.5
 
-    walks = resolve_walks(window, width, pred_mat)
+    reads = read_list_from_window(window)
+    walks = walk_reads(reads, width, pred_mat[reads.block, reads.col])
     for b in range(len(window)):
         pht = _MatrixPHT(width, pred_mat[b])
         scalar = walk_block([int(c) for c in window[b]], 0, width, pht, 0)
@@ -231,6 +295,119 @@ def test_resolve_walks_matches_walk_block():
             width, scalar.source, scalar.exit_offset,
             None if scalar.near_code is None else int(scalar.near_code))
         assert int(walks.pay[b]) == n_nt * 2 + ends
+
+
+# ----------------------------------------------------------------------
+# Read lists
+# ----------------------------------------------------------------------
+
+def _assert_same_reads(got: ReadList, expect: ReadList):
+    for field in dataclasses.fields(ReadList):
+        a = getattr(got, field.name)
+        b = getattr(expect, field.name)
+        assert a.dtype == b.dtype, field.name
+        assert np.array_equal(a, b), field.name
+
+
+def _dense_window(compiled, width):
+    """Each block's true BIT codes, non-branch past the geometry limit."""
+    coa = compiled.code_of_addr
+    cols = np.arange(width, dtype=np.int64)
+    addrs = compiled.start[:, None] + cols[None, :]
+    window = np.zeros(addrs.shape, dtype=np.uint8)
+    in_text = addrs < len(coa)
+    window[in_text] = coa[addrs[in_text]]
+    window[cols[None, :] >= compiled.limit[:, None]] = CODE_NONBRANCH
+    return window
+
+
+def test_read_list_constructors_agree_on_random_windows():
+    """Codes laid out one block per row give the dense matrix's list,
+    under full and cut-short geometry limits."""
+    rng = np.random.default_rng(3)
+    width = 8
+    window = _random_window(rng, 300, width)
+    limit = rng.integers(1, width + 1, size=300).astype(np.int64)
+    window[np.arange(width)[None, :] >= limit[:, None]] = CODE_NONBRANCH
+    start = np.arange(300, dtype=np.int64) * width
+    _assert_same_reads(read_list(window.ravel(), start, limit, width),
+                       read_list_from_window(window))
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES,
+                         ids=["normal", "extend", "align"])
+@pytest.mark.parametrize("name", SPEC95)
+def test_read_list_constructors_agree(name, geometry):
+    """The list a view builds from ``code_of_addr`` equals the one the
+    dense window matrix gives, for both near-block flags."""
+    fetch_input = load_fetch_input(name, geometry, BUDGET)
+    for flag in (False, True):
+        compiled = compile_fetch_input(fetch_input, flag)
+        window = _dense_window(compiled, geometry.block_width)
+        _assert_same_reads(compiled.reads, read_list_from_window(window))
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES,
+                         ids=["normal", "extend", "align"])
+@pytest.mark.parametrize("name", SPEC95)
+def test_own_write_reads_share_block_and_position(name, geometry):
+    """Every read the engines resolve from a write (ranked below its
+    block's conditional count) lies inside the block's instructions and
+    names a write of the same block at the same window position."""
+    fetch_input = load_fetch_input(name, geometry, BUDGET)
+    width = geometry.block_width
+    for flag in (False, True):
+        compiled = compile_fetch_input(fetch_input, flag)
+        reads = compiled.reads
+        rb = reads.block
+        own = reads.rank < compiled.n_conds[rb]
+        assert np.all(reads.col[own] < compiled.n_instr[rb[own]])
+        write = (compiled.conds_before[rb] + reads.rank)[own]
+        assert np.array_equal(compiled.cond_block[write], rb[own])
+        assert np.array_equal(
+            compiled.cond_pos[write],
+            (compiled.start[rb[own]] + reads.col[own]) % width)
+
+
+def _truncated_mid_block_input(geometry):
+    """A run cut by its budget just before a conditional executes."""
+    asm = Assembler()
+    asm.li("r3", 0)
+    asm.li("r4", 1000)
+    asm.label("top")
+    for _ in range(5):
+        asm.addi("r3", "r3", 1)
+    asm.blt("r3", "r4", "top")  # address 7
+    asm.halt()
+    program = asm.assemble()
+    trace = Machine(program).run(max_instructions=2 + 6 * 16 + 5).trace
+    assert trace.truncated and int(trace.pc[-1]) == 7
+    return FetchInput.from_trace(trace, program.static_code(), geometry)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES,
+                         ids=["normal", "extend", "align"])
+def test_truncated_tail_block_reads_search(geometry, monkeypatch):
+    """The synthesised HALT sits on a static conditional inside the tail
+    block's instructions, but no record trains it: the rank guard sends
+    that read to the search, and the fast engines match the scalar."""
+    fetch_input = _truncated_mid_block_input(geometry)
+    compiled = compile_fetch_input(fetch_input, near_block=False)
+    reads = compiled.reads
+    tail = compiled.n_blocks - 1
+    in_tail = np.flatnonzero(reads.block == tail)
+    tail_read = in_tail[(compiled.start[tail] + reads.col[in_tail]) == 7]
+    assert len(tail_read) == 1
+    assert reads.col[tail_read] < compiled.n_instr[tail]
+    assert reads.rank[tail_read] >= compiled.n_conds[tail]
+    for factory in (SingleBlockEngine, DualBlockEngine):
+        out = []
+        for mode in ("scalar", "fast"):
+            monkeypatch.setenv(ENGINE_ENV, mode)
+            engine = factory(EngineConfig(geometry=geometry))
+            stats = [engine.run(fetch_input) for _ in range(2)]
+            out.append((stats, engine_state(engine)))
+        assert out[0] == out[1]
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +457,7 @@ def test_compile_is_memoised_per_input():
 
 #: Every near-block-independent field: shared by both flags' views.
 BASE_FIELDS = [field.name for field in dataclasses.fields(CompiledBlocks)
-               if field.name not in ("near_block", "n_blocks", "window",
+               if field.name not in ("near_block", "n_blocks", "reads",
                                      "code_of_addr")]
 
 
@@ -310,7 +487,7 @@ def _compiled_files(root):
                          ids=["normal", "extend", "align"])
 def test_views_match_fresh_compile(geometry, order, tmp_path, monkeypatch):
     """Both views equal a fresh ``_compile``, cold (compiled and stored)
-    and warm (base loaded from the one artifact, windows rebuilt)."""
+    and warm (base loaded from the one artifact, read lists rebuilt)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     source = load_fetch_input("go", geometry, BUDGET)
     expect = {flag: _compile(source, flag) for flag in (False, True)}
@@ -329,8 +506,8 @@ def test_views_match_fresh_compile(geometry, order, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("phase", ["cold", "warm"])
 def test_views_share_every_base_array(phase, tmp_path, monkeypatch):
-    """Only the window and its code map are per flag; the base aliases
-    the block stream's int64 arrays instead of copying them."""
+    """Only the read list and its code map are per flag; the base
+    aliases the block stream's int64 arrays instead of copying them."""
     assert len(BASE_FIELDS) == 16
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     fetch_input = _fresh(load_fetch_input("compress",
@@ -344,7 +521,7 @@ def test_views_share_every_base_array(phase, tmp_path, monkeypatch):
     for field in BASE_FIELDS:
         assert np.shares_memory(getattr(far, field), getattr(near, field)), \
             field
-    assert not np.shares_memory(far.window, near.window)
+    assert not np.shares_memory(far.reads.code, near.reads.code)
     for field in ("start", "n_instr", "exit_target"):
         assert np.shares_memory(getattr(far, field),
                                 getattr(fetch_input.blocks, field)), field
@@ -359,7 +536,7 @@ def test_base_arrays_are_read_only():
         array = getattr(compiled, field)
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
-    assert compile_fetch_input(fetch_input, False).window.flags.writeable
+    assert compile_fetch_input(fetch_input, False).reads.code.flags.writeable
 
 
 def test_compiled_arrays_roundtrip_through_disk_cache(monkeypatch):
@@ -374,8 +551,8 @@ def test_compiled_arrays_roundtrip_through_disk_cache(monkeypatch):
     data = disk_cache.load_compiled(name, budget, geometry, digest,
                                     fetch_input.trace.n_records)
     assert data is not None
-    # One artifact for both flags: no window, nothing the segmentation
-    # already stores.
+    # One artifact for both flags: no read list, nothing the
+    # segmentation already stores.
     assert set(data) == set(STORED_DTYPES)
     # Stored narrow, except act_exit: its FAR sentinel needs int64.
     assert data["exit_pc"].dtype == np.int16
@@ -396,7 +573,9 @@ def _assert_same_compiled(loaded, compiled):
     for field in vars(compiled):
         original = getattr(compiled, field)
         restored = getattr(loaded, field)
-        if isinstance(original, np.ndarray):
+        if isinstance(original, ReadList):
+            _assert_same_reads(restored, original)
+        elif isinstance(original, np.ndarray):
             assert restored.dtype == original.dtype, field
             assert np.array_equal(original, restored), field
         else:

@@ -300,6 +300,15 @@ class TestMalformedTraces:
         with pytest.raises(ValueError, match="HALT at record 0"):
             segment_blocks(t, GEO8)
 
+    @pytest.mark.parametrize("n_instructions", [3, 12])
+    def test_instruction_count_mismatch_rejected(self, n_instructions):
+        # Records cover pc 0..3 (a HALT at 3): four instructions.
+        t = make_trace(0, n_instructions, [(3, K_HALT, False, 4)])
+        with pytest.raises(ValueError, match="cover 4 instructions"):
+            segment_blocks(t, GEO8)
+        assert segment_blocks(make_trace(0, 4, [(3, K_HALT, False, 4)]),
+                              GEO8).instructions == 4
+
 
 class TestExecutedPrograms:
     def _trace(self, body):

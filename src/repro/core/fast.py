@@ -151,13 +151,16 @@ class _Run:
         pht = self.pht
         packed = packed_history(compiled.cond_taken,
                                 self.config.history_length)
+        # Anchor addresses feed packed PHT, select and target keys: the
+        # int32 stream array is widened once here.
+        start = compiled.start.astype(np.int64)
         if self.ahead:
             prev = np.concatenate([np.zeros(1, dtype=np.int64),
                                    np.arange(self.n - 1, dtype=np.int64)])
-            self.anchor_start = compiled.start[prev]
+            self.anchor_start = start[prev]
         else:
             prev = np.arange(self.n, dtype=np.int64)
-            self.anchor_start = compiled.start
+            self.anchor_start = start
         ghr_vals = packed[compiled.conds_before[prev]]
         addr = self.anchor_start // self.width
         entry = (ghr_vals ^ addr) & pht.mask
@@ -270,16 +273,17 @@ class _Run:
         is_call = compiled.has_exit & (compiled.exit_kind == K_CALL)
         self.is_ret = is_ret
         peeks = np.full(self.n, -1, dtype=np.int64)
-        exit_pc = compiled.exit_pc.tolist()
-        ret_flags = is_ret.tolist()
-        for b in np.nonzero(is_ret | is_call)[0].tolist():
-            if ret_flags[b]:
+        # Only the call/return blocks reach Python, as plain ints.
+        events = np.flatnonzero(is_ret | is_call)
+        for b, ret, pc in zip(events.tolist(), is_ret[events].tolist(),
+                              compiled.exit_pc[events].tolist()):
+            if ret:
                 top = ras.peek(0)
                 if top is not None:
                     peeks[b] = top
                 ras.pop()
             else:
-                ras.push(exit_pc[b] + 1)
+                ras.push(pc + 1)
         return peeks
 
     # -- residual inputs -------------------------------------------------
@@ -373,7 +377,11 @@ def _replay_targets(targets, which, lines, positions, values):
 
     Event ``i`` looks up ``(which[i], lines[i], positions[i])`` and then
     stores ``values[i]`` there; the array's final state is written back.
+    The operands may be the compiled ``int32`` arrays; the keys are
+    packed in ``int64``.
     """
+    lines, positions, values = (np.asarray(a, dtype=np.int64)
+                                for a in (lines, positions, values))
     if isinstance(targets, DualBTBTargetArray):
         return _replay_btb(targets._btb, which, lines, positions, values)
     if isinstance(targets, BlockBTB):

@@ -33,6 +33,15 @@ and the parity suite keeps both bit-identical.  This module is the one
 vectorized counter layer: Figure 6's
 :func:`~repro.predictors.evaluate.direction_accuracy_sweep` runs on
 :func:`scan_writes` too.
+
+The base keeps the block stream's natural widths, cold or loaded:
+``int32`` addresses and indices, ``int8`` counts and offsets within a
+block (:data:`STORED_DTYPES`,
+:data:`~repro.trace.blocks.STREAM_DTYPES`).  Under numpy 2 a narrow
+array combined with a Python int stays narrow and wraps silently, so
+every packed key and product (the counter search keys, the stale
+windows' events and addresses, and the engines' PHT, select and target
+keys in :mod:`repro.core.fast`) is computed in ``int64``.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from ..isa.program import StaticCode
 from ..predictors.counters import COUNTER_MAX, COUNTER_MIN
 from ..runtime import cache as disk_cache
 from ..runtime import profile
-from ..trace.blocks import BlockStream
+from ..trace.blocks import MAX_BLOCK_WIDTH, BlockStream
 from .config import FetchInput
 from .selection import SRC_ARRAY, SRC_FALLTHROUGH, SRC_NEAR, SRC_RAS
 
@@ -72,8 +81,13 @@ TAKEN_MIN = 2
 #: ``exit_offset`` sentinel for a fall-through walk (scalar ``None``).
 NO_EXIT = -1
 
-#: Large "no exit" offset so MATCH/EARLY/LATE reduce to comparisons.
+#: Address past every text segment (the read lists' search sentinel).
 FAR = np.int64(1) << np.int64(40)
+
+#: Exit offset of a fall-through block, past every block limit (widths
+#: are at most ``MAX_BLOCK_WIDTH``), so MATCH/EARLY/LATE reduce to
+#: comparisons.  Fits the ``int8`` of ``act_exit``.
+FAR_EXIT = np.int8(MAX_BLOCK_WIDTH)
 
 
 # ----------------------------------------------------------------------
@@ -138,9 +152,8 @@ def _read_list(width: int, block: np.ndarray, col: np.ndarray,
                stop_col: np.ndarray, stop_code: np.ndarray) -> ReadList:
     """Store every array of a read list narrow."""
     narrow = np.min_scalar_type(width)
-    wide_rows = len(n_before) >= (1 << 31)
     return ReadList(
-        block=block.astype(np.int64 if wide_rows else np.int32),
+        block=block.astype(np.int32),
         col=col.astype(narrow), code=code.astype(np.uint8),
         rank=rank.astype(narrow), stop_col=stop_col.astype(narrow),
         stop_code=stop_code.astype(np.uint8),
@@ -207,76 +220,81 @@ class CompiledBlocks:
     (:class:`ReadList`).  Only ``reads`` and
     ``code_of_addr`` depend on ``near_block``: the two views of one
     fetch input share every other array (read-only).
+
+    Arrays keep their natural width, cold or loaded: ``int32`` for
+    addresses and indices, ``int8`` for counts and offsets within a
+    block.
     """
 
     near_block: bool
     n_blocks: int
-    start: np.ndarray        #: int64[n]
-    limit: np.ndarray        #: int64[n] geometry block limit
-    n_instr: np.ndarray      #: int64[n]
-    exit_kind: np.ndarray    #: int64[n] InstrKind / EXIT_FALLTHROUGH
-    exit_target: np.ndarray  #: int64[n]
+    start: np.ndarray        #: int32[n]
+    limit: np.ndarray        #: int8[n] geometry block limit
+    n_instr: np.ndarray      #: int8[n]
+    exit_kind: np.ndarray    #: uint8[n] InstrKind / EXIT_FALLTHROUGH
+    exit_target: np.ndarray  #: int32[n]
     has_exit: np.ndarray     #: bool[n]  taken (non-HALT) exit
     is_halt: np.ndarray      #: bool[n]
-    exit_pc: np.ndarray      #: int64[n] (-1 without a taken exit)
-    exit_direct: np.ndarray  #: int64[n] static direct target at exit_pc
-    act_exit: np.ndarray     #: int64[n] exit offset, FAR for fall-through
-    line0: np.ndarray        #: int64[n] start line index
+    exit_pc: np.ndarray      #: int32[n] (-1 without a taken exit)
+    exit_direct: np.ndarray  #: int32[n] static direct target at exit_pc
+    act_exit: np.ndarray     #: int8[n] exit offset, FAR_EXIT otherwise
+    line0: np.ndarray        #: int32[n] start line index
     reads: ReadList          #: conditional window positions
     code_of_addr: np.ndarray  #: uint8[text size] per-address BIT codes
-    conds_before: np.ndarray  #: int64[n] conds in trace before the block
-    n_conds: np.ndarray      #: int64[n] conds inside the block
-    cond_block: np.ndarray   #: int64[m] owning block of each conditional
-    cond_pos: np.ndarray     #: int64[m] pc % block_width
+    conds_before: np.ndarray  #: int32[n] conds in trace before the block
+    n_conds: np.ndarray      #: int8[n] conds inside the block
+    cond_block: np.ndarray   #: int32[m] owning block of each conditional
+    cond_pos: np.ndarray     #: int8[m] pc % block_width
     cond_taken: np.ndarray   #: bool[m]
 
 
 #: Base arrays the ``compiled/`` artifact persists, with their in-memory
 #: dtypes.  The rest of the base is the ``BlockStream``'s own arrays
-#: (``start``, ``n_instr``, ``exit_target``) or derives from its
-#: ``exit_kind`` (``has_exit``, ``is_halt``).
+#: (``start``, ``n_instr``, ``exit_kind``, ``exit_target``, in
+#: :data:`~repro.trace.blocks.STREAM_DTYPES`) or derives from them
+#: (``has_exit``, ``is_halt``, ``act_exit``).  Artifacts of earlier
+#: versions also hold an ``int64`` ``act_exit``; the loader reads only
+#: these keys.
 STORED_DTYPES = {
-    "limit": np.int64, "exit_pc": np.int64, "exit_direct": np.int64,
-    "act_exit": np.int64, "line0": np.int64, "conds_before": np.int64,
-    "n_conds": np.int64, "cond_block": np.int64, "cond_pos": np.int64,
-    "cond_taken": bool,
+    "limit": np.int8, "exit_pc": np.int32, "exit_direct": np.int32,
+    "line0": np.int32, "conds_before": np.int32, "n_conds": np.int8,
+    "cond_block": np.int32, "cond_pos": np.int8, "cond_taken": bool,
 }
 
 
 def _stream_arrays(blocks: BlockStream) -> Dict[str, np.ndarray]:
-    """Base arrays taken from the block stream (int64 ones by reference)."""
-    exit_kind = blocks.exit_kind.astype(np.int64)
+    """Base arrays the block stream holds (by reference) or derives."""
+    exit_kind = blocks.exit_kind
+    has_exit = (exit_kind != 0) & (exit_kind != K_HALT)
     return {
-        "start": np.asarray(blocks.start, dtype=np.int64),
-        "n_instr": np.asarray(blocks.n_instr, dtype=np.int64),
-        "exit_kind": exit_kind,
-        "exit_target": np.asarray(blocks.exit_target, dtype=np.int64),
-        "has_exit": (exit_kind != 0) & (exit_kind != K_HALT),
-        "is_halt": exit_kind == K_HALT,
+        "start": blocks.start, "n_instr": blocks.n_instr,
+        "exit_kind": exit_kind, "exit_target": blocks.exit_target,
+        "has_exit": has_exit, "is_halt": exit_kind == K_HALT,
+        "act_exit": np.where(has_exit, blocks.n_instr - np.int8(1),
+                             FAR_EXIT),
     }
 
 
 def _stored_arrays(fetch_input: FetchInput,
                    stream: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Compute the :data:`STORED_DTYPES` arrays of one fetch input."""
+    """Compute the :data:`STORED_DTYPES` arrays of one fetch input.
+
+    Addresses and conditional counts stay ``int32``, which the
+    segmentation's bounds guarantee, so no ``int64`` copy of a
+    per-block array is made.
+    """
     blocks = fetch_input.blocks
     geometry = fetch_input.geometry
     trace = fetch_input.trace
-    width = geometry.block_width
-    line_size = geometry.line_size
     start = stream["start"]
-    n_instr = stream["n_instr"]
     has_exit = stream["has_exit"]
     n = len(start)
 
-    limit = geometry.block_limits(start)
-    exit_pc = np.where(has_exit, start + n_instr - 1, np.int64(-1))
-    act_exit = np.where(has_exit | stream["is_halt"],
-                        np.where(has_exit, n_instr - 1, FAR), FAR)
-
+    exit_pc = np.where(has_exit, start + stream["n_instr"] - 1,
+                       np.int32(-1))
     direct = np.asarray(fetch_input.static.direct_target,
                         dtype=np.int64)
-    exit_direct = np.full(n, -1, dtype=np.int64)
+    exit_direct = np.full(n, -1, dtype=np.int32)
     known = has_exit & (exit_pc < len(direct))
     exit_direct[known] = direct[exit_pc[known]]
 
@@ -284,22 +302,21 @@ def _stored_arrays(fetch_input: FetchInput,
     # per-block conds are the global conditional stream split by the
     # blocks' record windows.
     cond_mask = trace.cond_mask
-    cond_prefix = np.zeros(len(cond_mask) + 1, dtype=np.int64)
-    np.cumsum(cond_mask, out=cond_prefix[1:])
-    cond_pc = trace.pc[cond_mask].astype(np.int64)
-    first_rec = blocks.first_rec.astype(np.int64)
-    n_recs = blocks.n_recs.astype(np.int64)
-    conds_before = cond_prefix[first_rec]
-    n_conds = cond_prefix[first_rec + n_recs] - conds_before
+    cond_prefix = np.zeros(len(cond_mask) + 1, dtype=np.int32)
+    np.cumsum(cond_mask, dtype=np.int32, out=cond_prefix[1:])
+    conds_before = cond_prefix[blocks.first_rec]
+    n_conds = cond_prefix[blocks.first_rec + blocks.n_recs] - conds_before
 
-    return {
-        "limit": limit, "exit_pc": exit_pc, "exit_direct": exit_direct,
-        "act_exit": act_exit, "line0": start // line_size,
+    arrays = {
+        "limit": geometry.block_limits(start), "exit_pc": exit_pc,
+        "exit_direct": exit_direct, "line0": start // geometry.line_size,
         "conds_before": conds_before, "n_conds": n_conds,
-        "cond_block": np.repeat(np.arange(n, dtype=np.int64), n_conds),
-        "cond_pos": cond_pc % width,
-        "cond_taken": trace.taken[cond_mask].astype(bool),
+        "cond_block": np.repeat(np.arange(n, dtype=np.int32), n_conds),
+        "cond_pos": trace.pc[cond_mask] % geometry.block_width,
+        "cond_taken": trace.taken[cond_mask],
     }
+    return {field: arrays[field].astype(dtype, copy=False)
+            for field, dtype in STORED_DTYPES.items()}
 
 
 def _frozen(base: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -340,8 +357,9 @@ def _load_base(fetch_input: FetchInput) -> Dict[str, np.ndarray]:
 
     Inputs loaded through the workload registry carry a ``cache_key``
     and persist their :data:`STORED_DTYPES` arrays under
-    ``<cache-dir>/compiled/``; the loader casts them back to their
-    in-memory dtypes.
+    ``<cache-dir>/compiled/``; the loader casts them to their in-memory
+    dtypes, so stored widths (narrow, or the all-``int64`` artifacts of
+    earlier versions) never reach the base.
     """
     key = getattr(fetch_input, "cache_key", None)
     if key is None:
@@ -353,7 +371,7 @@ def _load_base(fetch_input: FetchInput) -> Dict[str, np.ndarray]:
     stream = _stream_arrays(fetch_input.blocks)
     if data is not None and len(data["limit"]) == len(stream["start"]):
         return _frozen({**stream, **{
-            field: np.asarray(data[field], dtype=dtype)
+            field: data[field].astype(dtype, copy=False)
             for field, dtype in STORED_DTYPES.items()}})
     stored = _stored_arrays(fetch_input, stream)  # miss or stale artifact
     disk_cache.store_compiled(stored, name, budget, fetch_input.geometry,
@@ -653,13 +671,15 @@ def _search_states(scan: WriteScan, counters: np.ndarray,
     read at block b observes only writes at blocks strictly before b —
     exactly the scalar interleaving.
     """
-    wb = write_blocks[scan.order]
     stride = 2 * np.int64(max(int(read_blocks.max()),
                               int(write_blocks.max()))) + 2
-    wkey = scan.slot * stride + 2 * wb + 1
-    pos = np.searchsorted(wkey, read_slots * stride + 2 * read_blocks,
+    # Keys exceed int32 even when the operands fit it: pack in int64.
+    wb = write_blocks[scan.order].astype(np.int64)
+    wkey = scan.slot.astype(np.int64) * stride + 2 * wb + 1
+    rslot = read_slots.astype(np.int64) * stride
+    pos = np.searchsorted(wkey, rslot + 2 * read_blocks.astype(np.int64),
                           side="left")
-    slot_base = np.searchsorted(wkey, read_slots * stride, side="left")
+    slot_base = np.searchsorted(wkey, rslot, side="left")
     has_prior = pos > slot_base
     return np.where(has_prior, scan.after[np.maximum(pos - 1, 0)],
                     counters[read_slots])
@@ -680,7 +700,7 @@ class WalkArrays:
     """
 
     exit_off: np.ndarray    #: int64[n], NO_EXIT for fall-through
-    pred_exit: np.ndarray   #: int64[n], exit_off with FAR for fall-through
+    pred_exit: np.ndarray   #: int64[n], exit_off, FAR_EXIT for fall-through
     src: np.ndarray         #: int64[n] SRC_* constant
     near: np.ndarray        #: int64[n] near BitCode or -1
     n_not_taken: np.ndarray  #: int64[n]
@@ -747,7 +767,7 @@ def walk_reads(reads: ReadList, width: int, preds: np.ndarray) -> WalkArrays:
     pay = n_not_taken * 2 + ends_taken
     return WalkArrays(
         exit_off=exit_off,
-        pred_exit=np.where(any_exit, exit_off, FAR),
+        pred_exit=np.where(any_exit, exit_off, np.int64(FAR_EXIT)),
         src=src, near=near, n_not_taken=n_not_taken,
         ends_taken=ends_taken, sel=sel, pay=pay,
     )
@@ -833,9 +853,10 @@ def stale_bit_windows(compiled: CompiledBlocks, line_size: int,
     program's static code.
     """
     n = compiled.n_blocks
-    start = compiled.start
-    limit = compiled.limit
-    l0 = compiled.line0
+    # Packed event keys and addresses: int64 throughout.
+    start = compiled.start.astype(np.int64)
+    limit = compiled.limit.astype(np.int64)
+    l0 = compiled.line0.astype(np.int64)
     span1 = np.minimum(limit, line_size - start % line_size)
     l_last = (start + limit - 1) // line_size
     second = np.nonzero(l_last > l0)[0]

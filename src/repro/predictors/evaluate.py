@@ -178,7 +178,8 @@ def _block_sampling(blocks: BlockStream) -> Tuple[np.ndarray, np.ndarray]:
                       - conds_before_block)
 
     block_of_cond = np.repeat(np.arange(len(blocks.start)), conds_in_block)
-    lines = blocks.start // blocks.geometry.block_width
+    # int64 lines: the slot arithmetic multiplies them into table bases.
+    lines = blocks.start.astype(np.int64) // blocks.geometry.block_width
     return lines[block_of_cond], conds_before_block[block_of_cond]
 
 

@@ -25,9 +25,12 @@ Layout and keying:
 * Stored width: every writer passes its arrays through :func:`narrow`,
   which keeps each non-empty integer array in the narrowest of
   uint8/int8/uint16/int16/uint32/int32 that holds its values, so zlib
-  does not compress int64 padding.  The readers cast every array back
-  to its in-memory dtype, so all-int64 artifacts of earlier versions
-  load unchanged.
+  does not compress int64 padding.  The readers cast every array to
+  its in-memory dtype, which is narrow too (``int32`` addresses and
+  indices, ``int8`` per-block counts:
+  :data:`repro.trace.blocks.STREAM_DTYPES` and
+  :data:`repro.core.kernels.STORED_DTYPES`), so all-int64 artifacts of
+  earlier versions load bit-identically.
 * Integrity: every artifact gets a ``<file>.sha256`` sidecar, verified
   on read.
 * Corrupt artifacts move to ``quarantine/`` (with a warning) instead of
@@ -58,7 +61,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..icache.geometry import CacheGeometry
-from ..trace.blocks import BlockStream
+from ..trace.blocks import STREAM_DTYPES, BlockStream
 from ..trace.record import CAPTURE_VERSION, Trace
 from . import faults
 
@@ -380,16 +383,9 @@ def load_blocks(trace: Trace, geometry: CacheGeometry, name: str,
         with np.load(source) as data:
             if int(data["n_records"]) != trace.n_records:
                 return None  # stale artifact from a different trace
-            return BlockStream(
-                trace=trace,
-                geometry=geometry,
-                start=data["start"].astype(np.int64),
-                n_instr=data["n_instr"].astype(np.int64),
-                exit_kind=data["exit_kind"].astype(np.uint8),
-                exit_target=data["exit_target"].astype(np.int64),
-                first_rec=data["first_rec"].astype(np.int64),
-                n_recs=data["n_recs"].astype(np.int64),
-            )
+            return BlockStream(trace=trace, geometry=geometry, **{
+                field: data[field].astype(dtype, copy=False)
+                for field, dtype in STREAM_DTYPES.items()})
 
     return _read_artifact(path, load, "blocks", name)
 

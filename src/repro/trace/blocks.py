@@ -25,6 +25,13 @@ Segmentation is array arithmetic in three levels, with no per-block loop:
 
 A record's block follows directly from its run, its line and its offset
 in the segment, so the record windows are one ``bincount`` away.
+
+The arithmetic runs in ``int64``; the stream keeps each array at its
+natural width (:data:`STREAM_DTYPES`): ``int32`` for addresses and record
+indices, ``int8`` for counts bounded by the block width.  The widths are
+signed, so mixing them with ``int64`` never promotes to ``float64``, and
+:func:`segment_blocks` rejects a trace or geometry whose values would not
+fit.
 """
 
 from __future__ import annotations
@@ -40,6 +47,21 @@ from .record import Trace
 #: exit_kind value for a block that fell through at the geometry limit.
 EXIT_FALLTHROUGH = 0
 
+#: In-memory dtype of every per-block array of a :class:`BlockStream`,
+#: whether segmented or loaded from the cache.
+STREAM_DTYPES = {
+    "start": np.int32, "n_instr": np.int8, "exit_kind": np.uint8,
+    "exit_target": np.int32, "first_rec": np.int32, "n_recs": np.int8,
+}
+
+#: Widest block :data:`STREAM_DTYPES` holds: counts and offsets within
+#: a block are ``int8``, and offset ``MAX_BLOCK_WIDTH`` stays free for
+#: the fall-through sentinel of the compiled exits.
+MAX_BLOCK_WIDTH = 127
+
+#: Addresses, record counts and block counts stay below this (``int32``).
+MAX_INDEX = 1 << 31
+
 
 @dataclass
 class BlockStream:
@@ -47,7 +69,7 @@ class BlockStream:
 
     All arrays have one entry per block, in fetch order:
 
-    Attributes:
+    Attributes (dtypes in :data:`STREAM_DTYPES`):
         start: first instruction address of the block.
         n_instr: valid instructions in the block (the paper's IPB averages
             over this).
@@ -63,12 +85,12 @@ class BlockStream:
 
     trace: Trace
     geometry: CacheGeometry
-    start: np.ndarray
-    n_instr: np.ndarray
-    exit_kind: np.ndarray
-    exit_target: np.ndarray
-    first_rec: np.ndarray
-    n_recs: np.ndarray
+    start: np.ndarray        #: int32[n]
+    n_instr: np.ndarray      #: int8[n]
+    exit_kind: np.ndarray    #: uint8[n]
+    exit_target: np.ndarray  #: int32[n]
+    first_rec: np.ndarray    #: int32[n]
+    n_recs: np.ndarray       #: int8[n]
 
     def __len__(self) -> int:
         return len(self.start)
@@ -122,19 +144,46 @@ def _check_fetch_points(trace: Trace, pc: np.ndarray,
             f"its fetch point {int(fetch[i])}")
 
 
+def _check_widths(trace: Trace, geometry: CacheGeometry) -> None:
+    """Reject a trace whose blocks :data:`STREAM_DTYPES` cannot hold.
+
+    Every block address lies within a block width of a record's pc or
+    target, and there are no more blocks than instructions, so bounding
+    those below :data:`MAX_INDEX` bounds the stream (``start + limit``
+    cannot wrap in ``int32`` either).
+    """
+    width = geometry.block_width
+    if width > MAX_BLOCK_WIDTH:
+        raise ValueError(
+            f"block width {width} exceeds {MAX_BLOCK_WIDTH}")
+    top = max(trace.entry_pc, int(trace.pc.max()),
+              int(trace.target.max())) + width
+    if top >= MAX_INDEX:
+        raise ValueError(f"block addresses reach {top}, past 2**31")
+    count = max(trace.n_records, trace.n_instructions)
+    if count >= MAX_INDEX:
+        raise ValueError(f"{count} records or instructions exceed 2**31")
+
+
+def _as_stream(field: str, array: np.ndarray) -> np.ndarray:
+    """``array`` at its :data:`STREAM_DTYPES` width."""
+    return array.astype(STREAM_DTYPES[field], copy=False)
+
+
 def segment_blocks(trace: Trace, geometry: CacheGeometry) -> BlockStream:
     """Split ``trace`` into fetch blocks under ``geometry``.
 
     Raises :class:`ValueError` when a record precedes the address fetch
-    reached it at, when a HALT record is not the last, or when the
-    blocks cover a different instruction count than
-    ``trace.n_instructions`` (the engines align each block's records
-    with its instructions).
+    reached it at, when a HALT record is not the last, when the blocks
+    cover a different instruction count than ``trace.n_instructions``
+    (the engines align each block's records with its instructions), or
+    when a value does not fit its :data:`STREAM_DTYPES` width.
     """
     pc = trace.pc
     kind = trace.kind
     is_halt = kind == int(InstrKind.HALT)
     _check_fetch_points(trace, pc, is_halt)
+    _check_widths(trace, geometry)
     width = geometry.block_width
 
     # Runs: [run_start, run_end], each closed by a taken record or HALT.
@@ -167,16 +216,21 @@ def segment_blocks(trace: Trace, geometry: CacheGeometry) -> BlockStream:
 
     # Blocks: every ``width`` instructions from each segment's start.
     per_seg = (seg_end - seg_start) // width + 1
+    del seg_end
     first_block = _exclusive_cumsum(per_seg)
     n_blocks = int(first_block[-1] + per_seg[-1])
     start = np.repeat(seg_start - first_block * width, per_seg)
     start += np.arange(0, n_blocks * width, width, dtype=np.int64)
+    del per_seg
 
     rec_block = (first_block[rec_seg]
                  + (pc - seg_start[rec_seg]) // width)
-    del rec_seg
-    n_recs = np.bincount(rec_block, minlength=n_blocks).astype(
-        np.int64, copy=False)
+    del rec_seg, seg_start, first_block
+    # Each array narrows as soon as it is final, which keeps the int64
+    # working set small.
+    n_recs = np.bincount(rec_block, minlength=n_blocks)
+    first_rec = _as_stream("first_rec", _exclusive_cumsum(n_recs))
+    n_recs = _as_stream("n_recs", n_recs)
     last = rec_block[end_rec]  # each run's last block
     del rec_block
 
@@ -187,19 +241,19 @@ def segment_blocks(trace: Trace, geometry: CacheGeometry) -> BlockStream:
         raise ValueError(
             f"malformed trace: its records cover {covered} instructions, "
             f"not n_instructions={trace.n_instructions}")
-    exit_target = start + n_instr
+    exit_target = _as_stream("exit_target", start + n_instr)
     taken_exit = ~is_halt[end_rec]
     exit_target[last[taken_exit]] = trace.target[end_rec[taken_exit]]
-    exit_kind = np.zeros(n_blocks, dtype=np.uint8)
+    exit_kind = np.zeros(n_blocks, dtype=STREAM_DTYPES["exit_kind"])
     exit_kind[last] = kind[end_rec]
 
     return BlockStream(
         trace=trace,
         geometry=geometry,
-        start=start,
-        n_instr=n_instr,
+        start=_as_stream("start", start),
+        n_instr=_as_stream("n_instr", n_instr),
         exit_kind=exit_kind,
         exit_target=exit_target,
-        first_rec=_exclusive_cumsum(n_recs),
+        first_rec=first_rec,
         n_recs=n_recs,
     )

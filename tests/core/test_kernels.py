@@ -23,8 +23,10 @@ from repro.core import DualBlockEngine, EngineConfig, SingleBlockEngine
 from repro.core import kernels
 from repro.core.config import FetchInput
 from repro.core.engine_mode import ENGINE_ENV
+from repro.core.fast import _replay_targets
 from repro.core.kernels import (
     CODE_NONBRANCH,
+    FAR_EXIT,
     STORED_DTYPES,
     CompiledBlocks,
     ReadList,
@@ -53,6 +55,7 @@ from repro.icache.banks import blocks_conflict
 from repro.isa import Assembler
 from repro.predictors.counters import COUNTER_MAX, counter_update
 from repro.qa.state import engine_state
+from repro.targets.btb import BlockBTB
 from repro.workloads import SPEC95, load_fetch_input
 
 BUDGET = 5_000
@@ -234,6 +237,74 @@ def test_scan_counters_own_writes_match_search(seed):
         list(zip(write_blocks.tolist(), write_slots.tolist(),
                  write_taken.tolist())))
     assert mapped[0].tolist() == expect_reads
+
+
+#: Offset that lifts int32 block indices past 2**30, so ``2 * block``
+#: and the packed ``slot * stride`` keys overflow int32.
+WIDE_BLOCK = 1 << 30
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scan_counters_pack_wide_keys_from_int32_operands(seed):
+    """int32 block and slot operands (the compiled arrays' width) whose
+    packed search keys pass 2**31 resolve exactly like a plain Python
+    replay, on the own-write and on the search path."""
+    rng = np.random.default_rng(seed)
+    n_slots = 50
+    counters = rng.integers(0, COUNTER_MAX + 1, size=n_slots).astype(
+        np.int64)
+    read_blocks, read_slots, write_blocks, write_slots, write_taken, \
+        read_write = _own_write_stream(rng, n_slots, 200, 600, 150)
+    read_blocks = (read_blocks + WIDE_BLOCK).astype(np.int32)
+    write_blocks = (write_blocks + WIDE_BLOCK).astype(np.int32)
+    read_slots = read_slots.astype(np.int32)
+    write_slots = write_slots.astype(np.int32)
+    stride = 2 * (int(max(read_blocks.max(), write_blocks.max())) + 1)
+    assert int(read_slots.max()) * stride >= 1 << 31
+    expect_reads, expect_state = _scalar_counter_replay(
+        counters, list(zip(read_blocks.tolist(), read_slots.tolist())),
+        list(zip(write_blocks.tolist(), write_slots.tolist(),
+                 write_taken.tolist())))
+    for mapping in (None, read_write.astype(np.int32)):
+        taken, final_slots, final_states = scan_counters(
+            counters, read_blocks, read_slots, write_blocks, write_slots,
+            write_taken, mapping)
+        assert taken.tolist() == expect_reads
+        assert {slot: expect_state[slot] for slot in final_slots.tolist()} \
+            == dict(zip(final_slots.tolist(), final_states.tolist()))
+
+
+def _btb_contents(btb):
+    return [[(tag, list(entry.targets)) for tag, entry in bucket.items()]
+            for bucket in btb._sets]
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["single", "dual"])
+def test_btb_replay_packs_wide_keys_from_int32_operands(dual):
+    """The keyed BTB replay over int32 line, position and target
+    operands whose ``2 * line + which`` keys pass 2**31 observes and
+    leaves exactly what event-by-event ``BlockBTB`` calls do, cold and
+    then warm."""
+    rng = np.random.default_rng(3)
+    fast_btb = BlockBTB(16, 8, 4, dual=dual)
+    slow_btb = BlockBTB(16, 8, 4, dual=dual)
+    for _ in range(2):
+        m = 400
+        which = rng.integers(0, 2 if dual else 1, size=m).astype(np.int64)
+        lines = (WIDE_BLOCK + rng.integers(0, 24, size=m)).astype(np.int32)
+        positions = rng.integers(0, 8, size=m).astype(np.int32)
+        values = rng.integers(0, 1 << 20, size=m).astype(np.int32)
+        assert 2 * int(lines.max()) >= 1 << 31
+        observed = _replay_targets(fast_btb, which, lines, positions,
+                                   values)
+        expect = []
+        for w, line, pos, value in zip(which.tolist(), lines.tolist(),
+                                       positions.tolist(), values.tolist()):
+            target = slow_btb.lookup(line, pos, w + 1)
+            expect.append(-1 if target is None else target)
+            slow_btb.update(line, pos, value, w + 1)
+        assert observed.tolist() == expect
+        assert _btb_contents(fast_btb) == _btb_contents(slow_btb)
 
 
 def test_scan_counters_empty():
@@ -507,7 +578,7 @@ def test_views_match_fresh_compile(geometry, order, tmp_path, monkeypatch):
 @pytest.mark.parametrize("phase", ["cold", "warm"])
 def test_views_share_every_base_array(phase, tmp_path, monkeypatch):
     """Only the read list and its code map are per flag; the base
-    aliases the block stream's int64 arrays instead of copying them."""
+    aliases the block stream's arrays instead of copying them."""
     assert len(BASE_FIELDS) == 16
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     fetch_input = _fresh(load_fetch_input("compress",
@@ -522,7 +593,7 @@ def test_views_share_every_base_array(phase, tmp_path, monkeypatch):
         assert np.shares_memory(getattr(far, field), getattr(near, field)), \
             field
     assert not np.shares_memory(far.reads.code, near.reads.code)
-    for field in ("start", "n_instr", "exit_target"):
+    for field in ("start", "n_instr", "exit_kind", "exit_target"):
         assert np.shares_memory(getattr(far, field),
                                 getattr(fetch_input.blocks, field)), field
 
@@ -554,9 +625,9 @@ def test_compiled_arrays_roundtrip_through_disk_cache(monkeypatch):
     # One artifact for both flags: no read list, nothing the
     # segmentation already stores.
     assert set(data) == set(STORED_DTYPES)
-    # Stored narrow, except act_exit: its FAR sentinel needs int64.
+    # Stored narrow; act_exit derives from the stream's exits on load.
     assert data["exit_pc"].dtype == np.int16
-    assert data["act_exit"].dtype == np.int64
+    assert "act_exit" not in data
     # ``start`` is stored once, narrow, with the segmentation.
     with np.load(disk_cache._blocks_path(disk_cache.cache_dir(), name,
                                          budget, geometry, digest)) as raw:
@@ -597,6 +668,10 @@ def test_int64_compiled_artifact_loads_bit_identically(monkeypatch):
         array = getattr(compiled, field)
         legacy[field] = (array.astype(np.int64) if array.dtype.kind in "iu"
                          else array)
+    # Earlier versions also stored act_exit, with a 2**40 sentinel.
+    legacy["act_exit"] = np.where(compiled.act_exit == FAR_EXIT,
+                                  np.int64(1) << 40,
+                                  compiled.act_exit.astype(np.int64))
     np.savez_compressed(
         path, n_records=np.int64(fetch_input.trace.n_records), **legacy)
     disk_cache._checksum_path(path).unlink(missing_ok=True)

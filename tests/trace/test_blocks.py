@@ -109,12 +109,12 @@ def reference_segment_blocks(trace: Trace,
     return BlockStream(
         trace=trace,
         geometry=geometry,
-        start=np.asarray(b_start, dtype=np.int64),
-        n_instr=np.asarray(b_n, dtype=np.int64),
+        start=np.asarray(b_start, dtype=np.int32),
+        n_instr=np.asarray(b_n, dtype=np.int8),
         exit_kind=np.asarray(b_exit_kind, dtype=np.uint8),
-        exit_target=np.asarray(b_exit_target, dtype=np.int64),
-        first_rec=np.asarray(b_first_rec, dtype=np.int64),
-        n_recs=np.asarray(b_n_recs, dtype=np.int64),
+        exit_target=np.asarray(b_exit_target, dtype=np.int32),
+        first_rec=np.asarray(b_first_rec, dtype=np.int32),
+        n_recs=np.asarray(b_n_recs, dtype=np.int8),
     )
 
 

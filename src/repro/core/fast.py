@@ -178,7 +178,9 @@ class _Run:
         observes the state the write found.  The rest — reads past the
         block's actual exit (a truncated trace's synthesised HALT may
         sit on a conditional inside the block) and the BIT table's stale
-        reads — search the write stream.
+        reads — search the write stream.  The read→write map and each
+        read's counter offset are memoised on the fetch input's shared
+        read rows (:meth:`~repro.core.kernels.ReadRows.slots`).
 
         With ``bit_table`` (single engine, Figure 7) the stale windows
         are resolved in the same scan and ``self.stale_walk`` is set.
@@ -190,11 +192,10 @@ class _Run:
 
         reads = compiled.reads
         rb = reads.block
-        own = reads.rank < compiled.n_conds[rb]
-        read_write = np.where(own, compiled.conds_before[rb] + reads.rank,
-                              np.int64(-1))
+        read_write, offset = compiled.rows.slots(
+            compiled.start, compiled.conds_before, compiled.n_conds)
         read_blocks = rb
-        read_slots = self.base[rb] + (compiled.start[rb] + reads.col) % width
+        read_slots = self.base[rb] + offset
         n_true = len(rb)
         if bit_table is not None:
             init_lines = np.array(

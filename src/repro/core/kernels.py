@@ -11,7 +11,8 @@ numpy arrays (:class:`CompiledBlocks`) and resolves whole runs at once:
 * the walks read the PHT only at conditional window positions, so a
   view keeps those positions as a sparse :class:`ReadList` (row-major:
   block, column, BIT code, rank in the row, plus each row's first
-  non-conditional branch) instead of a dense window matrix;
+  non-conditional branch) instead of a dense window matrix; all of it
+  but the codes is flag-independent (:class:`ReadRows`);
 * every PHT counter write (the training) is resolved by one write scan
   (:func:`scan_writes`: closed form for single-outcome slots, a
   segmented clamped-shift scan for the rest).  A read of a conditional
@@ -24,15 +25,15 @@ numpy arrays (:class:`CompiledBlocks`) and resolves whole runs at once:
 
 The near-block flag changes only the BIT encoding, so the compiled
 form is one read-only, near-block-independent base per ``FetchInput``
-(memoised on it, and persisted through the runtime cache as one
-``<cache-dir>/compiled/`` artifact when the input came from the
-workload registry) plus a per-flag ``reads``/``code_of_addr`` pair
-rebuilt on demand and never stored.  :mod:`repro.core.fast` drives these
-kernels per engine; the scalar loops remain the readable ground truth
-and the parity suite keeps both bit-identical.  This module is the one
-vectorized counter layer: Figure 6's
-:func:`~repro.predictors.evaluate.direction_accuracy_sweep` runs on
-:func:`scan_writes` too.
+(memoised on it, and its arrays persisted through the runtime cache as
+one ``<cache-dir>/compiled/`` artifact when the input came from the
+workload registry), read rows included, plus a per-flag
+``code_of_addr`` and read codes built on demand and never stored.
+:mod:`repro.core.fast` drives these kernels per engine; the scalar
+loops remain the readable ground truth and the parity suite keeps both
+bit-identical.  This module is the one vectorized counter layer:
+Figure 6's :func:`~repro.predictors.evaluate.direction_accuracy_sweep`
+runs on :func:`scan_writes` too.
 
 The base keeps the block stream's natural widths, cold or loaded:
 ``int32`` addresses and indices, ``int8`` counts and offsets within a
@@ -46,7 +47,7 @@ keys in :mod:`repro.core.fast`) is computed in ``int64``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,7 +58,7 @@ from ..isa.program import StaticCode
 from ..predictors.counters import COUNTER_MAX, COUNTER_MIN
 from ..runtime import cache as disk_cache
 from ..runtime import profile
-from ..trace.blocks import MAX_BLOCK_WIDTH, BlockStream
+from ..trace.blocks import MAX_BLOCK_WIDTH, MAX_INDEX, BlockStream
 from .config import FetchInput
 from .selection import SRC_ARRAY, SRC_FALLTHROUGH, SRC_NEAR, SRC_RAS
 
@@ -81,8 +82,10 @@ TAKEN_MIN = 2
 #: ``exit_offset`` sentinel for a fall-through walk (scalar ``None``).
 NO_EXIT = -1
 
-#: Address past every text segment (the read lists' search sentinel).
-FAR = np.int64(1) << np.int64(40)
+#: Address past every block (:func:`read_rows`' next-other-branch
+#: sentinel): the segmentation keeps ``start + limit`` below
+#: ``MAX_INDEX``.
+FAR = np.int32(MAX_INDEX - 1)
 
 #: Exit offset of a fall-through block, past every block limit (widths
 #: are at most ``MAX_BLOCK_WIDTH``), so MATCH/EARLY/LATE reduce to
@@ -140,54 +143,124 @@ class ReadList:
     n_before: np.ndarray  #: uint8[n] listed conditionals of the row
 
 
+@dataclass(eq=False)
+class ReadRows:
+    """The near-block-independent part of a fetch input's read lists.
+
+    ``near_block`` only turns ``CODE_COND_LONG`` codes into near codes
+    (4..7), so the conditional addresses and the RETURN/OTHER stops are
+    the same under both flags: every read's block, column and rank and
+    every row's stop are too.  One ``ReadRows`` per fetch input serves
+    both views, which add only their own ``code`` array
+    (:meth:`reads`).  Arrays are read-only.
+    """
+
+    block: np.ndarray      #: int32[r] owning block (nondecreasing)
+    col: np.ndarray        #: uint8[r] window column
+    rank: np.ndarray       #: uint8[r] conditionals before it in its row
+    stop_col: np.ndarray   #: uint8[n] first non-conditional branch, or W
+    stop_code: np.ndarray  #: uint8[n] its BIT code, or CODE_NONBRANCH
+    n_before: np.ndarray   #: uint8[n] listed conditionals of the row
+    width: int             #: geometry block width
+    _slots: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for array in (self.block, self.col, self.rank, self.stop_col,
+                      self.stop_code, self.n_before):
+            array.setflags(write=False)
+
+    def reads(self, code_of_addr: np.ndarray,
+              start: np.ndarray) -> ReadList:
+        """The read list of one flag: these rows plus each read's code
+        gathered from that flag's ``code_of_addr``."""
+        code = code_of_addr[start[self.block] + self.col]
+        return ReadList(block=self.block, col=self.col, code=code,
+                        rank=self.rank, stop_col=self.stop_col,
+                        stop_code=self.stop_code, n_before=self.n_before)
+
+    def slots(self, start: np.ndarray, conds_before: np.ndarray,
+              n_conds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(write, offset)`` of every read, computed on first use.
+
+        A block executes its listed conditionals in column order, so a
+        read ranked below the block's conditional count is one of its
+        own: ``write`` is the index of that conditional's training write
+        in the conditional stream, -1 for any other read.  ``offset`` is
+        the read's position in its PHT entry's counter block,
+        ``(start[block] + col) % width``.  Both depend only on the rows
+        and the flag-independent base, so the two views share one
+        (read-only) copy, and a run that never resolves never pays for
+        it.
+        """
+        if self._slots is None:
+            rb = self.block
+            own = self.rank < n_conds[rb]
+            write = np.where(own, conds_before[rb] + self.rank,
+                             np.int32(-1))
+            offset = ((start[rb] + self.col) % self.width).astype(np.uint8)
+            write.setflags(write=False)
+            offset.setflags(write=False)
+            self._slots = (write, offset)
+        return self._slots
+
+
 def _row_ranks(block: np.ndarray, n_before: np.ndarray) -> np.ndarray:
     """Rank of every read within its row (``block`` nondecreasing)."""
-    row_first = np.zeros(len(n_before), dtype=np.int64)
-    np.cumsum(n_before[:-1], out=row_first[1:])
-    return np.arange(len(block), dtype=np.int64) - row_first[block]
+    row_first = np.zeros(len(n_before), dtype=np.int32)
+    np.cumsum(n_before[:-1], dtype=np.int32, out=row_first[1:])
+    return np.arange(len(block), dtype=np.int32) - row_first[block]
 
 
-def _read_list(width: int, block: np.ndarray, col: np.ndarray,
-               code: np.ndarray, rank: np.ndarray, n_before: np.ndarray,
-               stop_col: np.ndarray, stop_code: np.ndarray) -> ReadList:
-    """Store every array of a read list narrow."""
-    narrow = np.min_scalar_type(width)
-    return ReadList(
-        block=block.astype(np.int32),
-        col=col.astype(narrow), code=code.astype(np.uint8),
-        rank=rank.astype(narrow), stop_col=stop_col.astype(narrow),
-        stop_code=stop_code.astype(np.uint8),
-        n_before=n_before.astype(narrow))
+def read_rows(code_of_addr: np.ndarray, start: np.ndarray,
+              limit: np.ndarray, width: int) -> ReadRows:
+    """The :class:`ReadRows` of blocks ``[start, start + limit)``.
 
-
-def read_list(code_of_addr: np.ndarray, start: np.ndarray,
-              limit: np.ndarray, width: int) -> ReadList:
-    """The :class:`ReadList` of blocks ``[start, start + limit)``.
-
-    Built straight from the per-address codes: one ``searchsorted`` of
-    every block's bounds over the sorted other-branch addresses finds
-    its stop, and two over the sorted conditional addresses bound its
-    reads.  Addresses past the text segment are non-branches.
+    Built straight from the per-address codes (either flag's give the
+    same rows) through two per-address tables: the next other-branch
+    address at or after each address gives every block's stop, and the
+    count of conditional addresses below each address bounds its reads.
+    Addresses past the text segment are non-branches.  The segmentation
+    keeps addresses, blocks and ``start + limit`` below ``MAX_INDEX``,
+    so every table and temporary is ``int32``.
     """
     n = len(start)
-    branch = np.flatnonzero(code_of_addr != CODE_NONBRANCH)
-    is_cond = code_of_addr[branch] >= CODE_COND_LONG
-    cond_addr = branch[is_cond]
-    other_addr = np.append(branch[~is_cond], FAR)
+    text = len(code_of_addr)
+    is_cond = code_of_addr >= CODE_COND_LONG
+    is_other = (code_of_addr != CODE_NONBRANCH) & ~is_cond
+    conds_below = np.zeros(text + 1, dtype=np.int32)
+    np.cumsum(is_cond, dtype=np.int32, out=conds_below[1:])
+    next_other = np.full(text + 1, FAR, dtype=np.int32)
+    next_other[:text][is_other] = np.flatnonzero(is_other)
+    next_other = np.minimum.accumulate(next_other[::-1])[::-1]
+
+    first = np.minimum(start, np.int32(text))
     end = start + limit
-    stop = np.minimum(other_addr[np.searchsorted(other_addr, start)], end)
+    stop = next_other[first]
+    np.minimum(stop, end, out=stop)
     has_stop = stop < end
+    del end
     stop_code = np.full(n, CODE_NONBRANCH, dtype=np.uint8)
     stop_code[has_stop] = code_of_addr[stop[has_stop]]
-    lo = np.searchsorted(cond_addr, start)
-    n_before = np.searchsorted(cond_addr, stop) - lo
-    block = np.repeat(np.arange(n, dtype=np.int64), n_before)
+    lo = conds_below[first]
+    del first
+    n_before = conds_below[np.minimum(stop, np.int32(text))]
+    n_before -= lo
+    if int(n_before.sum(dtype=np.int64)) >= MAX_INDEX:
+        raise ValueError("read list exceeds 2**31 reads")
+    stop -= start
+    stop_col = np.where(has_stop, stop, np.int32(width))
+    del stop, has_stop
+    block = np.repeat(np.arange(n, dtype=np.int32), n_before)
     rank = _row_ranks(block, n_before)
-    addr = cond_addr[lo[block] + rank]
-    return _read_list(
-        width, block, addr - start[block], code_of_addr[addr], rank,
-        n_before, np.where(has_stop, stop - start, np.int64(width)),
-        stop_code)
+    cond_addr = np.flatnonzero(is_cond).astype(np.int32)
+    col = cond_addr[lo[block] + rank] - start[block]
+    del lo
+    narrow = np.min_scalar_type(width)
+    return ReadRows(block=block, col=col.astype(narrow),
+                    rank=rank.astype(narrow),
+                    stop_col=stop_col.astype(narrow), stop_code=stop_code,
+                    n_before=n_before.astype(narrow), width=width)
 
 
 def read_list_from_window(window: np.ndarray) -> ReadList:
@@ -204,9 +277,14 @@ def read_list_from_window(window: np.ndarray) -> ReadList:
         has_stop, window[np.arange(n, dtype=np.int64), first_other],
         np.uint8(CODE_NONBRANCH))
     n_before = np.count_nonzero(cond, axis=1)
-    return _read_list(width, block, col, window[block, col],
-                      _row_ranks(block, n_before), n_before, stop_col,
-                      stop_code)
+    narrow = np.min_scalar_type(width)
+    return ReadList(
+        block=block.astype(np.int32), col=col.astype(narrow),
+        code=window[block, col].astype(np.uint8, copy=False),
+        rank=_row_ranks(block, n_before).astype(narrow),
+        stop_col=stop_col.astype(narrow),
+        stop_code=stop_code.astype(np.uint8),
+        n_before=n_before.astype(narrow))
 
 
 @dataclass
@@ -217,9 +295,9 @@ class CompiledBlocks:
     the conditional arrays are the trace's conditional-branch stream.
     ``reads`` lists each block's conditional BIT positions up to its
     first non-conditional branch or its geometry limit
-    (:class:`ReadList`).  Only ``reads`` and
-    ``code_of_addr`` depend on ``near_block``: the two views of one
-    fetch input share every other array (read-only).
+    (:class:`ReadList`).  Only ``code_of_addr`` and ``reads.code``
+    depend on ``near_block``: the two views of one fetch input share
+    every other array (read-only), the read list's through ``rows``.
 
     Arrays keep their natural width, cold or loaded: ``int32`` for
     addresses and indices, ``int8`` for counts and offsets within a
@@ -240,6 +318,7 @@ class CompiledBlocks:
     act_exit: np.ndarray     #: int8[n] exit offset, FAR_EXIT otherwise
     line0: np.ndarray        #: int32[n] start line index
     reads: ReadList          #: conditional window positions
+    rows: ReadRows           #: the flag-independent part of ``reads``
     code_of_addr: np.ndarray  #: uint8[text size] per-address BIT codes
     conds_before: np.ndarray  #: int32[n] conds in trace before the block
     n_conds: np.ndarray      #: int8[n] conds inside the block
@@ -329,22 +408,33 @@ def _frozen(base: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     return views
 
 
-def _compile_base(fetch_input: FetchInput) -> Dict[str, np.ndarray]:
+def _with_rows(fetch_input: FetchInput,
+               arrays: Dict[str, np.ndarray]) -> Dict[str, object]:
+    """The shared base: ``arrays`` frozen, plus the read rows."""
+    base: Dict[str, object] = _frozen(arrays)
+    geometry = fetch_input.geometry
+    base["rows"] = read_rows(
+        encode_static_codes(fetch_input.static, geometry.line_size, False),
+        base["start"], base["limit"], geometry.block_width)
+    return base
+
+
+def _compile_base(fetch_input: FetchInput) -> Dict[str, object]:
     """Every near-block-independent array of one fetch input."""
     stream = _stream_arrays(fetch_input.blocks)
-    return _frozen({**stream, **_stored_arrays(fetch_input, stream)})
+    return _with_rows(fetch_input,
+                      {**stream, **_stored_arrays(fetch_input, stream)})
 
 
-def _view(base: Dict[str, np.ndarray], fetch_input: FetchInput,
+def _view(base: Dict[str, object], fetch_input: FetchInput,
           near_block: bool) -> CompiledBlocks:
-    """``base`` plus the BIT read list of one near-block flag."""
+    """``base`` plus the BIT codes of one near-block flag."""
     code_of_addr = encode_static_codes(
         fetch_input.static, fetch_input.geometry.line_size, near_block)
     start = base["start"]
-    reads = read_list(code_of_addr, start, base["limit"],
-                      fetch_input.geometry.block_width)
     return CompiledBlocks(near_block=near_block, n_blocks=len(start),
-                          reads=reads, code_of_addr=code_of_addr, **base)
+                          reads=base["rows"].reads(code_of_addr, start),
+                          code_of_addr=code_of_addr, **base)
 
 
 def _compile(fetch_input: FetchInput, near_block: bool) -> CompiledBlocks:
@@ -352,14 +442,15 @@ def _compile(fetch_input: FetchInput, near_block: bool) -> CompiledBlocks:
     return _view(_compile_base(fetch_input), fetch_input, near_block)
 
 
-def _load_base(fetch_input: FetchInput) -> Dict[str, np.ndarray]:
+def _load_base(fetch_input: FetchInput) -> Dict[str, object]:
     """The base of ``fetch_input``: from disk when cached, else compiled.
 
     Inputs loaded through the workload registry carry a ``cache_key``
     and persist their :data:`STORED_DTYPES` arrays under
-    ``<cache-dir>/compiled/``; the loader casts them to their in-memory
-    dtypes, so stored widths (narrow, or the all-``int64`` artifacts of
-    earlier versions) never reach the base.
+    ``<cache-dir>/compiled/``; the loader casts (and so copies) them to
+    their in-memory dtypes, so stored widths (narrow, or all-``int64``
+    records) never reach the base.  The read rows are rebuilt, never
+    stored.
     """
     key = getattr(fetch_input, "cache_key", None)
     if key is None:
@@ -369,23 +460,27 @@ def _load_base(fetch_input: FetchInput) -> Dict[str, np.ndarray]:
     data = disk_cache.load_compiled(name, budget, fetch_input.geometry,
                                     digest, n_records)
     stream = _stream_arrays(fetch_input.blocks)
-    if data is not None and len(data["limit"]) == len(stream["start"]):
-        return _frozen({**stream, **{
-            field: data[field].astype(dtype, copy=False)
+    if data is not None and data.keys() >= STORED_DTYPES.keys() \
+            and len(data["limit"]) == len(stream["start"]):
+        return _with_rows(fetch_input, {**stream, **{
+            field: data[field].astype(dtype)
             for field, dtype in STORED_DTYPES.items()}})
-    stored = _stored_arrays(fetch_input, stream)  # miss or stale artifact
+    # A miss, or an artifact that is stale or lacks a record: recompile
+    # and overwrite it.
+    stored = _stored_arrays(fetch_input, stream)
     disk_cache.store_compiled(stored, name, budget, fetch_input.geometry,
                               digest, n_records)
-    return _frozen({**stream, **stored})
+    return _with_rows(fetch_input, {**stream, **stored})
 
 
 def compile_fetch_input(fetch_input: FetchInput,
                         near_block: bool) -> CompiledBlocks:
     """Compiled form of ``fetch_input``, memoised and disk-cached.
 
-    One near-block-independent base is memoised on the ``FetchInput``
-    (and persisted, see :func:`_load_base`); each flag's view adds its
-    own ``reads`` and ``code_of_addr`` and is memoised beside it.
+    One near-block-independent base, read rows included, is memoised on
+    the ``FetchInput`` (and its arrays persisted, see
+    :func:`_load_base`); each flag's view adds its own ``code_of_addr``
+    and read codes and is memoised beside it.
     """
     memo = getattr(fetch_input, "_compiled", None)
     if memo is None:

@@ -5,36 +5,46 @@ sweep: every experiment re-executes 18 programs for ``REPRO_TRACE_LEN``
 instructions before a single prediction is made.  This module persists the
 three interpreter-derived artifacts — the compressed control-flow
 :class:`~repro.trace.record.Trace`, its per-geometry block segmentation
-and the compiled block stream the vectorized engines replay — as ``.npz``
-files so that warm runs skip the interpreter, the segmenter and the
-kernel compile entirely.
+and the compiled block stream the vectorized engines replay — so that
+warm runs skip the interpreter, the segmenter and the kernel compile
+entirely.
 
 Layout and keying:
 
 * Directory: ``REPRO_CACHE_DIR`` (default ``~/.cache/repro``); set it to
   the empty string, ``0``, ``off`` or ``none`` to disable persistence.
-* Traces: ``traces/<name>-<budget>-<digest>-v<version>.npz``;
+* Traces: ``traces/<name>-<budget>-<digest>-v<version>.npyrec``;
   ``<version>`` is :data:`repro.trace.record.CAPTURE_VERSION`, so
   artifacts from an older capture pipeline are never served.
-* Segmentations: ``blocks/<name>-<budget>-<geometry>-<digest>.npz``.
+* Segmentations: ``blocks/<name>-<budget>-<geometry>-<digest>.npyrec``.
 * Compiled engine inputs (the near-block-independent arrays of the
   vectorized kernels' structure-of-arrays block streams, one artifact
-  for both near-block views; the per-flag BIT read lists are rebuilt
-  on load and never stored):
-  ``compiled/<name>-<budget>-<geometry>-<digest>.npz``.
+  for both near-block views; the BIT read lists are rebuilt on load and
+  never stored):
+  ``compiled/<name>-<budget>-<geometry>-<digest>.npyrec``.
+* Container: every artifact is one uncompressed file of named NPY
+  records (:func:`write_records`, :func:`read_records`).  A reader
+  takes the file in one read, checks its checksum on those bytes and
+  parses the arrays from the same buffer.  Nothing is deflated or
+  inflated: the derived tiers cost less to recompute than to
+  decompress, so only an uncompressed read keeps them worth caching.
 * Stored width: every writer passes its arrays through :func:`narrow`,
   which keeps each non-empty integer array in the narrowest of
-  uint8/int8/uint16/int16/uint32/int32 that holds its values, so zlib
-  does not compress int64 padding.  The readers cast every array to
-  its in-memory dtype, which is narrow too (``int32`` addresses and
+  uint8/int8/uint16/int16/uint32/int32 that holds its values, so no
+  record holds int64 padding.  The readers cast every array to its
+  in-memory dtype, which is narrow too (``int32`` addresses and
   indices, ``int8`` per-block counts:
   :data:`repro.trace.blocks.STREAM_DTYPES` and
-  :data:`repro.core.kernels.STORED_DTYPES`), so all-int64 artifacts of
-  earlier versions load bit-identically.
+  :data:`repro.core.kernels.STORED_DTYPES`), so all-int64 records load
+  bit-identically.
 * Integrity: every artifact gets a ``<file>.sha256`` sidecar, verified
   on read.
 * Corrupt artifacts move to ``quarantine/`` (with a warning) instead of
   being silently re-hit on every run.
+* Orphans: files earlier versions wrote under ``traces/``, ``blocks/``
+  and ``compiled/`` in another container (:data:`ORPHAN_SUFFIXES`) are
+  never read; :func:`evict` drops them first and :func:`purge` removes
+  them.
 
 ``digest`` is a truncated SHA-256 over the workload's *assembled program*
 (opcodes, registers, immediates, entry point, data size), so editing a
@@ -53,10 +63,10 @@ import hashlib
 import os
 import re
 import shutil
+import struct
 import warnings
-import zipfile
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,16 +93,14 @@ QUARANTINE_DIR = "quarantine"
 #: quarantine.
 ORPHAN_KERNELS = "compiled/kernels"
 
-#: Suffix of the streamed-capture trace containers earlier versions
-#: wrote under ``traces/``; nothing reads them any more, so
-#: :func:`evict` ranks them with :data:`ORPHAN_KERNELS`.
-ORPHAN_TRACE_SUFFIX = ".chunks"
+#: File suffix of every artifact: one container of NPY records.
+ARTIFACT_SUFFIX = ".npyrec"
 
-#: Name part of the per-near-block-flag compilations earlier versions
-#: wrote under ``compiled/`` (``-nb0-``/``-nb1-`` before the digest);
-#: nothing reads them any more, so :func:`evict` ranks them with
-#: :data:`ORPHAN_KERNELS`.
-ORPHAN_COMPILED = re.compile(r"-nb[01]-[0-9a-f]+\.npz$")
+#: Suffixes of the containers earlier versions wrote under ``traces/``,
+#: ``blocks/`` and ``compiled/`` (deflated ``.npz`` archives and the
+#: streamed-capture ``.chunks``); nothing reads them any more, so
+#: :func:`evict` ranks them with :data:`ORPHAN_KERNELS`.
+ORPHAN_SUFFIXES = (".npz", ".chunks")
 
 #: Values of ``REPRO_CACHE_DIR`` that disable the disk cache.
 _DISABLED = {"", "0", "off", "none", "disable", "disabled"}
@@ -101,8 +109,7 @@ _DISABLED = {"", "0", "off", "none", "disable", "disabled"}
 _DIGEST_LEN = 16
 
 #: Errors treated as artifact corruption when reading.
-READ_ERRORS = (OSError, ValueError, KeyError, EOFError,
-               zipfile.BadZipFile)
+READ_ERRORS = (OSError, ValueError, KeyError, EOFError)
 
 _CHECKSUM_SUFFIX = ".sha256"
 
@@ -171,19 +178,21 @@ def _trace_path(root: Path, name: str, budget: int, digest: str) -> Path:
     # artifact: renaming the key retires every pre-versioning cache
     # entry, and the embedded stamp catches hand-copied files.
     return (root / "traces" /
-            f"{name}-{budget}-{digest}-v{CAPTURE_VERSION}.npz")
+            f"{name}-{budget}-{digest}-v{CAPTURE_VERSION}{ARTIFACT_SUFFIX}")
 
 
 def _blocks_path(root: Path, name: str, budget: int,
                  geometry: CacheGeometry, digest: str) -> Path:
     return (root / "blocks" /
-            f"{name}-{budget}-{_geometry_key(geometry)}-{digest}.npz")
+            f"{name}-{budget}-{_geometry_key(geometry)}-{digest}"
+            f"{ARTIFACT_SUFFIX}")
 
 
 def _compiled_path(root: Path, name: str, budget: int,
                    geometry: CacheGeometry, digest: str) -> Path:
     return (root / "compiled" /
-            f"{name}-{budget}-{_geometry_key(geometry)}-{digest}.npz")
+            f"{name}-{budget}-{_geometry_key(geometry)}-{digest}"
+            f"{ARTIFACT_SUFFIX}")
 
 
 # ----------------------------------------------------------------------
@@ -213,10 +222,116 @@ def narrow(array):
     return array
 
 
-def save_narrow(path: Path, **arrays) -> None:
-    """``np.savez_compressed`` with every array stored by :func:`narrow`."""
-    np.savez_compressed(path, **{key: narrow(value)
-                                 for key, value in arrays.items()})
+def save_narrow(path: Path, **arrays) -> str:
+    """Write ``arrays`` to ``path``, each stored by :func:`narrow`.
+
+    The file is one :func:`write_records` container; returns the
+    SHA-256 hex digest of the bytes written.
+    """
+    with open(path, "wb") as handle:
+        writer = _HashingWriter(handle)
+        write_records(writer, {key: narrow(value)
+                               for key, value in arrays.items()})
+    return writer.sha256.hexdigest()
+
+
+# ----------------------------------------------------------------------
+# Container: named NPY records
+# ----------------------------------------------------------------------
+
+#: First bytes of every artifact: the container's name and version.
+_MAGIC = b"repro-npy-records-1\n"
+
+#: Byte count of a record's UTF-8 name, in front of the name.
+_NAME_LEN = struct.Struct("<H")
+
+#: NPY format version of every record.
+_NPY_VERSION = (1, 0)
+
+#: Magic, version and header length opening an NPY 1.0 record.
+_NPY_PREFIX = struct.Struct("<6sBBH")
+
+#: The header ``np.lib.format.write_array`` writes for a C-ordered array
+#: of a plain dtype; the reader accepts no other.
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '([^']+)', 'fortran_order': False, "
+    rb"'shape': \(([0-9, ]*)\), \} *\n")
+
+
+class _HashingWriter:
+    """A binary file wrapper that hashes every byte written through it."""
+
+    def __init__(self, handle) -> None:
+        self.handle = handle
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return self.handle.write(data)
+
+
+def write_records(handle, arrays: Dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` to a binary file as one container of NPY records.
+
+    The container is a magic line followed, per array, by its name (a
+    little-endian ``uint16`` byte count, then UTF-8) and the array as an
+    NPY 1.0 record (``np.lib.format.write_array``, no pickles).  Arrays
+    are written as given and uncompressed; :func:`read_records` parses
+    the result.
+    """
+    handle.write(_MAGIC)
+    for key, value in arrays.items():
+        name = key.encode()
+        handle.write(_NAME_LEN.pack(len(name)) + name)
+        np.lib.format.write_array(handle, np.asarray(value),
+                                  version=_NPY_VERSION, allow_pickle=False)
+
+
+def read_records(data: bytes) -> Dict[str, np.ndarray]:
+    """The arrays of a :func:`write_records` container held in ``data``.
+
+    Each array is a read-only view of ``data``: nothing is copied or
+    inflated.  A container that is truncated, has trailing bytes,
+    repeats a name or holds anything but a C-ordered array of a plain
+    dtype raises :class:`ValueError`.
+    """
+    view = memoryview(data)
+    size = len(view)
+    if bytes(view[:len(_MAGIC)]) != _MAGIC:
+        raise ValueError("not a record container")
+    records: Dict[str, np.ndarray] = {}
+    pos = len(_MAGIC)
+    while pos < size:
+        if pos + _NAME_LEN.size > size:
+            raise ValueError(f"truncated record at byte {pos}")
+        (length,) = _NAME_LEN.unpack_from(view, pos)
+        pos += _NAME_LEN.size
+        name = bytes(view[pos:pos + length]).decode()
+        pos += length
+        if pos + _NPY_PREFIX.size > size:
+            raise ValueError(f"record {name!r} is truncated")
+        magic, major, minor, header_len = _NPY_PREFIX.unpack_from(view, pos)
+        pos += _NPY_PREFIX.size
+        header = _NPY_HEADER.fullmatch(bytes(view[pos:pos + header_len]))
+        if magic != b"\x93NUMPY" or (major, minor) != _NPY_VERSION \
+                or header is None:
+            raise ValueError(f"record {name!r} has no NPY 1.0 header")
+        dtype = np.dtype(header[1].decode())
+        if dtype.hasobject:
+            raise ValueError(f"record {name!r} holds objects")
+        shape = tuple(int(dim) for dim in header[2].split(b",")
+                      if dim.strip())
+        count = int(np.prod(shape, dtype=np.int64))
+        pos += header_len
+        end = pos + count * dtype.itemsize
+        if end > size:
+            raise ValueError(f"record {name!r} is truncated")
+        if name in records:
+            raise ValueError(f"record {name!r} appears twice")
+        records[name] = np.frombuffer(view, dtype=dtype, count=count,
+                                      offset=pos).reshape(shape)
+        pos = end
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -227,19 +342,11 @@ def _checksum_path(path: Path) -> Path:
     return path.with_name(path.name + _CHECKSUM_SUFFIX)
 
 
-def _file_sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def _write_checksum(path: Path) -> None:
+def _write_checksum(path: Path, digest: str) -> None:
     side = _checksum_path(path)
     tmp = side.with_name(f"{side.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(_file_sha256(path))
+        tmp.write_text(digest)
         os.replace(tmp, side)
     except OSError:
         pass  # a missing sidecar only skips verification, never data
@@ -247,36 +354,37 @@ def _write_checksum(path: Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _verify_checksum(path: Path) -> Optional[bool]:
-    """Three-way integrity verdict for an artifact against its sidecar.
+def _read_verified(path: Path) -> Optional[bytes]:
+    """An artifact's bytes, read once and checked against its sidecar.
 
-    ``True``: bytes match (or no sidecar exists — artifacts from before
-    checksums are accepted; their structural parse still guards against
-    truncation).  ``False``: bytes disagree — genuine corruption.
-    ``None``: the artifact vanished mid-verification — a concurrent
-    :func:`evict` or :func:`quarantine` won the race, and the caller
-    should treat the read as a plain miss, *not* corruption.
+    ``None`` when the artifact does not exist, or vanished before the
+    read — a concurrent :func:`evict` or :func:`quarantine` won the
+    race, and the caller should treat the read as a plain miss, *not*
+    corruption.  Without a sidecar (artifacts from before checksums, or
+    a sidecar evicted after the read) the bytes are returned unchecked;
+    their structural parse still guards against truncation.  Raises
+    :class:`ValueError` when the bytes disagree with the sidecar.
     """
-    side = _checksum_path(path)
     try:
-        expected = side.read_text().strip()
-    except FileNotFoundError:
-        return True
-    except OSError:
-        return False
-    try:
-        return _file_sha256(path) == expected
+        data = path.read_bytes()
     except FileNotFoundError:
         return None
-    except OSError:
-        return False
+    try:
+        expected = _checksum_path(path).read_text().strip()
+    except FileNotFoundError:
+        return data
+    if hashlib.sha256(data).hexdigest() != expected:
+        raise ValueError("checksum mismatch")
+    return data
 
 
 def quarantine(path: Path, reason: str) -> Optional[Path]:
     """Move a corrupt artifact out of the hot path, with a warning.
 
-    Returns the quarantined path (or ``None`` if the file could only be
-    deleted).  Either way the corrupt file stops shadowing the cache key,
+    Returns the quarantined path, ``quarantine/<tier>.<file name>`` (or
+    ``None`` if the file could only be deleted): the tier keeps a
+    segmentation and a compilation of one key, whose file names agree,
+    apart.  Either way the corrupt file stops shadowing the cache key,
     so the next run recomputes and rewrites a good artifact instead of
     re-hitting the bad one forever.
     """
@@ -286,7 +394,7 @@ def quarantine(path: Path, reason: str) -> Optional[Path]:
         qdir = root / QUARANTINE_DIR
         try:
             qdir.mkdir(parents=True, exist_ok=True)
-            dest = qdir / path.name
+            dest = qdir / f"{path.parent.name}.{path.name}"
             os.replace(path, dest)
         except FileNotFoundError:
             # Another process evicted or quarantined it first; the key
@@ -308,42 +416,37 @@ def quarantine(path: Path, reason: str) -> Optional[Path]:
     return dest
 
 
-def _read_artifact(path: Path, loader: Callable[[Path], object],
+def _read_artifact(path: Path,
+                   loader: Callable[[Dict[str, np.ndarray]], object],
                    kind: str, name: str):
     """Load an artifact, quarantining corruption instead of re-hitting it.
 
+    The file is read once: its checksum is verified on those bytes and
+    ``loader`` gets the arrays :func:`read_records` parses from them.
     Returns ``None`` on a plain miss or after quarantining a corrupt
     file — the caller recomputes either way.
     """
-    if not path.exists():
-        return None
     faults.corrupt_artifact(path, kind, name)
-    verdict = _verify_checksum(path)
-    if verdict is None:
-        return None  # lost a race with eviction: clean miss
-    if not verdict:
-        quarantine(path, "checksum mismatch")
-        return None
     try:
-        return loader(path)
-    except FileNotFoundError:
-        return None  # vanished between verify and open: clean miss
+        data = _read_verified(path)
+        if data is None:
+            return None
+        return loader(read_records(data))
     except READ_ERRORS as exc:
         quarantine(path, f"unreadable: {exc!r}")
         return None
 
 
-def _atomic_write(path: Path, save) -> None:
-    """Write via ``save(tmp_path)`` then atomically rename into place."""
+def _atomic_write(path: Path, arrays: Dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` via a temporary file, then rename into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    # The tmp name keeps the .npz suffix so numpy does not append one.
-    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp.npz")
+    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
     try:
-        save(tmp)
+        digest = save_narrow(tmp, **arrays)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    _write_checksum(path)
+    _write_checksum(path, digest)
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +459,7 @@ def load_trace(name: str, budget: int, digest: str) -> Optional[Trace]:
     if root is None:
         return None
     path = _trace_path(root, name, budget, digest)
-    return _read_artifact(path, Trace.load, "trace", name)
+    return _read_artifact(path, Trace.from_arrays, "trace", name)
 
 
 def store_trace(trace: Trace, name: str, budget: int, digest: str) -> None:
@@ -364,7 +467,7 @@ def store_trace(trace: Trace, name: str, budget: int, digest: str) -> None:
     root = cache_dir()
     if root is None:
         return
-    _atomic_write(_trace_path(root, name, budget, digest), trace.save)
+    _atomic_write(_trace_path(root, name, budget, digest), trace.arrays())
 
 
 # ----------------------------------------------------------------------
@@ -379,13 +482,12 @@ def load_blocks(trace: Trace, geometry: CacheGeometry, name: str,
         return None
     path = _blocks_path(root, name, budget, geometry, digest)
 
-    def load(source: Path) -> Optional[BlockStream]:
-        with np.load(source) as data:
-            if int(data["n_records"]) != trace.n_records:
-                return None  # stale artifact from a different trace
-            return BlockStream(trace=trace, geometry=geometry, **{
-                field: data[field].astype(dtype, copy=False)
-                for field, dtype in STREAM_DTYPES.items()})
+    def load(data: Dict[str, np.ndarray]) -> Optional[BlockStream]:
+        if int(data["n_records"]) != trace.n_records:
+            return None  # stale artifact from a different trace
+        return BlockStream(trace=trace, geometry=geometry, **{
+            field: data[field].astype(dtype)
+            for field, dtype in STREAM_DTYPES.items()})
 
     return _read_artifact(path, load, "blocks", name)
 
@@ -397,20 +499,9 @@ def store_blocks(blocks: BlockStream, name: str, budget: int,
     if root is None:
         return
     path = _blocks_path(root, name, budget, blocks.geometry, digest)
-
-    def save(tmp: Path) -> None:
-        save_narrow(
-            tmp,
-            n_records=np.int64(blocks.trace.n_records),
-            start=blocks.start,
-            n_instr=blocks.n_instr,
-            exit_kind=blocks.exit_kind,
-            exit_target=blocks.exit_target,
-            first_rec=blocks.first_rec,
-            n_recs=blocks.n_recs,
-        )
-
-    _atomic_write(path, save)
+    _atomic_write(path, {
+        "n_records": np.int64(blocks.trace.n_records),
+        **{field: getattr(blocks, field) for field in STREAM_DTYPES}})
 
 
 # ----------------------------------------------------------------------
@@ -423,19 +514,19 @@ def load_compiled(name: str, budget: int, geometry: CacheGeometry,
 
     Returns ``None`` on a miss, on a quarantined file, or when the
     artifact was compiled from a trace with a different record count
-    (stale relative to the caller's trace).
+    (stale relative to the caller's trace).  The arrays are read-only
+    views of the file's bytes, at their stored widths: the caller casts
+    (and so copies) what it keeps.
     """
     root = cache_dir()
     if root is None:
         return None
     path = _compiled_path(root, name, budget, geometry, digest)
 
-    def load(source: Path) -> Optional[dict]:
-        with np.load(source) as data:
-            if int(data["n_records"]) != n_records:
-                return None  # stale artifact from a different trace
-            return {key: data[key] for key in data.files
-                    if key != "n_records"}
+    def load(data: Dict[str, np.ndarray]) -> Optional[dict]:
+        if int(data.pop("n_records")) != n_records:
+            return None  # stale artifact from a different trace
+        return data
 
     return _read_artifact(path, load, "compiled", name)
 
@@ -447,12 +538,8 @@ def store_compiled(arrays: dict, name: str, budget: int,
     root = cache_dir()
     if root is None:
         return
-    path = _compiled_path(root, name, budget, geometry, digest)
-
-    def save(tmp: Path) -> None:
-        save_narrow(tmp, n_records=np.int64(n_records), **arrays)
-
-    _atomic_write(path, save)
+    _atomic_write(_compiled_path(root, name, budget, geometry, digest),
+                  {"n_records": np.int64(n_records), **arrays})
 
 
 # ----------------------------------------------------------------------
@@ -462,13 +549,13 @@ def store_compiled(arrays: dict, name: str, budget: int,
 def purge() -> int:
     """Delete every cached artifact; returns the number removed.
 
-    Covers traces, segmentations, quarantined files, checksum sidecars,
-    sweep journals and the orphans (:data:`ORPHAN_KERNELS`,
-    :data:`ORPHAN_TRACE_SUFFIX` containers, :data:`ORPHAN_COMPILED`
-    compilations).  Only this module's own subdirectories are touched,
-    so an unrelated ``REPRO_CACHE_DIR`` cannot lose foreign files.
-    Sidecars are deleted but not counted — the return value is the
-    number of artifacts, matching pre-checksum behaviour.
+    Covers traces, segmentations, compilations, quarantined files,
+    checksum sidecars, sweep journals and the orphans
+    (:data:`ORPHAN_KERNELS`, :data:`ORPHAN_SUFFIXES` containers).  Only
+    this module's own subdirectories are touched, so an unrelated
+    ``REPRO_CACHE_DIR`` cannot lose foreign files.  Sidecars are deleted
+    but not counted — the return value is the number of artifacts,
+    matching pre-checksum behaviour.
     """
     root = cache_dir()
     if root is None:
@@ -504,10 +591,10 @@ def evict(limit: Optional[int] = None) -> int:
 
     ``limit`` defaults to ``REPRO_CACHE_MAX_BYTES`` (4 GiB unless set;
     ``off`` disables the bound).  Quarantined files,
-    :data:`ORPHAN_KERNELS`, :data:`ORPHAN_TRACE_SUFFIX` containers and
-    :data:`ORPHAN_COMPILED` compilations are evicted first — nothing
-    reads them — then traces, segmentations and compilations by oldest
-    modification time.  Returns the number of artifacts removed.
+    :data:`ORPHAN_KERNELS` and :data:`ORPHAN_SUFFIXES` containers are
+    evicted first — nothing reads them — then traces, segmentations
+    and compilations by oldest modification time.  Returns the number
+    of artifacts removed.
     """
     root = cache_dir()
     if root is None:
@@ -540,8 +627,7 @@ def evict(limit: Optional[int] = None) -> int:
                 except OSError:
                     pass
             total += size
-            orphan = (path.suffix == ORPHAN_TRACE_SUFFIX
-                      or ORPHAN_COMPILED.search(path.name) is not None)
+            orphan = path.suffix in ORPHAN_SUFFIXES
             entries.append((0 if orphan else rank, stat.st_mtime, path,
                             size))
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Tuple, Union
+from typing import Dict, Iterator, Mapping, Tuple, Union
 
 import numpy as np
 
 from ..isa.kinds import InstrKind
 
 #: Version stamp of the trace-capture pipeline, embedded in every saved
-#: trace ``.npz``.  Version 1 is the unstamped scalar-era format;
+#: trace.  Version 1 is the unstamped scalar-era format;
 #: version 2 introduced the compiled fast tracer.  Loading an artifact
 #: with a different version raises :class:`ValueError` — the cache
 #: layer translates that into quarantine-and-recompute, so a stale
@@ -104,8 +104,52 @@ class Trace:
     # Persistence
     # ------------------------------------------------------------------
 
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The named arrays :meth:`save` and the runtime cache store.
+
+        The capture-version stamp is one of them, so an artifact of a
+        different capture pipeline is never read back as current.
+        """
+        return {
+            "capture_version": np.int64(CAPTURE_VERSION),
+            "entry_pc": np.int64(self.entry_pc),
+            "n_instructions": np.int64(self.n_instructions),
+            "pc": self.pc,
+            "kind": self.kind,
+            "taken": self.taken,
+            "target": self.target,
+            "truncated": np.bool_(self.truncated),
+            "name": np.str_(self.name),
+        }
+
+    @classmethod
+    def from_arrays(cls, data: Mapping[str, np.ndarray]) -> "Trace":
+        """Rebuild a trace from :meth:`arrays` at any stored width.
+
+        Every array is cast (and so copied) to its in-memory dtype.
+        Raises :class:`ValueError` when the arrays were captured by a
+        different pipeline version (including unstamped scalar-era
+        artifacts) — callers treat that exactly like corruption.
+        """
+        version = (int(data["capture_version"])
+                   if "capture_version" in data else 1)
+        if version != CAPTURE_VERSION:
+            raise ValueError(
+                f"capture version {version}, expected {CAPTURE_VERSION}")
+        return cls(
+            entry_pc=int(data["entry_pc"]),
+            n_instructions=int(data["n_instructions"]),
+            pc=data["pc"].astype(np.int64),
+            kind=data["kind"].astype(np.uint8),
+            taken=data["taken"].astype(bool),
+            target=data["target"].astype(np.int64),
+            truncated=bool(data["truncated"]),
+            name=str(data["name"]),
+        )
+
     def save(self, path: Union[str, Path]) -> None:
-        """Write the trace to an ``.npz`` file.
+        """Write the trace to ``path`` as one uncompressed container of
+        NPY records (:func:`repro.runtime.cache.write_records`).
 
         Integer arrays are stored at their narrowest lossless width
         (:func:`repro.runtime.cache.narrow`); :meth:`load` casts them
@@ -113,45 +157,19 @@ class Trace:
         """
         from ..runtime.cache import save_narrow
 
-        save_narrow(
-            Path(path),
-            capture_version=np.int64(CAPTURE_VERSION),
-            entry_pc=np.int64(self.entry_pc),
-            n_instructions=np.int64(self.n_instructions),
-            pc=self.pc,
-            kind=self.kind,
-            taken=self.taken,
-            target=self.target,
-            truncated=np.bool_(self.truncated),
-            name=np.str_(self.name),
-        )
+        save_narrow(Path(path), **self.arrays())
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Trace":
-        """Read a trace previously written by :meth:`save`.
+        """Read a trace previously written by :meth:`save`, in one read.
 
-        Raises :class:`ValueError` when the artifact was captured by a
-        different pipeline version (including unstamped scalar-era
-        files) — callers treat that exactly like corruption.
+        Raises :class:`ValueError` when the file is not a record
+        container or was captured by a different pipeline version —
+        callers treat that exactly like corruption.
         """
-        source = Path(path)
-        with np.load(source) as data:
-            version = (int(data["capture_version"])
-                       if "capture_version" in data.files else 1)
-            if version != CAPTURE_VERSION:
-                raise ValueError(
-                    f"{source.name}: capture version {version}, "
-                    f"expected {CAPTURE_VERSION}")
-            return cls(
-                entry_pc=int(data["entry_pc"]),
-                n_instructions=int(data["n_instructions"]),
-                pc=data["pc"].astype(np.int64),
-                kind=data["kind"].astype(np.uint8),
-                taken=data["taken"].astype(bool),
-                target=data["target"].astype(np.int64),
-                truncated=bool(data["truncated"]),
-                name=str(data["name"]),
-            )
+        from ..runtime.cache import read_records
+
+        return cls.from_arrays(read_records(Path(path).read_bytes()))
 
     @classmethod
     def from_lists(cls, entry_pc, n_instructions, pc, kind, taken, target,

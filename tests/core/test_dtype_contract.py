@@ -20,6 +20,7 @@ from repro.core.kernels import (
     STORED_DTYPES,
     CompiledBlocks,
     ReadList,
+    ReadRows,
     compile_fetch_input,
 )
 from repro.icache.geometry import CacheGeometry
@@ -98,8 +99,9 @@ def _assert_contract(blocks, fetch_input):
 
 
 def _store_legacy(fetch_input):
-    """Rewrite both artifacts of ``fetch_input`` all-int64, as earlier
-    versions stored them (``act_exit`` included, 2**40 sentinel)."""
+    """Rewrite both artifacts of ``fetch_input`` as all-int64 records,
+    as earlier versions stored them (``act_exit`` included, 2**40
+    sentinel)."""
     root = disk_cache.cache_dir()
     digest = REGISTRY.digest(NAME)
     geometry = fetch_input.geometry
@@ -118,7 +120,9 @@ def _store_legacy(fetch_input):
             (disk_cache._compiled_path(root, NAME, BUDGET, geometry,
                                        digest),
              dict(legacy, cond_taken=compiled.cond_taken))):
-        np.savez_compressed(path, n_records=n_records, **arrays)
+        with open(path, "wb") as handle:
+            disk_cache.write_records(handle,
+                                     dict(n_records=n_records, **arrays))
         disk_cache._checksum_path(path).unlink(missing_ok=True)
 
 
@@ -126,10 +130,14 @@ def test_tables_cover_every_field():
     """The declared tables name every array field, and the code's own
     tables agree with them."""
     arrays = {field.name for field in dataclasses.fields(CompiledBlocks)
-              if field.name not in ("near_block", "n_blocks", "reads")}
+              if field.name not in ("near_block", "n_blocks", "reads",
+                                    "rows")}
     assert set(COMPILED) == arrays
     assert set(READS) == {field.name
                           for field in dataclasses.fields(ReadList)}
+    assert set(READS) - {"code"} == {
+        field.name for field in dataclasses.fields(ReadRows)
+        if field.init and field.name != "width"}
     assert {k: np.dtype(v) for k, v in STREAM_DTYPES.items()} \
         == {k: np.dtype(v) for k, v in STREAM.items()}
     for field, dtype in STORED_DTYPES.items():

@@ -30,14 +30,15 @@ from repro.core.kernels import (
     STORED_DTYPES,
     CompiledBlocks,
     ReadList,
+    ReadRows,
     _compile,
     bank_conflicts,
     compile_fetch_input,
     decode_selector,
     encode_selector,
     lru_resident,
-    read_list,
     read_list_from_window,
+    read_rows,
     scan_counters,
     scan_writes,
     walk_reads,
@@ -372,12 +373,19 @@ def test_resolve_walks_matches_walk_block():
 # Read lists
 # ----------------------------------------------------------------------
 
-def _assert_same_reads(got: ReadList, expect: ReadList):
-    for field in dataclasses.fields(ReadList):
+def _assert_same_reads(got, expect):
+    """A :class:`ReadList` or :class:`ReadRows` matches field by field
+    (memos aside), arrays in value and dtype."""
+    for field in dataclasses.fields(expect):
+        if not field.init:
+            continue
         a = getattr(got, field.name)
         b = getattr(expect, field.name)
-        assert a.dtype == b.dtype, field.name
-        assert np.array_equal(a, b), field.name
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
 
 
 def _dense_window(compiled, width):
@@ -401,7 +409,9 @@ def test_read_list_constructors_agree_on_random_windows():
     limit = rng.integers(1, width + 1, size=300).astype(np.int64)
     window[np.arange(width)[None, :] >= limit[:, None]] = CODE_NONBRANCH
     start = np.arange(300, dtype=np.int64) * width
-    _assert_same_reads(read_list(window.ravel(), start, limit, width),
+    codes = window.ravel()
+    _assert_same_reads(read_rows(codes, start, limit, width).reads(codes,
+                                                                   start),
                        read_list_from_window(window))
 
 
@@ -529,7 +539,7 @@ def test_compile_is_memoised_per_input():
 #: Every near-block-independent field: shared by both flags' views.
 BASE_FIELDS = [field.name for field in dataclasses.fields(CompiledBlocks)
                if field.name not in ("near_block", "n_blocks", "reads",
-                                     "code_of_addr")]
+                                     "rows", "code_of_addr")]
 
 
 def _fresh(fetch_input):
@@ -549,7 +559,7 @@ def _forbid_recompile(monkeypatch):
 
 
 def _compiled_files(root):
-    return sorted((root / "compiled").glob("*.npz"))
+    return sorted((root / "compiled").glob("*.npyrec"))
 
 
 @pytest.mark.parametrize("order", [(False, True), (True, False)],
@@ -577,8 +587,9 @@ def test_views_match_fresh_compile(geometry, order, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("phase", ["cold", "warm"])
 def test_views_share_every_base_array(phase, tmp_path, monkeypatch):
-    """Only the read list and its code map are per flag; the base
-    aliases the block stream's arrays instead of copying them."""
+    """Only the code map and the read codes are per flag: the base and
+    every other read-list array are shared, and the base aliases the
+    block stream's arrays instead of copying them."""
     assert len(BASE_FIELDS) == 16
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     fetch_input = _fresh(load_fetch_input("compress",
@@ -592,10 +603,40 @@ def test_views_share_every_base_array(phase, tmp_path, monkeypatch):
     for field in BASE_FIELDS:
         assert np.shares_memory(getattr(far, field), getattr(near, field)), \
             field
-    assert not np.shares_memory(far.reads.code, near.reads.code)
+    assert far.rows is near.rows
+    for field in dataclasses.fields(ReadList):
+        shared = np.shares_memory(getattr(far.reads, field.name),
+                                  getattr(near.reads, field.name))
+        assert shared == (field.name != "code"), field.name
     for field in ("start", "n_instr", "exit_kind", "exit_target"):
         assert np.shares_memory(getattr(far, field),
                                 getattr(fetch_input.blocks, field)), field
+
+
+def test_read_slots_are_memoised_on_first_resolve(monkeypatch):
+    """The read->write map and counter offsets are built by the first
+    resolve of an input, not at setup, and serve both flags' runs."""
+    monkeypatch.setenv(ENGINE_ENV, "fast")
+    geometry = CacheGeometry.normal(8)
+    fetch_input = _fresh(load_fetch_input("compress", geometry, BUDGET))
+    far = compile_fetch_input(fetch_input, near_block=False)
+    near = compile_fetch_input(fetch_input, near_block=True)
+    assert far.rows._slots is None
+    SingleBlockEngine(EngineConfig(geometry=geometry,
+                                   near_block=True)).run(fetch_input)
+    slots = near.rows._slots
+    assert slots is not None
+    write, offset = slots
+    reads = far.reads
+    own = reads.rank < far.n_conds[reads.block]
+    assert np.array_equal(write[own],
+                          far.conds_before[reads.block[own]]
+                          + reads.rank[own])
+    assert (write[~own] == -1).all()
+    assert np.array_equal(offset, (far.start[reads.block] + reads.col) % 8)
+    DualBlockEngine(EngineConfig(geometry=geometry)).run(fetch_input)
+    assert far.rows._slots is slots
+    assert not write.flags.writeable and not offset.flags.writeable
 
 
 def test_base_arrays_are_read_only():
@@ -629,9 +670,9 @@ def test_compiled_arrays_roundtrip_through_disk_cache(monkeypatch):
     assert data["exit_pc"].dtype == np.int16
     assert "act_exit" not in data
     # ``start`` is stored once, narrow, with the segmentation.
-    with np.load(disk_cache._blocks_path(disk_cache.cache_dir(), name,
-                                         budget, geometry, digest)) as raw:
-        assert raw["start"].dtype == np.uint16
+    raw = disk_cache.read_records(disk_cache._blocks_path(
+        disk_cache.cache_dir(), name, budget, geometry, digest).read_bytes())
+    assert raw["start"].dtype == np.uint16
     expect = {flag: _compile(fetch_input, flag) for flag in (False, True)}
     _forbid_recompile(monkeypatch)
     warm = _fresh(fetch_input)
@@ -644,7 +685,7 @@ def _assert_same_compiled(loaded, compiled):
     for field in vars(compiled):
         original = getattr(compiled, field)
         restored = getattr(loaded, field)
-        if isinstance(original, ReadList):
+        if isinstance(original, (ReadList, ReadRows)):
             _assert_same_reads(restored, original)
         elif isinstance(original, np.ndarray):
             assert restored.dtype == original.dtype, field
@@ -654,7 +695,8 @@ def _assert_same_compiled(loaded, compiled):
 
 
 def test_int64_compiled_artifact_loads_bit_identically(monkeypatch):
-    """An all-int64 artifact of earlier versions still loads exactly."""
+    """An artifact of all-int64 records (and an int64 ``act_exit``, as
+    earlier versions stored) still loads exactly."""
     from repro.runtime import cache as disk_cache
 
     geometry = CacheGeometry.normal(8)
@@ -672,8 +714,9 @@ def test_int64_compiled_artifact_loads_bit_identically(monkeypatch):
     legacy["act_exit"] = np.where(compiled.act_exit == FAR_EXIT,
                                   np.int64(1) << 40,
                                   compiled.act_exit.astype(np.int64))
-    np.savez_compressed(
-        path, n_records=np.int64(fetch_input.trace.n_records), **legacy)
+    with open(path, "wb") as handle:
+        disk_cache.write_records(handle, dict(
+            n_records=np.int64(fetch_input.trace.n_records), **legacy))
     disk_cache._checksum_path(path).unlink(missing_ok=True)
     data = disk_cache.load_compiled(name, budget, geometry, digest,
                                     fetch_input.trace.n_records)
@@ -684,6 +727,68 @@ def test_int64_compiled_artifact_loads_bit_identically(monkeypatch):
     warm = _fresh(fetch_input)
     for flag in (True, False):
         _assert_same_compiled(compile_fetch_input(warm, flag), expect[flag])
+
+
+def test_compiled_artifact_missing_a_record_is_recompiled(tmp_path,
+                                                          monkeypatch):
+    """A compiled artifact whose records do not name every stored array
+    is never served: the base is recompiled and the artifact rewritten."""
+    from repro.runtime import cache as disk_cache
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    source = load_fetch_input("go", CacheGeometry.normal(8), BUDGET)
+    compile_fetch_input(_fresh(source), False)
+    path, = _compiled_files(tmp_path)
+    records = dict(disk_cache.read_records(path.read_bytes()))
+    records["exit_pc_old"] = records.pop("exit_pc")
+    with open(path, "wb") as handle:
+        disk_cache.write_records(handle, records)
+    disk_cache._checksum_path(path).unlink()
+    expect = _compile(source, True)
+    _assert_same_compiled(compile_fetch_input(_fresh(source), True), expect)
+    assert "exit_pc" in disk_cache.read_records(path.read_bytes())
+
+
+def test_filled_cache_runs_no_capture_segmentation_or_compile(
+        tmp_path, monkeypatch):
+    """On a filled cache, loading and compiling the fetch inputs of a
+    fresh process reads every tier back: the tracer, the segmenter and
+    the base compile never run."""
+    import repro.cpu
+    import repro.workloads.registry as registry
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    names = ("go", "su2cor")
+    geometry = CacheGeometry.self_aligned(8)
+
+    def compile_all():
+        return {(name, flag): compile_fetch_input(
+                    load_fetch_input(name, geometry, BUDGET), flag)
+                for name in names for flag in (False, True)}
+
+    def forget():
+        """Drop every in-memory layer, as a new process starts without."""
+        registry.REGISTRY.clear_caches()
+        registry._fetch_inputs.clear()
+
+    forget()
+    expect = compile_all()
+    forget()
+
+    def forbidden(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{what} ran on a filled cache")
+        return call
+
+    monkeypatch.setattr(repro.cpu, "capture_machine", forbidden("tracer"))
+    monkeypatch.setattr(registry, "segment_blocks", forbidden("segmenter"))
+    monkeypatch.setattr(kernels, "_stored_arrays", forbidden("compile"))
+    try:
+        got = compile_all()
+    finally:
+        forget()
+    for key, compiled in expect.items():
+        _assert_same_compiled(got[key], compiled)
 
 
 def test_compiled_cache_invalidates_on_record_count():

@@ -143,13 +143,31 @@ class TestNarrow:
         assert cache.narrow(small).dtype == np.uint8
 
 
+def write_raw(path, **arrays):
+    """Write ``arrays`` as one record container, widths as given and no
+    sidecar, as a hand-copied or pre-checksum artifact would be."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as handle:
+        cache.write_records(handle, arrays)
+
+
+def quarantined(cache_dir, path):
+    """Where :func:`cache.quarantine` moves the artifact at ``path``."""
+    name = f"{path.parent.name}.{path.name}"
+    return cache_dir / cache.QUARANTINE_DIR / name
+
+
+def stored_records(path):
+    """The records of an artifact, at their stored widths."""
+    return cache.read_records(path.read_bytes())
+
+
 class TestLegacyWidth:
-    """All-int64 artifacts of earlier versions still load bit-exactly."""
+    """Artifacts of all-int64 records still load bit-exactly."""
 
     def test_int64_trace_loads(self, cache_dir, trace, digest):
         path = cache._trace_path(cache_dir, NAME, BUDGET, digest)
-        path.parent.mkdir(parents=True)
-        np.savez_compressed(
+        write_raw(
             path, capture_version=np.int64(CAPTURE_VERSION),
             entry_pc=np.int64(trace.entry_pc),
             n_instructions=np.int64(trace.n_instructions),
@@ -167,14 +185,71 @@ class TestLegacyWidth:
         blocks = segment_blocks(trace, GEOMETRY)
         path = cache._blocks_path(cache_dir, NAME, BUDGET, GEOMETRY,
                                   digest)
-        path.parent.mkdir(parents=True)
-        np.savez_compressed(
-            path, n_records=np.int64(trace.n_records),
-            **{field: getattr(blocks, field).astype(np.int64)
-               for field in BLOCK_FIELDS})
+        write_raw(path, n_records=np.int64(trace.n_records),
+                  **{field: getattr(blocks, field).astype(np.int64)
+                     for field in BLOCK_FIELDS})
         loaded = cache.load_blocks(trace, GEOMETRY, NAME, BUDGET, digest)
         assert loaded is not None
         assert_same_arrays(loaded, blocks, BLOCK_FIELDS)
+
+
+class TestContainer:
+    """The one container every tier stores: named NPY records."""
+
+    ARRAYS = {
+        "scalar": np.int64(7), "flags": np.array([True, False]),
+        "narrow": np.arange(5, dtype=np.int8),
+        "wide": np.array([-1, 2 ** 40], dtype=np.int64),
+        "empty": np.zeros(0, dtype=np.uint16), "name": np.str_("gcc"),
+    }
+
+    def _blob(self):
+        import io
+
+        buffer = io.BytesIO()
+        cache.write_records(buffer, self.ARRAYS)
+        return buffer.getvalue()
+
+    def test_round_trip_keeps_values_dtypes_and_order(self):
+        records = cache.read_records(self._blob())
+        assert list(records) == list(self.ARRAYS)
+        for key, value in self.ARRAYS.items():
+            assert records[key].dtype == np.asarray(value).dtype, key
+            assert records[key].shape == np.shape(value), key
+            np.testing.assert_array_equal(records[key], value)
+            assert not records[key].flags.writeable, key
+
+    @pytest.mark.parametrize("cut", [1, 30, -9, -1])
+    def test_truncated_container_rejected(self, cut):
+        blob = self._blob()
+        with pytest.raises(ValueError):
+            cache.read_records(blob[:cut])
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(ValueError):
+            cache.read_records(self._blob() + b"\x00")
+
+    def test_pickled_objects_refused(self):
+        import io
+
+        with pytest.raises(ValueError):
+            cache.write_records(io.BytesIO(),
+                                {"o": np.array([None], dtype=object)})
+
+    def test_duplicate_names_rejected(self):
+        import io
+
+        buffer = io.BytesIO()
+        cache.write_records(buffer, {"a": np.arange(3)})
+        once = buffer.getvalue()
+        magic = len(b"repro-npy-records-1\n")
+        with pytest.raises(ValueError, match="twice"):
+            cache.read_records(once + once[magic:])
+
+    def test_deflated_archive_rejected(self, tmp_path):
+        np.savez_compressed(tmp_path / "old.npz", a=np.arange(3))
+        with pytest.raises(ValueError, match="not a record container"):
+            cache.read_records((tmp_path / "old.npz").read_bytes())
 
 
 class TestTraceRoundTrip:
@@ -191,12 +266,12 @@ class TestTraceRoundTrip:
 
     def test_stored_at_narrow_width(self, cache_dir, trace, digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
-        path, = (cache_dir / "traces").glob("*.npz")
-        with np.load(path) as data:
-            assert data["kind"].dtype == np.uint8
-            assert data["taken"].dtype == np.bool_
-            assert data["pc"].dtype.itemsize < 8
-            assert data["capture_version"].dtype == np.int64
+        path, = (cache_dir / "traces").glob("*.npyrec")
+        data = stored_records(path)
+        assert data["kind"].dtype == np.uint8
+        assert data["taken"].dtype == np.bool_
+        assert data["pc"].dtype.itemsize < 8
+        assert data["capture_version"].dtype == np.int64
 
     def test_digest_mismatch_misses(self, cache_dir, trace, digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
@@ -208,7 +283,7 @@ class TestTraceRoundTrip:
 
     def test_corrupt_file_is_a_miss(self, cache_dir, trace, digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
-        path, = (cache_dir / "traces").glob("*.npz")
+        path, = (cache_dir / "traces").glob("*.npyrec")
         path.write_bytes(b"not a zip archive")
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert cache.load_trace(NAME, BUDGET, digest) is None
@@ -216,7 +291,7 @@ class TestTraceRoundTrip:
     def test_no_tmp_files_left_behind(self, cache_dir, trace, digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
         leftovers = [p for p in (cache_dir / "traces").iterdir()
-                     if p.name.endswith(".tmp.npz")]
+                     if ".tmp" in p.name]
         assert leftovers == []
 
 
@@ -235,11 +310,11 @@ class TestBlocksRoundTrip:
     def test_stored_at_narrow_width(self, cache_dir, trace, digest):
         blocks = segment_blocks(trace, GEOMETRY)
         cache.store_blocks(blocks, NAME, BUDGET, digest)
-        path, = (cache_dir / "blocks").glob("*.npz")
-        with np.load(path) as data:
-            for field in BLOCK_FIELDS:
-                assert data[field].dtype.itemsize < 8, field
-            assert data["n_records"].dtype == np.int64
+        path, = (cache_dir / "blocks").glob("*.npyrec")
+        data = stored_records(path)
+        for field in BLOCK_FIELDS:
+            assert data[field].dtype.itemsize < 8, field
+        assert data["n_records"].dtype == np.int64
 
     def test_keyed_per_geometry(self, cache_dir, trace, digest):
         blocks = segment_blocks(trace, GEOMETRY)
@@ -260,7 +335,7 @@ class TestBlocksRoundTrip:
 class TestIntegrity:
     def test_checksum_sidecar_written(self, cache_dir, trace, digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
-        path, = (cache_dir / "traces").glob("*.npz")
+        path, = (cache_dir / "traces").glob("*.npyrec")
         side = path.with_name(path.name + ".sha256")
         assert side.exists()
         assert len(side.read_text().strip()) == 64
@@ -268,18 +343,18 @@ class TestIntegrity:
     def test_tampered_artifact_quarantined(self, cache_dir, trace,
                                            digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
-        path, = (cache_dir / "traces").glob("*.npz")
+        path, = (cache_dir / "traces").glob("*.npyrec")
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF  # single-bit-ish corruption
         path.write_bytes(bytes(blob))
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert cache.load_trace(NAME, BUDGET, digest) is None
         assert not path.exists()  # no longer shadowing the cache key
-        assert (cache_dir / "quarantine" / path.name).exists()
+        assert quarantined(cache_dir, path).exists()
 
     def test_quarantined_file_not_rehit(self, cache_dir, trace, digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
-        path, = (cache_dir / "traces").glob("*.npz")
+        path, = (cache_dir / "traces").glob("*.npyrec")
         path.write_bytes(b"garbage")
         with pytest.warns(RuntimeWarning):
             cache.load_trace(NAME, BUDGET, digest)
@@ -289,43 +364,85 @@ class TestIntegrity:
     def test_legacy_artifact_without_sidecar_loads(self, cache_dir,
                                                    trace, digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
-        path, = (cache_dir / "traces").glob("*.npz")
+        path, = (cache_dir / "traces").glob("*.npyrec")
         path.with_name(path.name + ".sha256").unlink()
         assert cache.load_trace(NAME, BUDGET, digest) is not None
 
     def test_stale_capture_version_quarantined(self, cache_dir, trace,
                                                digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
-        path, = (cache_dir / "traces").glob("*.npz")
-        with np.load(path) as data:
-            fields = {key: data[key] for key in data.files}
+        path, = (cache_dir / "traces").glob("*.npyrec")
+        fields = dict(stored_records(path))
         fields["capture_version"] = np.int64(CAPTURE_VERSION - 1)
-        np.savez_compressed(path, **fields)
+        write_raw(path, **fields)
         path.with_name(path.name + ".sha256").unlink()
         with pytest.warns(RuntimeWarning, match="capture version"):
             assert cache.load_trace(NAME, BUDGET, digest) is None
         assert not path.exists()
-        assert (cache_dir / "quarantine" / path.name).exists()
+        assert quarantined(cache_dir, path).exists()
 
     def test_abandoned_tmp_file_is_a_clean_miss(self, cache_dir, digest):
         dest = cache._trace_path(cache_dir, NAME, BUDGET, digest)
         dest.parent.mkdir(parents=True)
-        tmp = dest.with_name(f".{dest.stem}.{os.getpid()}.tmp.npz")
+        tmp = dest.with_name(
+            f".{dest.stem}.{os.getpid()}.tmp{cache.ARTIFACT_SUFFIX}")
         tmp.write_bytes(b"partial capture, never renamed")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cache.load_trace(NAME, BUDGET, digest) is None
         assert tmp.exists()  # left for post-mortems, never opened
 
+    @pytest.mark.parametrize("tier", ["traces", "blocks", "compiled"])
+    def test_truncated_records_quarantined(self, cache_dir, trace, digest,
+                                           tier):
+        """Without a sidecar to catch it, the record parse refuses a
+        truncated artifact: quarantined, never served."""
+        load = self._store(tier, trace, digest)
+        path, = (cache_dir / tier).glob("*.npyrec")
+        path.write_bytes(path.read_bytes()[:-3])
+        cache._checksum_path(path).unlink()
+        with pytest.warns(RuntimeWarning, match="truncated"):
+            assert load() is None
+        assert quarantined(cache_dir, path).exists()
+
+    @pytest.mark.parametrize("tier", ["traces", "blocks"])
+    def test_mismatched_record_names_quarantined(self, cache_dir, trace,
+                                                 digest, tier):
+        load = self._store(tier, trace, digest)
+        path, = (cache_dir / tier).glob("*.npyrec")
+        renamed = {("x" + key if key in ("pc", "start") else key): value
+                   for key, value in stored_records(path).items()}
+        write_raw(path, **renamed)
+        cache._checksum_path(path).unlink()
+        with pytest.warns(RuntimeWarning, match="KeyError"):
+            assert load() is None
+        assert quarantined(cache_dir, path).exists()
+
+    @staticmethod
+    def _store(tier, trace, digest):
+        """Store one artifact of ``tier``; returns its loader."""
+        if tier == "traces":
+            cache.store_trace(trace, NAME, BUDGET, digest)
+            return lambda: cache.load_trace(NAME, BUDGET, digest)
+        if tier == "blocks":
+            cache.store_blocks(segment_blocks(trace, GEOMETRY), NAME,
+                               BUDGET, digest)
+            return lambda: cache.load_blocks(trace, GEOMETRY, NAME,
+                                             BUDGET, digest)
+        cache.store_compiled({"limit": np.arange(64)}, NAME, BUDGET,
+                             GEOMETRY, digest, trace.n_records)
+        return lambda: cache.load_compiled(NAME, BUDGET, GEOMETRY, digest,
+                                           trace.n_records)
+
     def test_corrupt_blocks_quarantined(self, cache_dir, trace, digest):
         cache.store_blocks(segment_blocks(trace, GEOMETRY), NAME,
                            BUDGET, digest)
-        path, = (cache_dir / "blocks").glob("*.npz")
+        path, = (cache_dir / "blocks").glob("*.npyrec")
         path.write_bytes(b"not a zip archive")
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert cache.load_blocks(trace, GEOMETRY, NAME, BUDGET,
                                      digest) is None
-        assert (cache_dir / "quarantine" / path.name).exists()
+        assert quarantined(cache_dir, path).exists()
 
 
 class TestEvict:
@@ -342,7 +459,7 @@ class TestEvict:
 
         cache.store_trace(trace, NAME, BUDGET, digest)
         cache.store_trace(trace, NAME, BUDGET + 1, digest)
-        old, new = sorted((cache_dir / "traces").glob("*.npz"),
+        old, new = sorted((cache_dir / "traces").glob("*.npyrec"),
                           key=lambda p: p.stat().st_mtime)
         os.utime(old, (1, 1))  # deterministic age order
         limit = new.stat().st_size * 2  # room for one artifact, not two
@@ -352,7 +469,7 @@ class TestEvict:
 
     def test_quarantine_evicted_first(self, cache_dir, trace, digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
-        path, = (cache_dir / "traces").glob("*.npz")
+        path, = (cache_dir / "traces").glob("*.npyrec")
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -371,10 +488,10 @@ class TestEvict:
         kernel.parent.mkdir(parents=True)
         kernel.write_text("def kernel():\n    pass\n" * 64)
         cache.store_trace(trace, NAME, BUDGET, digest)
-        path, = (cache_dir / "traces").glob("*.npz")
+        path, = (cache_dir / "traces").glob("*.npyrec")
         # A streamed-capture container from older versions, newer than
         # the flat trace, with its sidecar.
-        chunks = path.with_suffix(cache.ORPHAN_TRACE_SUFFIX)
+        chunks = path.with_suffix(".chunks")
         chunks.write_bytes(b"PK" * 512)
         chunks_side = chunks.with_name(chunks.name + ".sha256")
         chunks_side.write_text("0" * 64)
@@ -388,10 +505,10 @@ class TestEvict:
     def test_per_flag_compilations_evicted_first(self, cache_dir, digest):
         arrays = {"limit": np.arange(4096, dtype=np.int64)}
         cache.store_compiled(arrays, NAME, BUDGET, GEOMETRY, digest, 7)
-        path, = (cache_dir / "compiled").glob("*.npz")
+        path, = (cache_dir / "compiled").glob("*.npyrec")
         # The per-near-block-flag artifacts older versions wrote beside
         # it, newer than the one-artifact layout, with their sidecars.
-        stem = path.name[:-len(f"-{digest}.npz")]
+        stem = path.name[:-len(f"-{digest}{cache.ARTIFACT_SUFFIX}")]
         orphans = [path.with_name(f"{stem}-nb{flag}-{digest}.npz")
                    for flag in (0, 1)]
         for orphan in orphans:
@@ -403,6 +520,25 @@ class TestEvict:
         assert not any((cache_dir / "compiled").glob("*-nb*.sha256"))
         data = cache.load_compiled(NAME, BUDGET, GEOMETRY, digest, 7)
         assert np.array_equal(data["limit"], arrays["limit"])
+
+    def test_deflated_artifacts_evicted_first(self, cache_dir, trace,
+                                              digest):
+        """A deflated ``.npz`` left in any tier by earlier versions is
+        an orphan: evicted before every current artifact, however new."""
+        cache.store_trace(trace, NAME, BUDGET, digest)
+        path, = (cache_dir / "traces").glob("*.npyrec")
+        orphans = []
+        for sub in ("traces", "blocks", "compiled"):
+            orphan = cache_dir / sub / f"{NAME}-{BUDGET}-{digest}.npz"
+            orphan.parent.mkdir(exist_ok=True)
+            orphan.write_bytes(b"PK" * 512)
+            orphan.with_name(orphan.name + ".sha256").write_text("0" * 64)
+            orphans.append(orphan)
+        os.utime(path, (1, 1))  # older than every orphan, still kept
+        assert cache.evict(path.stat().st_size + 200) == 3
+        assert not any(orphan.exists() for orphan in orphans)
+        assert not any(cache_dir.glob("*/*.npz.sha256"))
+        assert cache.load_trace(NAME, BUDGET, digest) is not None
 
     def test_registry_documents_default_bound(self):
         entry, = [var for var in envvars.REGISTRY
@@ -440,6 +576,14 @@ class TestPurge:
         assert not chunks.exists()
         assert not chunks_side.exists()
 
+    def test_purge_removes_deflated_artifacts(self, cache_dir):
+        for sub in ("traces", "blocks", "compiled"):
+            orphan = cache_dir / sub / f"{NAME}-{BUDGET}-0123.npz"
+            orphan.parent.mkdir()
+            orphan.write_bytes(b"PK")
+        assert cache.purge() == 3
+        assert not any(cache_dir.glob("*/*.npz"))
+
     def test_purge_spares_foreign_files(self, cache_dir, trace, digest):
         foreign = cache_dir / "keep.txt"
         foreign.write_text("mine")
@@ -460,27 +604,44 @@ class TestEvictionRace:
     def test_artifact_vanishing_mid_verify_is_none(self, cache_dir,
                                                    trace, digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
-        path, = (cache_dir / "traces").glob("*.npz")
+        path, = (cache_dir / "traces").glob("*.npyrec")
         path.unlink()  # evictor deleted the artifact, sidecar not yet
-        assert cache._verify_checksum(path) is None
+        assert cache._read_verified(path) is None
 
     def test_load_racing_eviction_is_a_clean_miss(self, cache_dir,
                                                   trace, digest,
                                                   monkeypatch):
         cache.store_trace(trace, NAME, BUDGET, digest)
-        path, = (cache_dir / "traces").glob("*.npz")
-        real_verify = cache._verify_checksum
+        real_read = Path.read_bytes
 
-        def evict_after_verify(target):
-            verdict = real_verify(target)
+        def evicted_before_read(target):
             target.unlink(missing_ok=True)  # evictor wins the race here
-            cache._checksum_path(target).unlink(missing_ok=True)
-            return verdict
+            return real_read(target)
 
-        monkeypatch.setattr(cache, "_verify_checksum", evict_after_verify)
+        monkeypatch.setattr(Path, "read_bytes", evicted_before_read)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cache.load_trace(NAME, BUDGET, digest) is None
+
+    def test_eviction_after_the_read_is_a_hit(self, cache_dir, trace,
+                                              digest, monkeypatch):
+        """The artifact is read once, whole: an evictor that deletes it
+        and its sidecar right after the read cannot corrupt the load."""
+        cache.store_trace(trace, NAME, BUDGET, digest)
+        real_read = Path.read_bytes
+
+        def evicted_after_read(target):
+            data = real_read(target)
+            target.unlink(missing_ok=True)  # evictor wins the race here
+            cache._checksum_path(target).unlink(missing_ok=True)
+            return data
+
+        monkeypatch.setattr(Path, "read_bytes", evicted_after_read)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = cache.load_trace(NAME, BUDGET, digest)
+        assert loaded is not None
+        assert_same_arrays(loaded, trace, TRACE_FIELDS)
 
     def test_quarantine_of_vanished_file_is_silent(self, cache_dir):
         gone = cache_dir / "traces" / "already-evicted.npz"

@@ -31,6 +31,8 @@ class TestParseSpec:
     def test_corrupt_directive(self):
         fault, = faults.parse_spec("corrupt:trace=go")
         assert fault == faults.Fault("corrupt", "trace", "go", 1)
+        fault, = faults.parse_spec("corrupt:compiled=go")
+        assert fault == faults.Fault("corrupt", "compiled", "go", 1)
 
     def test_multiple_directives(self):
         parsed = faults.parse_spec("crash:cell=1; hang:cell=2")
@@ -100,7 +102,7 @@ class TestCorruptArtifact:
         monkeypatch.setenv(faults.FAULTS_ENV, "corrupt:trace=compress")
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert cache.load_trace("compress", 5_000, digest) is None
-        quarantined = list((cache_dir / "quarantine").glob("*.npz"))
+        quarantined = list((cache_dir / "quarantine").glob("*.npyrec"))
         assert len(quarantined) == 1
 
         # The fault fired once: a rewritten artifact reads back clean.
@@ -108,6 +110,52 @@ class TestCorruptArtifact:
         loaded = cache.load_trace("compress", 5_000, digest)
         assert loaded is not None
         assert loaded.n_instructions == trace.n_instructions
+
+    def test_corrupt_compiled_quarantined_then_recompiled(self, cache_dir,
+                                                          monkeypatch):
+        """The compiled tier's quarantine path: the corrupted base is
+        moved aside and recompiled bit-identically, both flags."""
+        import dataclasses
+
+        import numpy as np
+
+        from repro.core.config import FetchInput
+        from repro.core.kernels import ReadList, _compile, compile_fetch_input
+        from repro.icache import CacheGeometry
+        from repro.workloads import load_fetch_input
+
+        source = load_fetch_input("go", CacheGeometry.normal(8), 5_000)
+
+        def fresh():
+            copy = FetchInput(trace=source.trace, static=source.static,
+                              geometry=source.geometry,
+                              blocks=source.blocks)
+            copy.cache_key = source.cache_key
+            return copy
+
+        compile_fetch_input(fresh(), False)  # stores the artifact
+        path, = (cache_dir / "compiled").glob("*.npyrec")
+        monkeypatch.setenv(faults.FAULTS_ENV, "corrupt:compiled=go")
+        warm = fresh()
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            compile_fetch_input(warm, False)
+        assert (cache_dir / "quarantine" / f"compiled.{path.name}").exists()
+        for flag in (False, True):
+            got = compile_fetch_input(warm, flag)
+            expect = _compile(source, flag)
+            for field, value in vars(expect).items():
+                if isinstance(value, np.ndarray):
+                    assert getattr(got, field).dtype == value.dtype, field
+                    assert np.array_equal(getattr(got, field), value), field
+            for field in dataclasses.fields(ReadList):
+                assert np.array_equal(getattr(got.reads, field.name),
+                                      getattr(expect.reads, field.name)), \
+                    field.name
+        # The fault fired once: the rewritten artifact reads back clean.
+        assert path.exists()
+        name, budget, digest = source.cache_key
+        assert cache.load_compiled(name, budget, source.geometry, digest,
+                                   source.trace.n_records) is not None
 
     def test_untargeted_artifacts_untouched(self, cache_dir,
                                             monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.isa import InstrKind
+from repro.runtime.cache import read_records, write_records
 from repro.trace import Trace
 from repro.trace.record import CAPTURE_VERSION
 
@@ -67,7 +68,7 @@ class TestAccessors:
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         t = tiny_trace(name="roundtrip")
-        path = tmp_path / "trace.npz"
+        path = tmp_path / "trace.npyrec"
         t.save(path)
         loaded = Trace.load(path)
         assert loaded.entry_pc == t.entry_pc
@@ -81,7 +82,7 @@ class TestPersistence:
 
     def test_roundtrip_preserves_dtypes_and_counts(self, tmp_path):
         t = tiny_trace()
-        path = tmp_path / "trace.npz"
+        path = tmp_path / "trace.npyrec"
         t.save(path)
         loaded = Trace.load(path)
         assert loaded.pc.dtype == np.int64
@@ -95,7 +96,7 @@ class TestPersistence:
     def test_roundtrip_preserves_truncated_flag(self, tmp_path):
         t = Trace.from_lists(0, 12, [3], [K_HALT], [False], [12],
                              truncated=True)
-        path = tmp_path / "trace.npz"
+        path = tmp_path / "trace.npyrec"
         t.save(path)
         assert Trace.load(path).truncated is True
 
@@ -104,14 +105,15 @@ class TestCaptureVersion:
     def _restamp(self, tmp_path, version):
         """Save a trace, then rewrite it stamped ``version`` (None = no
         stamp, the scalar-era v1 format)."""
-        path = tmp_path / "trace.npz"
+        path = tmp_path / "trace.npyrec"
         tiny_trace().save(path)
-        with np.load(path) as data:
-            fields = {key: data[key] for key in data.files
-                      if key != "capture_version"}
+        fields = {key: value for key, value
+                  in read_records(path.read_bytes()).items()
+                  if key != "capture_version"}
         if version is not None:
             fields["capture_version"] = np.int64(version)
-        np.savez_compressed(path, **fields)
+        with open(path, "wb") as handle:
+            write_records(handle, fields)
         return path
 
     def test_stale_version_rejected(self, tmp_path):

@@ -131,7 +131,7 @@ class TestDiskCache:
         reg = WorkloadRegistry()
         reg.register("cached", "int", "d")(build)
         first = reg.trace("cached", 2_000)
-        assert len(list((tmp_path / "traces").glob("cached-2000-*.npz"))) \
+        assert len(list((tmp_path / "traces").glob("cached-2000-*.npyrec"))) \
             == 1
         # A fresh registry (new process stand-in) loads from disk: the
         # tracer must not run again.
@@ -160,7 +160,7 @@ class TestDiskCache:
             max_instructions=2_000).trace
         assert fresh.n_instructions == expected.n_instructions
         assert fresh.n_instructions > stale.n_instructions
-        assert len(list((tmp_path / "traces").glob("cached-2000-*.npz"))) \
+        assert len(list((tmp_path / "traces").glob("cached-2000-*.npyrec"))) \
             == 2
 
     def test_trace_cache_is_lru_bounded(self, tmp_path, monkeypatch):

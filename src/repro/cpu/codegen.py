@@ -11,11 +11,15 @@ the per-instruction cost is one or two local-variable operations instead
 of a dispatch loop iteration.
 
 Semantics are kept bit-identical to :class:`repro.cpu.machine.Machine`:
-the same signed-64-bit wrap (inlined branchlessly), the same C-style
-DIV/MOD truncation, the same fault messages at the same PCs, and the
-same control-record stream.  A walk stops only at a control exit (a
-conditional branch, an unguarded indirect transfer or HALT), a
-revisited PC or the instruction cap.
+the same signed-64-bit wrap (the plain result, wrapped only when a
+range guard sees it leave int64), the same C-style DIV/MOD truncation,
+the same list data memory holding the interpreter's exact values, and
+the same fault messages at the same PCs.  Each control record appends
+only what run time decides: its PC, a conditional's direction, an
+indirect transfer's target; the driver fills in the fields the code
+fixes.  A walk stops only at a control exit (a conditional branch, an
+unguarded indirect transfer or HALT), a revisited PC or the
+instruction cap.
 
 A superblock returns the next PC to execute; after recording a HALT it
 sets the shared ``hlt`` cell (a returned ``-1`` alone is a *fault* — an
@@ -30,23 +34,20 @@ from __future__ import annotations
 
 from typing import Callable, List
 
-from .machine import MachineError
+from .machine import MachineError, _wrap
 from .tables import CompiledProgram
-from ..isa.kinds import InstrKind
 from ..isa.opcodes import Op
 
 #: Most instructions one superblock call may consume.
 SUPERBLOCK_CAP = 512
 
-_M = (1 << 64) - 1
-_S = 1 << 63
+#: Dispatches of an entry PC that step its basic block on the scalar
+#: tail before its superblock is compiled: most entry PCs are reached
+#: only a few times, and compiling them costs more than it saves.
+SUPERBLOCK_WARMUP = 7
 
-_K_COND = int(InstrKind.COND)
-_K_JUMP = int(InstrKind.JUMP)
-_K_CALL = int(InstrKind.CALL)
-_K_RETURN = int(InstrKind.RETURN)
-_K_INDIRECT = int(InstrKind.INDIRECT)
-_K_HALT = int(InstrKind.HALT)
+_I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
 
 _COND_PY = {
     int(Op.BEQ): "==", int(Op.BNE): "!=", int(Op.BLT): "<",
@@ -62,7 +63,6 @@ class _Emitter:
         self.live: set = set()     # registers bound to locals
         self.written: set = set()  # locals dirty vs the register file
         self.count = 0             # instructions consumed so far
-        self.n_exits = 0
 
     def emit(self, line: str, indent: int = 2) -> None:
         self.lines.append(" " * (4 * indent) + line)
@@ -92,7 +92,6 @@ class _Emitter:
         if self.count:
             self.emit(f"ctr[0] += {self.count}", indent)
         self.emit(f"return {result}", indent)
-        self.n_exits += 1
 
     def raise_(self, message: str, indent: int = 2) -> None:
         """Spill (fault state is observable post-mortem) and raise."""
@@ -100,9 +99,10 @@ class _Emitter:
         self.emit(f"raise MachineError({message})", indent)
 
     def wrap_into(self, name: str, expr: str, indent: int = 2) -> None:
-        """Branchless signed-64-bit wrap of ``expr`` into ``name``."""
-        self.emit(f"_v = ({expr}) & {_M}", indent)
-        self.emit(f"{name} = _v - ((_v & {_S}) << 1)", indent)
+        """``expr`` into ``name``, wrapped to signed 64-bit if it left."""
+        self.emit(f"{name} = {expr}", indent)
+        self.emit(f"if not MIN64 <= {name} <= MAX64: {name} = _wrap({name})",
+                  indent)
 
 
 def compile_superblock(cp: CompiledProgram, start: int,
@@ -110,14 +110,11 @@ def compile_superblock(cp: CompiledProgram, start: int,
     """Compile the superblock starting at ``start`` into a function.
 
     ``namespace`` provides the run-time objects the generated code
-    closes over: ``R`` (register list), ``mem`` (numpy data memory),
-    ``ap``/``ak``/``at``/``ag`` (record-list appends), ``ctr`` (the
-    shared one-cell instruction counter), ``hlt`` (the one-cell halt
-    flag set after a HALT records) and ``hi`` (the dict of memory words
-    whose interpreter value falls outside int64 — SRL by a zero shift
-    count leaves a negative operand unwrapped, and the reference
-    interpreter's list memory keeps that huge value; ``mem`` then holds
-    the wrapped mirror and ``hi`` the exact value loads must observe).
+    closes over: ``R`` (register list), ``mem`` (data memory list),
+    ``ap``/``at``/``ag`` (appends to the record PC, conditional
+    direction and indirect target lists), ``ctr`` (the shared one-cell
+    instruction counter) and ``hlt`` (the one-cell halt flag set after
+    a HALT records).
     """
     ops = cp.ops
     rds = cp.rd
@@ -173,37 +170,22 @@ def compile_superblock(cp: CompiledProgram, start: int,
         if op == op_addi:
             if rd:
                 a = e.read(rs1)
-                name = e.begin_write(rd)
-                if imm == 0:
-                    e.emit(f"{name} = {a}")
-                else:
-                    e.wrap_into(name, f"{a} + {imm}")
-        elif op == op_ld:
-            a = e.read(rs1)
-            e.emit(f"_a = {a} + {imm}" if imm else f"_a = {a}")
-            e.emit(f"if not 0 <= _a < {msize}:")
-            e.raise_(f'f"load out of range at pc={pc}: {{_a}}"', indent=3)
-            if rd:
-                # ``hi`` holds values outside int64 (unwrapped SRL-by-0
-                # results the interpreter keeps); empty for nearly every
-                # program, so the common path is one falsy check.
-                name = e.begin_write(rd)
-                e.emit(f"{name} = hi.get(_a) if hi else None")
-                e.emit(f"if {name} is None:")
-                e.emit(f"{name} = int(mem[_a])", indent=3)
-        elif op == op_st:
-            a = e.read(rs1)
-            v = e.read(rs2)
-            e.emit(f"_a = {a} + {imm}" if imm else f"_a = {a}")
-            e.emit(f"if not 0 <= _a < {msize}:")
-            e.raise_(f'f"store out of range at pc={pc}: {{_a}}"', indent=3)
-            e.emit(f"if {-(1 << 63)} <= {v} <= {(1 << 63) - 1}:")
-            e.emit(f"mem[_a] = {v}", indent=3)
-            e.emit("if hi: hi.pop(_a, None)", indent=3)
-            e.emit("else:")
-            e.emit(f"_w = {v} & {_M}", indent=3)
-            e.emit(f"mem[_a] = _w - ((_w & {_S}) << 1)", indent=3)
-            e.emit(f"hi[_a] = {v}", indent=3)
+                # Even ``imm == 0`` wraps: the source may hold a wide
+                # SRL-by-0 result.
+                e.wrap_into(e.begin_write(rd), f"{a} + {imm}")
+        elif op in (op_ld, op_st):
+            addr = e.read(rs1)
+            if imm:
+                e.emit(f"_a = {addr} + {imm}")
+                addr = "_a"
+            what = "load" if op == op_ld else "store"
+            e.emit(f"if not 0 <= {addr} < {msize}:")
+            e.raise_(f'f"{what} out of range at pc={pc}: {{{addr}}}"',
+                     indent=3)
+            if op == op_st:
+                e.emit(f"mem[{addr}] = {e.read(rs2)}")
+            elif rd:
+                e.emit(f"{e.begin_write(rd)} = mem[{addr}]")
         elif op in (op_add, op_sub, op_mul):
             if rd:
                 a = e.read(rs1)
@@ -214,18 +196,14 @@ def compile_superblock(cp: CompiledProgram, start: int,
             a = e.read(rs1)
             b = e.read(rs2)
             e.emit(f"_t = {a} {_COND_PY[op]} {b}")
-            e.emit(f"ap({pc}); ak({_K_COND}); at(_t); ag({imm})")
+            e.emit(f"ap({pc}); at(_t)")
             e.lines.extend(e.spill_lines(2))
             e.emit(f"ctr[0] += {e.count}")
             e.emit(f"return {imm} if _t else {pc + 1}")
-            e.n_exits += 1
             break
         elif op == op_li:
             if rd:
-                value = imm & _M
-                if value & _S:
-                    value -= 1 << 64
-                e.emit(f"{e.begin_write(rd)} = {value}")
+                e.emit(f"{e.begin_write(rd)} = {_wrap(imm)}")
         elif op == op_muli:
             if rd:
                 a = e.read(rs1)
@@ -247,11 +225,14 @@ def compile_superblock(cp: CompiledProgram, start: int,
                 b = e.read(rs2)
                 e.wrap_into(e.begin_write(rd), f"{a} << ({b} & 63)")
         elif op == op_srl:
+            # The operand's low 64 bits as an unsigned value, shifted:
+            # by 0 that leaves a negative operand wide, as in the
+            # interpreter.
             if rd:
                 a = e.read(rs1)
                 b = e.read(rs2)
                 e.emit(f"{e.begin_write(rd)} = "
-                       f"({a} & {_M}) >> ({b} & 63)")
+                       f"({a} % {1 << 64}) >> ({b} & 63)")
         elif op == op_slli:
             if rd:
                 a = e.read(rs1)
@@ -259,7 +240,10 @@ def compile_superblock(cp: CompiledProgram, start: int,
         elif op == op_srli:
             if rd:
                 a = e.read(rs1)
-                e.emit(f"{e.begin_write(rd)} = ({a} & {_M}) >> {imm & 63}")
+                shift = imm & 63
+                e.emit(f"{e.begin_write(rd)} = "
+                       + (f"({a} >> {shift}) & {(1 << (64 - shift)) - 1}"
+                          if shift else f"{a} % {1 << 64}"))
         elif op == op_slt:
             if rd:
                 a = e.read(rs1)
@@ -289,13 +273,13 @@ def compile_superblock(cp: CompiledProgram, start: int,
                 else:
                     e.wrap_into(name, f"{a} - _q * {b}")
         elif op == op_j:
-            e.emit(f"ap({pc}); ak({_K_JUMP}); at(True); ag({imm})")
+            e.emit(f"ap({pc})")
             pc = continue_at(imm)
             if pc < 0:
                 break
             continue
         elif op == op_jal:
-            e.emit(f"ap({pc}); ak({_K_CALL}); at(True); ag({imm})")
+            e.emit(f"ap({pc})")
             e.emit(f"{e.begin_write(1)} = {pc + 1}")
             expect_stack.append(pc + 1)
             pc = continue_at(imm)
@@ -303,17 +287,14 @@ def compile_superblock(cp: CompiledProgram, start: int,
                 break
             continue
         elif op in (op_jr, op_ret):
-            a = e.read(rs1)
-            kind = _K_RETURN if op == op_ret else _K_INDIRECT
-            e.emit(f"_t = {a}")
-            e.emit(f"ap({pc}); ak({kind}); at(True); ag(_t)")
+            e.emit(f"_t = {e.read(rs1)}")
+            e.emit(f"ap({pc}); ag(_t)")
             if op == op_ret and expect_stack:
                 expected = expect_stack.pop()
                 e.emit(f"if _t != {expected}:")
                 e.lines.extend(e.spill_lines(3))
                 e.emit(f"ctr[0] += {e.count}", indent=3)
                 e.emit("return _t", indent=3)
-                e.n_exits += 1
                 pc = continue_at(expected)
                 if pc < 0:
                     break
@@ -321,16 +302,15 @@ def compile_superblock(cp: CompiledProgram, start: int,
             e.exit("_t")
             break
         elif op == op_jalr:
-            a = e.read(rs1)
-            e.emit(f"_t = {a}")
-            e.emit(f"ap({pc}); ak({_K_CALL}); at(True); ag(_t)")
+            e.emit(f"_t = {e.read(rs1)}")
+            e.emit(f"ap({pc}); ag(_t)")
             e.emit(f"{e.begin_write(1)} = {pc + 1}")
             e.exit("_t")
             break
         elif op == op_nop:
             pass
         elif op == op_halt:
-            e.emit(f"ap({pc}); ak({_K_HALT}); at(False); ag({pc + 1})")
+            e.emit(f"ap({pc})")
             e.emit("hlt[0] = 1")
             e.exit("-1")
             break
@@ -342,17 +322,16 @@ def compile_superblock(cp: CompiledProgram, start: int,
         if pc < 0:
             break
 
-    body = "\n".join(e.lines) if e.lines else "        pass"
+    body = "\n".join(e.lines)
     src = (
-        "def _make(R, mem, ap, ak, at, ag, ctr, hlt, hi):\n"
+        "def _make(R, mem, ap, at, ag, ctr, hlt, MIN64, MAX64):\n"
         "    def _sb():\n"
         f"{body}\n"
         "    return _sb\n"
     )
-    glb = {"MachineError": MachineError, "abs": abs}
+    glb = {"MachineError": MachineError, "abs": abs, "_wrap": _wrap}
     exec(compile(src, f"<superblock pc={start}>", "exec"), glb)
     return glb["_make"](namespace["R"], namespace["mem"],
-                        namespace["ap"], namespace["ak"],
-                        namespace["at"], namespace["ag"],
+                        namespace["ap"], namespace["at"], namespace["ag"],
                         namespace["ctr"], namespace["hlt"],
-                        namespace["hi"])
+                        _I64_MIN, _I64_MAX)

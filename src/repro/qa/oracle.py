@@ -186,8 +186,7 @@ def check_tracer_parity(case: QACase) -> Optional[str]:
     Runs the case's synthetic workload through both ``REPRO_TRACER``
     modes and compares the full observable outcome: every trace record
     (pc, kind, direction, target), the run counters, and the
-    architectural end state (all 32 registers and the data memory,
-    including the fast tracer's wide-value overlay).  A crash that only
+    architectural end state (all 32 registers and the data memory).  A crash that only
     one mode hits is itself a finding; identical faults pass.
     """
     import numpy as np
@@ -237,20 +236,14 @@ def check_tracer_parity(case: QACase) -> Optional[str]:
                     f"scalar {a[first]} vs fast {b[first]}")
 
     s_m, f_m = scalar["machine"], fast["machine"]
-    if list(s_m.regs) != list(f_m.regs):
+    if s_m.regs != f_m.regs:
         bad = next(i for i in range(32)
                    if s_m.regs[i] != f_m.regs[i])
         return (f"register r{bad} differs: scalar {s_m.regs[bad]} "
                 f"vs fast {f_m.regs[bad]}")
-    hi = getattr(f_m, "hi_mem", {})
-    s_mem = s_m.mem
-    f_mem = f_m.mem
-    for addr in range(len(s_mem)):
-        expected = s_mem[addr]
-        actual = hi.get(addr)
-        if actual is None:
-            actual = int(f_mem[addr])
-        if expected != actual:
-            return (f"mem[{addr}] differs: scalar {expected} "
-                    f"vs fast {actual}")
+    if s_m.mem != f_m.mem:
+        addr = next(i for i, (a, b) in enumerate(zip(s_m.mem, f_m.mem))
+                    if a != b)
+        return (f"mem[{addr}] differs: scalar {s_m.mem[addr]} "
+                f"vs fast {f_m.mem[addr]}")
     return None

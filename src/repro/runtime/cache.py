@@ -64,6 +64,7 @@ import os
 import re
 import shutil
 import struct
+import time
 import warnings
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -101,6 +102,22 @@ ARTIFACT_SUFFIX = ".npyrec"
 #: streamed-capture ``.chunks``); nothing reads them any more, so
 #: :func:`evict` ranks them with :data:`ORPHAN_KERNELS`.
 ORPHAN_SUFFIXES = (".npz", ".chunks")
+
+#: Directories :func:`evict` scans, each with its eviction rank.
+_EVICT_TIERS = ((QUARANTINE_DIR, 0), (ORPHAN_KERNELS, 0), ("traces", 1),
+                ("blocks", 1), ("compiled", 1))
+
+#: Per cache root, the tier directories' mtimes and the limit of the
+#: last :func:`evict` scan that found the cache within that limit.
+#: Every store, quarantine move and eviction renames or unlinks inside
+#: a tier directory, which changes its mtime, so while the mtimes and
+#: the limit are unchanged nothing needs listing again.
+_last_scan: Dict[Path, Tuple[Tuple[Optional[int], ...], int]] = {}
+
+#: A directory changed this recently could change again within the
+#: same filesystem timestamp tick, so a scan that sees one is not
+#: remembered.
+_RACY_NS = 2_000_000_000
 
 #: Values of ``REPRO_CACHE_DIR`` that disable the disk cache.
 _DISABLED = {"", "0", "off", "none", "disable", "disabled"}
@@ -594,7 +611,9 @@ def evict(limit: Optional[int] = None) -> int:
     :data:`ORPHAN_KERNELS` and :data:`ORPHAN_SUFFIXES` containers are
     evicted first — nothing reads them — then traces, segmentations
     and compilations by oldest modification time.  Returns the number
-    of artifacts removed.
+    of artifacts removed; 0 without listing anything while no tier
+    directory changed since a scan under the same limit found the cache
+    within it (see :data:`_last_scan`).
     """
     root = cache_dir()
     if root is None:
@@ -604,10 +623,14 @@ def evict(limit: Optional[int] = None) -> int:
     if limit is None:
         return 0
 
+    scan_ns = time.time_ns()
+    stamps = _tier_stamps(root)
+    if _last_scan.get(root) == (stamps, limit):
+        return 0
+
     entries: List[Tuple[int, float, Path, int]] = []
     total = 0
-    for sub, rank in ((QUARANTINE_DIR, 0), (ORPHAN_KERNELS, 0),
-                      ("traces", 1), ("blocks", 1), ("compiled", 1)):
+    for sub, rank in _EVICT_TIERS:
         directory = root / sub
         if not directory.is_dir():
             continue
@@ -642,4 +665,21 @@ def evict(limit: Optional[int] = None) -> int:
             continue
         total -= size
         removed += 1
+    if not removed and total <= limit and all(
+            stamp is None or stamp < scan_ns - _RACY_NS
+            for stamp in stamps):
+        _last_scan[root] = (stamps, limit)
+    else:
+        _last_scan.pop(root, None)
     return removed
+
+
+def _tier_stamps(root: Path) -> Tuple[Optional[int], ...]:
+    """Each :data:`_EVICT_TIERS` directory's ``st_mtime_ns`` (or None)."""
+    stamps = []
+    for sub, _ in _EVICT_TIERS:
+        try:
+            stamps.append((root / sub).stat().st_mtime_ns)
+        except OSError:
+            stamps.append(None)
+    return tuple(stamps)

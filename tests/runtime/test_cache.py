@@ -445,7 +445,50 @@ class TestIntegrity:
         assert quarantined(cache_dir, path).exists()
 
 
+def _age_tier_dirs(root):
+    """Backdate every tier directory past the racy window."""
+    for sub, _ in cache._EVICT_TIERS:
+        if (root / sub).is_dir():
+            os.utime(root / sub, ns=(10**9, 10**9))
+
+
 class TestEvict:
+    def test_unchanged_cache_is_not_rescanned(self, cache_dir, trace,
+                                              digest, monkeypatch):
+        cache.store_trace(trace, NAME, BUDGET, digest)
+        _age_tier_dirs(cache_dir)
+        assert cache.evict(1 << 30) == 0
+
+        def no_listing(self):
+            raise AssertionError(f"listed {self}")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Path, "iterdir", no_listing)
+            assert cache.evict(1 << 30) == 0
+
+    def test_store_after_a_skipped_scan_is_counted(self, cache_dir, trace,
+                                                   digest):
+        cache.store_trace(trace, NAME, BUDGET, digest)
+        old, = (cache_dir / "traces").glob("*.npyrec")
+        os.utime(old, (1, 1))
+        _age_tier_dirs(cache_dir)
+        limit = old.stat().st_size * 2  # room for one artifact, not two
+        assert cache.evict(limit) == 0
+        assert cache.evict(limit) == 0  # remembered: nothing listed
+        cache.store_trace(trace, NAME, BUDGET + 1, digest)
+        assert cache.evict(limit) == 1
+        assert not old.exists()
+
+    def test_lower_limit_still_evicts(self, cache_dir, trace, digest):
+        cache.store_trace(trace, NAME, BUDGET, digest)
+        cache.store_trace(trace, NAME, BUDGET + 1, digest)
+        old, new = sorted((cache_dir / "traces").glob("*.npyrec"))
+        os.utime(old, (1, 1))
+        _age_tier_dirs(cache_dir)
+        assert cache.evict(1 << 30) == 0
+        assert cache.evict(new.stat().st_size * 2) == 1
+        assert not old.exists() and new.exists()
+
     def test_no_bound_is_inert(self, cache_dir, trace, digest,
                                monkeypatch):
         monkeypatch.setenv(cache.MAX_BYTES_ENV, "off")

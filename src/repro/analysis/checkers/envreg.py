@@ -1,12 +1,13 @@
 """``REPRO_*`` environment-variable registry rules (REP4xx).
 
 Every runtime knob must be declared once, with documentation, in
-:mod:`repro.envvars` (``REGISTRY``), and every declared knob must be
-documented in the README or under ``docs/``.  The checker collects
-every exact ``"REPRO_*"`` string literal in the linted tree (the
-project convention binds each variable name to a ``*_ENV`` constant or
-passes it straight to ``os.environ``), so an undeclared variable fails
-lint at the line that names it.
+:mod:`repro.envvars` (``REGISTRY``), every declared knob must be
+documented in the README or under ``docs/``, and those docs must name
+no ``REPRO_*`` variable the registry lacks.  The checker collects every
+exact ``"REPRO_*"`` string literal in the linted tree (the project
+convention binds each variable name to a ``*_ENV`` constant or passes
+it straight to ``os.environ``), so an undeclared variable fails lint at
+the line that names it.
 
 If the registry module is not part of the lint run, the checker falls
 back to parsing it from ``<project-root>/src/<module path>``; when it
@@ -37,12 +38,17 @@ UNDECLARED_ENV = RuleSpec(
 UNDOCUMENTED_ENV = RuleSpec(
     id="REP402",
     name="undocumented-env-var",
-    summary="Registry entry not mentioned in README.md or docs/.",
+    summary="Registry entry not mentioned in README.md or docs/, or a "
+            "REPRO_* name there that the registry lacks.",
     hint="Document the variable in the README environment table (or a "
          "docs/ page) so users can discover it.",
 )
 
+_STALE_DOC_HINT = ("Remove the name from the docs, or declare it in "
+                   "repro.envvars.REGISTRY if it is still read.")
+
 _ENV_NAME_RE = re.compile(r"^REPRO_[A-Z][A-Z0-9_]*$")
+_DOC_NAME_RE = re.compile(r"REPRO_[A-Z][A-Z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -62,11 +68,11 @@ class EnvRegistryChecker(Checker):
         super().__init__(config)
         self._uses: List[_Use] = []
         self._declared: Dict[str, Tuple[str, int, int]] = {}
-        self._saw_registry = False
+        #: Where the registry came from ("" until it is collected).
+        self._registry_path = ""
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         if ctx.module == self.config.env_registry_module:
-            self._saw_registry = True
             self._collect_registry(ctx.tree, ctx.relpath)
             return ()
         for node in ast.walk(ctx.tree):
@@ -79,7 +85,7 @@ class EnvRegistryChecker(Checker):
         return ()
 
     def finish(self) -> Iterable[Finding]:
-        if not self._saw_registry:
+        if not self._registry_path:
             self._load_registry_from_disk()
         if not self._declared:
             return ()
@@ -93,8 +99,9 @@ class EnvRegistryChecker(Checker):
                              f"{self.config.env_registry_module} "
                              f"registry"),
                     hint=UNDECLARED_ENV.hint))
-        docs_text = self._docs_text()
-        if docs_text is not None:
+        docs = self._docs()
+        if docs:
+            docs_text = "\n".join(text for _, text in docs)
             for name, (relpath, line, col) in \
                     sorted(self._declared.items()):
                 if name not in docs_text:
@@ -105,11 +112,30 @@ class EnvRegistryChecker(Checker):
                                  f"documented in "
                                  f"{'/'.join(self.config.env_docs)}"),
                         hint=UNDOCUMENTED_ENV.hint))
+            if self._registry_path in self._project_registry_paths():
+                findings.extend(self._stale_doc_names(docs))
         return findings
+
+    def _stale_doc_names(self, docs: List[Tuple[str, str]],
+                         ) -> Iterable[Finding]:
+        for relpath, text in docs:
+            for line, row in enumerate(text.splitlines(), start=1):
+                for match in _DOC_NAME_RE.finditer(row):
+                    if match.group() in self._declared:
+                        continue
+                    yield Finding(
+                        rule=UNDOCUMENTED_ENV.id, path=relpath,
+                        line=line, col=match.start() + 1,
+                        message=(f"{match.group()} is documented but "
+                                 f"not declared in the "
+                                 f"{self.config.env_registry_module} "
+                                 f"registry"),
+                        hint=_STALE_DOC_HINT)
 
     # -- registry parsing ----------------------------------------------
 
     def _collect_registry(self, tree: ast.AST, relpath: str) -> None:
+        self._registry_path = relpath
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Name) \
@@ -120,11 +146,17 @@ class EnvRegistryChecker(Checker):
                         name, (relpath, node.lineno,
                                node.col_offset + 1))
 
+    def _project_registry_paths(self) -> Tuple[str, ...]:
+        """Where the project's own registry module lives, relative to
+        the project root.  Only that registry is held to the project's
+        docs in both directions; a registry elsewhere (a fixture copy)
+        is only checked for undocumented entries."""
+        parts = self.config.env_registry_module.split(".")
+        return (Path("src", *parts).with_suffix(".py").as_posix(),
+                Path(*parts).with_suffix(".py").as_posix())
+
     def _load_registry_from_disk(self) -> None:
-        module = self.config.env_registry_module
-        relpath = Path("src", *module.split("."))
-        for candidate in (relpath.with_suffix(".py"),
-                          Path(*module.split(".")).with_suffix(".py")):
+        for candidate in self._project_registry_paths():
             path = self.config.project_root / candidate
             if not path.is_file():
                 continue
@@ -132,27 +164,27 @@ class EnvRegistryChecker(Checker):
                 tree = ast.parse(path.read_text())
             except (SyntaxError, OSError):
                 return
-            self._collect_registry(tree, candidate.as_posix())
+            self._collect_registry(tree, candidate)
             return
 
-    def _docs_text(self) -> Optional[str]:
-        chunks: List[str] = []
+    def _docs(self) -> List[Tuple[str, str]]:
+        """(path relative to the project root, text) of every doc."""
+        root = self.config.project_root
+        paths: List[Path] = []
         for entry in self.config.env_docs:
-            path = self.config.project_root / entry
+            path = root / entry
             if path.is_file():
-                try:
-                    chunks.append(path.read_text())
-                except OSError:
-                    continue
+                paths.append(path)
             elif path.is_dir():
-                for doc in sorted(path.rglob("*.md")):
-                    try:
-                        chunks.append(doc.read_text())
-                    except OSError:
-                        continue
-        if not chunks:
-            return None
-        return "\n".join(chunks)
+                paths.extend(sorted(path.rglob("*.md")))
+        docs: List[Tuple[str, str]] = []
+        for path in paths:
+            try:
+                docs.append((path.relative_to(root).as_posix(),
+                             path.read_text()))
+            except OSError:
+                continue
+        return docs
 
 
 def _envvar_name(call: ast.Call) -> Optional[str]:

@@ -5,7 +5,18 @@ here, with documentation, so there is exactly one place to discover
 them.  The reprolint rule ``REP401`` (see :mod:`repro.analysis`)
 statically verifies that every ``REPRO_*`` name appearing anywhere in
 the source is declared in this registry, and ``REP402`` verifies that
-every declared entry is documented in the README or under ``docs/``.
+every declared entry is documented in the README or under ``docs/``,
+and that those docs name no ``REPRO_*`` variable the registry lacks.
+
+Each of the twelve knobs does one of two things:
+
+* it sets state that worker processes read, so a forked sweep or
+  service worker sees the same value as its parent: ``REPRO_ENGINE``,
+  ``REPRO_TRACER``, ``REPRO_FAULT_SPEC``, ``REPRO_CACHE_DIR``,
+  ``REPRO_CACHE_MAX_BYTES``, ``REPRO_TRACE_LEN`` and ``REPRO_PROFILE``;
+* or it gives the default of a sweep or qa CLI flag: ``REPRO_JOBS``,
+  ``REPRO_RETRIES``, ``REPRO_CELL_TIMEOUT``, ``REPRO_RESUME`` and
+  ``REPRO_QA_SEED``.
 
 Modules that *parse* their variable (validation, defaults, typed
 accessors) keep doing so at their own config entry points — this module
@@ -108,41 +119,6 @@ REGISTRY: Tuple[EnvVar, ...] = (
                 "a failure.",
         default="2",
         owner="repro.runtime.resilience",
-    ),
-    EnvVar(
-        name="REPRO_SERVE_BATCH",
-        summary="Max requests the prediction service dispatches per "
-                "sweep batch.",
-        default="32",
-        owner="repro.serve.config",
-    ),
-    EnvVar(
-        name="REPRO_SERVE_BREAKER_COOLDOWN",
-        summary="Seconds an open per-workload circuit breaker waits "
-                "before half-opening for a probe request.",
-        default="5.0",
-        owner="repro.serve.config",
-    ),
-    EnvVar(
-        name="REPRO_SERVE_BREAKER_THRESHOLD",
-        summary="Consecutive fast-path failures that trip a workload "
-                "family's circuit breaker.",
-        default="5",
-        owner="repro.serve.config",
-    ),
-    EnvVar(
-        name="REPRO_SERVE_DEADLINE",
-        summary="Default per-request deadline in seconds for the "
-                "prediction service ('off' disables).",
-        default="no deadline",
-        owner="repro.serve.config",
-    ),
-    EnvVar(
-        name="REPRO_SERVE_QUEUE",
-        summary="Bounded admission-queue depth of the prediction "
-                "service; a full queue sheds with a typed overload.",
-        default="256",
-        owner="repro.serve.config",
     ),
     EnvVar(
         name="REPRO_TRACER",

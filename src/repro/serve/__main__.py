@@ -9,8 +9,10 @@ Usage::
 ``traffic`` measures cache hit-rate and tail latency under a seeded
 arrival/skew model; ``chaos`` runs the fault-injected campaign and
 exits 1 unless every completed response was bit-exact and every failure
-typed; ``listen`` exposes the JSON-lines TCP frontend.  Bad
-configuration exits 2, like the main CLI.
+typed; ``listen`` exposes the JSON-lines TCP frontend.  All three take
+the same five service settings (``--queue``, ``--batch``,
+``--deadline``, ``--breaker-threshold``, ``--breaker-cooldown``); a bad
+one exits 2 naming the flag, like the main CLI.
 """
 
 from __future__ import annotations
@@ -20,12 +22,17 @@ import asyncio
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from . import chaos as chaos_mod
-from . import config as serve_config
 from . import net
-from .service import PredictionService
+from .service import (
+    DEFAULT_BATCH_LIMIT,
+    DEFAULT_BREAKER_COOLDOWN,
+    DEFAULT_BREAKER_THRESHOLD,
+    DEFAULT_QUEUE_LIMIT,
+    PredictionService,
+)
 from .traffic import (
     ARRIVALS,
     PATTERNS,
@@ -35,15 +42,51 @@ from .traffic import (
     run_traffic,
 )
 
+#: The service's own defaults, for ``traffic`` and ``listen``.
+SERVICE_DEFAULTS: Dict[str, Any] = {
+    "queue_limit": DEFAULT_QUEUE_LIMIT, "batch_limit": DEFAULT_BATCH_LIMIT,
+    "deadline": None, "breaker_threshold": DEFAULT_BREAKER_THRESHOLD,
+    "breaker_cooldown": DEFAULT_BREAKER_COOLDOWN}
+
+
+def _add_settings(p: argparse.ArgumentParser,
+                  defaults: Dict[str, Any]) -> None:
+    """The five service settings, one flag per constructor argument.
+
+    No validation here: ``PredictionService`` checks them all.
+    """
+    p.add_argument("--queue", dest="queue_limit", type=int, metavar="N",
+                   default=defaults["queue_limit"],
+                   help="admission queue bound (default: %(default)s)")
+    p.add_argument("--batch", dest="batch_limit", type=int, metavar="N",
+                   default=defaults["batch_limit"],
+                   help="max requests per batch (default: %(default)s)")
+    p.add_argument("--deadline", type=float, metavar="SECONDS",
+                   default=defaults["deadline"],
+                   help="default per-request deadline (default: "
+                        "%(default)s)")
+    p.add_argument("--breaker-threshold", type=int, metavar="N",
+                   default=defaults["breaker_threshold"],
+                   help="consecutive failures that trip a workload "
+                        "family's breaker (default: %(default)s)")
+    p.add_argument("--breaker-cooldown", type=float, metavar="SECONDS",
+                   default=defaults["breaker_cooldown"],
+                   help="seconds an open breaker waits before a probe "
+                        "(default: %(default)s)")
+
+
+def _settings(args: argparse.Namespace) -> Dict[str, Any]:
+    return {name: getattr(args, name) for name in SERVICE_DEFAULTS}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.serve",
         description="Fault-hardened prediction service: traffic and "
                     "chaos drivers, TCP frontend.",
-        epilog="Configuration: REPRO_SERVE_QUEUE, REPRO_SERVE_BATCH, "
-               "REPRO_SERVE_DEADLINE, REPRO_SERVE_BREAKER_THRESHOLD, "
-               "REPRO_SERVE_BREAKER_COOLDOWN (see docs/robustness.md); "
+        epilog="Every subcommand takes the service settings --queue, "
+               "--batch, --deadline, --breaker-threshold and "
+               "--breaker-cooldown (see docs/robustness.md); "
                "REPRO_FAULT_SPEC injects deterministic service-level "
                "faults.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -58,15 +101,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=2,
                        help="fast-rung worker processes, kept for "
                             "the service's lifetime")
-        p.add_argument("--queue", type=int, default=None,
-                       help="admission queue bound (default: "
-                            "REPRO_SERVE_QUEUE)")
-        p.add_argument("--deadline", type=float, default=None,
-                       help="per-request deadline in seconds")
 
     p = sub.add_parser("traffic", help="measure hit-rate and latency "
                                        "under a seeded traffic model")
     add_common(p)
+    _add_settings(p, SERVICE_DEFAULTS)
     p.add_argument("--pattern", choices=PATTERNS, default="zipfian")
     p.add_argument("--arrival", choices=ARRIVALS, default="steady")
     p.add_argument("--burst", type=int, default=32)
@@ -74,6 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chaos", help="fault-injected campaign asserting "
                                      "bit-exact or typed outcomes")
     add_common(p)
+    _add_settings(p, chaos_mod.CAMPAIGN_SETTINGS)
     p.add_argument("--output", type=Path,
                    default=chaos_mod.DEFAULT_OUTPUT,
                    help="machine-readable campaign summary (JSON)")
@@ -81,6 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("listen", help="run the JSON-lines TCP frontend")
     p.add_argument("--host", default=net.DEFAULT_HOST)
     p.add_argument("--port", type=int, default=net.DEFAULT_PORT)
+    _add_settings(p, SERVICE_DEFAULTS)
     return parser
 
 
@@ -93,9 +134,8 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
                              args.seed)
 
     async def _run() -> "object":
-        async with PredictionService(queue_limit=args.queue,
-                                     jobs=args.jobs,
-                                     deadline=args.deadline) as service:
+        async with PredictionService(jobs=args.jobs,
+                                     **_settings(args)) as service:
             summary, _ = await run_traffic(service, universe, indexes,
                                            model, deadline=args.deadline)
             return {"traffic": summary.to_dict(),
@@ -109,10 +149,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     result = chaos_mod.run_chaos(
         seed=args.seed, n_requests=args.requests,
         universe_size=args.universe, budget=args.budget,
-        jobs=args.jobs, output=args.output,
-        **({"queue_limit": args.queue} if args.queue is not None else {}),
-        **({"deadline": args.deadline} if args.deadline is not None
-           else {}))
+        jobs=args.jobs, output=args.output, **_settings(args))
     print(json.dumps({
         "passed": result.passed,
         "n_served_checked": result.n_served_checked,
@@ -129,10 +166,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_listen(args: argparse.Namespace) -> int:
-    print(f"repro.serve listening on {args.host}:{args.port} "
-          f"(JSON lines; ^C stops)", file=sys.stderr)
     try:
-        asyncio.run(net.serve_forever(args.host, args.port))
+        asyncio.run(net.serve_forever(args.host, args.port,
+                                      **_settings(args)))
     except KeyboardInterrupt:
         pass
     return 0
@@ -142,7 +178,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        serve_config.validate()
         if args.command == "traffic":
             return _cmd_traffic(args)
         if args.command == "chaos":

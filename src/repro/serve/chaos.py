@@ -33,7 +33,7 @@ from .requests import (
     payload_digest,
     stats_payload,
 )
-from .service import PredictionService
+from .service import PredictionService, check_settings
 from .traffic import (
     TrafficModel,
     build_universe,
@@ -46,6 +46,13 @@ DEFAULT_OUTPUT = Path("benchmarks/results/BENCH_serve_chaos.json")
 
 #: Digest-prefix length used in generated fault directives.
 _PREFIX = 12
+
+#: The campaign's service settings (and the ``repro.serve chaos`` flag
+#: defaults): a short queue and breaker so the bursts shed and the
+#: faults trip breakers, and a deadline the injected hang overruns.
+CAMPAIGN_SETTINGS: Dict[str, Any] = {
+    "queue_limit": 12, "batch_limit": 24, "deadline": 8.0,
+    "breaker_threshold": 3, "breaker_cooldown": 0.5}
 
 
 @dataclass(frozen=True)
@@ -166,12 +173,17 @@ def _judge(responses: Sequence[Optional[ServeResponse]],
 
 def run_chaos(seed: int = 5, n_requests: int = 10_000,
               universe_size: int = 40, budget: int = 3000,
-              model: Optional[TrafficModel] = None,
-              queue_limit: int = 12, batch_limit: int = 24,
-              jobs: int = 2, deadline: float = 8.0,
-              breaker_threshold: int = 3, breaker_cooldown: float = 0.5,
-              output: Optional[Path] = DEFAULT_OUTPUT) -> ChaosResult:
-    """One full campaign: oracle, faults, traffic, judgement, summary."""
+              model: Optional[TrafficModel] = None, jobs: int = 2,
+              output: Optional[Path] = DEFAULT_OUTPUT,
+              **settings: Any) -> ChaosResult:
+    """One full campaign: oracle, faults, traffic, judgement, summary.
+
+    ``settings`` override :data:`CAMPAIGN_SETTINGS` (``queue_limit``,
+    ``batch_limit``, ``deadline``, ``breaker_threshold``,
+    ``breaker_cooldown``); they are checked before the oracle runs.
+    """
+    settings = {**CAMPAIGN_SETTINGS, **settings}
+    check_settings(**settings)
     start = time.monotonic()
     model = model if model is not None else TrafficModel(
         pattern="zipfian", arrival="bursty", burst=96)
@@ -188,13 +200,10 @@ def run_chaos(seed: int = 5, n_requests: int = 10_000,
 
     async def _campaign() -> Tuple[Any, Any,
                                    List[Optional[ServeResponse]]]:
-        async with PredictionService(
-                queue_limit=queue_limit, batch_limit=batch_limit,
-                jobs=jobs, deadline=deadline,
-                breaker_threshold=breaker_threshold,
-                breaker_cooldown=breaker_cooldown) as service:
+        async with PredictionService(jobs=jobs, **settings) as service:
             summary, responses = await run_traffic(
-                service, universe, indexes, model, deadline=deadline)
+                service, universe, indexes, model,
+                deadline=settings["deadline"])
             return service.summary(), summary, responses
 
     import asyncio

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 from typing import Any, Dict, Optional
 
 from .requests import RequestError, ServeRequest, ServiceOverload
@@ -99,10 +100,18 @@ def bound_port(server: "asyncio.base_events.Server") -> int:
 
 async def serve_forever(host: str = DEFAULT_HOST,
                         port: int = DEFAULT_PORT,
-                        ready: Optional["asyncio.Event"] = None) -> None:
-    """Run a service plus frontend until cancelled (CLI entry)."""
-    async with PredictionService() as service:
+                        ready: Optional["asyncio.Event"] = None,
+                        **settings: Any) -> None:
+    """Run a service plus frontend until cancelled (CLI entry).
+
+    ``settings`` are :class:`PredictionService` keyword arguments; a
+    bad one raises ``ValueError`` before the port is bound.  The bound
+    address goes to stderr once the frontend listens.
+    """
+    async with PredictionService(**settings) as service:
         server = await start_server(service, host, port)
+        print(f"repro.serve listening on {host}:{bound_port(server)} "
+              f"(JSON lines; ^C stops)", file=sys.stderr)
         if ready is not None:
             ready.set()
         async with server:

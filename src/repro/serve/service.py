@@ -55,7 +55,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core import engine_mode
 from ..runtime import faults, resilience
 from . import breaker as breaker_mod
-from . import config as serve_config
 from .requests import (
     FAILED,
     RUNG_CACHED,
@@ -84,6 +83,35 @@ INITIAL_SERVICE_ESTIMATE = 0.05
 
 #: Default bound on the in-memory result store.
 DEFAULT_STORE_ENTRIES = 4096
+
+#: Default service settings; the default ``deadline`` is None (off).
+DEFAULT_QUEUE_LIMIT = 256
+DEFAULT_BATCH_LIMIT = 32
+DEFAULT_BREAKER_THRESHOLD = 5
+DEFAULT_BREAKER_COOLDOWN = 5.0
+
+
+def check_settings(queue_limit: int, batch_limit: int,
+                   deadline: Optional[float], breaker_threshold: int,
+                   breaker_cooldown: float) -> None:
+    """Raise ``ValueError`` naming the first invalid service setting.
+
+    Each message names the constructor argument and its
+    ``python -m repro.serve`` flag.  A ``deadline`` of ``None`` is off.
+    """
+    for name, flag, count in (
+            ("queue_limit", "--queue", queue_limit),
+            ("batch_limit", "--batch", batch_limit),
+            ("breaker_threshold", "--breaker-threshold",
+             breaker_threshold)):
+        if count < 1:
+            raise ValueError(f"{name} ({flag}) must be >= 1, got {count}")
+    for name, flag, seconds in (
+            ("deadline", "--deadline", deadline),
+            ("breaker_cooldown", "--breaker-cooldown", breaker_cooldown)):
+        if seconds is not None and not seconds > 0:
+            raise ValueError(f"{name} ({flag}) must be a positive number "
+                             f"of seconds, got {seconds}")
 
 
 @dataclass
@@ -147,33 +175,30 @@ class PredictionService:
     """Asyncio façade over the resilient sweep runtime.
 
     Construct, then ``await start()`` (or use ``async with``); submit
-    requests with :meth:`submit`.  All configuration defaults come from
-    the service environment knobs (:mod:`repro.serve.config`)
-    and may be overridden per instance.
+    requests with :meth:`submit`.  The constructor arguments are the
+    whole configuration.  ``queue_limit``, ``batch_limit``,
+    ``deadline`` (seconds; ``None`` is off), ``breaker_threshold`` and
+    ``breaker_cooldown`` are also the ``python -m repro.serve`` flags;
+    :func:`check_settings` rejects a bad one before anything starts.
     """
 
-    def __init__(self, *, queue_limit: Optional[int] = None,
-                 batch_limit: Optional[int] = None,
+    def __init__(self, *, queue_limit: int = DEFAULT_QUEUE_LIMIT,
+                 batch_limit: int = DEFAULT_BATCH_LIMIT,
                  jobs: Optional[int] = None,
                  deadline: Optional[float] = None,
-                 breaker_threshold: Optional[int] = None,
-                 breaker_cooldown: Optional[float] = None,
+                 breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
+                 breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
                  store_entries: Optional[int] = None) -> None:
         from ..runtime.executor import n_jobs
 
-        self.queue_limit = (serve_config.queue_limit()
-                            if queue_limit is None else queue_limit)
-        self.batch_limit = (serve_config.batch_limit()
-                            if batch_limit is None else batch_limit)
-        self.default_deadline = (serve_config.default_deadline()
-                                 if deadline is None else deadline)
+        check_settings(queue_limit, batch_limit, deadline,
+                       breaker_threshold, breaker_cooldown)
+        self.queue_limit = queue_limit
+        self.batch_limit = batch_limit
+        self.default_deadline = deadline
         self._jobs = max(2, n_jobs()) if jobs is None else jobs
-        self._breaker_threshold = (serve_config.breaker_threshold()
-                                   if breaker_threshold is None
-                                   else breaker_threshold)
-        self._breaker_cooldown = (serve_config.breaker_cooldown()
-                                  if breaker_cooldown is None
-                                  else breaker_cooldown)
+        self._breaker_threshold = breaker_threshold
+        self._breaker_cooldown = breaker_cooldown
         #: Fault plan snapshot: mid-campaign environment mutation cannot
         #: change which faults the service honours.
         self._fault_spec = faults.active()
@@ -582,5 +607,8 @@ class PredictionService:
                 for family, guard in sorted(self.breakers.items())},
             "queue_limit": self.queue_limit,
             "batch_limit": self.batch_limit,
+            "deadline": self.default_deadline,
+            "breaker_threshold": self._breaker_threshold,
+            "breaker_cooldown": self._breaker_cooldown,
             "jobs": self._jobs,
         }

@@ -48,7 +48,47 @@ def test_registry_loaded_from_disk_when_not_linted(tmp_path):
     assert "REPRO_BOGUS_KNOB" in rep401[0].message
 
 
+def _project(tmp_path, readme):
+    """A project with a one-knob registry and the given README."""
+    registry = tmp_path / "src" / "repro" / "envvars.py"
+    registry.parent.mkdir(parents=True)
+    registry.write_text(
+        "class EnvVar:\n"
+        "    def __init__(self, name, summary=''):\n"
+        "        self.name = name\n"
+        "REGISTRY = (EnvVar(name='REPRO_CACHE_DIR'),)\n")
+    (tmp_path / "README.md").write_text(readme)
+    return registry
+
+
+def test_documented_name_without_registry_entry_reported(tmp_path):
+    registry = _project(tmp_path, (
+        "Set `REPRO_CACHE_DIR` to move the cache.\n"
+        "`REPRO_GONE_KNOB` was deleted, and so was `REPRO_OLD_*`.\n"))
+    result = run_analysis([registry], LintConfig(project_root=tmp_path))
+    stale = [(f.rule, f.path, f.line, f.message.split()[0])
+             for f in result.findings]
+    assert stale == [("REP402", "README.md", 2, "REPRO_GONE_KNOB"),
+                     ("REP402", "README.md", 2, "REPRO_OLD_")]
+
+
+def test_fixture_registry_is_not_held_to_the_project_docs(tmp_path):
+    _project(tmp_path, "Only `REPRO_CACHE_DIR` and `REPRO_GONE_KNOB`.\n")
+    fixture = tmp_path / "tests" / "fixtures" / "repro" / "envvars.py"
+    fixture.parent.mkdir(parents=True)
+    fixture.write_text(
+        "REGISTRY = (EnvVar(name='REPRO_CACHE_DIR'),)\n")
+    result = run_analysis([fixture], LintConfig(project_root=tmp_path))
+    assert result.findings == []
+
+
 # -- the real registry module ------------------------------------------
+
+
+def test_service_settings_are_not_knobs():
+    assert len(envvars.REGISTRY) == 12
+    assert not any(var.owner.startswith("repro.serve")
+                   for var in envvars.REGISTRY)
 
 
 def test_registry_is_sorted_and_unique():

@@ -51,6 +51,33 @@ def _run(coro):
     return asyncio.run(coro)
 
 
+class TestSettings:
+    def test_defaults(self):
+        summary = PredictionService(jobs=2).summary()
+        assert {key: summary[key] for key in (
+            "queue_limit", "batch_limit", "deadline", "breaker_threshold",
+            "breaker_cooldown", "jobs")} == {
+            "queue_limit": 256, "batch_limit": 32, "deadline": None,
+            "breaker_threshold": 5, "breaker_cooldown": 5.0, "jobs": 2}
+
+    @pytest.mark.parametrize("setting,value", [
+        ("queue_limit", 0), ("queue_limit", -3), ("batch_limit", 0),
+        ("deadline", 0.0), ("deadline", -1.0), ("deadline", float("nan")),
+        ("breaker_threshold", 0), ("breaker_cooldown", 0.0),
+        ("breaker_cooldown", -0.5)])
+    def test_bad_setting_raises_naming_it(self, setting, value):
+        with pytest.raises(ValueError, match=setting):
+            PredictionService(**{setting: value})
+
+    def test_summary_echoes_every_setting(self):
+        summary = _service(deadline=1.5).summary()
+        assert {key: summary[key] for key in (
+            "queue_limit", "batch_limit", "deadline", "breaker_threshold",
+            "breaker_cooldown")} == {
+            "queue_limit": 16, "batch_limit": 8, "deadline": 1.5,
+            "breaker_threshold": 2, "breaker_cooldown": 0.2}
+
+
 class TestHappyPath:
     def test_fast_rung_then_cached_rung(self):
         async def body():

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.serve traffic --seed 5 --requests 2000
-    python -m repro.serve chaos --seed 5 --requests 10000
+    python -m repro.serve chaos --seed 5 --requests 10000 --output c.json
     python -m repro.serve listen --port 8371
 
 ``traffic`` measures cache hit-rate and tail latency under a seeded
@@ -114,9 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "bit-exact or typed outcomes")
     add_common(p)
     _add_settings(p, chaos_mod.CAMPAIGN_SETTINGS)
-    p.add_argument("--output", type=Path,
-                   default=chaos_mod.DEFAULT_OUTPUT,
-                   help="machine-readable campaign summary (JSON)")
+    p.add_argument("--output", type=Path, default=None,
+                   help="write the machine-readable campaign summary "
+                        "(JSON) here (default: no file)")
 
     p = sub.add_parser("listen", help="run the JSON-lines TCP frontend")
     p.add_argument("--host", default=net.DEFAULT_HOST)
@@ -137,7 +137,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         async with PredictionService(jobs=args.jobs,
                                      **_settings(args)) as service:
             summary, _ = await run_traffic(service, universe, indexes,
-                                           model, deadline=args.deadline)
+                                           model)
             return {"traffic": summary.to_dict(),
                     "service": service.summary()}
 
@@ -156,11 +156,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         "mismatches": len(result.mismatches),
         "untyped_failures": len(result.untyped_failures),
         "traffic": result.traffic,
-        "output": str(args.output),
+        "output": None if args.output is None else str(args.output),
     }, indent=2, sort_keys=True))
     if not result.passed:
+        where = ("rerun with --output" if args.output is None
+                 else f"in {args.output}")
         print("chaos campaign FAILED: see mismatches/untyped_failures "
-              f"in {args.output}", file=sys.stderr)
+              f"{where}", file=sys.stderr)
         return 1
     return 0
 

@@ -41,9 +41,6 @@ from .traffic import (
     run_traffic,
 )
 
-#: Default output location for the machine-readable campaign summary.
-DEFAULT_OUTPUT = Path("benchmarks/results/BENCH_serve_chaos.json")
-
 #: Digest-prefix length used in generated fault directives.
 _PREFIX = 12
 
@@ -174,9 +171,12 @@ def _judge(responses: Sequence[Optional[ServeResponse]],
 def run_chaos(seed: int = 5, n_requests: int = 10_000,
               universe_size: int = 40, budget: int = 3000,
               model: Optional[TrafficModel] = None, jobs: int = 2,
-              output: Optional[Path] = DEFAULT_OUTPUT,
+              output: Optional[Path] = None,
               **settings: Any) -> ChaosResult:
     """One full campaign: oracle, faults, traffic, judgement, summary.
+
+    The summary is written to ``output`` as JSON; ``None`` writes no
+    file.
 
     ``settings`` override :data:`CAMPAIGN_SETTINGS` (``queue_limit``,
     ``batch_limit``, ``deadline``, ``breaker_threshold``,
@@ -202,8 +202,7 @@ def run_chaos(seed: int = 5, n_requests: int = 10_000,
                                    List[Optional[ServeResponse]]]:
         async with PredictionService(jobs=jobs, **settings) as service:
             summary, responses = await run_traffic(
-                service, universe, indexes, model,
-                deadline=settings["deadline"])
+                service, universe, indexes, model)
             return service.summary(), summary, responses
 
     import asyncio

@@ -43,6 +43,12 @@ RUNG_CACHED = "cached"
 RUNG_SHED = "shed"
 
 
+#: The exact value types a request's ``config`` may hold.  Exact, not
+#: ``isinstance``: an ``int`` subclass would encode like an ``int`` but
+#: could rebuild a different config, and the digest must pin the request.
+_CONFIG_TYPES = (bool, int, float, str, type(None))
+
+
 class RequestError(ValueError):
     """A request that cannot be decoded, validated, or rebuilt."""
 
@@ -67,6 +73,9 @@ class ServiceOverload(RuntimeError):
 class ServeRequest:
     """One prediction request: a (workload, geometry, config) cell.
 
+    Construction checks every field's type exactly (a ``bool`` is no
+    ``int`` size), so equal canonical JSON means an equal request.
+
     Attributes:
         workload: registered workload name (SPEC95 analogs plus the
             analytic ``kmp`` family).
@@ -76,7 +85,9 @@ class ServeRequest:
         budget: dynamic-instruction budget for the workload trace.
         n_blocks: blocks per cycle (``multi`` engine only).
         config: keyword overrides applied on top of the default
-            :class:`EngineConfig` (JSON-safe scalars only).
+            :class:`EngineConfig`: ``str`` keys, and values whose type
+            is exactly ``bool``, ``int``, ``float``, ``str`` or ``None``
+            (anything else is a :class:`RequestError`).
     """
 
     workload: str
@@ -88,6 +99,12 @@ class ServeRequest:
     config: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if type(self.workload) is not str:
+            raise RequestError(f"workload must be a str: {self.workload!r}")
+        for name in ("block_width", "budget", "n_blocks"):
+            if type(getattr(self, name)) is not int:
+                raise RequestError(
+                    f"{name} must be an int: {getattr(self, name)!r}")
         if self.engine not in ENGINE_KINDS:
             raise RequestError(f"unknown engine kind: {self.engine!r}")
         if self.geometry_kind not in GEOMETRY_KINDS:
@@ -97,6 +114,13 @@ class ServeRequest:
             raise RequestError("budget must be >= 100 instructions")
         if self.n_blocks < 1:
             raise RequestError("n_blocks must be >= 1")
+        if not isinstance(self.config, dict):
+            raise RequestError("config must be a dict of overrides")
+        for key, value in self.config.items():
+            if type(key) is not str or type(value) not in _CONFIG_TYPES:
+                raise RequestError(
+                    f"config must map str keys to bool, int, float, str "
+                    f"or None; got {key!r}: {value!r}")
 
     # ------------------------------------------------------------------
     # Construction of the simulated objects
@@ -160,8 +184,15 @@ class ServeRequest:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-scalar dictionary (stable key order via dataclass)."""
-        return asdict(self)
+        """Plain-scalar dictionary in field order.
+
+        Equal to ``dataclasses.asdict(self)``: the config holds only
+        scalars, so a shallow copy is a full one.
+        """
+        return {"workload": self.workload, "engine": self.engine,
+                "geometry_kind": self.geometry_kind,
+                "block_width": self.block_width, "budget": self.budget,
+                "n_blocks": self.n_blocks, "config": dict(self.config)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServeRequest":

@@ -4,17 +4,24 @@
 them through the resilient sweep executor of
 :mod:`repro.runtime.resilience` into the vectorized engines, and
 resolves every request with a typed :class:`ServeResponse`.  The
-resilience envelope, outside-in:
+resilience envelope, in the order a request meets it:
 
-* **Bounded admission queue** — a full queue rejects with a typed
-  :class:`ServiceOverload` carrying a retry-after hint derived from the
-  queue depth and a moving estimate of per-request service time.
+* **Content-addressed result store** — the request's content digest is
+  computed once and keys canonical payloads with verified reads
+  (:mod:`repro.serve.store`); a hit serves with that one digest and
+  one verified read, without touching a worker.
 * **Single-flight dedup** — concurrent identical requests (same content
   digest) ride one computation; followers get the leader's response
   flagged ``deduped``.
-* **Content-addressed result store** — digest-keyed canonical payloads
-  with verified reads (:mod:`repro.serve.store`); a hit serves without
-  touching a worker.
+* **Validation** — only a request that neither the store nor an
+  in-flight leader knows is validated (a typed ``InvalidRequest``
+  failure otherwise).  Both hold only requests that passed validation,
+  and the digest pins the request: its canonical JSON encodes every
+  field, and :class:`ServeRequest` holds only JSON scalars of exact
+  types.
+* **Bounded admission queue** — a full queue rejects with a typed
+  :class:`ServiceOverload` carrying a retry-after hint derived from the
+  queue depth and a moving estimate of per-request service time.
 * **Per-request deadlines** — a request expired in the queue fails
   typed (``DeadlineExceeded``); the tightest remaining deadline of a
   batch propagates into ``REPRO_CELL_TIMEOUT`` so a hung worker is
@@ -68,7 +75,6 @@ from .requests import (
     ServeResponse,
     ServiceOverload,
     execute_request_cell,
-    payload_digest,
     stats_payload,
 )
 from .store import ResultStore
@@ -289,24 +295,16 @@ class PredictionService:
                                "use 'async with' or await start()")
         self.metrics.submitted += 1
         start = time.monotonic()
-        try:
-            request.validate()
-        except RequestError as exc:
-            self.metrics.invalid += 1
-            self.metrics.record_failure("InvalidRequest")
-            return ServeResponse(
-                request_digest=request.digest(), workload=request.workload,
-                status=FAILED, error_type="InvalidRequest", error=str(exc),
-                latency_s=time.monotonic() - start)
         digest = request.digest()
 
-        cached = self.store.get(digest, request.workload)
-        if cached is not None:
+        hit = self.store.get(digest, request.workload)
+        if hit is not None:
             self.metrics.served_cached += 1
+            payload, checked = hit
             return ServeResponse(
                 request_digest=digest, workload=request.workload,
                 status=SERVED, rung=RUNG_CACHED, cache_hit=True,
-                payload=cached, payload_digest=payload_digest(cached),
+                payload=payload, payload_digest=checked,
                 latency_s=time.monotonic() - start)
 
         leader = self._inflight.get(digest)
@@ -315,6 +313,18 @@ class PredictionService:
             self.metrics.deduped += 1
             return dataclasses.replace(
                 response, deduped=True,
+                latency_s=time.monotonic() - start)
+
+        # Validated only now: the store and the in-flight table hold
+        # validated requests alone, under the digest that pins them.
+        try:
+            request.validate()
+        except RequestError as exc:
+            self.metrics.invalid += 1
+            self.metrics.record_failure("InvalidRequest")
+            return ServeResponse(
+                request_digest=digest, workload=request.workload,
+                status=FAILED, error_type="InvalidRequest", error=str(exc),
                 latency_s=time.monotonic() - start)
 
         if self._queue.full():
@@ -356,8 +366,10 @@ class PredictionService:
                   cache_hit: bool = False, attempts: int = 0,
                   error_type: str = "", error: str = "",
                   retry_after: float = 0.0,
-                  payload: Optional[Dict[str, Any]] = None,
+                  served: Optional[Tuple[Dict[str, Any], str]] = None,
                   ) -> ServeResponse:
+        """``served`` is a ``(payload, payload digest)`` pair."""
+        payload, checked = (None, "") if served is None else served
         return ServeResponse(
             request_digest=pending.digest,
             workload=pending.request.workload,
@@ -365,9 +377,7 @@ class PredictionService:
             attempts=attempts, error_type=error_type, error=error,
             retry_after=retry_after,
             latency_s=time.monotonic() - pending.submitted,
-            payload=payload,
-            payload_digest=(payload_digest(payload)
-                            if payload is not None else ""))
+            payload=payload, payload_digest=checked)
 
     def _resolve(self, pending: _Pending,
                  response: ServeResponse) -> None:
@@ -407,13 +417,12 @@ class PredictionService:
                 continue
             # The store may have been populated since admission (an
             # identical request completed in an earlier batch).
-            cached = self.store.get(pending.digest,
-                                    pending.request.workload)
-            if cached is not None:
+            hit = self.store.get(pending.digest, pending.request.workload)
+            if hit is not None:
                 self.metrics.served_cached += 1
                 self._resolve(pending, self._response(
                     pending, SERVED, rung=RUNG_CACHED, cache_hit=True,
-                    payload=cached))
+                    served=hit))
                 continue
             guard = self._breaker(pending.request.workload)
             verdict = guard.admit()
@@ -441,8 +450,7 @@ class PredictionService:
         loop = asyncio.get_running_loop()
         started = time.monotonic()
         results, report = await loop.run_in_executor(
-            self._executor, self._run_rung0,
-            [p.request for p in runnable], cell_timeout)
+            self._executor, self._run_rung0, runnable, cell_timeout)
         elapsed = time.monotonic() - started
         per_request = elapsed / len(runnable)
         self._service_estimate = (0.8 * self._service_estimate
@@ -468,13 +476,14 @@ class PredictionService:
                 guard = self._breaker(pending.request.workload)
                 if isinstance(cell, dict) and cell.get("ok"):
                     payload: Dict[str, Any] = cell["payload"]
-                    self.store.put(pending.digest,
-                                   pending.request.workload, payload)
+                    checked = self.store.put(
+                        pending.digest, pending.request.workload, payload)
                     guard.record_success()
                     self.metrics.served_fast += 1
                     self._resolve(pending, self._response(
                         pending, SERVED, rung=RUNG_FAST,
-                        attempts=outcome.attempts, payload=payload))
+                        attempts=outcome.attempts,
+                        served=(payload, checked)))
                 else:
                     # Typed worker-side failure: the fast path is
                     # suspect for this family; rescue on the scalar
@@ -486,17 +495,16 @@ class PredictionService:
         if not scalar_work:
             return
         scalar_results = await loop.run_in_executor(
-            self._executor, self._run_scalar_batch,
-            [(p.request, attempt) for p, attempt in scalar_work])
+            self._executor, self._run_scalar_batch, scalar_work)
         for (pending, attempt), cell in zip(scalar_work, scalar_results):
             if cell.get("ok"):
                 payload = cell["payload"]
-                self.store.put(pending.digest, pending.request.workload,
-                               payload)
+                checked = self.store.put(
+                    pending.digest, pending.request.workload, payload)
                 self.metrics.served_scalar += 1
                 self._resolve(pending, self._response(
                     pending, SERVED, rung=RUNG_SCALAR,
-                    attempts=attempt + 1, payload=payload))
+                    attempts=attempt + 1, served=(payload, checked)))
             else:
                 error_type = str(cell.get("error_type", "Exception"))
                 self.metrics.record_failure(error_type)
@@ -514,8 +522,7 @@ class PredictionService:
     # Rungs (executor-thread side)
     # ------------------------------------------------------------------
 
-    def _translated_spec(self, requests: List[ServeRequest],
-                         ) -> Optional[str]:
+    def _translated_spec(self, batch: List[_Pending]) -> Optional[str]:
         """Batch-scoped ``REPRO_FAULT_SPEC`` for the sweep workers.
 
         Request-targeted ``crash``/``hang`` directives become per-batch
@@ -527,9 +534,10 @@ class PredictionService:
         indexes are meaningless against a service batch.
         """
         parts: List[str] = []
-        for pos, request in enumerate(requests):
+        for pos, pending in enumerate(batch):
             for fault in faults.request_faults(
-                    request.digest(), request.workload, self._fault_spec):
+                    pending.digest, pending.request.workload,
+                    self._fault_spec):
                 if fault.action in ("crash", "hang"):
                     parts.append(f"{fault.action}:cell={pos},"
                                  f"times={fault.times}")
@@ -542,14 +550,14 @@ class PredictionService:
                              f"times={fault.times}")
         return ";".join(parts) if parts else None
 
-    def _run_rung0(self, requests: List[ServeRequest],
+    def _run_rung0(self, batch: List[_Pending],
                    cell_timeout: Optional[float],
                    ) -> Tuple[Optional[List[Any]],
                               resilience.SweepReport]:
         """Fast rung: the batch through the service's worker pools."""
-        cells = [(request.to_dict(), 0) for request in requests]
+        cells = [(pending.request.to_dict(), 0) for pending in batch]
         overrides: Dict[str, Optional[str]] = {
-            faults.FAULTS_ENV: self._translated_spec(requests)}
+            faults.FAULTS_ENV: self._translated_spec(batch)}
         if cell_timeout is not None:
             overrides[resilience.TIMEOUT_ENV] = f"{cell_timeout:.3f}"
         try:
@@ -566,7 +574,7 @@ class PredictionService:
             resilience.drain_reports()
 
     def _run_scalar_batch(self,
-                          items: List[Tuple[ServeRequest, int]],
+                          items: List[Tuple[_Pending, int]],
                           ) -> List[Dict[str, Any]]:
         """Scalar rung: reference engines, in-process, serial.
 
@@ -576,15 +584,15 @@ class PredictionService:
         typed failure.
         """
         out: List[Dict[str, Any]] = []
-        for request, attempt in items:
+        for pending, attempt in items:
             try:
                 faults.apply_request_faults(
-                    request.digest(), request.workload, attempt,
+                    pending.digest, pending.request.workload, attempt,
                     hard=True, spec=self._fault_spec)
                 with resilience.scoped_environ(
                         {engine_mode.ENGINE_ENV:
                          engine_mode.ENGINE_SCALAR}):
-                    payload = stats_payload(request.run())
+                    payload = stats_payload(pending.request.run())
             except Exception as exc:
                 out.append({"ok": False,
                             "error_type": type(exc).__name__,

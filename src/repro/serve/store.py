@@ -6,7 +6,10 @@ integrity-sidecar discipline as the disk cache of
 :mod:`repro.runtime.cache`, applied to the service's in-memory tier.
 Every read re-verifies the checksum, so a corrupted entry (including
 one corrupted deliberately by a ``corrupt:entry`` fault) produces a
-clean miss and a recompute, never a silently wrong answer.
+clean miss and a recompute, never a silently wrong answer.  A verified
+read returns the checksum with the payload: it is the payload's
+:func:`~repro.serve.requests.payload_digest`, so a hit never re-encodes
+or re-hashes what it serves.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ class ResultStore:
         return len(self._entries)
 
     def put(self, digest: str, workload: str,
-            payload: Dict[str, Any]) -> None:
-        """Insert (or refresh) the payload for a request digest."""
+            payload: Dict[str, Any]) -> str:
+        """Insert (or refresh) the payload; return its payload digest."""
         blob = payload_json(payload).encode("ascii")
         sha = hashlib.sha256(blob).hexdigest()
         self._entries[digest] = (blob, sha, workload)
@@ -66,10 +69,15 @@ class ResultStore:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
+        return sha
 
     def get(self, digest: str, workload: str,
-            ) -> Optional[Dict[str, Any]]:
-        """Verified payload for a digest, or None on miss/corruption."""
+            ) -> Optional[Tuple[Dict[str, Any], str]]:
+        """Verified ``(payload, payload digest)``, or None on a miss.
+
+        The digest is the SHA-256 this read has just checked the stored
+        bytes against; a corrupted entry is dropped and reads as a miss.
+        """
         entry = self._entries.get(digest)
         if entry is None:
             self.stats.misses += 1
@@ -90,4 +98,4 @@ class ResultStore:
         self._entries.move_to_end(digest)
         self.stats.hits += 1
         decoded: Dict[str, Any] = json.loads(blob)
-        return decoded
+        return decoded, sha

@@ -228,12 +228,12 @@ def summarize(responses: Sequence[Optional[ServeResponse]],
 async def run_traffic(service: PredictionService,
                       universe: Sequence[ServeRequest],
                       indexes: np.ndarray, model: TrafficModel,
-                      deadline: Optional[float] = None,
                       ) -> Tuple[TrafficSummary,
                                  List[Optional[ServeResponse]]]:
     """Drive a request stream through a running service.
 
-    Returns the summary plus the per-position responses (None where the
+    Every request runs under the service's default deadline.  Returns
+    the summary plus the per-position responses (None where the
     admission queue shed the request with :class:`ServiceOverload` —
     still a typed outcome, counted as ``shed_overload``).
     """
@@ -244,7 +244,7 @@ async def run_traffic(service: PredictionService,
         nonlocal overloads
         try:
             responses[pos] = await service.submit(
-                universe[int(indexes[pos])], deadline=deadline)
+                universe[int(indexes[pos])])
         except ServiceOverload:
             overloads += 1
 

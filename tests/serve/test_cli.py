@@ -2,13 +2,14 @@
 subcommand, checked by the service itself (a bad value exits 2)."""
 
 import asyncio
+import inspect
 import re
 
 import pytest
 
 from repro import envvars
 from repro.serve import __main__ as cli
-from repro.serve import net
+from repro.serve import chaos, net
 
 SUBCOMMANDS = ("traffic", "chaos", "listen")
 
@@ -96,6 +97,13 @@ def test_listen_hands_its_flags_to_the_service(monkeypatch):
         "breaker_cooldown")} == {
         "queue_limit": 7, "batch_limit": 3, "deadline": 2.5,
         "breaker_threshold": 4, "breaker_cooldown": 0.25}
+
+
+def test_chaos_writes_no_file_by_default():
+    args = cli._build_parser().parse_args(["chaos"])
+    assert args.output is None
+    default = inspect.signature(chaos.run_chaos).parameters["output"]
+    assert default.default is None
 
 
 @pytest.mark.parametrize("command,defaults", [

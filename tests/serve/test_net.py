@@ -4,7 +4,16 @@ import asyncio
 import json
 
 from repro.serve import PredictionService, ServeRequest
-from repro.serve.net import bound_port, start_server
+from repro.serve.net import _answer, bound_port, start_server
+
+
+def test_non_scalar_config_is_a_typed_bad_request():
+    # Decoding fails before the service is reached, so none is needed.
+    answer = asyncio.run(_answer(None, {
+        "id": 7, "workload": "li", "config": {"history_length": [1]}}))
+    assert answer["id"] == 7
+    assert (answer["status"], answer["error_type"]) == ("failed",
+                                                        "BadRequest")
 
 
 def test_round_trip_and_typed_errors():

@@ -1,7 +1,10 @@
 """Request model: round-trips, digests, canonical payloads."""
 
+import dataclasses
+import enum
 import json
 
+import numpy as np
 import pytest
 
 from repro.serve.requests import (
@@ -12,6 +15,7 @@ from repro.serve.requests import (
     payload_digest,
     stats_payload,
 )
+from repro.serve.traffic import build_universe
 
 
 class TestServeRequest:
@@ -47,6 +51,63 @@ class TestServeRequest:
                                config={"history_length": -3})
         with pytest.raises(RequestError):
             request.validate()
+
+    def test_canonical_json_is_pinned(self):
+        # The store and single-flight key on these bytes: any change to
+        # the encoding orphans every stored answer and breaks dedup.
+        btb = ServeRequest(workload="kmp", engine="single",
+                           geometry_kind="extend", block_width=4,
+                           budget=2000,
+                           config={"target_kind": "btb", "near_block": True,
+                                   "bit_entries": None,
+                                   "history_length": 6})
+        assert btb.canonical_json() == (
+            '{"block_width":4,"budget":2000,"config":{"bit_entries":null,'
+            '"history_length":6,"near_block":true,"target_kind":"btb"},'
+            '"engine":"single","geometry_kind":"extend","n_blocks":2,'
+            '"workload":"kmp"}')
+        assert btb.digest() == "6a3afc28cf794ac2"
+        plain = ServeRequest(workload="compress")
+        assert plain.canonical_json() == (
+            '{"block_width":8,"budget":4000,"config":{},"engine":"dual",'
+            '"geometry_kind":"align","n_blocks":2,"workload":"compress"}')
+        assert plain.digest() == "28f4f83fcf4832f2"
+
+    def test_to_dict_equals_asdict(self):
+        for request in build_universe(1, 300):
+            data = request.to_dict()
+            assert data == dataclasses.asdict(request)
+            assert list(data) == list(dataclasses.asdict(request))
+            assert data["config"] is not request.config
+
+    @pytest.mark.parametrize("config", [
+        {"history_length": {1}},
+        {"history_length": [6]},
+        {"history_length": {"n": 6}},
+        {"history_length": np.int64(6)},
+        {"history_length": enum.IntEnum("E", "A").A},
+        {1: 6},
+    ])
+    def test_non_scalar_config_is_a_request_error(self, config):
+        with pytest.raises(RequestError, match="config must map"):
+            ServeRequest(workload="li", config=config)
+
+    @pytest.mark.parametrize("fields", [
+        {"workload": {1}}, {"workload": None}, {"block_width": 8.5},
+        {"block_width": "8"}, {"budget": True}, {"n_blocks": 2.0}])
+    def test_mistyped_field_is_a_request_error(self, fields):
+        with pytest.raises(RequestError, match="must be a"):
+            ServeRequest(**{"workload": "kmp", **fields})
+
+    def test_non_dict_config_is_a_request_error(self):
+        with pytest.raises(RequestError, match="config must be a dict"):
+            ServeRequest.from_dict({"workload": "li", "config": [1]})
+
+    def test_json_scalar_config_values_are_accepted(self):
+        request = ServeRequest(workload="kmp", config={
+            "near_block": False, "history_length": 6, "bit_entries": None,
+            "target_kind": "nls", "scale": 1.5})
+        assert json.loads(request.canonical_json())["config"]["scale"] == 1.5
 
     def test_label_mentions_workload_and_engine(self):
         request = ServeRequest(workload="kmp", engine="two_ahead")

@@ -26,6 +26,12 @@ from repro.serve.requests import (
 )
 from repro.serve.requests import payload_digest, stats_payload
 from repro.serve.service import _Pending
+from repro.serve.traffic import (
+    TrafficModel,
+    build_universe,
+    request_stream,
+    run_traffic,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +124,80 @@ class TestHappyPath:
         svc = _service()
         with pytest.raises(RuntimeError, match="not running"):
             _run(svc.submit(REQUEST))
+
+
+class TestWarmAdmission:
+    """A request whose answer is known costs one digest and one read."""
+
+    def test_repeated_submits_build_no_further_engine(self, monkeypatch):
+        built = []
+        build_engine = ServeRequest.build_engine
+
+        def counting(self):
+            built.append(self.digest())
+            return build_engine(self)
+
+        monkeypatch.setattr(ServeRequest, "build_engine", counting)
+
+        async def body():
+            async with _service() as svc:
+                first = await svc.submit(REQUEST)
+                n_first = len(built)
+                # Fresh objects too: nothing is memoised on a request.
+                again = [await svc.submit(
+                    ServeRequest.from_dict(REQUEST.to_dict()))
+                    for _ in range(20)]
+                return first, n_first, again
+
+        first, n_first, again = _run(body())
+        assert first.rung == RUNG_FAST
+        # Validation plus the one-cell batch, which runs in-process.
+        assert built == [REQUEST.digest()] * n_first and n_first >= 1
+        assert len(built) == n_first
+        assert all(r.rung == RUNG_CACHED for r in again)
+
+    def test_invalid_request_after_warm_traffic(self):
+        bad = ServeRequest(workload="nosuch", engine="dual", budget=2000)
+
+        async def body():
+            async with _service() as svc:
+                for _ in range(3):
+                    await asyncio.gather(svc.submit(REQUEST),
+                                         svc.submit(OTHER))
+                n_entries, hits = len(svc.store), svc.store.stats.hits
+                responses = [await svc.submit(bad) for _ in range(2)]
+                return (svc, responses, n_entries, hits)
+
+        svc, responses, n_entries, hits = _run(body())
+        assert n_entries == 2
+        for response in responses:
+            assert (response.status, response.error_type) == (
+                FAILED, "InvalidRequest")
+            assert response.request_digest == bad.digest()
+        assert len(svc.store) == n_entries
+        assert svc.store.stats.hits == hits
+        assert svc.metrics.invalid == 2
+
+    def test_cached_responses_carry_verified_digests(self, qa_seed):
+        universe = build_universe(qa_seed, 4, budget=2000)
+        model = TrafficModel(pattern="zipfian", arrival="bursty", burst=8)
+        indexes = request_stream(model, len(universe), 48, qa_seed)
+
+        async def body():
+            async with _service() as svc:
+                _, responses = await run_traffic(svc, universe, indexes,
+                                                 model)
+                return svc, responses
+
+        svc, responses = _run(body())
+        cached = [r for r in responses if r.rung == RUNG_CACHED]
+        assert cached
+        for response in cached:
+            assert response.cache_hit
+            assert response.payload_digest == payload_digest(
+                response.payload)
+        assert svc.store.stats.hits == svc.metrics.served_cached
+        assert svc.metrics.served_cached == len(cached)
 
 
 class TestDegradationLadder:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.runtime import faults
+from repro.serve.requests import payload_digest
 from repro.serve.store import ResultStore
 
 
@@ -18,10 +19,15 @@ def _payload(n: int) -> dict:
     return {"n_blocks": n, "n_instructions": 10 * n}
 
 
+def _served(n: int) -> tuple:
+    """What a verified read of ``_payload(n)`` returns."""
+    return _payload(n), payload_digest(_payload(n))
+
+
 def test_put_get_round_trip():
     store = ResultStore()
-    store.put("ab", "kmp", _payload(1))
-    assert store.get("ab", "kmp") == _payload(1)
+    assert store.put("ab", "kmp", _payload(1)) == payload_digest(_payload(1))
+    assert store.get("ab", "kmp") == _served(1)
     assert store.stats.hits == 1
     assert store.get("cd", "kmp") is None
     assert store.stats.misses == 1
@@ -49,7 +55,7 @@ def test_corrupted_entry_is_a_clean_miss_never_wrong_bytes():
     # The entry was dropped: recompute and store again, reads are clean
     # (the fault already fired its one time).
     store.put("abcd", "kmp", _payload(1))
-    assert store.get("abcd", "kmp") == _payload(1)
+    assert store.get("abcd", "kmp") == _served(1)
 
 
 def test_corruption_respects_times_and_targets():
@@ -59,10 +65,10 @@ def test_corruption_respects_times_and_targets():
         store.put("abcd", "kmp", _payload(1))
         assert store.get("abcd", "kmp") is None
     store.put("abcd", "kmp", _payload(1))
-    assert store.get("abcd", "kmp") == _payload(1)
+    assert store.get("abcd", "kmp") == _served(1)
     # Untargeted digests are never corrupted.
     store.put("ffff", "kmp", _payload(2))
-    assert store.get("ffff", "kmp") == _payload(2)
+    assert store.get("ffff", "kmp") == _served(2)
 
 
 def test_workload_name_targets_whole_family():

@@ -17,7 +17,10 @@ fan-out are all included.  Three scenario groups:
 
 Results land in ``benchmarks/results/BENCH_perf_sweep.json`` as one
 machine-readable record: per-figure wall-clock, engine mode and cache
-state for every scenario, plus the scalar/fast speedup.  The module
+state for every scenario, plus the scalar/fast speedup.  Each row also
+records the subprocess's system time (``sys_s``) and minor page faults
+(``minflt``), read from ``RUSAGE_CHILDREN`` around it, which show how
+much of a run went to the kernel handing out fresh memory.  The module
 runs standalone (``python benchmarks/bench_perf_sweep.py``) or under
 pytest; either way it fails if the fast engine regresses below scalar,
 and it re-renders the fig6 wall-clock table and the engine table of
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -60,27 +64,32 @@ ENGINE_FIGURES = ("fig8", "fig9")
 
 
 def _run_figure(figure: str, cache_dir: str, jobs: str = "1",
-                engine: str = "fast") -> float:
+                engine: str = "fast") -> dict:
+    """Run one figure; its wall-clock, system time and minor faults."""
     env = dict(os.environ,
                PYTHONPATH=str(REPO_ROOT / "src"),
                REPRO_CACHE_DIR=cache_dir,
                REPRO_JOBS=jobs,
                REPRO_ENGINE=engine,
                REPRO_TRACE_LEN=str(BUDGET))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "repro", figure],
         cwd=REPO_ROOT, env=env, capture_output=True, text=True)
     elapsed = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         raise RuntimeError(f"{figure} failed:\n{proc.stderr}")
-    return elapsed
+    return {"seconds": round(elapsed, 3),
+            "sys_s": round(after.ru_stime - before.ru_stime, 3),
+            "minflt": after.ru_minflt - before.ru_minflt}
 
 
 def _scenario(figure: str, engine: str, cache: str, jobs: int,
-              seconds: float) -> dict:
+              run: dict) -> dict:
     return {"figure": figure, "engine": engine, "cache": cache,
-            "jobs": jobs, "seconds": round(seconds, 3)}
+            "jobs": jobs, **run}
 
 
 def measure() -> dict:
@@ -91,11 +100,13 @@ def measure() -> dict:
         warm = _run_figure("fig6", cache_dir)
         scenarios.append(_scenario("fig6", "fast", "cold", 1, cold))
         scenarios.append(_scenario("fig6", "fast", "warm", 1, warm))
+        cold, warm = cold["seconds"], warm["seconds"]
         parallel = None
         if n_cpus > 1:
-            parallel = _run_figure("fig6", cache_dir, jobs="auto")
+            run = _run_figure("fig6", cache_dir, jobs="auto")
             scenarios.append(_scenario("fig6", "fast", "warm", n_cpus,
-                                       parallel))
+                                       run))
+            parallel = run["seconds"]
 
         # Engine-kernel comparison: warm everything first (including the
         # compiled block arrays) so all modes measure pure engine time.
@@ -103,17 +114,18 @@ def measure() -> dict:
             _run_figure(figure, cache_dir)
         scalar_s = 0.0
         for figure in ENGINE_FIGURES:
-            t = _run_figure(figure, cache_dir, engine="scalar")
-            scenarios.append(_scenario(figure, "scalar", "warm", 1, t))
-            scalar_s += t
+            run = _run_figure(figure, cache_dir, engine="scalar")
+            scenarios.append(_scenario(figure, "scalar", "warm", 1, run))
+            scalar_s += run["seconds"]
         fast_s = 0.0
         for figure in ENGINE_FIGURES:
-            times = [_run_figure(figure, cache_dir)
-                     for _ in range(FAST_REPEATS)]
-            row = _scenario(figure, "fast", "warm", 1, min(times))
-            row["repeats"] = [round(x, 3) for x in times]
+            runs = [_run_figure(figure, cache_dir)
+                    for _ in range(FAST_REPEATS)]
+            best = min(runs, key=lambda run: run["seconds"])
+            row = _scenario(figure, "fast", "warm", 1, best)
+            row["repeats"] = [run["seconds"] for run in runs]
             scenarios.append(row)
-            fast_s += min(times)
+            fast_s += best["seconds"]
     return {
         "budget": BUDGET,
         "cpus": n_cpus,
@@ -136,42 +148,56 @@ def measure() -> dict:
     }
 
 
+def _cost(row: dict) -> str:
+    """A row's system time and minor page faults as table cells."""
+    return f"{row['sys_s']:.2f} s | {row['minflt']:,}"
+
+
 def fig6_table(results: dict) -> str:
     """Markdown cold/warm/parallel fig6 table of one results record."""
     budget = f"{results['budget']:,}".replace(",", " ")
+    rows = {(row["cache"], row["jobs"]): row
+            for row in results["scenarios"] if row["figure"] == "fig6"}
     lines = [f"`python -m repro fig6` at a {budget}-instruction budget on "
-             f"a {results['cpus']}-CPU host (subprocess wall-clock):",
+             f"a {results['cpus']}-CPU host (subprocess wall-clock, "
+             f"system time and minor page faults):",
              "",
-             "| Scenario | Wall-clock | vs. cold |",
-             "| --- | --- | --- |",
-             f"| Cold cache, serial | {results['cold_s']:.2f} s | 1.00× |",
+             "| Scenario | Wall-clock | vs. cold | System | Minor faults |",
+             "| --- | --- | --- | --- | --- |",
+             f"| Cold cache, serial | {results['cold_s']:.2f} s | 1.00× "
+             f"| {_cost(rows[('cold', 1)])} |",
              f"| Warm cache, serial | {results['warm_s']:.2f} s "
-             f"| {results['warm_speedup']:.2f}× |"]
+             f"| {results['warm_speedup']:.2f}× "
+             f"| {_cost(rows[('warm', 1)])} |"]
     if results["parallel_s"] is not None:
         lines.append(f"| Warm cache, `REPRO_JOBS=auto` ({results['cpus']} "
                      f"workers) | {results['parallel_s']:.2f} s "
-                     f"| {results['parallel_speedup']:.2f}× |")
+                     f"| {results['parallel_speedup']:.2f}× "
+                     f"| {_cost(rows[('warm', results['cpus'])])} |")
     else:
         lines.append(f"| Warm cache, `REPRO_JOBS=auto` | not measured "
-                     f"({results['parallel_skipped']}) | |")
+                     f"({results['parallel_skipped']}) | | | |")
     return "\n".join(lines)
 
 
 def engine_table(results: dict) -> str:
     """Markdown scalar-vs-fast table of one results record."""
-    seconds = {(row["figure"], row["engine"]): row["seconds"]
-               for row in results["scenarios"] if row["cache"] == "warm"}
+    rows = {(row["figure"], row["engine"]): row
+            for row in results["scenarios"] if row["cache"] == "warm"}
     comparison = results["engine_comparison"]
-    lines = ["| Sweep | `scalar` | `fast` | Speedup |",
-             "| --- | --- | --- | --- |"]
+    lines = ["| Sweep | `scalar` | `fast` | Speedup "
+             "| `fast` system | `fast` minor faults |",
+             "| --- | --- | --- | --- | --- | --- |"]
     for figure in comparison["figures"]:
-        scalar, fast = seconds[(figure, "scalar")], seconds[(figure, "fast")]
-        lines.append(f"| {figure} | {scalar:.1f} s | {fast:.2f} s "
-                     f"| {scalar / fast:.1f}× |")
+        scalar = rows[(figure, "scalar")]["seconds"]
+        fast = rows[(figure, "fast")]
+        lines.append(f"| {figure} | {scalar:.1f} s "
+                     f"| {fast['seconds']:.2f} s "
+                     f"| {scalar / fast['seconds']:.1f}× | {_cost(fast)} |")
     lines.append(f"| {' + '.join(comparison['figures'])} | "
                  f"{comparison['scalar_s']:.1f} s | "
                  f"{comparison['fast_s']:.2f} s | "
-                 f"**{comparison['fast_speedup']:.2f}×** |")
+                 f"**{comparison['fast_speedup']:.2f}×** | | |")
     return "\n".join(lines)
 
 

@@ -56,7 +56,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..predictors.ghr import BlockOutcomes
-from ..runtime import profile
+from ..runtime import heap, profile
 from ..targets.bit import BitCode
 from ..targets.btb import BlockBTB, DualBTBTargetArray, _Entry
 from ..targets.nls import DualNLSTargetArray
@@ -561,6 +561,7 @@ def _run_fast(engine, fetch_input, *, group: int, targets,
       later second-slot block; ``bit_table`` is the single engine's
       separate BIT table.
     """
+    heap.keep_freed_memory()  # once per process: reuse freed temporaries
     scheme = DOUBLE_SELECT if double else SINGLE_SELECT
     with profile.phase("prep"):
         run = _Run(engine, fetch_input, group, shift, ahead)

@@ -1155,9 +1155,11 @@ def lru_resident(groups: np.ndarray, keys: np.ndarray,
     # Fewer touches than ways in between: resident without counting.
     far = np.nonzero(resident & (idx - prev > associativity))[0]
     if far.shape[0]:
+        # One pass over the sorted levels answers both prefix ends.
         p = prev[far]
-        between = (_count_below(prev, far, p)
-                   - _count_below(prev, p + 1, p))
+        below = _count_below(prev, np.concatenate((far, p + 1)),
+                             np.concatenate((p, p)))
+        between = below[:far.shape[0]] - below[far.shape[0]:]
         resident[far] = between < associativity
     out = np.empty(m, dtype=bool)
     out[order] = resident

@@ -26,6 +26,9 @@ The pieces:
   :mod:`repro.runtime.sim` drives the same scheduler through a seeded
   discrete-event simulation so scheduling invariants are fast,
   deterministic tests.
+* :mod:`repro.runtime.heap` — the process heap policy the fast engine
+  driver applies once, so a sweep's freed temporaries stay in the heap
+  for the next cell instead of being faulted in afresh.
 
 The executor is re-exported lazily: the workload registry imports
 :mod:`repro.runtime.cache` at module load, and eagerly importing the
@@ -36,7 +39,7 @@ its workers) would create an import cycle.
 from __future__ import annotations
 
 # Light modules only (no workloads import — that would be circular).
-from . import cache, faults, profile  # noqa: F401
+from . import cache, faults, heap, profile  # noqa: F401
 
 _EXECUTOR_NAMES = ("JOBS_ENV", "SuiteSpec", "execute", "n_jobs",
                    "run_suite_specs", "unpicklable_reason",
@@ -50,8 +53,8 @@ _SHARD_NAMES = ("ShardPlan", "ShardScheduler", "partition")
 
 _SIM_NAMES = ("SimSpec", "simulate", "verify_invariants")
 
-__all__ = ["cache", "executor", "faults", "profile", "resilience",
-           "shard", "sim",
+__all__ = ["cache", "executor", "faults", "heap", "profile",
+           "resilience", "shard", "sim",
            *_EXECUTOR_NAMES, *_RESILIENCE_NAMES, *_SHARD_NAMES,
            *_SIM_NAMES]
 

@@ -149,8 +149,9 @@ def _run_engine_cell(cell: Tuple[SuiteSpec, str]):
     """Worker: run one (spec, workload) cell, returning its FetchStats.
 
     Under ``REPRO_PROFILE=1`` the cell's phase breakdown (trace /
-    segment / compile / engine) is printed to stderr as it completes —
-    from the worker's stderr when the sweep is parallel.
+    segment / compile / engine) and its minor page faults are printed
+    to stderr as it completes — from the worker's stderr when the sweep
+    is parallel.
     """
     spec, name = cell
     from ..core.dual import DualBlockEngine
@@ -159,6 +160,7 @@ def _run_engine_cell(cell: Tuple[SuiteSpec, str]):
 
     profiling = profile.enabled()
     base = profile.snapshot() if profiling else None
+    faults_base = profile.minor_faults() if profiling else 0
     fetch_input = load_fetch_input(name, spec.config.geometry, spec.budget)
     factory = spec.engine_factory or DualBlockEngine
     with profile.phase("engine"):
@@ -167,7 +169,8 @@ def _run_engine_cell(cell: Tuple[SuiteSpec, str]):
         engine_name = getattr(factory, "__name__",
                               factory.__class__.__name__)
         profile.emit_cell(f"{engine_name}/{name}",
-                          profile.delta_since(base))
+                          profile.delta_since(base),
+                          profile.minor_faults() - faults_base)
     return stats
 
 

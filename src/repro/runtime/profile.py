@@ -8,6 +8,10 @@ attaches the sweep-level totals to the
 split ``engine`` into its shared-prep and residual-replay halves,
 ``prep`` and ``residual``; those two nest inside ``engine`` (and a cold
 ``compile`` nests inside ``prep``), so phases do not sum to wall-clock.
+Each per-cell line and the report's totals also carry the minor page
+faults the process took meanwhile (``minflt``, the ``ru_minflt``
+delta), which shows whether freed memory was reused or faulted in
+afresh (see :mod:`repro.runtime.heap`).
 
 The accounting is process-local: under ``REPRO_JOBS>1`` the per-cell
 lines come from worker stderr, while the report of the parent process
@@ -24,7 +28,12 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from typing import Dict
+from typing import Dict, Optional
+
+try:
+    import resource
+except ImportError:  # not POSIX: no fault counts
+    resource = None
 
 #: Environment variable enabling phase timing.
 PROFILE_ENV = "REPRO_PROFILE"
@@ -85,6 +94,14 @@ def phase(name: str):
         record(name, time.perf_counter() - t0)
 
 
+def minor_faults() -> int:
+    """Minor page faults this process has taken so far (0 without
+    ``getrusage``)."""
+    if resource is None:
+        return 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def snapshot() -> Dict[str, float]:
     """Copy of the phase totals accumulated so far in this process."""
     return dict(_totals)
@@ -113,15 +130,21 @@ def reset() -> None:
     _shard = None
 
 
-def format_phases(phases: Dict[str, float]) -> str:
-    """Render phase seconds in canonical order, e.g. ``engine=1.203s``."""
+def format_phases(phases: Dict[str, float],
+                  minflt: Optional[int] = None) -> str:
+    """Render phase seconds in canonical order, e.g. ``engine=1.203s``,
+    followed by ``minflt=<n>`` when a fault count is given."""
     names = [p for p in PHASES if p in phases]
     names += [p for p in sorted(phases) if p not in PHASES]
-    return " ".join(f"{name}={phases[name]:.3f}s" for name in names)
+    parts = [f"{name}={phases[name]:.3f}s" for name in names]
+    if minflt is not None:
+        parts.append(f"minflt={minflt}")
+    return " ".join(parts)
 
 
-def emit_cell(label: str, phases: Dict[str, float]) -> None:
-    """Print one cell's phase breakdown to stderr.
+def emit_cell(label: str, phases: Dict[str, float],
+              minflt: Optional[int] = None) -> None:
+    """Print one cell's phase breakdown (and minor faults) to stderr.
 
     In a pool worker of a parallel sweep the line carries the worker's
     shard label (``s<k>/``), so interleaved worker stderr still
@@ -129,4 +152,5 @@ def emit_cell(label: str, phases: Dict[str, float]) -> None:
     """
     if _shard is not None:
         label = f"s{_shard}/{label}"
-    print(f"[profile] {label}: {format_phases(phases)}", file=sys.stderr)
+    print(f"[profile] {label}: {format_phases(phases, minflt)}",
+          file=sys.stderr)

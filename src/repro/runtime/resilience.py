@@ -224,6 +224,10 @@ class SweepReport:
     #: sweeps only see the parent's phases — per-cell breakdowns come
     #: from worker stderr.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
+    #: Minor page faults this process took during the sweep
+    #: (``REPRO_PROFILE=1``, same scope as ``phase_seconds``); None when
+    #: profiling is off.
+    minflt: Optional[int] = None
 
     def _with_status(self, status: str) -> List[CellOutcome]:
         return [o for o in self.outcomes if o.status == status]
@@ -279,8 +283,8 @@ class SweepReport:
         if self.phase_seconds:
             from . import profile
 
-            bits.append(f"phases: "
-                        f"{profile.format_phases(self.phase_seconds)}")
+            phases = profile.format_phases(self.phase_seconds, self.minflt)
+            bits.append(f"phases: {phases}")
         return "; ".join(bits)
 
 
@@ -540,6 +544,7 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
     cache.max_cache_bytes()  # validate eagerly, before any simulation
     profiling = profile.enabled()
     profile_base = profile.snapshot() if profiling else None
+    faults_base = profile.minor_faults() if profiling else 0
     if inject_faults:
         faults.validate()
 
@@ -582,6 +587,7 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
     finally:
         if profiling:
             report.phase_seconds = profile.delta_since(profile_base)
+            report.minflt = profile.minor_faults() - faults_base
         _reports.append(report)
         if label is not None:
             try:

@@ -415,20 +415,15 @@ class PredictionService:
                     pending, FAILED, error_type="DeadlineExceeded",
                     error="deadline expired while queued"))
                 continue
-            # The store may have been populated since admission (an
-            # identical request completed in an earlier batch).
-            hit = self.store.get(pending.digest, pending.request.workload)
-            if hit is not None:
-                self.metrics.served_cached += 1
-                self._resolve(pending, self._response(
-                    pending, SERVED, rung=RUNG_CACHED, cache_hit=True,
-                    served=hit))
-                continue
+            # No store read here: a queued request is its digest's
+            # in-flight leader, so nothing stores that digest before
+            # this batch resolves it.
             guard = self._breaker(pending.request.workload)
             verdict = guard.admit()
             if verdict == breaker_mod.REJECT:
-                # Cached-only mode was already exhausted above, so the
-                # ladder's last rung for this family is a typed shed.
+                # Cached-only mode was already exhausted at admission,
+                # so the ladder's last rung for this family is a typed
+                # shed.
                 self.metrics.shed_breaker += 1
                 self._resolve(pending, self._response(
                     pending, SHED, rung=RUNG_SHED,

@@ -840,3 +840,24 @@ def test_lru_resident_matches_ordered_dict(associativity, n_sets, warm,
     got = lru_resident(groups, keys, associativity)
     assert got.tolist() == _lru_reference(groups.tolist(), lines,
                                           associativity)
+
+
+@pytest.mark.parametrize("associativity,n_sets,n_keys", [
+    (1, 4, 24), (2, 8, 64), (4, 16, 200), (4, 1, 12)])
+def test_lru_resident_many_far_touches(associativity, n_sets, n_keys,
+                                       qa_seed):
+    """Long streams whose repeat touches mostly lie more than
+    ``associativity`` touches apart, so most need the between count."""
+    rng = np.random.default_rng([qa_seed, associativity, n_sets])
+    keys = rng.integers(0, n_keys, size=4000, dtype=np.int64)
+    groups = keys % n_sets
+    last = {}
+    far = 0
+    for i, key in enumerate(keys.tolist()):
+        far += key in last and i - last[key] > associativity
+        last[key] = i
+    assert far > 2000
+    got = lru_resident(groups, keys, associativity)
+    want = _lru_reference(groups.tolist(), keys.tolist(), associativity)
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)

@@ -107,3 +107,4 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "[profile]" in err
         assert "engine=" in err
+        assert "minflt=" in err

@@ -70,6 +70,18 @@ class TestAccounting:
         err = capsys.readouterr().err
         assert err == "[profile] DualBlockEngine/gcc: engine=0.125s\n"
 
+    def test_emit_cell_appends_minor_faults(self, capsys):
+        profile.emit_cell("DualBlockEngine/gcc", {"engine": 0.125}, 42)
+        err = capsys.readouterr().err
+        assert err == ("[profile] DualBlockEngine/gcc: engine=0.125s "
+                       "minflt=42\n")
+
+    def test_minor_faults_count_up(self):
+        pytest.importorskip("resource")
+        before = profile.minor_faults()
+        bytearray(8 << 20)  # fresh pages
+        assert profile.minor_faults() > before
+
 
 class TestSweepReportWiring:
     def test_sweep_report_carries_phase_seconds(self, monkeypatch):
@@ -84,7 +96,9 @@ class TestSweepReportWiring:
         result = run_resilient(cell, [1, 2, 3], jobs=1, label=None)
         assert result.results == [2, 4, 6]
         assert "engine" in result.report.phase_seconds
+        assert result.report.minflt >= 0
         assert "phases:" in result.report.summary()
+        assert f"minflt={result.report.minflt}" in result.report.summary()
 
     def test_report_empty_when_profiling_off(self, monkeypatch):
         from repro.runtime.resilience import run_resilient
@@ -92,4 +106,5 @@ class TestSweepReportWiring:
         monkeypatch.delenv(PROFILE_ENV, raising=False)
         result = run_resilient(lambda x: x, [1], jobs=1, label=None)
         assert result.report.phase_seconds == {}
+        assert result.report.minflt is None
         assert "phases:" not in result.report.summary()

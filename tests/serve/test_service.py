@@ -199,6 +199,20 @@ class TestWarmAdmission:
         assert svc.store.stats.hits == svc.metrics.served_cached
         assert svc.metrics.served_cached == len(cached)
 
+    def test_store_is_read_once_per_request(self):
+        """Only admission reads the store: a queued request is its
+        digest's in-flight leader, so its batch never reads it again."""
+        async def body():
+            async with _service() as svc:
+                await asyncio.gather(svc.submit(REQUEST),
+                                     svc.submit(OTHER))
+                await svc.submit(REQUEST)
+                return svc
+
+        svc = _run(body())
+        assert svc.metrics.served_fast == 2
+        assert (svc.store.stats.hits, svc.store.stats.misses) == (1, 2)
+
 
 class TestDegradationLadder:
     def test_crash_recovers_on_fast_rung(self, monkeypatch):

@@ -10,8 +10,8 @@ fan-out are all included.  Three scenario groups:
   everything loads from disk; ``parallel`` — warm cache plus
   ``REPRO_JOBS=auto``, measured only when the host actually has more
   than one CPU (on a single-CPU host it would just duplicate ``warm``).
-* **Engine kernels** (``fig8`` + ``fig9``, warm cache): the same sweeps
-  under ``REPRO_ENGINE=scalar`` (reference loops) and
+* **Engine kernels** (``fig7`` + ``fig8`` + ``fig9``, warm cache): the
+  same sweeps under ``REPRO_ENGINE=scalar`` (reference loops) and
   ``REPRO_ENGINE=fast`` (vectorized kernels).  Both modes print
   byte-identical figures — the comparison is pure wall-clock.
 
@@ -59,8 +59,9 @@ BUDGET = int(os.environ.get("REPRO_TRACE_LEN", "120000"))
 #: default budget the scalar fig8 sweep alone runs for minutes.
 FAST_REPEATS = int(os.environ.get("BENCH_FAST_REPEATS", "3"))
 
-#: The engine-kernel comparison sweeps (the paper's headline figures).
-ENGINE_FIGURES = ("fig8", "fig9")
+#: The engine-kernel comparison sweeps: the paper's headline figures,
+#: and Figure 7, the one sweep that reads the separate BIT table.
+ENGINE_FIGURES = ("fig7", "fig8", "fig9")
 
 
 def _run_figure(figure: str, cache_dir: str, jobs: str = "1",

@@ -182,7 +182,9 @@ class _Run:
         read's counter offset are memoised on the fetch input's shared
         read rows (:meth:`~repro.core.kernels.ReadRows.slots`).
 
-        With ``bit_table`` (single engine, Figure 7) the stale windows
+        With ``bit_table`` (single engine, Figure 7) the stale reads
+        (:func:`~repro.core.kernels.stale_bit_windows`: one
+        ``read_rows`` call over the line each read finds in its slot)
         are resolved in the same scan and ``self.stale_walk`` is set.
         """
         compiled = self.compiled

@@ -21,7 +21,9 @@ numpy arrays (:class:`CompiledBlocks`) and resolves whole runs at once:
   binary-search the writes (:func:`scan_counters`);
 * the first-predicted-taken walk of every block is one pass over the
   list: the earlier of its first predicted-taken read and its first
-  non-conditional branch (:func:`walk_reads`).
+  non-conditional branch (:func:`walk_reads`);
+* Figure 7's stale BIT reads go through the same :func:`read_rows`,
+  over the lines a table replay finds (:func:`stale_bit_windows`).
 
 The near-block flag changes only the BIT encoding, so the compiled
 form is one read-only, near-block-independent base per ``FetchInput``
@@ -41,7 +43,7 @@ block (:data:`STORED_DTYPES`,
 :data:`~repro.trace.blocks.STREAM_DTYPES`).  Under numpy 2 a narrow
 array combined with a Python int stays narrow and wraps silently, so
 every packed key and product (the counter search keys, the stale
-windows' events and addresses, and the engines' PHT, select and target
+reads' events and addresses, and the engines' PHT, select and target
 keys in :mod:`repro.core.fast`) is computed in ``int64``.
 """
 
@@ -70,7 +72,7 @@ K_INDIRECT = int(InstrKind.INDIRECT)
 K_HALT = int(InstrKind.HALT)
 
 #: Integer BitCode values (``repro.targets.bit.BitCode``) used in the
-#: read lists and window matrices; near-block conditionals are 4..7.
+#: read lists; near-block conditionals are 4..7.
 CODE_NONBRANCH = 0
 CODE_RETURN = 1
 CODE_OTHER = 2
@@ -205,13 +207,6 @@ class ReadRows:
         return self._slots
 
 
-def _row_ranks(block: np.ndarray, n_before: np.ndarray) -> np.ndarray:
-    """Rank of every read within its row (``block`` nondecreasing)."""
-    row_first = np.zeros(len(n_before), dtype=np.int32)
-    np.cumsum(n_before[:-1], dtype=np.int32, out=row_first[1:])
-    return np.arange(len(block), dtype=np.int32) - row_first[block]
-
-
 def read_rows(code_of_addr: np.ndarray, start: np.ndarray,
               limit: np.ndarray, width: int) -> ReadRows:
     """The :class:`ReadRows` of blocks ``[start, start + limit)``.
@@ -252,7 +247,9 @@ def read_rows(code_of_addr: np.ndarray, start: np.ndarray,
     stop_col = np.where(has_stop, stop, np.int32(width))
     del stop, has_stop
     block = np.repeat(np.arange(n, dtype=np.int32), n_before)
-    rank = _row_ranks(block, n_before)
+    row_first = np.zeros(n, dtype=np.int32)
+    np.cumsum(n_before[:-1], dtype=np.int32, out=row_first[1:])
+    rank = np.arange(len(block), dtype=np.int32) - row_first[block]
     cond_addr = np.flatnonzero(is_cond).astype(np.int32)
     col = cond_addr[lo[block] + rank] - start[block]
     del lo
@@ -261,30 +258,6 @@ def read_rows(code_of_addr: np.ndarray, start: np.ndarray,
                     rank=rank.astype(narrow),
                     stop_col=stop_col.astype(narrow), stop_code=stop_code,
                     n_before=n_before.astype(narrow), width=width)
-
-
-def read_list_from_window(window: np.ndarray) -> ReadList:
-    """The :class:`ReadList` of a dense ``uint8[n, W]`` window matrix."""
-    n, width = window.shape
-    other = (window == CODE_RETURN) | (window == CODE_OTHER)
-    has_stop = other.any(axis=1)
-    first_other = np.argmax(other, axis=1)
-    stop_col = np.where(has_stop, first_other, np.int64(width))
-    cols = np.arange(width, dtype=np.int64)
-    cond = (window >= CODE_COND_LONG) & (cols[None, :] < stop_col[:, None])
-    block, col = np.nonzero(cond)
-    stop_code = np.where(
-        has_stop, window[np.arange(n, dtype=np.int64), first_other],
-        np.uint8(CODE_NONBRANCH))
-    n_before = np.count_nonzero(cond, axis=1)
-    narrow = np.min_scalar_type(width)
-    return ReadList(
-        block=block.astype(np.int32), col=col.astype(narrow),
-        code=window[block, col].astype(np.uint8, copy=False),
-        rank=_row_ranks(block, n_before).astype(narrow),
-        stop_col=stop_col.astype(narrow),
-        stop_code=stop_code.astype(np.uint8),
-        n_before=n_before.astype(narrow))
 
 
 @dataclass
@@ -917,7 +890,7 @@ def bank_conflicts(line0: np.ndarray, group: int,
 
 
 # ----------------------------------------------------------------------
-# Separate-BIT-table stale windows (Figure 7)
+# Separate-BIT-table stale reads (Figure 7)
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -937,104 +910,112 @@ def stale_bit_windows(compiled: CompiledBlocks, line_size: int,
                       init_codes: np.ndarray) -> StaleWindows:
     """Replay the tag-less BIT table's reads/fills for every block.
 
-    Each block reads its spanned lines' entries (stale if aliased) and
-    then fills them with the true codes.  A per-slot forward fill over
-    the (read, fill) event stream recovers which line each read saw;
-    gathering that line's true codes builds the stale window matrix,
-    which the walks take as a :class:`ReadList`.
+    Row ``2b`` is block b's first line and row ``2b + 1`` its second,
+    empty unless the block spans two lines.  Each block reads its rows'
+    entries (stale if aliased), then fills them with the true codes; a
+    per-slot forward fill over that event stream recovers the line each
+    read found.  Every row is then one address segment, that line's
+    codes at the block's offsets, in one :func:`read_rows` call, and
+    :func:`_join_line_reads` folds each block's two rows.
     ``init_lines``/``init_codes`` seed slots from the table's pre-run
     state (-1 = never written); reads served by that state use the
     *stored* codes, which a warm table may have encoded from a different
     program's static code.
     """
     n = compiled.n_blocks
-    # Packed event keys and addresses: int64 throughout.
+    # Lines, slots and addresses: int64 throughout.
     start = compiled.start.astype(np.int64)
     limit = compiled.limit.astype(np.int64)
-    l0 = compiled.line0.astype(np.int64)
     span1 = np.minimum(limit, line_size - start % line_size)
-    l_last = (start + limit - 1) // line_size
-    second = np.nonzero(l_last > l0)[0]
+    line = np.stack([compiled.line0.astype(np.int64),
+                     (start + limit - 1) // line_size], axis=1).ravel()
+    span = np.stack([span1, limit - span1], axis=1).ravel()
 
-    # Events: per block, reads of its lines (key 2b) then fills of the
-    # same lines in ascending line order (key 2b+1, stable).
-    blocks_ev = np.concatenate([np.arange(n, dtype=np.int64), second])
-    lines_ev = np.concatenate([l0, l_last[second]])
-    n_reads = len(blocks_ev)
-    ev_block = np.concatenate([blocks_ev, blocks_ev])
-    ev_line = np.concatenate([lines_ev, lines_ev])
-    ev_fill = np.zeros(2 * n_reads, dtype=bool)
-    ev_fill[n_reads:] = True
-    ev_key = ev_block * 2 + ev_fill
-    ev_slot = ev_line % n_entries
-
-    order_t = np.argsort(ev_key, kind="stable")
-    g = _grouping_order(ev_slot[order_t])
-    order = order_t[g]
+    # Events: per block, reads of its rows, then fills of the same rows
+    # (key 2b, then 2b + 1; the stable sort keeps row order).
+    rows = np.flatnonzero(span)
+    ev_row = np.concatenate([rows, rows])
+    ev_fill = np.repeat([False, True], len(rows))
+    ev_slot = line[ev_row] % n_entries
+    order = np.argsort((ev_row >> 1) * 2 + ev_fill, kind="stable")
+    order = order[_grouping_order(ev_slot[order])]
     sl = ev_slot[order]
-    ln = ev_line[order]
-    fl = ev_fill[order]
-    m = len(order)
-    seg_start = np.empty(m, dtype=bool)
-    seg_start[0] = True
-    seg_start[1:] = sl[1:] != sl[:-1]
+    ev_row = ev_row[order]
+    reads = ~ev_fill[order]
+    seg_start = np.concatenate([[True], sl[1:] != sl[:-1]])
 
-    # Segmented "index of the latest fill at or before me".
-    idx = np.arange(m, dtype=np.int64)
-    fill_idx = np.where(fl, idx, np.int64(-1))
+    # Segmented "index of the latest fill at or before me", and the
+    # line the slot holds at each event.
+    idx = np.arange(len(order), dtype=np.int64)
     seg_base = np.maximum.accumulate(np.where(seg_start, idx, 0))
-    last_fill = np.maximum.accumulate(fill_idx)
+    last_fill = np.maximum.accumulate(np.where(reads, np.int64(-1), idx))
     filled = last_fill >= seg_base
-    stored_g = np.where(filled, ln[np.maximum(last_fill, 0)],
-                        init_lines[sl])
+    held = np.where(filled, line[ev_row[np.maximum(last_fill, 0)]],
+                    init_lines[sl])
+    row_line = np.full(2 * n, -1, dtype=np.int64)
+    row_line[ev_row[reads]] = held[reads]
+    row_init = np.zeros(2 * n, dtype=bool)
+    row_init[ev_row[reads]] = ~filled[reads]
+    written = row_line >= 0
+    # Each touched slot's last fill, for table-state write-back.
+    end_filled = np.append(seg_start[1:], True) & filled
 
-    stored_all = np.empty(m, dtype=np.int64)
-    stored_all[order] = stored_g
-    from_init_all = np.empty(m, dtype=bool)
-    from_init_all[order] = ~filled
-    stored_reads = stored_all[:n_reads]
-    from_init = from_init_all[:n_reads]
-    stale_hits = int(np.count_nonzero(
-        (stored_reads >= 0) & (stored_reads != lines_ev)))
+    # Each row is one address segment over ``codes``.  This run's fills
+    # store the program's true codes: ``code_of_addr``, then one line of
+    # non-branch padding, which a stored line at or past the end of the
+    # text segment reads instead.  Slots still in their pre-run state
+    # supply the codes they were seeded with (``init_codes``, after the
+    # padding).  A never-written slot gives an empty segment.
+    text = len(compiled.code_of_addr)
+    codes = np.concatenate([compiled.code_of_addr,
+                            np.zeros(line_size, dtype=np.uint8),
+                            init_codes.ravel()])
+    if 2 * n >= MAX_INDEX or len(codes) >= MAX_INDEX:
+        raise ValueError("stale BIT reads exceed 2**31 addresses")
+    row_start = np.where(
+        row_init, text + line_size + line % n_entries * line_size,
+        np.minimum(row_line * line_size, text))
+    row_start[0::2] += start % line_size
+    row_start = np.where(written, row_start, 0).astype(np.int32)
+    segs = read_rows(codes, row_start,
+                     np.where(written, span, 0).astype(np.int32),
+                     width).reads(codes, row_start)
+    return StaleWindows(
+        reads=_join_line_reads(segs, span1), accesses=len(rows),
+        stale_hits=int(np.count_nonzero(written & (row_line != line))),
+        final_slots=sl[end_filled], final_lines=held[end_filled])
 
-    # Last fill per touched slot, for table-state write-back.
-    seg_end = np.empty(m, dtype=bool)
-    seg_end[:-1] = seg_start[1:]
-    seg_end[-1] = True
-    end_filled = seg_end & filled
-    final_slots = sl[end_filled]
-    final_lines = ln[np.maximum(last_fill, 0)][end_filled]
 
-    # Stale window: the stored line's codes at each block offset.  Fills
-    # from this run store the current program's true codes; slots still
-    # in their pre-run state supply whatever codes they were seeded with.
-    stored0 = stored_reads[:n]
-    stored1 = np.full(n, -1, dtype=np.int64)
-    stored1[second] = stored_reads[n:]
-    init0 = from_init[:n]
-    init1 = np.zeros(n, dtype=bool)
-    init1[second] = from_init[n:]
-    cols = np.arange(width, dtype=np.int64)
-    use_second = cols[None, :] >= span1[:, None]
-    stored_line = np.where(use_second, stored1[:, None], stored0[:, None])
-    use_init = np.where(use_second, init1[:, None], init0[:, None])
-    slot_mat = np.where(use_second, (l_last % n_entries)[:, None],
-                        (l0 % n_entries)[:, None])
-    offs = (start[:, None] + cols[None, :]) % line_size
-    stale_addr = stored_line * line_size + offs
-    code_pad = np.concatenate(
-        [compiled.code_of_addr, np.zeros(1, dtype=np.uint8)])
-    n_static = len(compiled.code_of_addr)
-    valid = (cols[None, :] < limit[:, None]) & (stored_line >= 0) \
-        & (stale_addr < n_static) & ~use_init
-    window = code_pad[np.where(valid, stale_addr, n_static)]
-    seeded = (cols[None, :] < limit[:, None]) & (stored_line >= 0) \
-        & use_init
-    window = np.where(seeded, init_codes[slot_mat, offs], window)
-    return StaleWindows(reads=read_list_from_window(window),
-                        accesses=n_reads,
-                        stale_hits=stale_hits, final_slots=final_slots,
-                        final_lines=final_lines)
+def _join_line_reads(segs: ReadList, span1: np.ndarray) -> ReadList:
+    """Fold rows ``2b`` and ``2b + 1`` of ``segs`` into block b's row.
+
+    The second line's reads count only while the first has no stop;
+    they move ``span1`` columns on and rank after the first line's.
+    """
+    n = len(span1)
+    stop_code0 = segs.stop_code[0::2]
+    stop_code1 = segs.stop_code[1::2]
+    is_open = stop_code0 == CODE_NONBRANCH
+    # Per row: whether its reads count, and how far its columns and
+    # ranks move.  First-line rows count as they are.
+    counts = np.ones(2 * n, dtype=bool)
+    counts[1::2] = is_open
+    col_shift = np.zeros(2 * n, dtype=segs.col.dtype)
+    col_shift[1::2] = span1
+    rank_shift = np.zeros(2 * n, dtype=segs.rank.dtype)
+    rank_shift[1::2] = segs.n_before[0::2]
+    keep = counts[segs.block]
+    rows = segs.block[keep]
+    stop_col = np.where(is_open & (stop_code1 != CODE_NONBRANCH),
+                        col_shift[1::2] + segs.stop_col[1::2],
+                        segs.stop_col[0::2])
+    return ReadList(
+        block=rows >> 1, col=segs.col[keep] + col_shift[rows],
+        code=segs.code[keep], rank=segs.rank[keep] + rank_shift[rows],
+        stop_col=stop_col, stop_code=np.where(is_open, stop_code1,
+                                              stop_code0),
+        n_before=segs.n_before[0::2] + np.where(
+            is_open, segs.n_before[1::2], np.uint8(0)))
 
 
 # ----------------------------------------------------------------------

@@ -212,7 +212,9 @@ def direction_accuracy_sweep(
     # Imported here: ``repro.core`` loads every engine, which a caller
     # of the predictors alone should not pay for.
     from ..core.kernels import TAKEN_MIN, packed_history, scan_writes
+    from ..runtime import heap
 
+    heap.keep_freed_memory()  # once per process: reuse freed temporaries
     hs = list(history_lengths)
     pcs, outcomes = _cond_streams(trace)
     n_cond = len(pcs)

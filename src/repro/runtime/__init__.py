@@ -27,8 +27,9 @@ The pieces:
   discrete-event simulation so scheduling invariants are fast,
   deterministic tests.
 * :mod:`repro.runtime.heap` — the process heap policy the fast engine
-  driver applies once, so a sweep's freed temporaries stay in the heap
-  for the next cell instead of being faulted in afresh.
+  driver and Figure 6's direction sweep apply once, so a sweep's freed
+  temporaries stay in the heap for the next cell instead of being
+  faulted in afresh.
 
 The executor is re-exported lazily: the workload registry imports
 :mod:`repro.runtime.cache` at module load, and eagerly importing the

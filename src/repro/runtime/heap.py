@@ -19,9 +19,11 @@ and the next cell reuses them:
 Both are needed: setting the mmap threshold explicitly also turns the
 dynamic adjustment off, which leaves trim at its 128 KiB default.
 
-The fast engine driver (:func:`repro.core.fast._run_fast`) calls it on
-its first run in a process, so setup-only and capture-only work never
-loads ``ctypes``.  Where ``mallopt`` is missing (not glibc) or refuses
+Its two call sites are the fast engine driver
+(:func:`repro.core.fast._run_fast`) and Figure 6's direction sweep
+(:func:`repro.predictors.evaluate.direction_accuracy_sweep`), which
+never reaches that driver; each calls it on its first run in a process,
+so setup-only and capture-only work never loads ``ctypes``.  Where ``mallopt`` is missing (not glibc) or refuses
 a value, nothing changes.  The policy moves only where memory comes
 from, never a simulated number.
 """

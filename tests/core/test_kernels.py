@@ -3,10 +3,12 @@
 Each kernel is locked against the scalar structure it compiles away:
 the selector encoding against ``BlockPrediction`` equality, the write
 scan and the read/write counter scan against saturating-counter
-replay (and its own-write reads against the all-search path), both
-read-list constructors against each other and the list walk against
-``walk_block``, bank conflicts of pairs against ``blocks_conflict``, the
-LRU residency kernel against an ``OrderedDict`` set, and both
+replay (and its own-write reads against the all-search path), the true
+and the stale BIT read lists against a dense reference window
+(:func:`read_list_from_window`; the stale window from a slot-by-slot
+table replay), the list walk against ``walk_block``, bank conflicts of
+pairs against ``blocks_conflict``, the LRU residency kernel against an
+``OrderedDict`` set, and both
 near-block views of the compiled arrays (one shared, read-only base,
 one persisted artifact) against a fresh compile.  The keyed last-write
 replay is locked in ``tests/core/test_backends.py``.
@@ -14,6 +16,7 @@ replay is locked in ``tests/core/test_backends.py``.
 
 import dataclasses
 from collections import OrderedDict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +28,10 @@ from repro.core.config import FetchInput
 from repro.core.engine_mode import ENGINE_ENV
 from repro.core.fast import _replay_targets
 from repro.core.kernels import (
+    CODE_COND_LONG,
     CODE_NONBRANCH,
+    CODE_OTHER,
+    CODE_RETURN,
     FAR_EXIT,
     STORED_DTYPES,
     CompiledBlocks,
@@ -37,10 +43,10 @@ from repro.core.kernels import (
     decode_selector,
     encode_selector,
     lru_resident,
-    read_list_from_window,
     read_rows,
     scan_counters,
     scan_writes,
+    stale_bit_windows,
     walk_reads,
 )
 from repro.core.selection import (
@@ -51,6 +57,7 @@ from repro.core.selection import (
     walk_block,
 )
 from repro.cpu import Machine
+from repro.experiments.fig7 import DEFAULT_SIZES as FIG7_SIZES
 from repro.icache import CacheGeometry
 from repro.icache.banks import blocks_conflict
 from repro.isa import Assembler
@@ -373,6 +380,33 @@ def test_resolve_walks_matches_walk_block():
 # Read lists
 # ----------------------------------------------------------------------
 
+def read_list_from_window(window):
+    """Reference :class:`ReadList` of a dense ``uint8[n, W]`` window
+    matrix: each row's conditionals before its first RETURN/OTHER."""
+    n, width = window.shape
+    other = (window == CODE_RETURN) | (window == CODE_OTHER)
+    has_stop = other.any(axis=1)
+    first_other = np.argmax(other, axis=1)
+    stop_col = np.where(has_stop, first_other, np.int64(width))
+    cols = np.arange(width, dtype=np.int64)
+    cond = (window >= CODE_COND_LONG) & (cols[None, :] < stop_col[:, None])
+    block, col = np.nonzero(cond)
+    stop_code = np.where(
+        has_stop, window[np.arange(n, dtype=np.int64), first_other],
+        np.uint8(CODE_NONBRANCH))
+    n_before = np.count_nonzero(cond, axis=1)
+    row_first = np.zeros(n, dtype=np.int64)
+    np.cumsum(n_before[:-1], out=row_first[1:])
+    narrow = np.min_scalar_type(width)
+    return ReadList(
+        block=block.astype(np.int32), col=col.astype(narrow),
+        code=window[block, col].astype(np.uint8, copy=False),
+        rank=(np.arange(len(block)) - row_first[block]).astype(narrow),
+        stop_col=stop_col.astype(narrow),
+        stop_code=stop_code.astype(np.uint8),
+        n_before=n_before.astype(narrow))
+
+
 def _assert_same_reads(got, expect):
     """A :class:`ReadList` or :class:`ReadRows` matches field by field
     (memos aside), arrays in value and dtype."""
@@ -426,6 +460,141 @@ def test_read_list_constructors_agree(name, geometry):
         compiled = compile_fetch_input(fetch_input, flag)
         window = _dense_window(compiled, geometry.block_width)
         _assert_same_reads(compiled.reads, read_list_from_window(window))
+
+
+def _replay_bit_table(compiled, line_size, table):
+    """Replay the tag-less BIT table over every block, as
+    ``SingleBlockEngine`` does: read the block's first and last lines,
+    then fill them.  ``table`` holds each slot's line (-1 never
+    written) and ends in the run's final state.  Returns, per block and
+    per line, the line the read found and whether that line was stored
+    before the run (seeded), plus the access and stale-hit counts."""
+    n_entries = len(table)
+    seeded = [True] * n_entries
+    found = {0: [], 1: []}
+    from_init = {0: [], 1: []}
+    accesses = stale_hits = 0
+    for start, limit in zip(compiled.start.tolist(),
+                            compiled.limit.tolist()):
+        lines = (start // line_size, (start + limit - 1) // line_size)
+        for part, line in enumerate(lines):
+            if part and line == lines[0]:
+                found[1].append(-1)
+                from_init[1].append(False)
+                continue
+            slot = line % n_entries
+            accesses += 1
+            stale_hits += table[slot] not in (-1, line)
+            found[part].append(table[slot])
+            from_init[part].append(seeded[slot])
+        for line in sorted(set(lines)):
+            table[line % n_entries] = line
+            seeded[line % n_entries] = False
+    return ({part: np.array(found[part], dtype=np.int64)
+             for part in found},
+            {part: np.array(from_init[part]) for part in from_init},
+            accesses, stale_hits)
+
+
+def _line_codes(compiled, lines, line_size):
+    """``uint8[len(lines), line_size]`` true codes of whole lines."""
+    coa = compiled.code_of_addr
+    addrs = np.asarray(lines, dtype=np.int64)[:, None] * line_size \
+        + np.arange(line_size)
+    codes = np.zeros(addrs.shape, dtype=np.uint8)
+    in_text = addrs < len(coa)
+    codes[in_text] = coa[addrs[in_text]]
+    return codes
+
+
+def _dense_stale_window(compiled, line_size, width, found, from_init,
+                        init_codes):
+    """Each block's BIT codes as the tag-less table supplies them: the
+    found line's codes at the block's offsets, the seeded codes where
+    the found line predates the run, non-branch where the slot was
+    never written, past the text segment and past the geometry
+    limit."""
+    start = compiled.start.astype(np.int64)[:, None]
+    limit = compiled.limit.astype(np.int64)[:, None]
+    cols = np.arange(width, dtype=np.int64)[None, :]
+    later = cols >= np.minimum(limit, line_size - start % line_size)
+    stored = np.where(later, found[1][:, None], found[0][:, None])
+    seeded = np.where(later, from_init[1][:, None], from_init[0][:, None])
+    line, offset = np.divmod(start + cols, line_size)
+    inside = (cols < limit) & (stored >= 0)
+    addr = stored * line_size + offset
+    coa = compiled.code_of_addr
+    window = np.zeros(stored.shape, dtype=np.uint8)
+    own = inside & ~seeded & (addr < len(coa))
+    window[own] = coa[addr[own]]
+    old = inside & seeded
+    window[old] = init_codes[line[old] % len(init_codes), offset[old]]
+    return window
+
+
+def _check_stale_reads(compiled, line_size, width, init_lines,
+                       init_codes):
+    """``stale_bit_windows`` against a slot-by-slot table replay: its
+    reads against the dense stale window's, its access and stale-hit
+    counts, and the final table."""
+    table = init_lines.tolist()
+    found, from_init, accesses, stale_hits = _replay_bit_table(
+        compiled, line_size, table)
+    window = _dense_stale_window(compiled, line_size, width, found,
+                                 from_init, init_codes)
+    got = stale_bit_windows(compiled, line_size, len(init_lines), width,
+                            init_lines, init_codes)
+    _assert_same_reads(got.reads, read_list_from_window(window))
+    assert (got.accesses, got.stale_hits) == (accesses, stale_hits)
+    final = init_lines.copy()
+    final[got.final_slots] = got.final_lines
+    assert final.tolist() == table
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES,
+                         ids=["normal", "extend", "align"])
+@pytest.mark.parametrize("name", SPEC95)
+def test_stale_reads_match_dense_window(name, geometry):
+    """The stale BIT read list equals the dense stale window's, at
+    every Figure 7 table size, on a cold table and on one seeded from
+    another analog's run (whose stored codes are that program's); the
+    access and stale-hit counts and the final table agree too.  Only
+    the self-aligned geometry has blocks over two lines."""
+    other = SPEC95[(SPEC95.index(name) + 1) % len(SPEC95)]
+    line_size = geometry.line_size
+    width = geometry.block_width
+    compiled = compile_fetch_input(
+        load_fetch_input(name, geometry, BUDGET), True)
+    seed = compile_fetch_input(load_fetch_input(other, geometry, BUDGET),
+                               False)
+    for n_entries in FIG7_SIZES:
+        seed_lines = [-1] * n_entries
+        _replay_bit_table(seed, line_size, seed_lines)
+        seeds = {"cold": np.full(n_entries, -1, dtype=np.int64),
+                 "seeded": np.array(seed_lines, dtype=np.int64)}
+        for init_lines in seeds.values():
+            _check_stale_reads(compiled, line_size, width, init_lines,
+                               _line_codes(seed, np.maximum(init_lines, 0),
+                                           line_size))
+
+
+def test_stale_line_past_the_text_segment_reads_non_branches():
+    """A stored line that starts past the end of the text segment reads
+    as non-branches, not as the seeded codes stored after the text."""
+    line_size = width = 8
+    # Block 0 spans lines 1 and 2 (line 2 starts past the 11-instruction
+    # text); block 1 then reads line 0, which shares line 2's slot.
+    start = np.array([9, 0, 9, 0], dtype=np.int32)
+    compiled = SimpleNamespace(
+        n_blocks=len(start), start=start,
+        limit=np.full(len(start), width, dtype=np.int8),
+        line0=start // line_size,
+        code_of_addr=np.full(11, CODE_COND_LONG, dtype=np.uint8))
+    for n_entries in (1, 2):
+        _check_stale_reads(
+            compiled, line_size, width,
+            np.arange(n_entries, dtype=np.int64) + 5,
+            np.full((n_entries, line_size), CODE_COND_LONG, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES,

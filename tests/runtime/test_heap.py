@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import DualBlockEngine, EngineConfig
+from repro.predictors.evaluate import direction_accuracy_sweep
 from repro.runtime import heap
 from repro.workloads import load_fetch_input
 
@@ -65,13 +66,25 @@ def test_rejected_threshold_changes_nothing_more(fresh, monkeypatch):
     assert mallopt.calls == [(heap.M_MMAP_THRESHOLD, 32 * 1024 * 1024)]
 
 
-def test_fast_driver_applies_the_policy(monkeypatch):
+def _run_fast_engine(fetch_input):
+    DualBlockEngine(EngineConfig()).run(fetch_input)
+
+
+def _run_direction_sweep(fetch_input):
+    direction_accuracy_sweep(fetch_input.trace, fetch_input.blocks, [4])
+
+
+@pytest.mark.parametrize("run", [_run_fast_engine, _run_direction_sweep],
+                         ids=["fast-driver", "direction-sweep"])
+def test_applies_the_policy(run, monkeypatch):
+    """Both call sites: the fast engine driver, and Figure 6's sweep,
+    which never reaches that driver."""
+    fetch_input = load_fetch_input("compress", EngineConfig().geometry,
+                                   2000)
     calls = []
     monkeypatch.setattr(heap, "keep_freed_memory",
                         lambda: calls.append(1))
-    config = EngineConfig()
-    fetch_input = load_fetch_input("compress", config.geometry, 2000)
-    DualBlockEngine(config).run(fetch_input)
+    run(fetch_input)
     assert calls == [1]
 
 

@@ -11,41 +11,19 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
-from .core import DualBlockEngine, EngineConfig, SingleBlockEngine
 from .core.engine_mode import ENGINE_MODES
-from .core.multi import MultiBlockEngine
-from .experiments import (
-    format_fig6,
-    format_fig7,
-    format_fig8,
-    format_fig9,
-    format_table5,
-    format_table6,
-    format_table7,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_fig9,
-    run_table5,
-    run_table6,
-    run_table7,
-)
-from .icache import CacheGeometry
+from .icache.geometry import CacheGeometry
 from .runtime.executor import n_jobs
 from .runtime.resilience import SweepError
-from .trace import trace_stats
 from .workloads import SPEC95, get_workload, load_fetch_input, load_trace
 
-_EXPERIMENTS = {
-    "fig6": (run_fig6, format_fig6),
-    "fig7": (run_fig7, format_fig7),
-    "fig8": (run_fig8, format_fig8),
-    "fig9": (run_fig9, format_fig9),
-    "table5": (run_table5, format_table5),
-    "table6": (run_table6, format_table6),
-}
+#: Commands that regenerate one paper artifact; each names the module of
+#: ``repro.experiments`` holding its ``run_<name>`` and
+#: ``format_<name>``, imported only when the command runs.
+_EXPERIMENTS = ("fig6", "fig7", "fig8", "fig9", "table5", "table6")
 
 _CACHES = {
     "normal": CacheGeometry.normal,
@@ -176,9 +154,10 @@ def _emit_sweep_reports() -> None:
 
 
 def _cmd_experiment(name: str, budget) -> None:
-    runner, formatter = _EXPERIMENTS[name]
+    module = importlib.import_module(f".experiments.{name}", __package__)
+    runner = getattr(module, f"run_{name}")
     rows = runner(budget=budget) if budget else runner()
-    print(formatter(rows))
+    print(getattr(module, f"format_{name}")(rows))
 
 
 def _cmd_workloads() -> None:
@@ -188,6 +167,12 @@ def _cmd_workloads() -> None:
 
 
 def _cmd_run(args) -> None:
+    from .core.config import EngineConfig
+    from .core.dual import DualBlockEngine
+    from .core.multi import MultiBlockEngine
+    from .core.single import SingleBlockEngine
+    from .trace.stats import trace_stats
+
     geometry = _CACHES[args.cache](8)
     config = EngineConfig(geometry=geometry,
                           history_length=args.history,
@@ -213,6 +198,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "table7":
+            from .experiments.table7 import format_table7, run_table7
+
             print(format_table7(run_table7()))
         elif args.command in _EXPERIMENTS:
             _apply_runtime(args)

@@ -1,84 +1,27 @@
-"""Core contribution: multiple branch and block prediction fetch engines."""
+"""Core contribution: multiple branch and block prediction fetch engines.
 
-from .config import EngineConfig, FetchInput, TARGET_BTB, TARGET_NLS
-from .dual import DualBlockEngine
-from .engine_common import (
-    ActualBlock,
-    BlockCursor,
-    EARLY_TAKEN,
-    LATE_TAKEN,
-    MATCH,
-    classify_divergence,
-    target_misfetch_kind,
-)
-from .multi import MultiBlockEngine, MultiTargetArray
-from .penalties import (
-    DOUBLE_SELECT,
-    PenaltyKind,
-    SINGLE_SELECT,
-    penalty_cycles,
-    penalty_cycles_slot,
-    table3,
-)
-from .recovery import RecoveryEntry, recovery_entry_bits
-from .select_table import (
-    DualSelectEntry,
-    DualSelectTable,
-    SelectEntry,
-    SelectTable,
-)
-from .selection import (
-    BlockPrediction,
-    CodeWindowCache,
-    FALLTHROUGH_SELECTOR,
-    SRC_ARRAY,
-    SRC_FALLTHROUGH,
-    SRC_NEAR,
-    SRC_RAS,
-    Selector,
-    walk_block,
-)
-from .single import SingleBlockEngine
-from .stats import FetchStats
-from .two_ahead import TwoBlockAheadEngine
+Names load lazily: importing this package, or a module inside it, loads
+no engine until one of its names is read.
+"""
 
-__all__ = [
-    "ActualBlock",
-    "BlockCursor",
-    "BlockPrediction",
-    "CodeWindowCache",
-    "DOUBLE_SELECT",
-    "DualBlockEngine",
-    "DualSelectEntry",
-    "DualSelectTable",
-    "EARLY_TAKEN",
-    "EngineConfig",
-    "FALLTHROUGH_SELECTOR",
-    "FetchInput",
-    "FetchStats",
-    "LATE_TAKEN",
-    "MATCH",
-    "MultiBlockEngine",
-    "MultiTargetArray",
-    "PenaltyKind",
-    "RecoveryEntry",
-    "SINGLE_SELECT",
-    "SRC_ARRAY",
-    "SRC_FALLTHROUGH",
-    "SRC_NEAR",
-    "SRC_RAS",
-    "SelectEntry",
-    "SelectTable",
-    "Selector",
-    "SingleBlockEngine",
-    "TARGET_BTB",
-    "TARGET_NLS",
-    "TwoBlockAheadEngine",
-    "classify_divergence",
-    "penalty_cycles",
-    "penalty_cycles_slot",
-    "recovery_entry_bits",
-    "table3",
-    "target_misfetch_kind",
-    "walk_block",
-]
+from ..lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": ("EngineConfig", "FetchInput", "TARGET_BTB", "TARGET_NLS"),
+    "dual": ("DualBlockEngine",),
+    "engine_common": ("ActualBlock", "BlockCursor", "EARLY_TAKEN",
+                      "LATE_TAKEN", "MATCH", "classify_divergence",
+                      "target_misfetch_kind"),
+    "multi": ("MultiBlockEngine", "MultiTargetArray"),
+    "penalties": ("DOUBLE_SELECT", "PenaltyKind", "SINGLE_SELECT",
+                  "penalty_cycles", "penalty_cycles_slot", "table3"),
+    "recovery": ("RecoveryEntry", "recovery_entry_bits"),
+    "select_table": ("DualSelectEntry", "DualSelectTable", "SelectEntry",
+                     "SelectTable"),
+    "selection": ("BlockPrediction", "CodeWindowCache",
+                  "FALLTHROUGH_SELECTOR", "SRC_ARRAY", "SRC_FALLTHROUGH",
+                  "SRC_NEAR", "SRC_RAS", "Selector", "walk_block"),
+    "single": ("SingleBlockEngine",),
+    "stats": ("FetchStats",),
+    "two_ahead": ("TwoBlockAheadEngine",),
+})

@@ -59,7 +59,7 @@ from ..predictors.ghr import BlockOutcomes
 from ..runtime import heap, profile
 from ..targets.bit import BitCode
 from ..targets.btb import BlockBTB, DualBTBTargetArray, _Entry
-from ..targets.nls import DualNLSTargetArray
+from ..targets.nls import DualNLSTargetArray, NLSTargetArray
 from .engine_common import K_CALL, K_COND, K_INDIRECT, K_JUMP, K_RETURN
 from .kernels import (
     CompiledBlocks,
@@ -76,7 +76,6 @@ from .kernels import (
     stale_bit_windows,
     walk_reads,
 )
-from .multi import MultiTargetArray
 from .penalties import (
     DOUBLE_SELECT,
     PenaltyKind,
@@ -391,10 +390,10 @@ def _replay_targets(targets, which, lines, positions, values):
         return _replay_btb(targets, which, lines, positions, values)
     if isinstance(targets, DualNLSTargetArray):
         arrays = [targets.first, targets.second]
-    elif isinstance(targets, MultiTargetArray):
-        arrays = targets._arrays
-    else:  # NLSTargetArray
+    elif isinstance(targets, NLSTargetArray):
         arrays = [targets]
+    else:  # MultiTargetArray
+        arrays = targets._arrays
     return _replay_nls(arrays, which, lines, positions, values)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..isa.kinds import InstrKind, classify_op
+from ..isa.kinds import OP_KINDS, InstrKind
 from ..isa.opcodes import Op
 from ..isa.program import Program
 from ..trace.record import Trace
@@ -66,7 +66,7 @@ class Machine:
             (int(i.op), i.rd, i.rs1, i.rs2, i.imm)
             for i in program.instructions
         ]
-        self._kinds = [int(classify_op(i.op)) for i in program.instructions]
+        self._kinds = [int(OP_KINDS[i.op]) for i in program.instructions]
 
     def run(self, max_instructions: int = 10_000_000) -> RunResult:
         """Execute from the program entry until HALT or the budget.

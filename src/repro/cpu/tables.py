@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from ..isa.kinds import InstrKind, classify_op
+from ..isa.kinds import OP_KINDS, InstrKind
 from ..isa.program import Program
 
 
@@ -49,7 +49,7 @@ class CompiledProgram:
 def compile_program(program: Program) -> CompiledProgram:
     """Decode ``program`` into flat tables."""
     instrs = program.instructions
-    kinds = [classify_op(inst.op) for inst in instrs]
+    kinds = [OP_KINDS[inst.op] for inst in instrs]
     target = [pc + 1 if kind is InstrKind.HALT
               else inst.imm if inst.is_cond_branch or inst.is_direct_jump
               else 0

@@ -9,36 +9,24 @@
 | table6   | normal/extended/self-aligned caches, 1 vs 2 blocks       |
 | fig9     | per-program BEP breakdown (two-block, self-aligned)      |
 | table7   | hardware cost estimates                                  |
+
+Names load lazily: importing one runner, or :mod:`.common`, loads no
+other runner.
 """
 
-from .common import (
-    SUITES,
-    SuiteAggregate,
-    format_table,
-    instruction_budget,
-    run_single_block_suite,
-    run_suite,
-)
-from .fig6 import Fig6Row, format_fig6, run_fig6
-from .report import generate_report, write_report
-from .fig7 import Fig7Row, format_fig7, run_fig7
-from .fig8 import Fig8Row, format_fig8, run_fig8
-from .fig9 import Fig9Row, STACK_ORDER, format_fig9, run_fig9
-from .table5 import Table5Row, format_table5, run_table5
-from .table6 import Table6Row, format_table6, run_table6
-from .table7 import (
-    format_table7,
-    run_multi_block_extrapolation,
-    run_table7,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "Fig6Row", "Fig7Row", "Fig8Row", "Fig9Row", "STACK_ORDER",
-    "SUITES", "SuiteAggregate", "Table5Row", "Table6Row",
-    "format_fig6", "format_fig7", "format_fig8", "format_fig9",
-    "format_table", "format_table5", "format_table6", "format_table7",
-    "generate_report", "write_report",
-    "instruction_budget", "run_fig6", "run_fig7", "run_fig8", "run_fig9",
-    "run_multi_block_extrapolation", "run_single_block_suite", "run_suite",
-    "run_table5", "run_table6", "run_table7",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "common": ("SUITES", "SuiteAggregate", "format_table",
+               "instruction_budget", "run_single_block_suite",
+               "run_suite"),
+    "fig6": ("Fig6Row", "format_fig6", "run_fig6"),
+    "fig7": ("Fig7Row", "format_fig7", "run_fig7"),
+    "fig8": ("Fig8Row", "format_fig8", "run_fig8"),
+    "fig9": ("Fig9Row", "STACK_ORDER", "format_fig9", "run_fig9"),
+    "report": ("generate_report", "write_report"),
+    "table5": ("Table5Row", "format_table5", "run_table5"),
+    "table6": ("Table6Row", "format_table6", "run_table6"),
+    "table7": ("format_table7", "run_multi_block_extrapolation",
+               "run_table7"),
+})

@@ -1,13 +1,11 @@
-"""Instruction-cache model: geometry (normal/extended/self-aligned), banks."""
+"""Instruction-cache model: geometry (normal/extended/self-aligned), banks.
 
-from .banks import block_lines, blocks_conflict
-from .geometry import EXTENDED, NORMAL, SELF_ALIGNED, CacheGeometry
+Names load lazily, from the submodule that defines them.
+"""
 
-__all__ = [
-    "CacheGeometry",
-    "EXTENDED",
-    "NORMAL",
-    "SELF_ALIGNED",
-    "block_lines",
-    "blocks_conflict",
-]
+from ..lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "banks": ("block_lines", "blocks_conflict"),
+    "geometry": ("CacheGeometry", "EXTENDED", "NORMAL", "SELF_ALIGNED"),
+})

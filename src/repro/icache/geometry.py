@@ -54,10 +54,11 @@ class CacheGeometry:
             raise ValueError("line_size must be positive")
         if self.n_banks < 1:
             raise ValueError("n_banks must be positive")
-        if self.kind == NORMAL and self.line_size < self.block_width:
-            raise ValueError("normal cache needs line_size >= block_width")
-        if self.kind == EXTENDED and self.line_size < self.block_width:
-            raise ValueError("extended cache needs line_size >= block_width")
+        if self.line_size < self.block_width:
+            # A self-aligned block spans two consecutive lines, so it too
+            # needs lines at least one block wide.
+            raise ValueError(
+                f"{self.kind} cache needs line_size >= block_width")
 
     # ------------------------------------------------------------------
     # Constructors matching the paper's three configurations (Table 6)

@@ -1,22 +1,15 @@
-"""Tiny load/store RISC ISA: opcodes, assembler, builder DSL, programs."""
+"""Tiny load/store RISC ISA: opcodes, assembler, builder DSL, programs.
 
-from .assembler import Assembler, AssemblyError
-from .builder import BuilderError, ProgramBuilder
-from .instructions import Instruction
-from .kinds import InstrKind, classify_op
-from .opcodes import Op, parse_register
-from .program import Program, StaticCode
+Names load lazily, from the submodule that defines them.
+"""
 
-__all__ = [
-    "Assembler",
-    "AssemblyError",
-    "BuilderError",
-    "Instruction",
-    "InstrKind",
-    "Op",
-    "Program",
-    "ProgramBuilder",
-    "StaticCode",
-    "classify_op",
-    "parse_register",
-]
+from ..lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "assembler": ("Assembler", "AssemblyError"),
+    "builder": ("BuilderError", "ProgramBuilder"),
+    "instructions": ("Instruction",),
+    "kinds": ("InstrKind", "OP_KINDS", "classify_op"),
+    "opcodes": ("Op", "parse_register"),
+    "program": ("Program", "StaticCode"),
+})

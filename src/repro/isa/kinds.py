@@ -9,6 +9,7 @@ be built from) and for the *dynamic* trace records.
 from __future__ import annotations
 
 import enum
+from typing import Dict
 
 from .opcodes import Op
 
@@ -36,22 +37,27 @@ TRANSFER_KINDS = frozenset(
 INDIRECT_KINDS = frozenset({InstrKind.RETURN, InstrKind.INDIRECT})
 
 
-def classify_op(op: Op) -> InstrKind:
-    """Map an opcode to its :class:`InstrKind`.
+#: Opcode -> :class:`InstrKind` of every control-transfer opcode.
+#: ``JALR`` is a call (it writes the link register), ``RET`` a return,
+#: ``JR`` a generic indirect jump.
+_CONTROL_KINDS = {
+    Op.BEQ: InstrKind.COND, Op.BNE: InstrKind.COND,
+    Op.BLT: InstrKind.COND, Op.BGE: InstrKind.COND,
+    Op.BLE: InstrKind.COND, Op.BGT: InstrKind.COND,
+    Op.J: InstrKind.JUMP,
+    Op.JAL: InstrKind.CALL, Op.JALR: InstrKind.CALL,
+    Op.RET: InstrKind.RETURN,
+    Op.JR: InstrKind.INDIRECT,
+    Op.HALT: InstrKind.HALT,
+}
 
-    ``JALR`` is classified as a call (it writes the link register), ``RET``
-    as a return, ``JR`` as a generic indirect jump.
-    """
-    if op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLE, Op.BGT):
-        return InstrKind.COND
-    if op is Op.J:
-        return InstrKind.JUMP
-    if op in (Op.JAL, Op.JALR):
-        return InstrKind.CALL
-    if op is Op.RET:
-        return InstrKind.RETURN
-    if op is Op.JR:
-        return InstrKind.INDIRECT
-    if op is Op.HALT:
-        return InstrKind.HALT
-    return InstrKind.NONBRANCH
+#: Opcode -> :class:`InstrKind` of every opcode, built once from
+#: :class:`Op`; the tracers and the static code map index it per
+#: instruction.
+OP_KINDS: Dict[Op, InstrKind] = {
+    op: _CONTROL_KINDS.get(op, InstrKind.NONBRANCH) for op in Op}
+
+
+def classify_op(op: Op) -> InstrKind:
+    """Map an opcode to its :class:`InstrKind` (see :data:`OP_KINDS`)."""
+    return OP_KINDS[op]

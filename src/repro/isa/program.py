@@ -15,7 +15,7 @@ from typing import Dict, List
 import numpy as np
 
 from .instructions import Instruction
-from .kinds import InstrKind, classify_op
+from .kinds import OP_KINDS, InstrKind
 
 
 @dataclass
@@ -63,17 +63,14 @@ class Program:
 
     def static_code(self) -> StaticCode:
         """Build the static code map used by BIT modelling."""
-        n = len(self.instructions)
-        kind = np.zeros(n, dtype=np.uint8)
-        target = np.full(n, -1, dtype=np.int64)
-        for pc, inst in enumerate(self.instructions):
-            k = classify_op(inst.op)
-            kind[pc] = int(k)
-            if k in (InstrKind.COND, InstrKind.JUMP) or (
-                k is InstrKind.CALL and inst.is_direct_jump
-            ):
-                target[pc] = int(inst.imm)
-        return StaticCode(kind=kind, direct_target=target)
+        kinds = [OP_KINDS[inst.op] for inst in self.instructions]
+        target = [inst.imm if kind is InstrKind.COND
+                  or kind is InstrKind.JUMP
+                  or (kind is InstrKind.CALL and inst.is_direct_jump)
+                  else -1
+                  for kind, inst in zip(kinds, self.instructions)]
+        return StaticCode(kind=np.array(kinds, dtype=np.uint8),
+                          direct_target=np.array(target, dtype=np.int64))
 
     def disassemble(self, start: int = 0, count: int = None) -> str:
         """Return a printable listing (address, label, instruction)."""

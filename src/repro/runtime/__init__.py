@@ -31,58 +31,34 @@ The pieces:
   temporaries stay in the heap for the next cell instead of being
   faulted in afresh.
 
-The executor is re-exported lazily: the workload registry imports
-:mod:`repro.runtime.cache` at module load, and eagerly importing the
-executor here (which itself reaches back into the workloads package from
-its workers) would create an import cycle.
+Every other name loads lazily (:mod:`repro.lazy`): the workload
+registry imports :mod:`repro.runtime.cache` at module load, and eagerly
+importing the executor here (which itself reaches back into the
+workloads package from its workers) would create an import cycle; the
+resilience and shard layers also load the process-pool machinery, which
+only a sweep needs.  ``cache``, ``faults``, ``heap`` and ``profile`` are
+light and imported eagerly.
 """
 
 from __future__ import annotations
 
+from ..lazy import lazy_exports
+
 # Light modules only (no workloads import — that would be circular).
 from . import cache, faults, heap, profile  # noqa: F401
 
-_EXECUTOR_NAMES = ("JOBS_ENV", "SuiteSpec", "execute", "n_jobs",
-                   "run_suite_specs", "unpicklable_reason",
-                   "warm_fetch_inputs")
-
-_RESILIENCE_NAMES = ("CellOutcome", "Journal", "SweepError", "SweepReport",
-                     "SweepResult", "cell_timeout", "drain_reports",
-                     "resume_enabled", "retry_limit", "run_resilient")
-
-_SHARD_NAMES = ("ShardPlan", "ShardScheduler", "partition")
-
-_SIM_NAMES = ("SimSpec", "simulate", "verify_invariants")
-
-__all__ = ["cache", "executor", "faults", "heap", "profile",
-           "resilience", "shard", "sim",
-           *_EXECUTOR_NAMES, *_RESILIENCE_NAMES, *_SHARD_NAMES,
-           *_SIM_NAMES]
-
-
-def __getattr__(name: str):
-    # import_module, not ``from . import ...``: the latter re-enters
-    # this ``__getattr__`` via hasattr and recurses.
-    import importlib
-
-    if name == "executor" or name in _EXECUTOR_NAMES:
-        executor = importlib.import_module(".executor", __name__)
-        if name == "executor":
-            return executor
-        return getattr(executor, name)
-    if name == "resilience" or name in _RESILIENCE_NAMES:
-        resilience = importlib.import_module(".resilience", __name__)
-        if name == "resilience":
-            return resilience
-        return getattr(resilience, name)
-    if name == "shard" or name in _SHARD_NAMES:
-        shard = importlib.import_module(".shard", __name__)
-        if name == "shard":
-            return shard
-        return getattr(shard, name)
-    if name == "sim" or name in _SIM_NAMES:
-        sim = importlib.import_module(".sim", __name__)
-        if name == "sim":
-            return sim
-        return getattr(sim, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("cache",),
+    "faults": ("faults",),
+    "heap": ("heap",),
+    "profile": ("profile",),
+    "executor": ("executor", "JOBS_ENV", "SuiteSpec", "execute", "n_jobs",
+                 "run_suite_specs", "unpicklable_reason",
+                 "warm_fetch_inputs"),
+    "resilience": ("resilience", "CellOutcome", "Journal", "SweepError",
+                   "SweepReport", "SweepResult", "cell_timeout",
+                   "drain_reports", "resume_enabled", "retry_limit",
+                   "run_resilient"),
+    "shard": ("shard", "ShardPlan", "ShardScheduler", "partition"),
+    "sim": ("sim", "SimSpec", "simulate", "verify_invariants"),
+})

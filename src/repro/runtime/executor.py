@@ -33,6 +33,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from . import resilience
+
 #: Environment variable selecting the worker count.
 JOBS_ENV = "REPRO_JOBS"
 
@@ -112,8 +114,6 @@ def execute(fn: Callable, cells: Iterable, jobs: Optional[int] = None,
     by the work-stealing shard scheduler of :mod:`repro.runtime.shard`,
     one shard per worker.
     """
-    from . import resilience
-
     return resilience.run_resilient(fn, cells, jobs=jobs, warm=warm,
                                     label=label,
                                     inject_faults=inject_faults).results

@@ -9,49 +9,22 @@ retry-after hint.  :mod:`repro.serve.traffic` and
 :mod:`repro.serve.chaos` drive it with seeded production-shaped
 traffic and deterministic fault campaigns.
 
+Names load lazily: ``from repro.serve import ServeRequest`` loads the
+request model only, not the service, chaos or traffic layers.
+
 Run ``python -m repro.serve --help`` for the drivers.
 """
 
-from .breaker import CircuitBreaker
-from .chaos import ChaosPlan, ChaosResult, plan_chaos, run_chaos
-from .requests import (
-    RequestError,
-    ServeRequest,
-    ServeResponse,
-    ServiceOverload,
-    execute_request_cell,
-    payload_digest,
-    stats_payload,
-)
-from .service import PredictionService, ServiceMetrics
-from .store import ResultStore
-from .traffic import (
-    TrafficModel,
-    TrafficSummary,
-    build_universe,
-    request_stream,
-    run_traffic,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ChaosPlan",
-    "ChaosResult",
-    "CircuitBreaker",
-    "PredictionService",
-    "RequestError",
-    "ResultStore",
-    "ServeRequest",
-    "ServeResponse",
-    "ServiceMetrics",
-    "ServiceOverload",
-    "TrafficModel",
-    "TrafficSummary",
-    "build_universe",
-    "execute_request_cell",
-    "payload_digest",
-    "plan_chaos",
-    "request_stream",
-    "run_chaos",
-    "run_traffic",
-    "stats_payload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "breaker": ("CircuitBreaker",),
+    "chaos": ("ChaosPlan", "ChaosResult", "plan_chaos", "run_chaos"),
+    "requests": ("RequestError", "ServeRequest", "ServeResponse",
+                 "ServiceOverload", "execute_request_cell",
+                 "payload_digest", "stats_payload"),
+    "service": ("PredictionService", "ServiceMetrics"),
+    "store": ("ResultStore",),
+    "traffic": ("TrafficModel", "TrafficSummary", "build_universe",
+                "request_stream", "run_traffic"),
+})

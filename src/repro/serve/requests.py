@@ -21,7 +21,11 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..core.config import EngineConfig
+from ..core.dual import DualBlockEngine
+from ..core.multi import MultiBlockEngine
+from ..core.single import SingleBlockEngine
 from ..core.stats import FetchStats
+from ..core.two_ahead import TwoBlockAheadEngine
 from ..icache.geometry import CacheGeometry
 from ..runtime import faults
 
@@ -144,11 +148,6 @@ class ServeRequest:
 
     def build_engine(self) -> Any:
         """Construct a fresh engine of the requested kind."""
-        from ..core.dual import DualBlockEngine
-        from ..core.multi import MultiBlockEngine
-        from ..core.single import SingleBlockEngine
-        from ..core.two_ahead import TwoBlockAheadEngine
-
         config = self.engine_config()
         try:
             if self.engine == "single":

@@ -1,29 +1,14 @@
-"""Target machinery: NLS/BTB target arrays, return stack, BIT tables."""
+"""Target machinery: NLS/BTB target arrays, return stack, BIT tables.
 
-from .bit import (
-    BITTable,
-    BitCode,
-    COND_CODES,
-    NEAR_BLOCK_LINE_OFFSET,
-    encode_instruction,
-    encode_window,
-    near_block_target,
-)
-from .btb import BlockBTB, DualBTBTargetArray
-from .nls import DualNLSTargetArray, NLSTargetArray
-from .ras import ReturnAddressStack
+Names load lazily, from the submodule that defines them.
+"""
 
-__all__ = [
-    "BITTable",
-    "BitCode",
-    "BlockBTB",
-    "COND_CODES",
-    "DualBTBTargetArray",
-    "DualNLSTargetArray",
-    "NEAR_BLOCK_LINE_OFFSET",
-    "NLSTargetArray",
-    "ReturnAddressStack",
-    "encode_instruction",
-    "encode_window",
-    "near_block_target",
-]
+from ..lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bit": ("BITTable", "BitCode", "COND_CODES", "NEAR_BLOCK_LINE_OFFSET",
+            "encode_instruction", "encode_window", "near_block_target"),
+    "btb": ("BlockBTB", "DualBTBTargetArray"),
+    "nls": ("DualNLSTargetArray", "NLSTargetArray"),
+    "ras": ("ReturnAddressStack",),
+})

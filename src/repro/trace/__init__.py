@@ -1,17 +1,13 @@
-"""Trace infrastructure: records, segmentation, statistics, synthesis."""
+"""Trace infrastructure: records, segmentation, statistics, synthesis.
 
-from .blocks import EXIT_FALLTHROUGH, BlockStream, segment_blocks
-from .record import Trace
-from .stats import TraceStats, trace_stats
-from .synthetic import SyntheticSpec, synthetic_program
+Names load lazily, from the submodule that defines them.
+"""
 
-__all__ = [
-    "EXIT_FALLTHROUGH",
-    "BlockStream",
-    "SyntheticSpec",
-    "Trace",
-    "TraceStats",
-    "segment_blocks",
-    "synthetic_program",
-    "trace_stats",
-]
+from ..lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "blocks": ("EXIT_FALLTHROUGH", "BlockStream", "segment_blocks"),
+    "record": ("Trace",),
+    "stats": ("TraceStats", "trace_stats"),
+    "synthetic": ("SyntheticSpec", "synthetic_program"),
+})

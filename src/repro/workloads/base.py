@@ -145,7 +145,6 @@ class WorkloadRegistry:
         instead of being served a stale trace.  The in-memory layer is
         LRU-bounded at :data:`TRACE_CACHE_MAX`.
         """
-        from ..cpu import capture_machine
         from ..runtime import cache as disk_cache, profile
 
         key = (name, max_instructions)
@@ -156,6 +155,8 @@ class WorkloadRegistry:
                 trace = disk_cache.load_trace(name, max_instructions,
                                               self.digest(name))
                 if trace is None:
+                    from ..cpu import capture_machine
+
                     program = self.program(name)
                     trace = capture_machine(program).run(
                         max_instructions=max_instructions).trace

@@ -26,11 +26,12 @@ numpy arrays (:class:`CompiledBlocks`) and resolves whole runs at once:
   over the lines a table replay finds (:func:`stale_bit_windows`).
 
 The near-block flag changes only the BIT encoding, so the compiled
-form is one read-only, near-block-independent base per ``FetchInput``
-(memoised on it, and its arrays persisted through the runtime cache as
-one ``<cache-dir>/compiled/`` artifact when the input came from the
-workload registry), read rows included, plus a per-flag
-``code_of_addr`` and read codes built on demand and never stored.
+form is one read-only, near-block-independent base per ``FetchInput``,
+read rows included, memoised on it, plus a per-flag ``code_of_addr``
+and read codes built on demand and never stored.  For the workload
+registry's inputs the base and rows are persisted with the block
+stream as one derived cache artifact (:func:`store_fetch_input`,
+:func:`cached_fetch_input`), so a warm process rebuilds none of them.
 :mod:`repro.core.fast` drives these kernels per engine; the scalar
 loops remain the readable ground truth and the parity suite keeps both
 bit-identical.  This module is the one vectorized counter layer:
@@ -60,7 +61,9 @@ from ..isa.program import StaticCode
 from ..predictors.counters import COUNTER_MAX, COUNTER_MIN
 from ..runtime import cache as disk_cache
 from ..runtime import profile
-from ..trace.blocks import MAX_BLOCK_WIDTH, MAX_INDEX, BlockStream
+from ..trace.blocks import (MAX_BLOCK_WIDTH, MAX_INDEX, STREAM_DTYPES,
+                            BlockStream)
+from ..trace.record import Trace
 from .config import FetchInput
 from .selection import SRC_ARRAY, SRC_FALLTHROUGH, SRC_NEAR, SRC_RAS
 
@@ -246,18 +249,29 @@ def read_rows(code_of_addr: np.ndarray, start: np.ndarray,
     stop -= start
     stop_col = np.where(has_stop, stop, np.int32(width))
     del stop, has_stop
-    block = np.repeat(np.arange(n, dtype=np.int32), n_before)
-    row_first = np.zeros(n, dtype=np.int32)
-    np.cumsum(n_before[:-1], dtype=np.int32, out=row_first[1:])
-    rank = np.arange(len(block), dtype=np.int32) - row_first[block]
+    block = _owners(n_before)
+    rank = np.arange(len(block), dtype=np.int32) - _firsts(n_before)[block]
     cond_addr = np.flatnonzero(is_cond).astype(np.int32)
     col = cond_addr[lo[block] + rank] - start[block]
     del lo
-    narrow = np.min_scalar_type(width)
-    return ReadRows(block=block, col=col.astype(narrow),
-                    rank=rank.astype(narrow),
-                    stop_col=stop_col.astype(narrow), stop_code=stop_code,
-                    n_before=n_before.astype(narrow), width=width)
+    return ReadRows(block=block, col=col.astype(np.uint8),
+                    rank=rank.astype(np.uint8),
+                    stop_col=stop_col.astype(np.uint8), stop_code=stop_code,
+                    n_before=n_before.astype(np.uint8), width=width)
+
+
+def _owners(counts: np.ndarray) -> np.ndarray:
+    """The group of every item, for consecutive groups of ``counts``
+    items (``int32``)."""
+    return np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+
+
+def _firsts(counts: np.ndarray) -> np.ndarray:
+    """The first item of every group, for consecutive groups of
+    ``counts`` items (``int32``)."""
+    firsts = np.zeros(len(counts), dtype=np.int32)
+    np.cumsum(counts[:-1], dtype=np.int32, out=firsts[1:])
+    return firsts
 
 
 @dataclass
@@ -300,18 +314,39 @@ class CompiledBlocks:
     cond_taken: np.ndarray   #: bool[m]
 
 
-#: Base arrays the ``compiled/`` artifact persists, with their in-memory
-#: dtypes.  The rest of the base is the ``BlockStream``'s own arrays
-#: (``start``, ``n_instr``, ``exit_kind``, ``exit_target``, in
+#: Base arrays beyond the block stream's, with their in-memory dtypes.
+#: The rest of the base is the ``BlockStream``'s own arrays (``start``,
+#: ``n_instr``, ``exit_kind``, ``exit_target``, in
 #: :data:`~repro.trace.blocks.STREAM_DTYPES`) or derives from them
-#: (``has_exit``, ``is_halt``, ``act_exit``).  Artifacts of earlier
-#: versions also hold an ``int64`` ``act_exit``; the loader reads only
-#: these keys.
+#: (``has_exit``, ``is_halt``, ``act_exit``).
 STORED_DTYPES = {
     "limit": np.int8, "exit_pc": np.int32, "exit_direct": np.int32,
     "line0": np.int32, "conds_before": np.int32, "n_conds": np.int8,
     "cond_block": np.int32, "cond_pos": np.int8, "cond_taken": bool,
 }
+
+#: In-memory dtype of every :class:`ReadRows` array: columns, ranks and
+#: counts are at most ``MAX_BLOCK_WIDTH``.
+ROW_DTYPES = {
+    "block": np.int32, "col": np.uint8, "rank": np.uint8,
+    "stop_col": np.uint8, "stop_code": np.uint8, "n_before": np.uint8,
+}
+
+#: Arrays of a fetch input the derived cache artifact leaves out and
+#: rebuilds on load, each in one numpy pass over stored ones
+#: (:func:`_rebuilt`, :func:`_firsts`, :func:`_owners`): none reads back
+#: much faster than it rebuilds, and leaving them out keeps the
+#: artifact a third smaller.
+DERIVED_ON_LOAD = ("first_rec", "conds_before", "line0", "exit_pc",
+                   "block")
+
+#: Arrays the derived cache artifact stores, with their in-memory
+#: dtypes: the block stream's, the base's and the read rows', less
+#: :data:`DERIVED_ON_LOAD`.
+ARTIFACT_DTYPES = {
+    field: dtype
+    for table in (STREAM_DTYPES, STORED_DTYPES, ROW_DTYPES)
+    for field, dtype in table.items() if field not in DERIVED_ON_LOAD}
 
 
 def _stream_arrays(blocks: BlockStream) -> Dict[str, np.ndarray]:
@@ -327,6 +362,19 @@ def _stream_arrays(blocks: BlockStream) -> Dict[str, np.ndarray]:
     }
 
 
+def _rebuilt(stream: Dict[str, np.ndarray], n_conds: np.ndarray,
+             line_size: int) -> Dict[str, np.ndarray]:
+    """The :data:`DERIVED_ON_LOAD` base arrays, from the block stream's
+    arrays and the per-block conditional counts."""
+    start = stream["start"]
+    return {
+        "exit_pc": np.where(stream["has_exit"],
+                            start + stream["n_instr"] - 1, np.int32(-1)),
+        "line0": start // np.int32(line_size),
+        "conds_before": _firsts(n_conds),
+    }
+
+
 def _stored_arrays(fetch_input: FetchInput,
                    stream: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Compute the :data:`STORED_DTYPES` arrays of one fetch input.
@@ -339,16 +387,6 @@ def _stored_arrays(fetch_input: FetchInput,
     geometry = fetch_input.geometry
     trace = fetch_input.trace
     start = stream["start"]
-    has_exit = stream["has_exit"]
-    n = len(start)
-
-    exit_pc = np.where(has_exit, start + stream["n_instr"] - 1,
-                       np.int32(-1))
-    direct = np.asarray(fetch_input.static.direct_target,
-                        dtype=np.int64)
-    exit_direct = np.full(n, -1, dtype=np.int32)
-    known = has_exit & (exit_pc < len(direct))
-    exit_direct[known] = direct[exit_pc[known]]
 
     # Conditional stream: record windows partition the trace, so the
     # per-block conds are the global conditional stream split by the
@@ -356,17 +394,23 @@ def _stored_arrays(fetch_input: FetchInput,
     cond_mask = trace.cond_mask
     cond_prefix = np.zeros(len(cond_mask) + 1, dtype=np.int32)
     np.cumsum(cond_mask, dtype=np.int32, out=cond_prefix[1:])
-    conds_before = cond_prefix[blocks.first_rec]
-    n_conds = cond_prefix[blocks.first_rec + blocks.n_recs] - conds_before
+    n_conds = (cond_prefix[blocks.first_rec + blocks.n_recs]
+               - cond_prefix[blocks.first_rec])
+    arrays = _rebuilt(stream, n_conds, geometry.line_size)
 
-    arrays = {
-        "limit": geometry.block_limits(start), "exit_pc": exit_pc,
-        "exit_direct": exit_direct, "line0": start // geometry.line_size,
-        "conds_before": conds_before, "n_conds": n_conds,
-        "cond_block": np.repeat(np.arange(n, dtype=np.int32), n_conds),
+    exit_pc = arrays["exit_pc"]
+    direct = np.asarray(fetch_input.static.direct_target,
+                        dtype=np.int64)
+    exit_direct = np.full(len(start), -1, dtype=np.int32)
+    known = stream["has_exit"] & (exit_pc < len(direct))
+    exit_direct[known] = direct[exit_pc[known]]
+
+    arrays.update({
+        "limit": geometry.block_limits(start), "exit_direct": exit_direct,
+        "n_conds": n_conds, "cond_block": _owners(n_conds),
         "cond_pos": trace.pc[cond_mask] % geometry.block_width,
         "cond_taken": trace.taken[cond_mask],
-    }
+    })
     return {field: arrays[field].astype(dtype, copy=False)
             for field, dtype in STORED_DTYPES.items()}
 
@@ -381,22 +425,17 @@ def _frozen(base: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     return views
 
 
-def _with_rows(fetch_input: FetchInput,
-               arrays: Dict[str, np.ndarray]) -> Dict[str, object]:
-    """The shared base: ``arrays`` frozen, plus the read rows."""
-    base: Dict[str, object] = _frozen(arrays)
+def _compile_base(fetch_input: FetchInput) -> Dict[str, object]:
+    """Every near-block-independent array of one fetch input, read rows
+    included."""
+    stream = _stream_arrays(fetch_input.blocks)
+    base: Dict[str, object] = _frozen(
+        {**stream, **_stored_arrays(fetch_input, stream)})
     geometry = fetch_input.geometry
     base["rows"] = read_rows(
         encode_static_codes(fetch_input.static, geometry.line_size, False),
         base["start"], base["limit"], geometry.block_width)
     return base
-
-
-def _compile_base(fetch_input: FetchInput) -> Dict[str, object]:
-    """Every near-block-independent array of one fetch input."""
-    stream = _stream_arrays(fetch_input.blocks)
-    return _with_rows(fetch_input,
-                      {**stream, **_stored_arrays(fetch_input, stream)})
 
 
 def _view(base: Dict[str, object], fetch_input: FetchInput,
@@ -415,57 +454,102 @@ def _compile(fetch_input: FetchInput, near_block: bool) -> CompiledBlocks:
     return _view(_compile_base(fetch_input), fetch_input, near_block)
 
 
-def _load_base(fetch_input: FetchInput) -> Dict[str, object]:
-    """The base of ``fetch_input``: from disk when cached, else compiled.
+def _memo(fetch_input: FetchInput) -> dict:
+    """The compiled forms memoised on ``fetch_input``."""
+    memo = getattr(fetch_input, "_compiled", None)
+    if memo is None:
+        memo = fetch_input._compiled = {}
+    return memo
 
-    Inputs loaded through the workload registry carry a ``cache_key``
-    and persist their :data:`STORED_DTYPES` arrays under
-    ``<cache-dir>/compiled/``; the loader casts (and so copies) them to
-    their in-memory dtypes, so stored widths (narrow, or all-``int64``
-    records) never reach the base.  The read rows are rebuilt, never
-    stored.
+
+def store_fetch_input(fetch_input: FetchInput, name: str, budget: int,
+                      digest: str) -> None:
+    """Compile the base of a freshly segmented input, memoise it and
+    persist the one derived artifact (:data:`ARTIFACT_DTYPES`).
+
+    A no-op while the disk cache is disabled: the base is then compiled
+    by the first :func:`compile_fetch_input` that needs it.
     """
-    key = getattr(fetch_input, "cache_key", None)
-    if key is None:
-        return _compile_base(fetch_input)
-    name, budget, digest = key
-    n_records = fetch_input.trace.n_records
-    data = disk_cache.load_compiled(name, budget, fetch_input.geometry,
-                                    digest, n_records)
+    if not disk_cache.enabled():
+        return
+    with profile.phase("compile"):
+        base = _memo(fetch_input)["base"] = _compile_base(fetch_input)
+    arrays = {**vars(fetch_input.blocks), **base, **vars(base["rows"])}
+    disk_cache.store_compiled(
+        {field: arrays[field] for field in ARTIFACT_DTYPES}, name, budget,
+        fetch_input.geometry, digest, fetch_input.trace.n_records)
+
+
+def cached_fetch_input(trace: Trace, static: StaticCode,
+                       geometry: CacheGeometry, name: str, budget: int,
+                       digest: str) -> Optional[FetchInput]:
+    """The fetch input :func:`store_fetch_input` persisted.
+
+    One read of the derived artifact gives the block stream, the base
+    and the read rows.  Every array is cast (and so copied) to its
+    in-memory dtype, so no file buffer stays alive and stored widths
+    (narrow, or all-``int64`` records) never reach the engines.  The
+    block stream is rebuilt here; the base and rows are memoised as
+    loaded and assembled by the first :func:`compile_fetch_input`
+    (:func:`_loaded_base`), so a caller that only needs the blocks
+    rebuilds nothing more.  ``None`` on a miss, on a stale or
+    quarantined artifact, or on one that lacks a record: the caller
+    segments afresh and overwrites it.
+    """
+    data = disk_cache.load_compiled(name, budget, geometry, digest,
+                                    trace.n_records)
+    if data is None or not data.keys() >= ARTIFACT_DTYPES.keys():
+        return None
+    arrays = {field: data[field].astype(dtype)
+              for field, dtype in ARTIFACT_DTYPES.items()}
+    blocks = BlockStream(
+        trace=trace, geometry=geometry, first_rec=_firsts(arrays["n_recs"]),
+        **{field: arrays[field] for field in STREAM_DTYPES
+           if field != "first_rec"})
+    fetch_input = FetchInput(trace=trace, static=static, geometry=geometry,
+                             blocks=blocks)
+    _memo(fetch_input)["loaded"] = arrays
+    return fetch_input
+
+
+def _loaded_base(fetch_input: FetchInput,
+                 arrays: Dict[str, np.ndarray]) -> Dict[str, object]:
+    """The base of a :func:`cached_fetch_input`, from its loaded arrays
+    and the :data:`DERIVED_ON_LOAD` ones rebuilt."""
+    geometry = fetch_input.geometry
     stream = _stream_arrays(fetch_input.blocks)
-    if data is not None and data.keys() >= STORED_DTYPES.keys() \
-            and len(data["limit"]) == len(stream["start"]):
-        return _with_rows(fetch_input, {**stream, **{
-            field: data[field].astype(dtype)
-            for field, dtype in STORED_DTYPES.items()}})
-    # A miss, or an artifact that is stale or lacks a record: recompile
-    # and overwrite it.
-    stored = _stored_arrays(fetch_input, stream)
-    disk_cache.store_compiled(stored, name, budget, fetch_input.geometry,
-                              digest, n_records)
-    return _with_rows(fetch_input, {**stream, **stored})
+    rebuilt = _rebuilt(stream, arrays["n_conds"], geometry.line_size)
+    base: Dict[str, object] = _frozen({**stream, **{
+        field: rebuilt[field] if field in rebuilt else arrays[field]
+        for field in STORED_DTYPES}})
+    base["rows"] = ReadRows(
+        block=_owners(arrays["n_before"]), width=geometry.block_width,
+        **{field: arrays[field] for field in ROW_DTYPES if field != "block"})
+    return base
 
 
 def compile_fetch_input(fetch_input: FetchInput,
                         near_block: bool) -> CompiledBlocks:
-    """Compiled form of ``fetch_input``, memoised and disk-cached.
+    """Compiled form of ``fetch_input``, memoised.
 
     One near-block-independent base, read rows included, is memoised on
-    the ``FetchInput`` (and its arrays persisted, see
-    :func:`_load_base`); each flag's view adds its own ``code_of_addr``
-    and read codes and is memoised beside it.
+    the ``FetchInput``: assembled from the arrays
+    :func:`cached_fetch_input` loaded, carried from
+    :func:`store_fetch_input`, or, for any other input, compiled here.
+    Each flag's view adds its own ``code_of_addr`` and read codes and is
+    memoised beside it.  Nothing here touches the disk.
     """
-    memo = getattr(fetch_input, "_compiled", None)
-    if memo is None:
-        memo = {}
-        fetch_input._compiled = memo
+    memo = _memo(fetch_input)
     compiled = memo.get(near_block)
     if compiled is not None:
         return compiled
     with profile.phase("compile"):
         base = memo.get("base")
         if base is None:
-            base = memo["base"] = _load_base(fetch_input)
+            loaded = memo.pop("loaded", None)
+            base = memo["base"] = (
+                _compile_base(fetch_input) if loaded is None
+                else _loaded_base(fetch_input, loaded))
         compiled = memo[near_block] = _view(base, fetch_input, near_block)
     return compiled
 

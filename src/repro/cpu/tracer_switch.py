@@ -18,7 +18,14 @@ and honoured by :meth:`repro.workloads.base.WorkloadRegistry.trace` and
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Union
+
 from .. import envvars
+
+if TYPE_CHECKING:
+    from ..isa.program import Program
+    from .fast import FastMachine
+    from .machine import Machine
 
 #: Environment variable selecting the trace-capture implementation.
 TRACER_ENV = "REPRO_TRACER"
@@ -50,3 +57,14 @@ def tracer_mode() -> str:
 def use_fast_tracer() -> bool:
     """True when the compiled fast tracer should capture traces."""
     return tracer_mode() == TRACER_FAST
+
+
+def capture_machine(program: Program) -> Union[Machine, FastMachine]:
+    """The tracer selected by ``REPRO_TRACER``, ready to ``run``."""
+    if use_fast_tracer():
+        from .fast import FastMachine
+
+        return FastMachine(program)
+    from .machine import Machine
+
+    return Machine(program)

@@ -126,7 +126,7 @@ REGISTRY: Tuple[EnvVar, ...] = (
                 "a scalar tail) or 'scalar' (reference interpreter), "
                 "bit-identical.",
         default="fast",
-        owner="repro.cpu.tracer_mode",
+        owner="repro.cpu.tracer_switch",
     ),
     EnvVar(
         name="REPRO_TRACE_LEN",

@@ -123,12 +123,26 @@ NUM_REGISTERS = 32
 REG_ALIASES = {"zero": 0, "ra": 1, "sp": 2}
 
 
+#: Register number of every valid ``int``, ``rN`` name and alias: the
+#: lookup that resolves what the assembler passes, in one probe.
+_REGISTER_NUMBERS = {
+    **{num: num for num in range(NUM_REGISTERS)},
+    **{f"r{num}": num for num in range(NUM_REGISTERS)},
+    **REG_ALIASES,
+}
+
+
 def parse_register(name) -> int:
     """Return the register number for ``name``.
 
     Accepts an integer, an ``rN`` string, or an alias (``zero``, ``ra``,
     ``sp``).  Raises :class:`ValueError` for anything out of range.
     """
+    # Exact types only: ``True`` and ``1.0`` hash like ``1``.
+    if type(name) is int or type(name) is str:
+        num = _REGISTER_NUMBERS.get(name)
+        if num is not None:
+            return num
     if isinstance(name, bool):  # bool is an int subclass; reject explicitly
         raise ValueError(f"invalid register: {name!r}")
     if isinstance(name, int):

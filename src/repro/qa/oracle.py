@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, ContextManager, Dict, List, Optional
 
 from ..core.engine_mode import ENGINE_ENV
-from ..cpu.tracer_mode import TRACER_ENV
+from ..cpu.tracer_switch import TRACER_ENV
 from ..runtime.resilience import scoped_environ
 from .cases import QACase, case_engine
 from .state import describe_diff, engine_state, stats_snapshot

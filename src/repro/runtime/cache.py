@@ -3,11 +3,11 @@
 Interpreting a workload analog is by far the most expensive step of any
 sweep: every experiment re-executes 18 programs for ``REPRO_TRACE_LEN``
 instructions before a single prediction is made.  This module persists the
-three interpreter-derived artifacts — the compressed control-flow
-:class:`~repro.trace.record.Trace`, its per-geometry block segmentation
-and the compiled block stream the vectorized engines replay — so that
-warm runs skip the interpreter, the segmenter and the kernel compile
-entirely.
+two interpreter-derived artifacts — the compressed control-flow
+:class:`~repro.trace.record.Trace` and, per geometry, everything the
+engines derive from it (block segmentation, compiled base, BIT read
+rows) — so that warm runs skip the interpreter, the segmenter and the
+kernel compile entirely.
 
 Layout and keying:
 
@@ -16,17 +16,17 @@ Layout and keying:
 * Traces: ``traces/<name>-<budget>-<digest>-v<version>.npyrec``;
   ``<version>`` is :data:`repro.trace.record.CAPTURE_VERSION`, so
   artifacts from an older capture pipeline are never served.
-* Segmentations: ``blocks/<name>-<budget>-<geometry>-<digest>.npyrec``.
-* Compiled engine inputs (the near-block-independent arrays of the
-  vectorized kernels' structure-of-arrays block streams, one artifact
-  for both near-block views; the BIT read lists are rebuilt on load and
-  never stored):
-  ``compiled/<name>-<budget>-<geometry>-<digest>.npyrec``.
+* Derived engine inputs: one artifact per (input, geometry) holding
+  the block segmentation, the near-block-independent compiled base and
+  the BIT read rows of :func:`repro.core.kernels.store_fetch_input`,
+  minus the arrays one numpy pass rebuilds on load:
+  ``compiled/<name>-<budget>-<geometry>-<digest>.fetch.npyrec``
+  (:data:`DERIVED_SUFFIX`).
 * Container: every artifact is one uncompressed file of named NPY
   records (:func:`write_records`, :func:`read_records`).  A reader
   takes the file in one read, checks its checksum on those bytes and
   parses the arrays from the same buffer.  Nothing is deflated or
-  inflated: the derived tiers cost less to recompute than to
+  inflated: the derived arrays cost less to recompute than to
   decompress, so only an uncompressed read keeps them worth caching.
 * Stored width: every writer passes its arrays through :func:`narrow`,
   which keeps each non-empty integer array in the narrowest of
@@ -41,10 +41,12 @@ Layout and keying:
   on read.
 * Corrupt artifacts move to ``quarantine/`` (with a warning) instead of
   being silently re-hit on every run.
-* Orphans: files earlier versions wrote under ``traces/``, ``blocks/``
-  and ``compiled/`` in another container (:data:`ORPHAN_SUFFIXES`) are
-  never read; :func:`evict` drops them first and :func:`purge` removes
-  them.
+* Orphans: files earlier versions wrote are never read: containers in
+  another format (:data:`ORPHAN_SUFFIXES`), the per-tier segmentations
+  under ``blocks/`` (:data:`ORPHAN_BLOCKS`), the per-tier compiled
+  bases under ``compiled/`` (no :data:`DERIVED_SUFFIX`) and the
+  retired kernel sources (:data:`ORPHAN_KERNELS`).  :func:`evict`
+  drops them first and :func:`purge` removes them.
 
 ``digest`` is a truncated SHA-256 over the workload's *assembled program*
 (opcodes, registers, immediates, entry point, data size), so editing a
@@ -60,6 +62,7 @@ they either miss (and recompute) or read a complete artifact.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import shutil
@@ -72,7 +75,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..icache.geometry import CacheGeometry
-from ..trace.blocks import STREAM_DTYPES, BlockStream
 from ..trace.record import CAPTURE_VERSION, Trace
 from . import faults
 
@@ -94,18 +96,31 @@ QUARANTINE_DIR = "quarantine"
 #: quarantine.
 ORPHAN_KERNELS = "compiled/kernels"
 
+#: Subdirectory of the per-tier block segmentations earlier versions
+#: wrote beside their compiled bases; the derived artifact holds the
+#: segmentation now, so nothing reads it.
+ORPHAN_BLOCKS = "blocks"
+
+#: Subdirectory of the derived engine inputs.
+DERIVED_DIR = "compiled"
+
 #: File suffix of every artifact: one container of NPY records.
 ARTIFACT_SUFFIX = ".npyrec"
 
-#: Suffixes of the containers earlier versions wrote under ``traces/``,
-#: ``blocks/`` and ``compiled/`` (deflated ``.npz`` archives and the
-#: streamed-capture ``.chunks``); nothing reads them any more, so
-#: :func:`evict` ranks them with :data:`ORPHAN_KERNELS`.
+#: File suffix of a derived artifact.  A plain :data:`ARTIFACT_SUFFIX`
+#: file under :data:`DERIVED_DIR` is a compiled base of the per-tier
+#: layout: an orphan.
+DERIVED_SUFFIX = ".fetch" + ARTIFACT_SUFFIX
+
+#: Suffixes of the containers earlier versions wrote in any tier
+#: (deflated ``.npz`` archives and the streamed-capture ``.chunks``);
+#: nothing reads them any more, so :func:`evict` ranks them with
+#: :data:`ORPHAN_KERNELS`.
 ORPHAN_SUFFIXES = (".npz", ".chunks")
 
 #: Directories :func:`evict` scans, each with its eviction rank.
-_EVICT_TIERS = ((QUARANTINE_DIR, 0), (ORPHAN_KERNELS, 0), ("traces", 1),
-                ("blocks", 1), ("compiled", 1))
+_EVICT_TIERS = ((QUARANTINE_DIR, 0), (ORPHAN_KERNELS, 0),
+                (ORPHAN_BLOCKS, 0), ("traces", 1), (DERIVED_DIR, 1))
 
 #: Per cache root, the tier directories' mtimes and the limit of the
 #: last :func:`evict` scan that found the cache within that limit.
@@ -198,18 +213,21 @@ def _trace_path(root: Path, name: str, budget: int, digest: str) -> Path:
             f"{name}-{budget}-{digest}-v{CAPTURE_VERSION}{ARTIFACT_SUFFIX}")
 
 
-def _blocks_path(root: Path, name: str, budget: int,
-                 geometry: CacheGeometry, digest: str) -> Path:
-    return (root / "blocks" /
+def _derived_path(root: Path, name: str, budget: int,
+                  geometry: CacheGeometry, digest: str) -> Path:
+    return (root / DERIVED_DIR /
             f"{name}-{budget}-{_geometry_key(geometry)}-{digest}"
-            f"{ARTIFACT_SUFFIX}")
+            f"{DERIVED_SUFFIX}")
 
 
-def _compiled_path(root: Path, name: str, budget: int,
-                   geometry: CacheGeometry, digest: str) -> Path:
-    return (root / "compiled" /
-            f"{name}-{budget}-{_geometry_key(geometry)}-{digest}"
-            f"{ARTIFACT_SUFFIX}")
+def _orphan(path: Path) -> bool:
+    """Whether ``path``, a file in a scanned tier, is left from an
+    earlier layout (never read, so evicted first)."""
+    if path.suffix in ORPHAN_SUFFIXES:
+        return True
+    return (path.parent.name == DERIVED_DIR
+            and path.name.endswith(ARTIFACT_SUFFIX)
+            and not path.name.endswith(DERIVED_SUFFIX))
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +356,7 @@ def read_records(data: bytes) -> Dict[str, np.ndarray]:
             raise ValueError(f"record {name!r} holds objects")
         shape = tuple(int(dim) for dim in header[2].split(b",")
                       if dim.strip())
-        count = int(np.prod(shape, dtype=np.int64))
+        count = math.prod(shape)
         pos += header_len
         end = pos + count * dtype.itemsize
         if end > size:
@@ -399,9 +417,7 @@ def quarantine(path: Path, reason: str) -> Optional[Path]:
     """Move a corrupt artifact out of the hot path, with a warning.
 
     Returns the quarantined path, ``quarantine/<tier>.<file name>`` (or
-    ``None`` if the file could only be deleted): the tier keeps a
-    segmentation and a compilation of one key, whose file names agree,
-    apart.  Either way the corrupt file stops shadowing the cache key,
+    ``None`` if the file could only be deleted).  Either way the corrupt file stops shadowing the cache key,
     so the next run recomputes and rewrites a good artifact instead of
     re-hitting the bad one forever.
     """
@@ -455,9 +471,13 @@ def _read_artifact(path: Path,
 
 
 def _atomic_write(path: Path, arrays: Dict[str, np.ndarray]) -> None:
-    """Write ``arrays`` via a temporary file, then rename into place."""
+    """Write ``arrays`` via a temporary file, then rename into place.
+
+    The temporary name ends in ``.tmp``, not :data:`ARTIFACT_SUFFIX`, so
+    :func:`evict` never takes a write in flight for an orphan.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         digest = save_narrow(tmp, **arrays)
         os.replace(tmp, path)
@@ -488,49 +508,15 @@ def store_trace(trace: Trace, name: str, budget: int, digest: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Block segmentations
-# ----------------------------------------------------------------------
-
-def load_blocks(trace: Trace, geometry: CacheGeometry, name: str,
-                budget: int, digest: str) -> Optional[BlockStream]:
-    """Read a cached segmentation and rebind it to ``trace``/``geometry``."""
-    root = cache_dir()
-    if root is None:
-        return None
-    path = _blocks_path(root, name, budget, geometry, digest)
-
-    def load(data: Dict[str, np.ndarray]) -> Optional[BlockStream]:
-        if int(data["n_records"]) != trace.n_records:
-            return None  # stale artifact from a different trace
-        return BlockStream(trace=trace, geometry=geometry, **{
-            field: data[field].astype(dtype)
-            for field, dtype in STREAM_DTYPES.items()})
-
-    return _read_artifact(path, load, "blocks", name)
-
-
-def store_blocks(blocks: BlockStream, name: str, budget: int,
-                 digest: str) -> None:
-    """Persist a segmentation (no-op when the cache is disabled)."""
-    root = cache_dir()
-    if root is None:
-        return
-    path = _blocks_path(root, name, budget, blocks.geometry, digest)
-    _atomic_write(path, {
-        "n_records": np.int64(blocks.trace.n_records),
-        **{field: getattr(blocks, field) for field in STREAM_DTYPES}})
-
-
-# ----------------------------------------------------------------------
-# Compiled block streams (structure-of-arrays engine inputs)
+# Derived engine inputs
 # ----------------------------------------------------------------------
 
 def load_compiled(name: str, budget: int, geometry: CacheGeometry,
                   digest: str, n_records: int) -> Optional[dict]:
-    """Read a cached kernel compilation base as a dict of arrays.
+    """Read a cached derived artifact as a dict of arrays.
 
     Returns ``None`` on a miss, on a quarantined file, or when the
-    artifact was compiled from a trace with a different record count
+    artifact was derived from a trace with a different record count
     (stale relative to the caller's trace).  The arrays are read-only
     views of the file's bytes, at their stored widths: the caller casts
     (and so copies) what it keeps.
@@ -538,7 +524,7 @@ def load_compiled(name: str, budget: int, geometry: CacheGeometry,
     root = cache_dir()
     if root is None:
         return None
-    path = _compiled_path(root, name, budget, geometry, digest)
+    path = _derived_path(root, name, budget, geometry, digest)
 
     def load(data: Dict[str, np.ndarray]) -> Optional[dict]:
         if int(data.pop("n_records")) != n_records:
@@ -551,12 +537,19 @@ def load_compiled(name: str, budget: int, geometry: CacheGeometry,
 def store_compiled(arrays: dict, name: str, budget: int,
                    geometry: CacheGeometry, digest: str,
                    n_records: int) -> None:
-    """Persist a kernel compilation (no-op when the cache is disabled)."""
+    """Persist a derived artifact (no-op when the cache is disabled)."""
     root = cache_dir()
     if root is None:
         return
-    _atomic_write(_compiled_path(root, name, budget, geometry, digest),
+    _atomic_write(_derived_path(root, name, budget, geometry, digest),
                   {"n_records": np.int64(n_records), **arrays})
+
+
+#: The per-tier names of the block segmentation's reader and writer,
+#: which the derived artifact absorbed.  ``perfbench/tracing.py`` wraps
+#: every cache entry point by name, so they stay bound.
+load_blocks = load_compiled
+store_blocks = store_compiled
 
 
 # ----------------------------------------------------------------------
@@ -566,9 +559,10 @@ def store_compiled(arrays: dict, name: str, budget: int,
 def purge() -> int:
     """Delete every cached artifact; returns the number removed.
 
-    Covers traces, segmentations, compilations, quarantined files,
-    checksum sidecars, sweep journals and the orphans
-    (:data:`ORPHAN_KERNELS`, :data:`ORPHAN_SUFFIXES` containers).  Only
+    Covers traces, derived artifacts, quarantined files, checksum
+    sidecars, sweep journals and the orphans (:data:`ORPHAN_BLOCKS`,
+    :data:`ORPHAN_KERNELS`, per-tier compiled bases,
+    :data:`ORPHAN_SUFFIXES` containers).  Only
     this module's own subdirectories are touched, so an unrelated
     ``REPRO_CACHE_DIR`` cannot lose foreign files.  Sidecars are deleted
     but not counted — the return value is the number of artifacts,
@@ -578,7 +572,7 @@ def purge() -> int:
     if root is None:
         return 0
     removed = 0
-    for sub in ("traces", "blocks", "compiled", QUARANTINE_DIR,
+    for sub in ("traces", ORPHAN_BLOCKS, DERIVED_DIR, QUARANTINE_DIR,
                 ORPHAN_KERNELS):
         directory = root / sub
         if not directory.is_dir():
@@ -607,10 +601,10 @@ def evict(limit: Optional[int] = None) -> int:
     """Delete oldest artifacts until the cache fits a byte budget.
 
     ``limit`` defaults to ``REPRO_CACHE_MAX_BYTES`` (4 GiB unless set;
-    ``off`` disables the bound).  Quarantined files,
-    :data:`ORPHAN_KERNELS` and :data:`ORPHAN_SUFFIXES` containers are
-    evicted first — nothing reads them — then traces, segmentations
-    and compilations by oldest modification time.  Returns the number
+    ``off`` disables the bound).  Quarantined files and the orphans of
+    earlier layouts (see :func:`_orphan` and :data:`_EVICT_TIERS`) are
+    evicted first — nothing reads them — then traces and derived
+    artifacts by oldest modification time.  Returns the number
     of artifacts removed; 0 without listing anything while no tier
     directory changed since a scan under the same limit found the cache
     within it (see :data:`_last_scan`).
@@ -650,9 +644,8 @@ def evict(limit: Optional[int] = None) -> int:
                 except OSError:
                     pass
             total += size
-            orphan = path.suffix in ORPHAN_SUFFIXES
-            entries.append((0 if orphan else rank, stat.st_mtime, path,
-                            size))
+            entries.append((0 if _orphan(path) else rank, stat.st_mtime,
+                            path, size))
 
     removed = 0
     for rank, _, path, size in sorted(entries, key=lambda e: e[:2]):

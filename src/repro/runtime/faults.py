@@ -19,9 +19,9 @@ with an optional ``,times=N`` (default 1)::
     corrupt:trace=go      the cached trace artifact for workload ``go``
                           is overwritten with garbage immediately before
                           its next read (once per process)
-    corrupt:blocks=go     the same for the cached block segmentation
-    corrupt:compiled=go   the same for the cached compiled block stream
-                          (one per geometry; the first one read fires)
+    corrupt:compiled=go   the same for the cached derived engine input
+                          (segmentation, compiled base and read rows;
+                          one per geometry, the first one read fires)
 
 Cell faults are gated on the *attempt number*, so a retried cell runs
 clean: ``crash:cell=3`` proves the pool respawns and re-runs exactly the
@@ -72,7 +72,7 @@ CRASH_EXIT_CODE = 86
 HANG_SECONDS = 600.0
 
 _CELL_ACTIONS = ("crash", "hang", "fail")
-_ARTIFACT_KINDS = ("trace", "blocks", "compiled", "entry")
+_ARTIFACT_KINDS = ("trace", "compiled", "entry")
 
 _CORRUPTION_MARKER = b"repro-injected-corruption"
 

@@ -3,7 +3,7 @@
 Every integer array of a :class:`BlockStream` and of a
 :class:`CompiledBlocks` view keeps the width declared below, whether it
 was segmented and compiled afresh (cold), loaded from the cache (warm)
-or loaded from all-``int64`` artifacts of earlier versions (legacy).
+or read back from an artifact of all-``int64`` records (legacy).
 The tables are written out here rather than imported, so a silent
 re-widening anywhere, the code's own tables included, fails a test.
 """
@@ -16,7 +16,9 @@ import pytest
 from repro.core import kernels
 from repro.core.config import FetchInput
 from repro.core.kernels import (
-    FAR_EXIT,
+    ARTIFACT_DTYPES,
+    DERIVED_ON_LOAD,
+    ROW_DTYPES,
     STORED_DTYPES,
     CompiledBlocks,
     ReadList,
@@ -65,26 +67,25 @@ def cache_dir(tmp_path, monkeypatch):
 
 
 def _fetch_input(blocks):
-    """A memo-free fetch input over ``blocks``, keyed for the cache."""
-    fetch_input = FetchInput(trace=blocks.trace,
-                             static=REGISTRY.static_code(NAME),
-                             geometry=blocks.geometry, blocks=blocks)
-    fetch_input.cache_key = (NAME, BUDGET, REGISTRY.digest(NAME))
+    """A memo-free fetch input over ``blocks``."""
+    return FetchInput(trace=blocks.trace, static=REGISTRY.static_code(NAME),
+                      geometry=blocks.geometry, blocks=blocks)
+
+
+def _load(geometry):
+    """The fetch input read back from the derived artifact."""
+    fetch_input = kernels.cached_fetch_input(
+        load_trace(NAME, BUDGET), REGISTRY.static_code(NAME), geometry,
+        NAME, BUDGET, REGISTRY.digest(NAME))
+    assert fetch_input is not None
     return fetch_input
-
-
-def _load_blocks(geometry):
-    trace = load_trace(NAME, BUDGET)
-    blocks = disk_cache.load_blocks(trace, geometry, NAME, BUDGET,
-                                    REGISTRY.digest(NAME))
-    assert blocks is not None
-    return blocks
 
 
 def _forbid_recompile(monkeypatch):
     def no_recompile(*args):
         raise AssertionError("warm base was recompiled")
     monkeypatch.setattr(kernels, "_stored_arrays", no_recompile)
+    monkeypatch.setattr(kernels, "read_rows", no_recompile)
 
 
 def _assert_contract(blocks, fetch_input):
@@ -98,32 +99,17 @@ def _assert_contract(blocks, fetch_input):
             assert getattr(compiled.reads, field).dtype == dtype, field
 
 
-def _store_legacy(fetch_input):
-    """Rewrite both artifacts of ``fetch_input`` as all-int64 records,
-    as earlier versions stored them (``act_exit`` included, 2**40
-    sentinel)."""
-    root = disk_cache.cache_dir()
-    digest = REGISTRY.digest(NAME)
-    geometry = fetch_input.geometry
-    blocks = fetch_input.blocks
-    compiled = compile_fetch_input(fetch_input, False)
-    legacy = {field: getattr(compiled, field).astype(np.int64)
-              for field in STORED_DTYPES if field != "cond_taken"}
-    legacy["act_exit"] = np.where(compiled.act_exit == FAR_EXIT,
-                                  np.int64(1) << 40,
-                                  compiled.act_exit.astype(np.int64))
-    n_records = np.int64(blocks.trace.n_records)
-    for path, arrays in (
-            (disk_cache._blocks_path(root, NAME, BUDGET, geometry, digest),
-             {field: getattr(blocks, field).astype(np.int64)
-              for field in STREAM}),
-            (disk_cache._compiled_path(root, NAME, BUDGET, geometry,
-                                       digest),
-             dict(legacy, cond_taken=compiled.cond_taken))):
-        with open(path, "wb") as handle:
-            disk_cache.write_records(handle,
-                                     dict(n_records=n_records, **arrays))
-        disk_cache._checksum_path(path).unlink(missing_ok=True)
+def _store_legacy(geometry):
+    """Rewrite the derived artifact as all-int64 records, as a
+    hand-copied or widened artifact would hold them (no sidecar)."""
+    path = disk_cache._derived_path(disk_cache.cache_dir(), NAME, BUDGET,
+                                    geometry, REGISTRY.digest(NAME))
+    records = disk_cache.read_records(path.read_bytes())
+    with open(path, "wb") as handle:
+        disk_cache.write_records(handle, {
+            key: value.astype(np.int64) if value.dtype.kind in "iu"
+            else value for key, value in records.items()})
+    disk_cache._checksum_path(path).unlink()
 
 
 def test_tables_cover_every_field():
@@ -142,6 +128,14 @@ def test_tables_cover_every_field():
         == {k: np.dtype(v) for k, v in STREAM.items()}
     for field, dtype in STORED_DTYPES.items():
         assert np.dtype(dtype) == COMPILED[field], field
+    for field, dtype in ROW_DTYPES.items():
+        assert np.dtype(dtype) == READS[field], field
+    # The derived artifact stores or rebuilds every stream, base and
+    # row array, each once.
+    every = [*STREAM, *STORED_DTYPES, *ROW_DTYPES]
+    assert len(set(every)) == len(every)
+    assert set(ARTIFACT_DTYPES) == set(every) - set(DERIVED_ON_LOAD)
+    assert set(DERIVED_ON_LOAD) < set(every)
 
 
 @pytest.mark.parametrize("case", ["cold", "warm", "legacy"])
@@ -150,22 +144,21 @@ def test_tables_cover_every_field():
 def test_block_stream_and_views_keep_declared_widths(
         geometry, case, cache_dir, monkeypatch):
     blocks = segment_blocks(load_trace(NAME, BUDGET), geometry)
-    disk_cache.store_blocks(blocks, NAME, BUDGET, REGISTRY.digest(NAME))
     cold = _fetch_input(blocks)
+    kernels.store_fetch_input(cold, NAME, BUDGET, REGISTRY.digest(NAME))
     if case == "cold":
         _assert_contract(blocks, cold)
         return
-    reference = {flag: compile_fetch_input(cold, flag)
+    reference = {flag: compile_fetch_input(_fetch_input(blocks), flag)
                  for flag in (False, True)}
     if case == "legacy":
-        _store_legacy(cold)
+        _store_legacy(geometry)
     _forbid_recompile(monkeypatch)
-    loaded = _load_blocks(geometry)
+    warm = _load(geometry)
     for field in STREAM:
-        assert np.array_equal(getattr(loaded, field),
+        assert np.array_equal(getattr(warm.blocks, field),
                               getattr(blocks, field)), field
-    warm = _fetch_input(loaded)
-    _assert_contract(loaded, warm)
+    _assert_contract(warm.blocks, warm)
     for flag in (False, True):
         compiled = compile_fetch_input(warm, flag)
         for field in COMPILED:

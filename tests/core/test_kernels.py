@@ -32,8 +32,8 @@ from repro.core.kernels import (
     CODE_NONBRANCH,
     CODE_OTHER,
     CODE_RETURN,
-    FAR_EXIT,
-    STORED_DTYPES,
+    ARTIFACT_DTYPES,
+    DERIVED_ON_LOAD,
     CompiledBlocks,
     ReadList,
     ReadRows,
@@ -63,8 +63,10 @@ from repro.icache.banks import blocks_conflict
 from repro.isa import Assembler
 from repro.predictors.counters import COUNTER_MAX, counter_update
 from repro.qa.state import engine_state
+from repro.runtime import cache as disk_cache
 from repro.targets.btb import BlockBTB
 from repro.workloads import SPEC95, load_fetch_input
+from repro.workloads import registry
 
 BUDGET = 5_000
 
@@ -712,22 +714,35 @@ BASE_FIELDS = [field.name for field in dataclasses.fields(CompiledBlocks)
 
 
 def _fresh(fetch_input):
-    """A memo-free copy of ``fetch_input`` under the same cache key."""
-    copy = FetchInput(trace=fetch_input.trace, static=fetch_input.static,
+    """A memo-free copy of ``fetch_input``: compiles its base afresh."""
+    return FetchInput(trace=fetch_input.trace, static=fetch_input.static,
                       geometry=fetch_input.geometry,
                       blocks=fetch_input.blocks)
-    copy.cache_key = fetch_input.cache_key
-    return copy
+
+
+def _segmented(fetch_input):
+    """``fetch_input`` segmented afresh from its trace, memo-free."""
+    return FetchInput.from_trace(fetch_input.trace, fetch_input.static,
+                                 fetch_input.geometry)
+
+
+def _reload(name, geometry, budget=BUDGET):
+    """``load_fetch_input`` as a new process sees it: the trace from
+    memory, everything else read back from the derived artifact."""
+    registry._fetch_inputs.pop((name, budget, geometry), None)
+    return load_fetch_input(name, geometry, budget)
 
 
 def _forbid_recompile(monkeypatch):
-    """Make a base that misses the disk cache fail the test."""
+    """Make a fetch input that misses the disk cache fail the test."""
     def no_recompile(*args):
-        raise AssertionError("warm base was recompiled")
+        raise AssertionError("warm input was recomputed")
     monkeypatch.setattr(kernels, "_stored_arrays", no_recompile)
+    monkeypatch.setattr(kernels, "read_rows", no_recompile)
+    monkeypatch.setattr(registry, "segment_blocks", no_recompile)
 
 
-def _compiled_files(root):
+def _derived_files(root):
     return sorted((root / "compiled").glob("*.npyrec"))
 
 
@@ -736,22 +751,27 @@ def _compiled_files(root):
 @pytest.mark.parametrize("geometry", GEOMETRIES,
                          ids=["normal", "extend", "align"])
 def test_views_match_fresh_compile(geometry, order, tmp_path, monkeypatch):
-    """Both views equal a fresh ``_compile``, cold (compiled and stored)
-    and warm (base loaded from the one artifact, read lists rebuilt)."""
+    """Both views equal a fresh ``_compile``, cold (segmented, compiled
+    and stored) and warm (everything read back from the one artifact)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    source = load_fetch_input("go", geometry, BUDGET)
-    expect = {flag: _compile(source, flag) for flag in (False, True)}
-    assert not _compiled_files(tmp_path)
+    source = _reload("go", geometry)
+    expect = {flag: _compile(_segmented(source), flag)
+              for flag in (False, True)}
     for phase in ("cold", "warm"):
         if phase == "warm":
             _forbid_recompile(monkeypatch)
-        fetch_input = _fresh(source)
+            fetch_input = _reload("go", geometry)
+            assert fetch_input is not source
+        else:
+            fetch_input = source
         for flag in order:
             compiled = compile_fetch_input(fetch_input, flag)
             assert compiled.near_block is flag
             _assert_same_compiled(compiled, expect[flag])
-        artifact, = _compiled_files(tmp_path)
-        assert "-nb" not in artifact.name
+        artifact, = _derived_files(tmp_path)
+        assert artifact.name.endswith(disk_cache.DERIVED_SUFFIX)
+    monkeypatch.undo()
+    registry._fetch_inputs.pop(("go", BUDGET, geometry))
 
 
 @pytest.mark.parametrize("phase", ["cold", "warm"])
@@ -761,12 +781,11 @@ def test_views_share_every_base_array(phase, tmp_path, monkeypatch):
     block stream's arrays instead of copying them."""
     assert len(BASE_FIELDS) == 16
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    fetch_input = _fresh(load_fetch_input("compress",
-                                          CacheGeometry.normal(8), BUDGET))
+    geometry = CacheGeometry.normal(8)
+    fetch_input = _reload("compress", geometry)
     if phase == "warm":
-        compile_fetch_input(fetch_input, False)
         _forbid_recompile(monkeypatch)
-        fetch_input = _fresh(fetch_input)
+        fetch_input = _reload("compress", geometry)
     far = compile_fetch_input(fetch_input, near_block=False)
     near = compile_fetch_input(fetch_input, near_block=True)
     for field in BASE_FIELDS:
@@ -780,6 +799,8 @@ def test_views_share_every_base_array(phase, tmp_path, monkeypatch):
     for field in ("start", "n_instr", "exit_kind", "exit_target"):
         assert np.shares_memory(getattr(far, field),
                                 getattr(fetch_input.blocks, field)), field
+    monkeypatch.undo()
+    registry._fetch_inputs.pop(("compress", BUDGET, geometry))
 
 
 def test_read_slots_are_memoised_on_first_resolve(monkeypatch):
@@ -820,33 +841,28 @@ def test_base_arrays_are_read_only():
     assert compile_fetch_input(fetch_input, False).reads.code.flags.writeable
 
 
-def test_compiled_arrays_roundtrip_through_disk_cache(monkeypatch):
-    from repro.runtime import cache as disk_cache
-
+def test_compiled_arrays_roundtrip_through_disk_cache(tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     geometry = CacheGeometry.extended(8)
-    fetch_input = load_fetch_input("li", geometry, BUDGET)
-    assert getattr(fetch_input, "cache_key", None) is not None
-    name, budget, digest = fetch_input.cache_key
-    compiled = compile_fetch_input(fetch_input, near_block=False)
-
-    data = disk_cache.load_compiled(name, budget, geometry, digest,
-                                    fetch_input.trace.n_records)
-    assert data is not None
-    # One artifact for both flags: no read list, nothing the
-    # segmentation already stores.
-    assert set(data) == set(STORED_DTYPES)
-    # Stored narrow; act_exit derives from the stream's exits on load.
-    assert data["exit_pc"].dtype == np.int16
-    assert "act_exit" not in data
-    # ``start`` is stored once, narrow, with the segmentation.
-    raw = disk_cache.read_records(disk_cache._blocks_path(
-        disk_cache.cache_dir(), name, budget, geometry, digest).read_bytes())
-    assert raw["start"].dtype == np.uint16
-    expect = {flag: _compile(fetch_input, flag) for flag in (False, True)}
+    fetch_input = _reload("li", geometry)
+    expect = {flag: _compile(_segmented(fetch_input), flag)
+              for flag in (False, True)}
+    path, = _derived_files(tmp_path)
+    data = disk_cache.read_records(path.read_bytes())
+    # One artifact for both flags: no read codes, nothing one pass over
+    # the stored arrays rebuilds.
+    assert set(data) == {"n_records", *ARTIFACT_DTYPES}
+    assert not set(data) & {*DERIVED_ON_LOAD, "code", "act_exit"}
+    # Stored narrow.
+    assert data["start"].dtype == np.uint16
+    assert data["exit_direct"].dtype == np.int16
     _forbid_recompile(monkeypatch)
-    warm = _fresh(fetch_input)
+    warm = _reload("li", geometry)
     for flag in (False, True):
         _assert_same_compiled(compile_fetch_input(warm, flag), expect[flag])
+    monkeypatch.undo()
+    registry._fetch_inputs.pop(("li", BUDGET, geometry))
 
 
 def _assert_same_compiled(loaded, compiled):
@@ -863,68 +879,56 @@ def _assert_same_compiled(loaded, compiled):
             assert original == restored, field
 
 
-def test_int64_compiled_artifact_loads_bit_identically(monkeypatch):
-    """An artifact of all-int64 records (and an int64 ``act_exit``, as
-    earlier versions stored) still loads exactly."""
-    from repro.runtime import cache as disk_cache
-
+def test_int64_compiled_artifact_loads_bit_identically(tmp_path,
+                                                       monkeypatch):
+    """An artifact of all-int64 records still loads exactly."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     geometry = CacheGeometry.normal(8)
-    fetch_input = load_fetch_input("gcc", geometry, BUDGET)
-    name, budget, digest = fetch_input.cache_key
-    compiled = compile_fetch_input(fetch_input, near_block=True)
-    path = disk_cache._compiled_path(disk_cache.cache_dir(), name, budget,
-                                     geometry, digest)
-    legacy = {}
-    for field in STORED_DTYPES:
-        array = getattr(compiled, field)
-        legacy[field] = (array.astype(np.int64) if array.dtype.kind in "iu"
-                         else array)
-    # Earlier versions also stored act_exit, with a 2**40 sentinel.
-    legacy["act_exit"] = np.where(compiled.act_exit == FAR_EXIT,
-                                  np.int64(1) << 40,
-                                  compiled.act_exit.astype(np.int64))
+    fetch_input = _reload("gcc", geometry)
+    expect = {flag: _compile(_segmented(fetch_input), flag)
+              for flag in (True, False)}
+    path, = _derived_files(tmp_path)
+    legacy = {key: value.astype(np.int64) if value.dtype.kind in "iu"
+              else value
+              for key, value in disk_cache.read_records(
+                  path.read_bytes()).items()}
     with open(path, "wb") as handle:
-        disk_cache.write_records(handle, dict(
-            n_records=np.int64(fetch_input.trace.n_records), **legacy))
-    disk_cache._checksum_path(path).unlink(missing_ok=True)
-    data = disk_cache.load_compiled(name, budget, geometry, digest,
-                                    fetch_input.trace.n_records)
-    assert data is not None
-    assert data["exit_pc"].dtype == np.int64
-    expect = {flag: _compile(fetch_input, flag) for flag in (True, False)}
+        disk_cache.write_records(handle, legacy)
+    disk_cache._checksum_path(path).unlink()
     _forbid_recompile(monkeypatch)
-    warm = _fresh(fetch_input)
+    warm = _reload("gcc", geometry)
     for flag in (True, False):
         _assert_same_compiled(compile_fetch_input(warm, flag), expect[flag])
+    monkeypatch.undo()
+    registry._fetch_inputs.pop(("gcc", BUDGET, geometry))
 
 
 def test_compiled_artifact_missing_a_record_is_recompiled(tmp_path,
                                                           monkeypatch):
-    """A compiled artifact whose records do not name every stored array
-    is never served: the base is recompiled and the artifact rewritten."""
-    from repro.runtime import cache as disk_cache
-
+    """A derived artifact whose records do not name every stored array
+    is never served: the input is recomputed and the artifact rewritten."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    source = load_fetch_input("go", CacheGeometry.normal(8), BUDGET)
-    compile_fetch_input(_fresh(source), False)
-    path, = _compiled_files(tmp_path)
+    geometry = CacheGeometry.normal(8)
+    source = _reload("go", geometry)
+    path, = _derived_files(tmp_path)
     records = dict(disk_cache.read_records(path.read_bytes()))
-    records["exit_pc_old"] = records.pop("exit_pc")
+    records["exit_direct_old"] = records.pop("exit_direct")
     with open(path, "wb") as handle:
         disk_cache.write_records(handle, records)
     disk_cache._checksum_path(path).unlink()
-    expect = _compile(source, True)
-    _assert_same_compiled(compile_fetch_input(_fresh(source), True), expect)
-    assert "exit_pc" in disk_cache.read_records(path.read_bytes())
+    expect = _compile(_segmented(source), True)
+    _assert_same_compiled(compile_fetch_input(_reload("go", geometry), True),
+                          expect)
+    assert "exit_direct" in disk_cache.read_records(path.read_bytes())
+    registry._fetch_inputs.pop(("go", BUDGET, geometry))
 
 
 def test_filled_cache_runs_no_capture_segmentation_or_compile(
         tmp_path, monkeypatch):
     """On a filled cache, loading and compiling the fetch inputs of a
-    fresh process reads every tier back: the tracer, the segmenter and
-    the base compile never run."""
+    fresh process reads every tier back: the tracer, the segmenter, the
+    base compile and the read-row builder never run."""
     import repro.cpu
-    import repro.workloads.registry as registry
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     names = ("go", "su2cor")
@@ -952,6 +956,7 @@ def test_filled_cache_runs_no_capture_segmentation_or_compile(
     monkeypatch.setattr(repro.cpu, "capture_machine", forbidden("tracer"))
     monkeypatch.setattr(registry, "segment_blocks", forbidden("segmenter"))
     monkeypatch.setattr(kernels, "_stored_arrays", forbidden("compile"))
+    monkeypatch.setattr(kernels, "read_rows", forbidden("read rows"))
     try:
         got = compile_all()
     finally:
@@ -961,15 +966,37 @@ def test_filled_cache_runs_no_capture_segmentation_or_compile(
 
 
 def test_compiled_cache_invalidates_on_record_count():
-    from repro.runtime import cache as disk_cache
-
     geometry = CacheGeometry.extended(8)
     fetch_input = load_fetch_input("li", geometry, BUDGET)
-    name, budget, digest = fetch_input.cache_key
-    compile_fetch_input(fetch_input, near_block=False)
-    stale = disk_cache.load_compiled(name, budget, geometry, digest,
+    stale = disk_cache.load_compiled("li", BUDGET, geometry,
+                                     registry.REGISTRY.digest("li"),
                                      fetch_input.trace.n_records + 1)
     assert stale is None
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES,
+                         ids=["normal", "extend", "align"])
+@pytest.mark.parametrize("name", SPEC95)
+def test_loaded_rows_match_read_rows(name, geometry, tmp_path,
+                                     monkeypatch):
+    """The read rows read back from the derived artifact (``block``
+    rebuilt on load) equal :func:`read_rows` rebuilt from the static
+    codes, field by field and dtype; so does every base array."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    source = _reload(name, geometry)
+    fresh = _segmented(source)
+    expect = kernels._compile_base(fresh)
+    monkeypatch.setattr(kernels, "read_rows", None)
+    loaded = compile_fetch_input(_reload(name, geometry), False)
+    _assert_same_reads(loaded.rows, read_rows(
+        kernels.encode_static_codes(fresh.static, geometry.line_size, False),
+        fresh.blocks.start, expect["limit"], geometry.block_width))
+    for field, value in expect.items():
+        if field != "rows":
+            assert getattr(loaded, field).dtype == value.dtype, field
+            assert np.array_equal(getattr(loaded, field), value), field
+    monkeypatch.undo()
+    registry._fetch_inputs.pop((name, BUDGET, geometry))
 
 
 # -- lru_resident ---------------------------------------------------------

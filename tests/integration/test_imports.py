@@ -19,15 +19,20 @@ import repro
 SRC = Path(repro.__file__).resolve().parents[1]
 
 #: Every package whose ``__init__`` exports its names lazily.
-LAZY_PACKAGES = ("repro.core", "repro.cost", "repro.experiments",
-                 "repro.icache", "repro.isa", "repro.predictors",
-                 "repro.runtime", "repro.serve", "repro.targets",
-                 "repro.trace")
+LAZY_PACKAGES = ("repro.core", "repro.cost", "repro.cpu",
+                 "repro.experiments", "repro.icache", "repro.isa",
+                 "repro.predictors", "repro.runtime", "repro.serve",
+                 "repro.targets", "repro.trace")
+
+#: The tracers' modules: only a trace capture needs them.
+TRACER_MODULES = {"repro.cpu.fast", "repro.cpu.codegen",
+                  "repro.cpu.machine"}
 
 
-def _python(*args):
-    """Run a fresh interpreter on ``src``; return its completed process."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def _python(*args, **env):
+    """Run a fresh interpreter on ``src`` (``env`` added to the
+    environment); return its completed process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env)
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, check=True)
 
@@ -38,12 +43,22 @@ def _loaded_after(code):
     return set(proc.stdout.split())
 
 
-def _cli_imports(*argv):
-    """Modules ``python -m repro *argv`` imports (``-X importtime``)."""
-    proc = _python("-X", "importtime", "-m", "repro", *argv)
-    return {line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:") and "|" in line}
+def _cli_imports(*argv, **env):
+    """Modules loaded by the end of ``python -m repro *argv``.
+
+    Read from ``sys.modules``, not ``-X importtime``: importtime lists
+    no module that ``importlib.import_module`` loads, which is how the
+    CLI loads its runners and lazy packages load their exports.
+    """
+    proc = _python("-c", "import runpy, sys\n"
+                   f"sys.argv = ['repro', *{list(argv)!r}]\n"
+                   "try:\n"
+                   "    runpy.run_module('repro', run_name='__main__',\n"
+                   "                     alter_sys=True)\n"
+                   "except SystemExit as exc:\n"
+                   "    assert not exc.code, exc.code\n"
+                   "print('modules:', *sorted(sys.modules))\n", **env)
+    return set(proc.stdout.rsplit("modules:", 1)[1].split())
 
 
 def test_capture_imports_load_no_service_runner_or_cost_model():
@@ -65,6 +80,18 @@ def test_cli_help_imports_no_figure_runner():
     assert not {m for m in imported
                 if m.startswith("repro.experiments.fig")}
     assert "repro.serve.service" not in imported
+    assert not imported & TRACER_MODULES
+
+
+def test_warm_figure_loads_no_tracer(tmp_path):
+    """A run on a warm cache captures nothing, so it loads no tracer:
+    ``REPRO_TRACER`` is validated without importing one."""
+    env = {"REPRO_CACHE_DIR": str(tmp_path), "REPRO_TRACE_LEN": "1000"}
+    cold = _cli_imports("fig6", **env)
+    assert TRACER_MODULES <= cold
+    warm = _cli_imports("fig6", **env)
+    assert "repro.experiments.fig6" in warm
+    assert not warm & TRACER_MODULES
 
 
 def test_cli_command_imports_only_its_runner():

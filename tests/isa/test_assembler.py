@@ -1,5 +1,7 @@
 """Unit tests for the assembler: labels, fixups, validation."""
 
+import enum
+
 import pytest
 
 from repro.isa import Assembler, AssemblyError, Op
@@ -31,6 +33,20 @@ class TestParseRegister:
             parse_register(None)
         with pytest.raises(ValueError):
             parse_register(True)
+
+    @pytest.mark.parametrize("name", [
+        True, False, -1, 32, 1 << 40, 1.0, "1", "r32", "r-1", "R1", " r1",
+        "r", "", b"r1", None], ids=repr)
+    def test_only_registers_resolve(self, name):
+        """Bools, floats and out-of-range or malformed names miss the
+        lookup table and are refused by the full checks."""
+        with pytest.raises(ValueError):
+            parse_register(name)
+
+    def test_full_checks_behind_the_table(self):
+        """Names the table does not list but the checks accept."""
+        assert parse_register("r07") == 7
+        assert parse_register(enum.IntEnum("Reg", {"T0": 3}).T0) == 3
 
 
 class TestLabels:

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from repro import envvars
+from repro.core import kernels
+from repro.core.config import FetchInput
 from repro.icache import CacheGeometry
 from repro.runtime import cache
-from repro.trace import segment_blocks
 from repro.trace.record import CAPTURE_VERSION
-from repro.workloads import get_workload, load_trace
+from repro.workloads import REGISTRY, get_workload, load_trace
 
 BUDGET = 5_000
 NAME = "compress"
@@ -76,6 +77,40 @@ class TestDigest:
 TRACE_FIELDS = ("pc", "kind", "taken", "target")
 BLOCK_FIELDS = ("start", "n_instr", "exit_kind", "exit_target",
                 "first_rec", "n_recs")
+
+
+def store_derived(trace, digest, geometry=GEOMETRY):
+    """Segment ``trace``, persist its derived artifact and return the
+    freshly built fetch input."""
+    fetch_input = FetchInput.from_trace(trace, REGISTRY.static_code(NAME),
+                                        geometry)
+    kernels.store_fetch_input(fetch_input, NAME, BUDGET, digest)
+    return fetch_input
+
+
+def load_derived(trace, digest, geometry=GEOMETRY):
+    """The fetch input read back from the derived artifact, or None."""
+    return kernels.cached_fetch_input(trace, REGISTRY.static_code(NAME),
+                                      geometry, NAME, BUDGET, digest)
+
+
+def per_tier_files(cache_dir, digest):
+    """Valid files of the per-tier layout earlier versions wrote: a
+    segmentation under ``blocks/`` and a compiled base under
+    ``compiled/``, under the key the derived artifact now takes, each
+    with its sidecar."""
+    stem = f"{NAME}-{BUDGET}-{cache._geometry_key(GEOMETRY)}-{digest}"
+    files = []
+    for sub in ("blocks", "compiled"):
+        path = cache_dir / sub / f"{stem}{cache.ARTIFACT_SUFFIX}"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as handle:
+            writer = cache._HashingWriter(handle)
+            cache.write_records(writer, {
+                "n_records": np.int64(7), "start": np.arange(512)})
+        cache._write_checksum(path, writer.sha256.hexdigest())
+        files.append(path)
+    return files
 
 
 def assert_same_arrays(loaded, original, fields):
@@ -182,15 +217,17 @@ class TestLegacyWidth:
         assert_same_arrays(loaded, trace, TRACE_FIELDS)
 
     def test_int64_blocks_load(self, cache_dir, trace, digest):
-        blocks = segment_blocks(trace, GEOMETRY)
-        path = cache._blocks_path(cache_dir, NAME, BUDGET, GEOMETRY,
-                                  digest)
-        write_raw(path, n_records=np.int64(trace.n_records),
-                  **{field: getattr(blocks, field).astype(np.int64)
-                     for field in BLOCK_FIELDS})
-        loaded = cache.load_blocks(trace, GEOMETRY, NAME, BUDGET, digest)
+        """A derived artifact of all-int64 records (no sidecar) gives
+        the block stream at its in-memory widths."""
+        blocks = store_derived(trace, digest).blocks
+        path, = (cache_dir / "compiled").glob("*.npyrec")
+        write_raw(path, **{
+            key: value.astype(np.int64) if value.dtype.kind in "iu"
+            else value for key, value in stored_records(path).items()})
+        cache._checksum_path(path).unlink()
+        loaded = load_derived(trace, digest)
         assert loaded is not None
-        assert_same_arrays(loaded, blocks, BLOCK_FIELDS)
+        assert_same_arrays(loaded.blocks, blocks, BLOCK_FIELDS)
 
 
 class TestContainer:
@@ -296,40 +333,37 @@ class TestTraceRoundTrip:
 
 
 class TestBlocksRoundTrip:
+    """The block stream through the one derived artifact."""
+
     def test_miss_then_hit(self, cache_dir, trace, digest):
-        blocks = segment_blocks(trace, GEOMETRY)
-        assert cache.load_blocks(trace, GEOMETRY, NAME, BUDGET,
-                                 digest) is None
-        cache.store_blocks(blocks, NAME, BUDGET, digest)
-        loaded = cache.load_blocks(trace, GEOMETRY, NAME, BUDGET, digest)
+        assert load_derived(trace, digest) is None
+        blocks = store_derived(trace, digest).blocks
+        loaded = load_derived(trace, digest)
         assert loaded is not None
-        assert loaded.trace is trace
-        assert loaded.geometry == GEOMETRY
-        assert_same_arrays(loaded, blocks, BLOCK_FIELDS)
+        assert loaded.trace is trace and loaded.blocks.trace is trace
+        assert loaded.geometry == loaded.blocks.geometry == GEOMETRY
+        assert_same_arrays(loaded.blocks, blocks, BLOCK_FIELDS)
 
     def test_stored_at_narrow_width(self, cache_dir, trace, digest):
-        blocks = segment_blocks(trace, GEOMETRY)
-        cache.store_blocks(blocks, NAME, BUDGET, digest)
-        path, = (cache_dir / "blocks").glob("*.npyrec")
+        store_derived(trace, digest)
+        path, = (cache_dir / "compiled").glob("*.npyrec")
+        assert path.name.endswith(cache.DERIVED_SUFFIX)
         data = stored_records(path)
-        for field in BLOCK_FIELDS:
+        assert set(data) == {"n_records", *kernels.ARTIFACT_DTYPES}
+        for field in kernels.ARTIFACT_DTYPES:
             assert data[field].dtype.itemsize < 8, field
         assert data["n_records"].dtype == np.int64
 
     def test_keyed_per_geometry(self, cache_dir, trace, digest):
-        blocks = segment_blocks(trace, GEOMETRY)
-        cache.store_blocks(blocks, NAME, BUDGET, digest)
+        store_derived(trace, digest)
         other = CacheGeometry.self_aligned(8)
-        assert cache.load_blocks(trace, other, NAME, BUDGET,
-                                 digest) is None
+        assert load_derived(trace, digest, other) is None
 
     def test_stale_record_count_is_a_miss(self, cache_dir, digest):
         short = load_trace(NAME, 2_000)
         long = load_trace(NAME, BUDGET)
-        cache.store_blocks(segment_blocks(short, GEOMETRY), NAME, BUDGET,
-                           digest)
-        assert cache.load_blocks(long, GEOMETRY, NAME, BUDGET,
-                                 digest) is None
+        store_derived(short, digest)
+        assert load_derived(long, digest) is None
 
 
 class TestIntegrity:
@@ -384,15 +418,14 @@ class TestIntegrity:
     def test_abandoned_tmp_file_is_a_clean_miss(self, cache_dir, digest):
         dest = cache._trace_path(cache_dir, NAME, BUDGET, digest)
         dest.parent.mkdir(parents=True)
-        tmp = dest.with_name(
-            f".{dest.stem}.{os.getpid()}.tmp{cache.ARTIFACT_SUFFIX}")
+        tmp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
         tmp.write_bytes(b"partial capture, never renamed")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cache.load_trace(NAME, BUDGET, digest) is None
         assert tmp.exists()  # left for post-mortems, never opened
 
-    @pytest.mark.parametrize("tier", ["traces", "blocks", "compiled"])
+    @pytest.mark.parametrize("tier", ["traces", "compiled"])
     def test_truncated_records_quarantined(self, cache_dir, trace, digest,
                                            tier):
         """Without a sidecar to catch it, the record parse refuses a
@@ -405,7 +438,7 @@ class TestIntegrity:
             assert load() is None
         assert quarantined(cache_dir, path).exists()
 
-    @pytest.mark.parametrize("tier", ["traces", "blocks"])
+    @pytest.mark.parametrize("tier", ["traces"])
     def test_mismatched_record_names_quarantined(self, cache_dir, trace,
                                                  digest, tier):
         load = self._store(tier, trace, digest)
@@ -424,24 +457,17 @@ class TestIntegrity:
         if tier == "traces":
             cache.store_trace(trace, NAME, BUDGET, digest)
             return lambda: cache.load_trace(NAME, BUDGET, digest)
-        if tier == "blocks":
-            cache.store_blocks(segment_blocks(trace, GEOMETRY), NAME,
-                               BUDGET, digest)
-            return lambda: cache.load_blocks(trace, GEOMETRY, NAME,
-                                             BUDGET, digest)
-        cache.store_compiled({"limit": np.arange(64)}, NAME, BUDGET,
-                             GEOMETRY, digest, trace.n_records)
-        return lambda: cache.load_compiled(NAME, BUDGET, GEOMETRY, digest,
-                                           trace.n_records)
+        store_derived(trace, digest)
+        return lambda: load_derived(trace, digest)
 
     def test_corrupt_blocks_quarantined(self, cache_dir, trace, digest):
-        cache.store_blocks(segment_blocks(trace, GEOMETRY), NAME,
-                           BUDGET, digest)
-        path, = (cache_dir / "blocks").glob("*.npyrec")
+        """The derived artifact holds the block stream: corrupt, it is
+        quarantined and the read is a miss."""
+        store_derived(trace, digest)
+        path, = (cache_dir / "compiled").glob("*.npyrec")
         path.write_bytes(b"not a zip archive")
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert cache.load_blocks(trace, GEOMETRY, NAME, BUDGET,
-                                     digest) is None
+            assert load_derived(trace, digest) is None
         assert quarantined(cache_dir, path).exists()
 
 
@@ -551,7 +577,7 @@ class TestEvict:
         path, = (cache_dir / "compiled").glob("*.npyrec")
         # The per-near-block-flag artifacts older versions wrote beside
         # it, newer than the one-artifact layout, with their sidecars.
-        stem = path.name[:-len(f"-{digest}{cache.ARTIFACT_SUFFIX}")]
+        stem = path.name[:-len(f"-{digest}{cache.DERIVED_SUFFIX}")]
         orphans = [path.with_name(f"{stem}-nb{flag}-{digest}.npz")
                    for flag in (0, 1)]
         for orphan in orphans:
@@ -563,6 +589,56 @@ class TestEvict:
         assert not any((cache_dir / "compiled").glob("*-nb*.sha256"))
         data = cache.load_compiled(NAME, BUDGET, GEOMETRY, digest, 7)
         assert np.array_equal(data["limit"], arrays["limit"])
+
+    def test_per_tier_layout_evicted_first(self, cache_dir, trace, digest):
+        """Segmentations under ``blocks/`` and compiled bases under
+        ``compiled/`` of the per-tier layout are orphans: evicted before
+        every current artifact, however new."""
+        store_derived(trace, digest)
+        path, = (cache_dir / "compiled").glob(f"*{cache.DERIVED_SUFFIX}")
+        orphans = per_tier_files(cache_dir, digest)
+        os.utime(path, (1, 1))  # older than both orphans, still kept
+        size = path.stat().st_size + cache._checksum_path(path).stat().st_size
+        assert cache.evict(size) == 2
+        assert not any(orphan.exists() for orphan in orphans)
+        assert not any(cache._checksum_path(orphan).exists()
+                       for orphan in orphans)
+        assert load_derived(trace, digest) is not None
+
+    def test_write_in_flight_is_no_orphan(self, cache_dir, digest,
+                                          monkeypatch):
+        """A derived artifact's temporary file ranks with the artifacts:
+        a concurrent evict must not take a write in flight first."""
+        renamed = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            renamed.append((Path(src), Path(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        cache.store_compiled({"limit": np.arange(8)}, NAME, BUDGET,
+                             GEOMETRY, digest, 7)
+        (tmp, path), _sidecar = renamed
+        assert path.name.endswith(cache.DERIVED_SUFFIX)
+        assert tmp.parent == path.parent
+        assert not cache._orphan(tmp) and not cache._orphan(path)
+
+    def test_per_tier_layout_never_read(self, cache_dir, trace, digest):
+        """A valid per-tier file under the derived artifact's key is not
+        read: the load misses cleanly, nothing is quarantined, and the
+        registry segments afresh and writes the one artifact."""
+        orphans = per_tier_files(cache_dir, digest)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cache.load_compiled(NAME, BUDGET, GEOMETRY, digest,
+                                       7) is None
+            assert load_derived(trace, digest) is None
+        assert all(orphan.exists() for orphan in orphans)
+        assert not (cache_dir / cache.QUARANTINE_DIR).exists()
+        store_derived(trace, digest)
+        assert load_derived(trace, digest) is not None
+        assert all(orphan.exists() for orphan in orphans)
 
     def test_deflated_artifacts_evicted_first(self, cache_dir, trace,
                                               digest):
@@ -600,10 +676,15 @@ class TestEvict:
 class TestPurge:
     def test_purge_removes_artifacts(self, cache_dir, trace, digest):
         cache.store_trace(trace, NAME, BUDGET, digest)
-        cache.store_blocks(segment_blocks(trace, GEOMETRY), NAME, BUDGET,
-                           digest)
+        store_derived(trace, digest)
         assert cache.purge() == 2
         assert cache.load_trace(NAME, BUDGET, digest) is None
+        assert load_derived(trace, digest) is None
+
+    def test_purge_removes_per_tier_layout(self, cache_dir, digest):
+        orphans = per_tier_files(cache_dir, digest)
+        assert cache.purge() == 2  # the sidecars go uncounted
+        assert not any(cache_dir.glob("*/*"))
 
     def test_purge_removes_orphaned_kernels(self, cache_dir):
         kernel = cache_dir / "compiled" / "kernels" / "single-0123.py"

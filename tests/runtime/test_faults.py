@@ -50,6 +50,7 @@ class TestParseSpec:
         "crash:cell=-1",         # negative cell
         "crash:budget=3",        # wrong target key
         "corrupt:weights=go",    # unknown artifact kind
+        "corrupt:blocks=go",     # retired: the derived artifact holds it
         "corrupt:trace=",        # empty name
         "crash:cell=1,times=0",  # times < 1
         "crash:cell=1,times=x",  # non-integer times
@@ -113,36 +114,37 @@ class TestCorruptArtifact:
 
     def test_corrupt_compiled_quarantined_then_recompiled(self, cache_dir,
                                                           monkeypatch):
-        """The compiled tier's quarantine path: the corrupted base is
-        moved aside and recompiled bit-identically, both flags."""
+        """The derived artifact's quarantine path: the corrupted file is
+        moved aside, and the block stream and both views are recomputed
+        bit-identically and written back."""
         import dataclasses
 
         import numpy as np
 
+        import repro.workloads.registry as registry
         from repro.core.config import FetchInput
         from repro.core.kernels import ReadList, _compile, compile_fetch_input
         from repro.icache import CacheGeometry
-        from repro.workloads import load_fetch_input
+        from repro.workloads import REGISTRY, load_fetch_input
 
-        source = load_fetch_input("go", CacheGeometry.normal(8), 5_000)
-
-        def fresh():
-            copy = FetchInput(trace=source.trace, static=source.static,
-                              geometry=source.geometry,
-                              blocks=source.blocks)
-            copy.cache_key = source.cache_key
-            return copy
-
-        compile_fetch_input(fresh(), False)  # stores the artifact
+        geometry = CacheGeometry.normal(8)
+        key = ("go", 5_000, geometry)
+        registry._fetch_inputs.pop(key, None)
+        source = load_fetch_input("go", geometry, 5_000)  # stores it
         path, = (cache_dir / "compiled").glob("*.npyrec")
         monkeypatch.setenv(faults.FAULTS_ENV, "corrupt:compiled=go")
-        warm = fresh()
+        registry._fetch_inputs.pop(key)
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            compile_fetch_input(warm, False)
+            warm = load_fetch_input("go", geometry, 5_000)
         assert (cache_dir / "quarantine" / f"compiled.{path.name}").exists()
+        fresh = FetchInput.from_trace(source.trace, source.static, geometry)
+        for field in ("start", "n_instr", "exit_kind", "exit_target",
+                      "first_rec", "n_recs"):
+            assert np.array_equal(getattr(warm.blocks, field),
+                                  getattr(fresh.blocks, field)), field
         for flag in (False, True):
             got = compile_fetch_input(warm, flag)
-            expect = _compile(source, flag)
+            expect = _compile(fresh, flag)
             for field, value in vars(expect).items():
                 if isinstance(value, np.ndarray):
                     assert getattr(got, field).dtype == value.dtype, field
@@ -153,8 +155,8 @@ class TestCorruptArtifact:
                     field.name
         # The fault fired once: the rewritten artifact reads back clean.
         assert path.exists()
-        name, budget, digest = source.cache_key
-        assert cache.load_compiled(name, budget, source.geometry, digest,
+        assert cache.load_compiled("go", 5_000, geometry,
+                                   REGISTRY.digest("go"),
                                    source.trace.n_records) is not None
 
     def test_untargeted_artifacts_untouched(self, cache_dir,

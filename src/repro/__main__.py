@@ -15,7 +15,7 @@ import importlib
 import sys
 
 from .core.engine_mode import ENGINE_MODES
-from .icache.geometry import CacheGeometry
+from .icache.geometry import GEOMETRY_FACTORIES
 from .runtime.executor import n_jobs
 from .runtime.resilience import SweepError
 from .workloads import SPEC95, get_workload, load_fetch_input, load_trace
@@ -24,12 +24,6 @@ from .workloads import SPEC95, get_workload, load_fetch_input, load_trace
 #: ``repro.experiments`` holding its ``run_<name>`` and
 #: ``format_<name>``, imported only when the command runs.
 _EXPERIMENTS = ("fig6", "fig7", "fig8", "fig9", "table5", "table6")
-
-_CACHES = {
-    "normal": CacheGeometry.normal,
-    "extend": CacheGeometry.extended,
-    "align": CacheGeometry.self_aligned,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fetch-engine implementation (default: "
                         "REPRO_ENGINE or fast)")
     p.add_argument("--budget", type=int, default=120_000)
-    p.add_argument("--cache", choices=sorted(_CACHES), default="align")
+    p.add_argument("--cache", choices=sorted(GEOMETRY_FACTORIES),
+                   default="align")
     p.add_argument("--blocks", type=int, default=2,
                    help="blocks fetched per cycle (1, 2, or more)")
     p.add_argument("--history", type=int, default=10)
@@ -173,7 +168,7 @@ def _cmd_run(args) -> None:
     from .core.single import SingleBlockEngine
     from .trace.stats import trace_stats
 
-    geometry = _CACHES[args.cache](8)
+    geometry = GEOMETRY_FACTORIES[args.cache](8)
     config = EngineConfig(geometry=geometry,
                           history_length=args.history,
                           n_select_tables=args.select_tables,

@@ -2,8 +2,10 @@
 
 Two tracers share the same semantics: the readable reference
 interpreter (:class:`Machine`) and the compiled tracer
-(:class:`FastMachine`: exec-generated superblocks plus a scalar tail),
+(:class:`FastMachine`: exec-generated superblocks, with warm-up blocks
+and the final stretch run on the reference interpreter's loop),
 selected at capture points by ``REPRO_TRACER`` (:func:`tracer_mode`).
+Both share one decode, one record format and one trace assembly.
 :func:`capture_machine` returns whichever the environment selects.
 
 Names load lazily: reading ``tracer_mode`` (as ``python -m repro`` does
@@ -14,7 +16,7 @@ from ..lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "machine": ("Machine", "MachineError", "RunResult", "run_program"),
-    "fast": ("FastMachine", "run_program_fast"),
+    "fast": ("FastMachine",),
     "tables": ("CompiledProgram", "compile_program"),
     "tracer_switch": ("TRACER_ENV", "TRACER_FAST", "TRACER_MODES",
                       "TRACER_SCALAR", "tracer_mode", "use_fast_tracer",

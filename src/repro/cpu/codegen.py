@@ -16,10 +16,10 @@ range guard sees it leave int64), the same C-style DIV/MOD truncation,
 the same list data memory holding the interpreter's exact values, and
 the same fault messages at the same PCs.  Each control record appends
 only what run time decides: its PC, a conditional's direction, an
-indirect transfer's target; the driver fills in the fields the code
-fixes.  A walk stops only at a control exit (a conditional branch, an
-unguarded indirect transfer or HALT), a revisited PC or the
-instruction cap.
+indirect transfer's target; :meth:`Machine.run`'s trace assembly fills
+in the fields the code fixes.  A walk stops only at a control exit (a
+conditional branch, an unguarded indirect transfer or HALT), a
+revisited PC or the instruction cap.
 
 A superblock returns the next PC to execute; after recording a HALT it
 sets the shared ``hlt`` cell (a returned ``-1`` alone is a *fault* — an
@@ -27,7 +27,8 @@ indirect jump can compute any integer, and the dispatch loop must raise
 ``PC out of range`` for it exactly like the interpreter).  Each
 superblock consumes at most :data:`SUPERBLOCK_CAP` instructions per
 call, which bounds how far past the soft budget limit the dispatch loop
-can run before handing over to the scalar tail.
+can run before handing over to the reference interpreter's loop
+(:meth:`Machine.step`).
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ from ..isa.opcodes import Op
 #: Most instructions one superblock call may consume.
 SUPERBLOCK_CAP = 512
 
-#: Dispatches of an entry PC that step its basic block on the scalar
-#: tail before its superblock is compiled: most entry PCs are reached
-#: only a few times, and compiling them costs more than it saves.
+#: Dispatches of an entry PC that step its basic block on the reference
+#: interpreter's loop before its superblock is compiled: most entry PCs
+#: are reached only a few times, and compiling them costs more than it
+#: saves.
 SUPERBLOCK_WARMUP = 7
 
 _I64_MIN = -(1 << 63)
@@ -116,11 +118,7 @@ def compile_superblock(cp: CompiledProgram, start: int,
     instruction counter) and ``hlt`` (the one-cell halt flag set after
     a HALT records).
     """
-    ops = cp.ops
-    rds = cp.rd
-    rs1s = cp.rs1
-    rs2s = cp.rs2
-    imms = cp.imm
+    code = cp.code
     n_code = cp.n_code
     msize = cp.data_size
 
@@ -160,11 +158,7 @@ def compile_superblock(cp: CompiledProgram, start: int,
         if not 0 <= pc < n_code:
             e.raise_(f'"PC out of range: {pc}"')
             break
-        op = ops[pc]
-        rd = rds[pc]
-        rs1 = rs1s[pc]
-        rs2 = rs2s[pc]
-        imm = imms[pc]
+        op, rd, rs1, rs2, imm = code[pc]
         e.count += 1
 
         if op == op_addi:

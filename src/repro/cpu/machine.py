@@ -6,6 +6,10 @@ for the paper's Shade/SPARC setup: a real interpreter running real programs,
 so branch correlation and call/return structure arise from execution rather
 than from a statistical model.
 
+:meth:`Machine.step` is the one per-instruction interpreter loop in
+:mod:`repro.cpu`; the fast tracer (:mod:`repro.cpu.fast`) runs its
+warm-up blocks and its last stretch before the budget on it.
+
 Semantics notes:
 
 * Registers hold Python ints wrapped to signed 64-bit.
@@ -18,9 +22,13 @@ Semantics notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
-from ..isa.kinds import OP_KINDS, InstrKind
-from ..isa.opcodes import Op
+import numpy as np
+
+from .tables import CompiledProgram, compile_program
+from ..isa.kinds import InstrKind
+from ..isa.opcodes import CONTROL_OPS, Op
 from ..isa.program import Program
 from ..trace.record import Trace
 
@@ -28,11 +36,14 @@ _WORD_MASK = (1 << 64) - 1
 _SIGN_BIT = 1 << 63
 
 _K_COND = int(InstrKind.COND)
-_K_JUMP = int(InstrKind.JUMP)
-_K_CALL = int(InstrKind.CALL)
-_K_RETURN = int(InstrKind.RETURN)
-_K_INDIRECT = int(InstrKind.INDIRECT)
 _K_HALT = int(InstrKind.HALT)
+
+#: Every opcode's value in :class:`Op` definition order, the order
+#: :meth:`Machine.step` unpacks them into its locals.
+_OPCODES = tuple(int(op) for op in Op)
+
+#: Opcodes after which a one-block step stops (HALT ends the run anyway).
+_TRANSFER_OPS = frozenset(int(op) for op in CONTROL_OPS)
 
 
 def _wrap(value: int) -> int:
@@ -55,18 +66,26 @@ class RunResult:
 
 
 class Machine:
-    """Executes one program and records its control-flow trace."""
+    """Executes one program and records its control-flow trace.
+
+    A record stores only what run time decides: every record's PC
+    (``_rec_pc``), each conditional's direction (``_rec_taken``) and each
+    register-target transfer's target (``_rec_target``).  :meth:`run`
+    fills in kind and the code-fixed targets from the program's
+    :class:`~repro.cpu.tables.CompiledProgram` tables.
+    """
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self.regs = [0] * 32
-        self.mem = [0] * program.data_size
-        # Pre-decode into tuples of plain ints for dispatch speed.
-        self._code = [
-            (int(i.op), i.rd, i.rs1, i.rs2, i.imm)
-            for i in program.instructions
-        ]
-        self._kinds = [int(OP_KINDS[i.op]) for i in program.instructions]
+        self.cp: CompiledProgram = compile_program(program)
+        self.regs: List[int] = [0] * 32
+        self.mem: List[int] = [0] * self.cp.data_size
+        #: Executed instructions of the current run (a one-cell list, so
+        #: generated code can charge it too).
+        self.ctr: List[int] = [0]
+        self._rec_pc: List[int] = []
+        self._rec_taken: List[bool] = []
+        self._rec_target: List[int] = []
 
     def run(self, max_instructions: int = 10_000_000) -> RunResult:
         """Execute from the program entry until HALT or the budget.
@@ -74,39 +93,92 @@ class Machine:
         Returns the compressed trace.  When the budget is hit, a synthetic
         HALT record is appended (counted as one executed instruction) so the
         trace is always well terminated; ``trace.truncated`` is set.
+        Registers and memory carry over from an earlier run.
         """
-        code = self._code
-        kinds = self._kinds
+        ctr = self.ctr
+        ctr[0] = 0
+        self._clear_records()
+        pc, halted = self._execute(self.program.entry, max_instructions)
+        truncated = not halted
+        if truncated:
+            # Budget exhausted: synthesise a HALT record at the next PC so
+            # the trace is well terminated (counted as one instruction).
+            self._rec_pc.append(pc)
+            ctr[0] += 1
+        trace = self._assemble(truncated)
+        self._clear_records()
+        return RunResult(trace=trace, instructions=ctr[0], halted=halted)
+
+    def _execute(self, pc: int, max_instructions: int) -> Tuple[int, bool]:
+        """Run from ``pc`` to HALT or the budget; ``(pc, halted)``."""
+        return self.step(pc, max_instructions)
+
+    def _clear_records(self) -> None:
+        # In place: the fast tracer's generated code holds bound appends.
+        del self._rec_pc[:]
+        del self._rec_taken[:]
+        del self._rec_target[:]
+
+    def _assemble(self, truncated: bool) -> Trace:
+        """Build the trace from the record lists and the static tables."""
+        cp = self.cp
+        pc = np.asarray(self._rec_pc, dtype=np.int64)
+        # The budget's synthetic HALT is the last record; its PC may be
+        # a conditional or out of range, so it never indexes the tables.
+        own = pc[:-1] if truncated else pc
+        kind = cp.kind[own]
+        taken = kind != _K_HALT
+        taken[kind == _K_COND] = np.asarray(self._rec_taken, dtype=bool)
+        target = cp.target[own]
+        target[cp.indirect[own]] = np.asarray(self._rec_target,
+                                              dtype=np.int64)
+        if truncated:
+            kind = np.append(kind, np.uint8(_K_HALT))
+            taken = np.append(taken, False)
+            target = np.append(target, np.asarray(
+                [self._rec_pc[-1] + 1], dtype=np.int64))
+        return Trace(
+            entry_pc=self.program.entry,
+            n_instructions=self.ctr[0],
+            pc=pc,
+            kind=kind,
+            taken=taken,
+            target=target,
+            truncated=truncated,
+            name=self.program.name,
+        )
+
+    def step(self, pc: int, max_instructions: int,
+             one_block: bool = False) -> Tuple[int, bool]:
+        """Interpret from ``pc`` until HALT or the budget.
+
+        Works on this machine's registers, memory, instruction count
+        (``ctr``) and record lists.  With ``one_block`` it also stops
+        after the first control transfer (one basic block).  Returns
+        the next PC and whether HALT executed.
+        """
+        code = self.cp.code
+        n_code = len(code)
         regs = self.regs
         mem = self.mem
-        n_code = len(code)
         mem_size = len(mem)
-
-        rec_pc = []
-        rec_kind = []
-        rec_taken = []
-        rec_target = []
-
-        pc = self.program.entry
-        entry_pc = pc
-        executed = 0
+        record = self._rec_pc.append
+        record_taken = self._rec_taken.append
+        record_target = self._rec_target.append
+        ctr = self.ctr
+        executed = ctr[0]
         halted = False
-        truncated = False
 
-        # Opcode ints hoisted to locals (fast comparisons in the hot loop).
-        op_add = int(Op.ADD); op_sub = int(Op.SUB); op_mul = int(Op.MUL)
-        op_div = int(Op.DIV); op_mod = int(Op.MOD); op_and = int(Op.AND)
-        op_or = int(Op.OR); op_xor = int(Op.XOR); op_sll = int(Op.SLL)
-        op_srl = int(Op.SRL); op_slt = int(Op.SLT); op_seq = int(Op.SEQ)
-        op_addi = int(Op.ADDI); op_andi = int(Op.ANDI); op_ori = int(Op.ORI)
-        op_xori = int(Op.XORI); op_slli = int(Op.SLLI); op_srli = int(Op.SRLI)
-        op_slti = int(Op.SLTI); op_muli = int(Op.MULI); op_li = int(Op.LI)
-        op_ld = int(Op.LD); op_st = int(Op.ST)
-        op_beq = int(Op.BEQ); op_bne = int(Op.BNE); op_blt = int(Op.BLT)
-        op_bge = int(Op.BGE); op_ble = int(Op.BLE); op_bgt = int(Op.BGT)
-        op_j = int(Op.J); op_jal = int(Op.JAL); op_jr = int(Op.JR)
-        op_jalr = int(Op.JALR); op_ret = int(Op.RET)
-        op_nop = int(Op.NOP); op_halt = int(Op.HALT)
+        # Opcode ints as locals (fast comparisons in the hot loop),
+        # unpacked from one tuple so a one-block step starts cheaply.
+        (op_add, op_sub, op_mul, op_div, op_mod, op_and, op_or, op_xor,
+         op_sll, op_srl, op_slt, op_seq,
+         op_addi, op_andi, op_ori, op_xori, op_slli, op_srli, op_slti,
+         op_muli, op_li,
+         op_ld, op_st,
+         op_beq, op_bne, op_blt, op_bge, op_ble, op_bgt,
+         op_j, op_jal, op_jr, op_jalr, op_ret,
+         op_nop, op_halt) = _OPCODES
 
         while executed < max_instructions:
             if not 0 <= pc < n_code:
@@ -148,10 +220,8 @@ class Machine:
                     t = a <= b
                 else:
                     t = a > b
-                rec_pc.append(pc)
-                rec_kind.append(_K_COND)
-                rec_taken.append(t)
-                rec_target.append(imm)
+                record(pc)
+                record_taken(t)
                 if t:
                     next_pc = imm
             elif op == op_sub:
@@ -220,68 +290,38 @@ class Machine:
                     if rd:
                         regs[rd] = _wrap(a - q * b)
             elif op == op_j:
-                rec_pc.append(pc)
-                rec_kind.append(_K_JUMP)
-                rec_taken.append(True)
-                rec_target.append(imm)
+                record(pc)
                 next_pc = imm
             elif op == op_jal:
                 regs[1] = pc + 1
-                rec_pc.append(pc)
-                rec_kind.append(_K_CALL)
-                rec_taken.append(True)
-                rec_target.append(imm)
+                record(pc)
                 next_pc = imm
             elif op == op_jr or op == op_ret:
                 dest = regs[rs1]
-                rec_pc.append(pc)
-                rec_kind.append(_K_RETURN if op == op_ret else _K_INDIRECT)
-                rec_taken.append(True)
-                rec_target.append(dest)
+                record(pc)
+                record_target(dest)
                 next_pc = dest
             elif op == op_jalr:
                 dest = regs[rs1]
                 regs[1] = pc + 1
-                rec_pc.append(pc)
-                rec_kind.append(_K_CALL)
-                rec_taken.append(True)
-                rec_target.append(dest)
+                record(pc)
+                record_target(dest)
                 next_pc = dest
             elif op == op_nop:
                 pass
             elif op == op_halt:
-                rec_pc.append(pc)
-                rec_kind.append(_K_HALT)
-                rec_taken.append(False)
-                rec_target.append(pc + 1)
+                record(pc)
                 halted = True
                 break
             else:
                 raise MachineError(f"unknown opcode {op} at pc={pc}")
 
             pc = next_pc
+            if one_block and op in _TRANSFER_OPS:
+                break
 
-        if not halted:
-            # Budget exhausted: synthesise a HALT record at the next PC so
-            # the trace is well terminated (counted as one instruction).
-            truncated = True
-            rec_pc.append(pc)
-            rec_kind.append(_K_HALT)
-            rec_taken.append(False)
-            rec_target.append(pc + 1)
-            executed += 1
-
-        trace = Trace.from_lists(
-            entry_pc=entry_pc,
-            n_instructions=executed,
-            pc=rec_pc,
-            kind=rec_kind,
-            taken=rec_taken,
-            target=rec_target,
-            truncated=truncated,
-            name=self.program.name,
-        )
-        return RunResult(trace=trace, instructions=executed, halted=halted)
+        ctr[0] = executed
+        return pc, halted
 
 
 def run_program(program: Program,

@@ -1,22 +1,23 @@
-"""Program compilation for the fast tracer: flat decode tables.
+"""Program decode for both tracers: flat decode tables.
 
-The fast tracer never walks :class:`~repro.isa.instructions.Instruction`
+Neither tracer walks :class:`~repro.isa.instructions.Instruction`
 objects at run time.  :func:`compile_program` decodes a
-:class:`~repro.isa.program.Program` once into a structure-of-arrays form
-— per-PC opcode / destination / operand / immediate lists of plain
-Python ints, the cheapest thing for the superblock generator and the
-scalar tail to index — plus the per-PC record fields the code fixes
-statically (kind, direct target, HALT's fall-through), which the fast
-tracer fills into its trace instead of appending them per record.
+:class:`~repro.isa.program.Program` once into flat tables — one
+``(opcode, rd, rs1, rs2, imm)`` tuple of plain Python ints per PC, the
+cheapest thing for the interpreter loop
+(:meth:`~repro.cpu.machine.Machine.step`) and the superblock generator
+to unpack — plus the per-PC record fields the code fixes statically
+(kind, direct target, HALT's fall-through), which trace assembly fills
+in instead of recording them per record.
 
 Everything here is static: one :class:`CompiledProgram` is built per
-program and shared by every superblock compiled for it.
+machine and shared by every superblock compiled for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -36,11 +37,9 @@ class CompiledProgram:
 
     n_code: int
     data_size: int
-    ops: List[int]        #: opcode values
-    rd: List[int]         #: destination register
-    rs1: List[int]        #: first source register
-    rs2: List[int]        #: second source register
-    imm: List[int]        #: immediate / absolute target
+    #: ``(opcode, rd, rs1, rs2, imm)``; ``imm`` is the immediate or the
+    #: absolute target.
+    code: List[Tuple[int, int, int, int, int]]
     kind: np.ndarray      #: uint8 :class:`InstrKind` values
     target: np.ndarray    #: int64 record target fixed by the code
     indirect: np.ndarray  #: bool, record target read from a register
@@ -57,11 +56,8 @@ def compile_program(program: Program) -> CompiledProgram:
     return CompiledProgram(
         n_code=len(instrs),
         data_size=program.data_size,
-        ops=[int(inst.op) for inst in instrs],
-        rd=[inst.rd for inst in instrs],
-        rs1=[inst.rs1 for inst in instrs],
-        rs2=[inst.rs2 for inst in instrs],
-        imm=[inst.imm for inst in instrs],
+        code=[(int(inst.op), inst.rd, inst.rs1, inst.rs2, inst.imm)
+              for inst in instrs],
         kind=np.array(kinds, dtype=np.uint8),
         target=np.array(target, dtype=np.int64),
         indirect=np.array([inst.is_indirect for inst in instrs], dtype=bool),

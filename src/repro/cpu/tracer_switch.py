@@ -6,9 +6,10 @@ the ``REPRO_ENGINE`` split of :mod:`repro.core.engine_mode`:
 * ``scalar`` — the reference interpreter of :mod:`repro.cpu.machine`,
   kept as the readable ground truth;
 * ``fast`` (default) — the compiled tracer of :mod:`repro.cpu.fast`:
-  exec-generated superblocks plus a scalar tail for the last stretch
-  before the budget, locked bit-exact against the scalar machine by the
-  tracer parity suite and the qa differential oracle.
+  exec-generated superblocks, with warm-up blocks and the last stretch
+  before the budget run on the reference interpreter's loop, locked
+  bit-exact against the scalar machine by the tracer parity suite, the
+  pinned trace digests and the qa differential oracle.
 
 The knob follows the other runtime environment variables: validated
 eagerly (a bad value raises :class:`ValueError` naming the variable)

@@ -122,9 +122,10 @@ REGISTRY: Tuple[EnvVar, ...] = (
     ),
     EnvVar(
         name="REPRO_TRACER",
-        summary="Trace-capture tier: 'fast' (compiled superblocks plus "
-                "a scalar tail) or 'scalar' (reference interpreter), "
-                "bit-identical.",
+        summary="Trace-capture tier: 'fast' (compiled superblocks; "
+                "warm-up blocks and the final stretch run on the reference "
+                "interpreter's loop) or 'scalar' (reference interpreter "
+                "only), bit-identical.",
         default="fast",
         owner="repro.cpu.tracer_switch",
     ),

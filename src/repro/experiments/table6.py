@@ -13,7 +13,7 @@ from typing import List
 
 from ..core.config import EngineConfig
 from ..core.single import SingleBlockEngine
-from ..icache.geometry import CacheGeometry
+from ..icache.geometry import GEOMETRY_FACTORIES
 from ..runtime.executor import SuiteSpec
 from .common import (
     SUITES,
@@ -21,13 +21,6 @@ from .common import (
     instruction_budget,
     run_suite_batch,
 )
-
-CACHE_TYPES = (
-    ("normal", CacheGeometry.normal),
-    ("extend", CacheGeometry.extended),
-    ("align", CacheGeometry.self_aligned),
-)
-
 
 @dataclass(frozen=True)
 class Table6Row:
@@ -48,7 +41,7 @@ def run_table6(budget: int = None, history_length: int = 10,
     budget = budget or instruction_budget()
     points = []
     specs = []
-    for cache_name, factory in CACHE_TYPES:
+    for cache_name, factory in GEOMETRY_FACTORIES.items():
         geometry = factory(8)
         config = EngineConfig(
             geometry=geometry,

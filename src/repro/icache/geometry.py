@@ -17,7 +17,7 @@ conflict).  Section 4.5 compares three configurations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -130,3 +130,16 @@ class CacheGeometry:
         caches (Section 4.5: "the values wrap around the PHT block").
         """
         return addr % self.block_width
+
+
+#: The paper's three configurations by CLI name, each a constructor
+#: taking the block width.  This order (normal, extend, align) is the
+#: order of Table 6's rows and of every seeded draw over the kinds.
+GEOMETRY_FACTORIES: Dict[str, Callable[[int], CacheGeometry]] = {
+    "normal": CacheGeometry.normal,
+    "extend": CacheGeometry.extended,
+    "align": CacheGeometry.self_aligned,
+}
+
+#: Cache geometry names a request, a qa case or the CLI may give.
+GEOMETRY_KINDS: Tuple[str, ...] = tuple(GEOMETRY_FACTORIES)

@@ -18,15 +18,14 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Mapping, Tuple
 
 from ..core.config import EngineConfig, FetchInput
-from ..icache.geometry import CacheGeometry
+from ..icache.geometry import (GEOMETRY_FACTORIES, GEOMETRY_KINDS,
+                              CacheGeometry)
 
 #: Engines the oracle can drive, in campaign rotation order.
 ENGINE_KINDS: Tuple[str, ...] = ("single", "dual", "multi", "two_ahead")
 
 #: Current artifact schema version (bump on incompatible changes).
 CASE_FORMAT = 1
-
-_GEOMETRY_KINDS = ("normal", "extend", "align")
 
 
 class CaseError(ValueError):
@@ -74,7 +73,7 @@ class QACase:
     def __post_init__(self) -> None:
         if self.engine not in ENGINE_KINDS:
             raise CaseError(f"unknown engine kind: {self.engine!r}")
-        if self.geometry_kind not in _GEOMETRY_KINDS:
+        if self.geometry_kind not in GEOMETRY_KINDS:
             raise CaseError(f"unknown geometry kind: {self.geometry_kind!r}")
         if self.budget < 100:
             raise CaseError("budget must be >= 100 instructions")
@@ -89,11 +88,7 @@ class QACase:
 
     def geometry(self) -> CacheGeometry:
         """The cache geometry this case runs under."""
-        if self.geometry_kind == "extend":
-            return CacheGeometry.extended(self.block_width)
-        if self.geometry_kind == "align":
-            return CacheGeometry.self_aligned(self.block_width)
-        return CacheGeometry.normal(self.block_width)
+        return GEOMETRY_FACTORIES[self.geometry_kind](self.block_width)
 
     def engine_config(self) -> EngineConfig:
         """Build the :class:`EngineConfig`, validating the overrides."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, List, Mapping, Tuple
 
+from ..icache.geometry import GEOMETRY_KINDS
 from ..isa.builder import ProgramBuilder
 from ..isa.program import Program
 from ..trace.synthetic import SyntheticSpec, synthetic_program
@@ -231,7 +232,7 @@ def sample_family(rng: random.Random) -> Tuple[str, Dict[str, int]]:
 
 def sample_geometry(rng: random.Random) -> Tuple[str, int]:
     """Draw a (geometry kind, block width) pair."""
-    kind = rng.choice(("normal", "extend", "align"))
+    kind = rng.choice(GEOMETRY_KINDS)
     width = rng.choice((2, 4, 8, 16))
     return kind, width
 

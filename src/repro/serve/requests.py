@@ -26,14 +26,12 @@ from ..core.multi import MultiBlockEngine
 from ..core.single import SingleBlockEngine
 from ..core.stats import FetchStats
 from ..core.two_ahead import TwoBlockAheadEngine
-from ..icache.geometry import CacheGeometry
+from ..icache.geometry import (GEOMETRY_FACTORIES, GEOMETRY_KINDS,
+                              CacheGeometry)
 from ..runtime import faults
 
 #: Engines a request may name, matching :data:`repro.qa.cases.ENGINE_KINDS`.
 ENGINE_KINDS: Tuple[str, ...] = ("single", "dual", "multi", "two_ahead")
-
-#: Cache geometries by CLI name.
-GEOMETRY_KINDS: Tuple[str, ...] = ("normal", "extend", "align")
 
 #: Response statuses.
 SERVED = "served"
@@ -132,11 +130,7 @@ class ServeRequest:
 
     def geometry(self) -> CacheGeometry:
         """The cache geometry this request runs under."""
-        if self.geometry_kind == "extend":
-            return CacheGeometry.extended(self.block_width)
-        if self.geometry_kind == "align":
-            return CacheGeometry.self_aligned(self.block_width)
-        return CacheGeometry.normal(self.block_width)
+        return GEOMETRY_FACTORIES[self.geometry_kind](self.block_width)
 
     def engine_config(self) -> EngineConfig:
         """Build the :class:`EngineConfig`, validating the overrides."""

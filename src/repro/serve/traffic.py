@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..icache.geometry import GEOMETRY_KINDS
 from .requests import (
     RUNG_CACHED,
     RUNG_FAST,
@@ -42,7 +43,6 @@ DEFAULT_WORKLOADS: Tuple[str, ...] = ("kmp", "compress", "go", "li",
                                       "swim", "tomcatv")
 
 _ENGINES: Tuple[str, ...] = ("single", "dual", "multi", "two_ahead")
-_GEOMETRIES: Tuple[str, ...] = ("normal", "extend", "align")
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,8 @@ def build_universe(seed: int, n_cells: int, budget: int = 3000,
         request = ServeRequest(
             workload=names[int(rng.integers(len(names)))],
             engine=engine,
-            geometry_kind=_GEOMETRIES[int(rng.integers(len(_GEOMETRIES)))],
+            geometry_kind=GEOMETRY_KINDS[
+                int(rng.integers(len(GEOMETRY_KINDS)))],
             block_width=int(rng.choice(np.array([4, 8]))),
             budget=budget,
             n_blocks=int(rng.integers(3, 5)) if engine == "multi" else 2,

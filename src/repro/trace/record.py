@@ -174,7 +174,7 @@ class Trace:
     @classmethod
     def from_lists(cls, entry_pc, n_instructions, pc, kind, taken, target,
                    truncated=False, name="") -> "Trace":
-        """Build a trace from Python lists (used by the tracer)."""
+        """Build a trace from Python lists of full records."""
         return cls(
             entry_pc=int(entry_pc),
             n_instructions=int(n_instructions),

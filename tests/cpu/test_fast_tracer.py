@@ -1,12 +1,14 @@
 """Capture parity: the fast tracer vs the reference interpreter.
 
 The scalar :class:`~repro.cpu.machine.Machine` is ground truth; the
-:class:`~repro.cpu.fast.FastMachine` (generated superblocks plus a
-scalar tail) must reproduce it bit-for-bit — every trace record, the
-run counters, and the full architectural end state, registers and the
-data memory list alike.  The suite sweeps every registered workload at
-a 10^5-instruction budget, sweeps the budgets around the superblock cap
-where the dispatch loop hands off to the scalar tail, pins the
+:class:`~repro.cpu.fast.FastMachine` (generated superblocks, with
+warm-up blocks and the final stretch run on the reference interpreter's
+loop) must reproduce it bit-for-bit — every trace record, the run
+counters, and the full architectural end state, registers and the data
+memory list alike.  The suite sweeps every registered workload at a
+10^5-instruction budget, runs both tracers twice on one instance,
+sweeps the budgets around the superblock cap where the dispatch loop
+hands off to the interpreter loop, pins the
 arithmetic corners the generated code is most likely to get wrong
 (64-bit wrap, C-style division truncation, shift-amount masking,
 logical-shift of negatives), pins each fault and the budget ending on
@@ -64,6 +66,18 @@ class TestWorkloadParity:
         assert s_res.instructions >= PARITY_BUDGET or s_res.halted
 
 
+class TestSecondRun:
+    """A second ``run`` on one instance starts from the entry again,
+    with the registers and memory the first run left."""
+
+    @pytest.mark.parametrize("budget", [5_000, 100_000])
+    def test_same_instance_twice(self, budget):
+        program = REGISTRY.program("compress")
+        scalar, fast = Machine(program), FastMachine(program)
+        for _ in range(2):
+            assert _outcome(fast, budget) == _outcome(scalar, budget)
+
+
 def _loop_nest():
     """Counted loops with memory traffic, then a while loop whose
     500-instruction body makes superblocks long enough that one entered
@@ -87,7 +101,7 @@ def _loop_nest():
 
 
 #: Budgets around the soft limit ``budget - SUPERBLOCK_CAP`` below which
-#: superblocks run and past which the scalar tail takes over.
+#: superblocks run and past which the interpreter loop takes over.
 BOUNDARY_BUDGETS = (1, SUPERBLOCK_CAP - 1, SUPERBLOCK_CAP,
                     SUPERBLOCK_CAP + 1, 2 * SUPERBLOCK_CAP + 7)
 
@@ -387,8 +401,8 @@ def programs(draw):
                    name="fuzz")
 
 
-#: Tiny budgets (scalar tail only) and ones that leave room for the
-#: warm-up and compiled superblocks before the tail takes over.
+#: Tiny budgets (interpreter loop only) and ones that leave room for
+#: the warm-up and compiled superblocks before the loop takes over.
 BUDGETS = st.sampled_from((range(1, 41),) + (
     range(2 * SUPERBLOCK_CAP, 12 * SUPERBLOCK_CAP),) * 3).flatmap(
         st.sampled_from)
@@ -400,6 +414,6 @@ class TestDifferential:
     def test_random_programs(self, program, budget):
         scalar = assert_outcome_parity(program, budget)
         # Compiled at its first dispatch, every entry PC runs as
-        # generated code until the tail takes over.
+        # generated code until the interpreter loop takes over.
         with mock.patch.object(fast, "SUPERBLOCK_WARMUP", 0):
             assert _outcome(FastMachine(program), budget) == scalar

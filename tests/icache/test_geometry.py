@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from repro.experiments.table6 import CACHE_TYPES
-from repro.icache.geometry import (EXTENDED, NORMAL, SELF_ALIGNED,
-                                   CacheGeometry)
+from repro.icache.geometry import (EXTENDED, GEOMETRY_FACTORIES, NORMAL,
+                                   SELF_ALIGNED, CacheGeometry)
 from repro.qa import generators
 from repro.qa.cases import QACase
 from repro.serve.requests import GEOMETRY_KINDS, ServeRequest
@@ -27,10 +26,19 @@ def test_the_paper_constructors_build(width):
         assert geometry.line_size >= geometry.block_width == width
 
 
+def test_geometry_kinds_keep_their_order():
+    """Seeded draws, request and case digests, the qa corpus and Table
+    6's row order all depend on this order."""
+    assert GEOMETRY_KINDS == ("normal", "extend", "align")
+    assert [make(8) for make in GEOMETRY_FACTORIES.values()] == [
+        CacheGeometry.normal(8), CacheGeometry.extended(8),
+        CacheGeometry.self_aligned(8)]
+
+
 def test_runner_request_and_case_geometries_build():
     """The runners build the paper constructors at width 8; the service
     and the qa oracle build theirs from a kind and a width."""
-    for _, make in CACHE_TYPES:
+    for make in GEOMETRY_FACTORIES.values():
         assert make(8).block_width == 8
     for kind in GEOMETRY_KINDS:
         for width in (2, 4, 8, 16):

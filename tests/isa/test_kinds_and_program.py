@@ -107,13 +107,12 @@ def test_registered_programs_decode_unchanged():
         program = REGISTRY.get(name).build()
         static = program.static_code()
         compiled = compile_program(program)
+        ops, rd, rs1, rs2, imm = np.array(compiled.code).T
         assert (program_digest(program),
                 _arrays_digest(static.kind, static.direct_target),
                 _arrays_digest(compiled.kind, compiled.target,
-                               compiled.indirect, np.array(compiled.ops),
-                               np.array(compiled.rd), np.array(compiled.rs1),
-                               np.array(compiled.rs2),
-                               np.array(compiled.imm))) == DECODED[name]
+                               compiled.indirect, ops, rd, rs1, rs2,
+                               imm)) == DECODED[name]
         assert static.kind.tolist() == [
             int(reference_classify_op(i.op)) for i in program.instructions]
 

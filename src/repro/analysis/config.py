@@ -62,8 +62,7 @@ class LintConfig:
     #: Scalar engine modules whose ``*Engine.__init__`` state fields
     #: must have fast-engine counterparts.
     parity_scalar_modules: Tuple[str, ...] = (
-        "repro.core.single", "repro.core.dual", "repro.core.multi",
-        "repro.core.two_ahead")
+        "repro.core.single", "repro.core.multi", "repro.core.two_ahead")
     #: The vectorized engine module that must mirror the scalar state.
     parity_fast_module: str = "repro.core.fast"
     #: Scalar-only state fields exempt from the contract (diagnostics

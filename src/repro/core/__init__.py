@@ -16,8 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "penalties": ("DOUBLE_SELECT", "PenaltyKind", "SINGLE_SELECT",
                   "penalty_cycles", "penalty_cycles_slot", "table3"),
     "recovery": ("RecoveryEntry", "recovery_entry_bits"),
-    "select_table": ("DualSelectEntry", "DualSelectTable", "SelectEntry",
-                     "SelectTable"),
+    "select_table": ("SelectEntry", "SelectTable"),
     "selection": ("BlockPrediction", "CodeWindowCache",
                   "FALLTHROUGH_SELECTOR", "SRC_ARRAY", "SRC_FALLTHROUGH",
                   "SRC_NEAR", "SRC_RAS", "Selector", "walk_block"),

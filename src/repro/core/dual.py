@@ -1,56 +1,19 @@
 """Dual-block fetch engine — Section 3's mechanism (Figures 2-5).
 
-Two blocks are fetched per cycle.  Blocks pair up as (b1,b2), (b3,b4), ...
-after a lone cold-start block b0.  Predictions anchor on the *current second
-block* (b0, b2, ...): its BIT + blocked-PHT walk predicts the next first
-block, and the select table — indexed identically (``GHR XOR block
-address``) — predicts the next second block ("predict our prediction").
-
-Selection schemes:
-
-* **single** (Figure 2/3): the first block of each pair is predicted from
-  BIT + PHT, only the second comes from the select table.  Misselect and
-  GHR-misprediction penalties hit the second block only.
-* **double** (Figure 4/5): both selections come from a dual select table,
-  eliminating BIT storage but adding a verification penalty on the first
-  block and deepening the second's (Table 3's double-select columns).
-
-The return-address stack is architectural and trained block-by-block in
-fetch order, which reproduces exactly the call/return bypassing of Section
-3.1 (a call in the first block bypasses its return address to the second;
-a return in the first block exposes the next-older entry).
+Two blocks are fetched per cycle: blocks pair up as (b1,b2), (b3,b4), ...
+after a lone cold-start block b0, and each pair's predictions anchor on
+the current second block (b0, b2, ...).  This is the N = 2 configuration
+of the grouped fetch loop in :mod:`repro.core.multi`, which documents the
+mechanism, the selection schemes and the timeline.
 """
 
 from __future__ import annotations
 
-from ..icache.banks import blocks_conflict
-from ..predictors.blocked import BlockedPHT
-from ..predictors.ghr import GlobalHistory
-from ..targets.btb import DualBTBTargetArray
-from ..targets.nls import DualNLSTargetArray
-from ..targets.ras import ReturnAddressStack
-from .config import EngineConfig, FetchInput, TARGET_BTB
-from .engine_mode import use_fast_engine
-from .engine_common import (
-    ActualBlock,
-    BlockCursor,
-    EARLY_TAKEN,
-    K_CALL,
-    K_HALT,
-    K_RETURN,
-    LATE_TAKEN,
-    classify_divergence,
-    target_misfetch_kind,
-)
-from .penalties import DOUBLE_SELECT, PenaltyKind, SINGLE_SELECT, \
-    penalty_cycles
-from .select_table import DualSelectEntry, DualSelectTable, SelectEntry, \
-    SelectTable
-from .selection import BlockPrediction, CodeWindowCache, SRC_NEAR, walk_block
-from .stats import FetchStats
+from .config import EngineConfig
+from .multi import MultiBlockEngine
 
 
-class DualBlockEngine:
+class DualBlockEngine(MultiBlockEngine):
     """Fetches two blocks per cycle with select-table second-block
     prediction."""
 
@@ -60,237 +23,4 @@ class DualBlockEngine:
                 "the dual-block engine assumes BIT information is stored in "
                 "the instruction cache (paper Section 4.2); bit_entries is "
                 "only meaningful for the single-block engine")
-        self.config = config
-        geometry = config.geometry
-        self.pht = BlockedPHT(config.history_length, geometry.block_width,
-                              config.n_pht_tables)
-        if config.target_kind == TARGET_BTB:
-            self.targets = DualBTBTargetArray(config.target_entries,
-                                              geometry.line_size,
-                                              config.btb_associativity)
-        else:
-            self.targets = DualNLSTargetArray(config.target_entries,
-                                              geometry.line_size)
-        self.ras = ReturnAddressStack(config.ras_size)
-        self.double = config.selection == DOUBLE_SELECT
-        if self.double:
-            self.select = DualSelectTable(config.history_length,
-                                          config.n_select_tables,
-                                          geometry.line_size)
-        else:
-            self.select = SelectTable(config.history_length,
-                                      config.n_select_tables,
-                                      geometry.line_size)
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-
-    def run(self, fetch_input: FetchInput,
-            record_timeline: bool = False) -> FetchStats:
-        """Replay the block stream two blocks per cycle.
-
-        With ``record_timeline`` the returned stats carry a per-cycle
-        delivered-instruction timeline (stall cycles deliver 0) for
-        :func:`repro.metrics.issue.simulate_issue`.  Stalls are emitted
-        before the next delivery; pair alignment follows the Figure 3
-        schedule (b0 alone, then (b1,b2), (b3,b4), ...).
-        """
-        config = self.config
-        # Timeline recording needs per-cycle delivery interleaving, which
-        # only the reference loop tracks.
-        if not record_timeline and use_fast_engine():
-            from .fast import run_dual_fast
-            return run_dual_fast(self, fetch_input)
-        geometry = config.geometry
-        if geometry != fetch_input.geometry:
-            raise ValueError("fetch input was segmented under a different "
-                             "cache geometry")
-        codes = CodeWindowCache(fetch_input.static, geometry,
-                                config.near_block)
-        self._static_targets = fetch_input.static.direct_target
-        cursor = BlockCursor(fetch_input.blocks)
-        trace = fetch_input.trace
-        ghr = GlobalHistory(config.history_length)
-        pht = self.pht
-        line_size = geometry.line_size
-        scheme = DOUBLE_SELECT if self.double else SINGLE_SELECT
-        n_blocks = cursor.n_blocks
-
-        stats = FetchStats(
-            n_blocks=n_blocks,
-            n_instructions=trace.n_instructions,
-            n_branches=trace.n_branches,
-            n_cond=trace.n_cond,
-            base_cycles=1 + (n_blocks - 1 + 1) // 2,
-        )
-        timeline = [] if record_timeline else None
-        carry = 0              # pair's first (odd) block, pending delivery
-        flushed = 0            # penalty cycles already emitted as stalls
-
-        def emit_delivery(delivered: int) -> None:
-            nonlocal flushed
-            timeline.extend([0] * (stats.penalty_cycles - flushed))
-            flushed = stats.penalty_cycles
-            timeline.append(delivered)
-
-        for i in range(0, n_blocks, 2):
-            even = cursor.block(i)
-            limit = geometry.block_limit(even.start)
-            anchor_line = even.start // line_size
-            # History index at block-width granularity: an extended line
-            # holds two blocks whose PHT/ST entries must stay distinct
-            # (positions wrap modulo B, so line-granular indexing would
-            # alias them destructively).
-            index = pht.index(ghr.value, even.start // geometry.block_width)
-            window = codes.window(even.start, limit)
-            walk_even = walk_block(window, even.start, limit, pht, index)
-
-            if self.double:
-                entry: DualSelectEntry = self.select.read(index, even.start)
-                self._verify_selection(entry.first, walk_even, stats,
-                                       scheme, block_slot=1)
-
-            self._analyze(walk_even, even, stats, scheme, block_slot=1,
-                          which=1, anchor_line=anchor_line)
-            self._train(walk_even, even, index, ghr, which=1,
-                        anchor_line=anchor_line)
-
-            if timeline is not None:
-                # Block i completes the pair (i-1, i); b0 ships alone.
-                emit_delivery(carry + even.n_instr)
-                carry = 0
-
-            if i + 1 >= n_blocks:
-                break
-            odd = cursor.block(i + 1)
-            odd_limit = geometry.block_limit(odd.start)
-            odd_index = pht.index(ghr.value,
-                                  odd.start // geometry.block_width)
-            odd_window = codes.window(odd.start, odd_limit)
-            walk_odd = walk_block(odd_window, odd.start, odd_limit, pht,
-                                  odd_index)
-
-            if self.double:
-                self._verify_selection(entry.second, walk_odd, stats,
-                                       scheme, block_slot=2)
-                self.select.write(index, even.start, DualSelectEntry(
-                    SelectEntry(walk_even.selector, walk_even.ghr_payload),
-                    SelectEntry(walk_odd.selector, walk_odd.ghr_payload)))
-            else:
-                stored: SelectEntry = self.select.read(index, even.start)
-                self._verify_selection(stored, walk_odd, stats, scheme,
-                                       block_slot=2)
-                self.select.write(index, even.start, SelectEntry(
-                    walk_odd.selector, walk_odd.ghr_payload))
-
-            self._analyze(walk_odd, odd, stats, scheme, block_slot=2,
-                          which=2, anchor_line=anchor_line)
-            self._train(walk_odd, odd, odd_index, ghr, which=2,
-                        anchor_line=anchor_line)
-
-            # Bank conflicts hit the pair fetched together: (i+1, i+2).
-            if i + 2 < n_blocks:
-                nxt = cursor.block(i + 2)
-                first_lines = geometry.lines_for_block(odd.start,
-                                                       odd.n_instr)
-                second_lines = geometry.lines_for_block(nxt.start,
-                                                        nxt.n_instr)
-                if blocks_conflict(geometry, first_lines, second_lines):
-                    stats.charge(PenaltyKind.BANK_CONFLICT, penalty_cycles(
-                        scheme, 2, PenaltyKind.BANK_CONFLICT))
-
-            if timeline is not None:
-                carry = odd.n_instr
-
-        if timeline is not None:
-            if carry:
-                emit_delivery(carry)  # trailing odd block ships alone
-            timeline.extend([0] * (stats.penalty_cycles - flushed))
-            stats.timeline = timeline
-        return stats
-
-    # ------------------------------------------------------------------
-    # Select-table verification (misselect / GHR penalties)
-    # ------------------------------------------------------------------
-
-    def _verify_selection(self, stored: SelectEntry, walk: BlockPrediction,
-                          stats: FetchStats, scheme: str,
-                          block_slot: int) -> None:
-        if stored.selector != walk.selector:
-            stats.charge(PenaltyKind.MISSELECT, penalty_cycles(
-                scheme, block_slot, PenaltyKind.MISSELECT))
-        elif stored.outcomes != walk.ghr_payload:
-            stats.charge(PenaltyKind.GHR, penalty_cycles(
-                scheme, block_slot, PenaltyKind.GHR))
-
-    # ------------------------------------------------------------------
-    # Prediction analysis (Table 3 columns by block slot)
-    # ------------------------------------------------------------------
-
-    def _analyze(self, pred: BlockPrediction, actual: ActualBlock,
-                 stats: FetchStats, scheme: str, block_slot: int,
-                 which: int, anchor_line: int) -> None:
-        if actual.exit_kind == K_HALT:
-            return
-        outcome, offset = classify_divergence(pred, actual)
-        if outcome == EARLY_TAKEN or outcome == LATE_TAKEN:
-            cycles = penalty_cycles(scheme, block_slot, PenaltyKind.COND)
-            if block_slot == 2:
-                cycles += 1  # "a misprediction on the second block always
-                #               requires another cycle"
-            elif outcome == EARLY_TAKEN and actual.n_instr - 1 - offset > 0:
-                cycles += 1  # re-fetch the remaining valid instructions
-            if outcome == LATE_TAKEN and \
-                    not self.config.track_not_taken_targets:
-                cycles += 1  # re-read the target array after resolution
-            stats.charge(PenaltyKind.COND, cycles)
-            return
-        if not actual.has_taken_exit:
-            return
-        exit_kind = actual.exit_kind
-        exit_pc = actual.exit_pc
-        if exit_kind == K_RETURN:
-            if self.ras.peek(0) != actual.exit_target:
-                stats.charge(PenaltyKind.RETURN, penalty_cycles(
-                    scheme, block_slot, PenaltyKind.RETURN))
-            return
-        if pred.source == SRC_NEAR:
-            return
-        direct = int(self._static_targets[exit_pc]) \
-            if exit_pc < len(self._static_targets) else -1
-        line_size = self.config.geometry.line_size
-        predicted = self.targets.lookup(which, anchor_line,
-                                        exit_pc % line_size)
-        if predicted != actual.exit_target:
-            kind = target_misfetch_kind(exit_kind, direct)
-            if kind is not None:
-                stats.charge(kind, penalty_cycles(scheme, block_slot, kind))
-
-    # ------------------------------------------------------------------
-    # Table training
-    # ------------------------------------------------------------------
-
-    def _train(self, pred: BlockPrediction, actual: ActualBlock,
-               pht_base: int, ghr: GlobalHistory, which: int,
-               anchor_line: int) -> None:
-        pht = self.pht
-        for offset, taken, pc in actual.conds:
-            pht.update(pht_base, pht.position(pc), taken)
-        if actual.conds:
-            ghr.shift_in_block(actual.outcomes)
-        if not actual.has_taken_exit:
-            return
-        exit_kind = actual.exit_kind
-        exit_pc = actual.exit_pc
-        if exit_kind == K_RETURN:
-            self.ras.pop()
-            return
-        if exit_kind == K_CALL:
-            self.ras.push(exit_pc + 1)
-        near_exit = (pred.source == SRC_NEAR
-                     and pred.exit_offset == actual.exit_offset)
-        if not near_exit:
-            line_size = self.config.geometry.line_size
-            self.targets.update(which, anchor_line, exit_pc % line_size,
-                                actual.exit_target)
+        super().__init__(config, n_blocks_per_cycle=2)

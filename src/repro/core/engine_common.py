@@ -1,10 +1,10 @@
-"""Shared machinery of the single- and dual-block fetch engines.
+"""Shared machinery of the scalar fetch engines.
 
-Both engines replay the correct-path block stream, compare what the
+Every engine replays the correct-path block stream, compares what the
 prediction hardware would have selected against what actually happened, and
-charge Table 3 penalties at the first divergence in each block.  This module
-holds the actual-block view and the divergence/target classification all
-engines share.
+charges Table 3 penalties at the first divergence in each block.  This module
+holds the actual-block view, the divergence/target classification, and the
+one analysis and training step (:class:`BlockEngine`) all engines share.
 """
 
 from __future__ import annotations
@@ -12,9 +12,11 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..isa.kinds import InstrKind
+from ..predictors.ghr import GlobalHistory
 from ..trace.blocks import BlockStream, EXIT_FALLTHROUGH
-from .penalties import PenaltyKind
-from .selection import BlockPrediction
+from .penalties import PenaltyKind, penalty_cycles_slot
+from .selection import BlockPrediction, SRC_NEAR
+from .stats import FetchStats
 
 K_COND = int(InstrKind.COND)
 K_JUMP = int(InstrKind.JUMP)
@@ -130,3 +132,85 @@ def target_misfetch_kind(exit_kind: int,
     if exit_kind == K_INDIRECT:
         return PenaltyKind.MISFETCH_INDIRECT
     return None
+
+
+class BlockEngine:
+    """Per-block analysis and training shared by the scalar engines.
+
+    A subclass owns ``config``, ``pht``, ``targets`` and ``ras``, and
+    sets ``_static_targets`` at the start of each run.  A block in fetch
+    slot ``slot`` is charged that slot's Table 3 column
+    (:func:`~repro.core.penalties.penalty_cycles_slot`).  ``key`` is the
+    target-array key before the exit's line position: ``(exit line,)``
+    for the single engine, ``(target number, anchor line)`` for the
+    grouped ones.
+    """
+
+    def _analyze(self, pred: BlockPrediction, actual: ActualBlock,
+                 stats: FetchStats, scheme: str, slot: int, key: tuple,
+                 late_taken_extra: bool = True) -> None:
+        """Charge the first divergence of ``pred`` from ``actual``.
+
+        ``late_taken_extra`` lets an untracked not-taken target cost a
+        LATE divergence a cycle (the two-block-ahead model re-reads
+        nothing).
+        """
+        if actual.exit_kind == K_HALT:
+            return
+        outcome, offset = classify_divergence(pred, actual)
+        if outcome != MATCH:
+            cycles = penalty_cycles_slot(scheme, slot, PenaltyKind.COND)
+            if slot >= 2:
+                cycles += 1  # "a misprediction on the second block always
+                #               requires another cycle"
+            elif outcome == EARLY_TAKEN and actual.n_instr - 1 - offset > 0:
+                cycles += 1  # re-fetch the remaining valid instructions
+            if outcome == LATE_TAKEN and late_taken_extra \
+                    and not self.config.track_not_taken_targets:
+                cycles += 1  # re-read the target array after resolution
+            stats.charge(PenaltyKind.COND, cycles)
+            return
+        # MATCH: direction agrees; verify the target.
+        if not actual.has_taken_exit:
+            return
+        exit_kind = actual.exit_kind
+        exit_pc = actual.exit_pc
+        if exit_kind == K_RETURN:
+            if self.ras.peek(0) != actual.exit_target:
+                stats.charge(PenaltyKind.RETURN, penalty_cycles_slot(
+                    scheme, slot, PenaltyKind.RETURN))
+            return
+        if pred.source == SRC_NEAR:
+            return  # near-block adder targets are exact
+        direct = int(self._static_targets[exit_pc]) \
+            if exit_pc < len(self._static_targets) else -1
+        predicted = self.targets.lookup(
+            *key, exit_pc % self.config.geometry.line_size)
+        if predicted != actual.exit_target:
+            kind = target_misfetch_kind(exit_kind, direct)
+            if kind is not None:
+                stats.charge(kind, penalty_cycles_slot(scheme, slot, kind))
+
+    def _train(self, pred: BlockPrediction, actual: ActualBlock,
+               pht_base: int, ghr: GlobalHistory, key: tuple) -> None:
+        """Train the PHT at ``pht_base``, the GHR, the RAS and targets."""
+        pht = self.pht
+        for offset, taken, pc in actual.conds:
+            pht.update(pht_base, pht.position(pc), taken)
+        if actual.conds:
+            ghr.shift_in_block(actual.outcomes)
+        if not actual.has_taken_exit:
+            return
+        exit_kind = actual.exit_kind
+        exit_pc = actual.exit_pc
+        if exit_kind == K_RETURN:
+            self.ras.pop()
+            return
+        if exit_kind == K_CALL:
+            self.ras.push(exit_pc + 1)
+        near_exit = (pred.source == SRC_NEAR
+                     and pred.exit_offset == actual.exit_offset)
+        if not near_exit:
+            self.targets.update(*key,
+                                exit_pc % self.config.geometry.line_size,
+                                actual.exit_target)

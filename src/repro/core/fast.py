@@ -7,9 +7,9 @@ counters, select tables, target arrays, BTB LRU order, RAS, BIT
 table) — is bit-identical to the scalar engines, which
 ``tests/core/test_engine_parity.py`` locks down.
 
-The scalar loops in ``single.py``/``dual.py``/``multi.py``/
-``two_ahead.py`` remain the readable ground truth; the engines
-dispatch here based on :func:`repro.core.engine_mode.use_fast_engine`.
+The scalar loops in ``single.py``/``multi.py``/``two_ahead.py``
+remain the readable ground truth; the engines dispatch here based on
+:func:`repro.core.engine_mode.use_fast_engine`.
 As in the paper's Section 5, the mechanisms are one machine with
 different fetch schedules ("another block prediction basically
 requires another select table and target array"), so each
@@ -19,16 +19,16 @@ requires another select table and target array"), so each
 engine     N      shift  ahead  target line   select tables
 =========  =====  =====  =====  ============  ==========================
 single     1      0      no     exit line     none (separate BIT table)
-dual       2      0      no     group anchor  one, or two halves; only
-                                              complete groups train
-multi      ``n``  0      no     group anchor  one per predicted slot
+multi      ``n``  0      no     group anchor  one per predicted slot;
+                                              only complete groups train
 two-ahead  2      1      yes    ahead anchor  none (serialization)
 =========  =====  =====  =====  ============  ==========================
 
-Block ``i`` fills slot ``(i + shift) % N`` and is charged that slot's
-Table 3 column (:func:`~repro.core.penalties.penalty_cycles_slot`).
-With ``ahead`` indexing, block ``i`` indexes the PHT and its target
-array through block ``i - 1``.
+The dual engine is ``multi`` at N = 2.  Block ``i`` fills slot
+``(i + shift) % N`` and is charged that slot's Table 3 column
+(:func:`~repro.core.penalties.penalty_cycles_slot`).  With ``ahead``
+indexing, block ``i`` indexes the PHT and its target array through
+block ``i - 1``.
 
 Each run has two halves.  :func:`_prep` runs the counter scan and the
 walks over the view's BIT read list (:meth:`_Run.resolve`: a read of
@@ -51,7 +51,7 @@ the executor's ``engine`` phase.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from ..predictors.ghr import BlockOutcomes
 from ..runtime import heap, profile
 from ..targets.bit import BitCode
 from ..targets.btb import BlockBTB, DualBTBTargetArray, _Entry
-from ..targets.nls import DualNLSTargetArray, NLSTargetArray
+from ..targets.nls import NLSTargetArray
 from .engine_common import K_CALL, K_COND, K_INDIRECT, K_JUMP, K_RETURN
 from .kernels import (
     CompiledBlocks,
@@ -83,7 +83,7 @@ from .penalties import (
     penalty_cycles,
     penalty_cycles_slot,
 )
-from .select_table import DualSelectEntry, DualSelectTable, SelectEntry
+from .select_table import SelectEntry
 from .selection import SRC_NEAR
 from .stats import FetchStats
 
@@ -388,12 +388,8 @@ def _replay_targets(targets, which, lines, positions, values):
         return _replay_btb(targets._btb, which, lines, positions, values)
     if isinstance(targets, BlockBTB):
         return _replay_btb(targets, which, lines, positions, values)
-    if isinstance(targets, DualNLSTargetArray):
-        arrays = [targets.first, targets.second]
-    elif isinstance(targets, NLSTargetArray):
-        arrays = [targets]
-    else:  # MultiTargetArray
-        arrays = targets._arrays
+    arrays = [targets] if isinstance(targets, NLSTargetArray) \
+        else targets._arrays  # MultiTargetArray
     return _replay_nls(arrays, which, lines, positions, values)
 
 
@@ -512,15 +508,9 @@ def run_single_fast(engine, fetch_input) -> FetchStats:
                      exit_line=True, bit_table=engine.bit_table)
 
 
-def run_dual_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`DualBlockEngine.run` (no timeline recording)."""
-    return _run_fast(engine, fetch_input, group=2, targets=engine.targets,
-                     selects=[engine.select], double=engine.double,
-                     train_partial=False)
-
-
 def run_multi_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`MultiBlockEngine.run`."""
+    """Vectorized :meth:`MultiBlockEngine.run` (no timeline recording);
+    the dual engine is its N = 2 configuration."""
     return _run_fast(engine, fetch_input, group=engine.n,
                      targets=engine.targets, selects=engine.selects,
                      double=engine.double)
@@ -538,8 +528,7 @@ def run_two_ahead_fast(engine, fetch_input) -> FetchStats:
 # ----------------------------------------------------------------------
 
 def _run_fast(engine, fetch_input, *, group: int, targets,
-              selects: Sequence = (), double: bool = False,
-              train_partial: bool = True, shift: int = 0,
+              selects: Sequence = (), double: bool = False, shift: int = 0,
               ahead: bool = False, exit_line: bool = False,
               late_taken_extra: bool = True,
               serialization_penalty: int = 0,
@@ -549,10 +538,9 @@ def _run_fast(engine, fetch_input, *, group: int, targets,
     * ``group`` blocks share a fetch cycle; block ``i`` fills slot
       ``(i + shift) % group``.
     * ``targets`` and ``selects`` are the engine's target array and
-      select tables; a :class:`DualSelectTable` holds two tables as the
-      halves of one entry.  ``double`` picks Table 3's double-selection
-      column.  With ``train_partial`` false, a group cut short by the
-      end of the stream trains no select table.
+      select tables.  ``double`` picks Table 3's double-selection
+      column.  A group cut short by the end of the stream trains no
+      select table.
     * ``ahead`` indexes the PHT and target array through the previous
       block.  ``exit_line`` indexes the target array by each block's own
       exit line instead: the single engine, which has no cold-start
@@ -580,8 +568,7 @@ def _run_fast(engine, fetch_input, *, group: int, targets,
               serialization_penalty)
     with profile.phase("residual"):
         if selects:
-            _replay_selects(run, stats, scheme, selects, double,
-                            train_partial)
+            _replay_selects(run, stats, scheme, selects, double)
         _residual_targets(run, stats, scheme, targets, exit_line)
     return stats
 
@@ -698,13 +685,11 @@ def _payload_base(width: int) -> int:
     return 2 * width + 4
 
 
-def _seed_select(width: int, entries,
-                 part: Optional[Callable] = None) -> np.ndarray:
+def _seed_select(width: int, entries) -> np.ndarray:
     """Select entries packed as ``sel * base + pay``.
 
-    ``part`` picks the :class:`DualSelectEntry` half to pack.  Cold
-    entries encode to 0 — exactly the fall-through default a cold read
-    returns — so reads need no presence check.
+    Cold entries encode to 0 — exactly the fall-through default a cold
+    read returns — so reads need no presence check.
     """
     packed = np.zeros(len(entries), dtype=np.int64)
     if entries.count(None) == len(entries):
@@ -712,14 +697,13 @@ def _seed_select(width: int, entries,
     base = _payload_base(width)
     for i, entry in enumerate(entries):
         if entry is not None:
-            sel, pay = _encode_select_entry(
-                width, part(entry) if part else entry)
+            sel, pay = _encode_select_entry(width, entry)
             packed[i] = sel * base + pay
     return packed
 
 
 def _replay_selects(run: _Run, stats: FetchStats, scheme: str, selects,
-                    double: bool, train_partial: bool) -> None:
+                    double: bool) -> None:
     """Verify and train every select table over one event stream.
 
     Table ``t`` predicts slot ``t`` of each group under double selection
@@ -727,26 +711,19 @@ def _replay_selects(run: _Run, stats: FetchStats, scheme: str, selects,
     single selection; all are indexed by the group's anchor.  A stored
     selector that disagrees with the walk charges a misselect; an
     agreeing selector with a different payload charges GHR.  Each table
-    then holds the last walk written to each of its slots.
+    then holds the last walk a complete group wrote to each of its slots.
     """
     n = run.n
     group = run.group
     width = run.width
-    halves = isinstance(selects[0], DualSelectTable)
-    if halves:
-        entries = selects[0]._entries
-        seeds = [_seed_select(width, entries, lambda e: e.first),
-                 _seed_select(width, entries, lambda e: e.second)]
-    else:
-        seeds = [_seed_select(width, table._entries) for table in selects]
+    seeds = [_seed_select(width, table._entries) for table in selects]
     served = [t if double else t + 1 for t in range(len(seeds))]
     blocks = [np.arange(s, n, group, dtype=np.int64) for s in served]
     events = np.concatenate(blocks)
     tables = np.repeat(np.arange(len(seeds), dtype=np.int64),
                        [b.shape[0] for b in blocks])
     anchors = events - run.slot_of(events)
-    writes = np.ones(events.shape[0], dtype=bool) if train_partial \
-        else anchors + group <= n
+    writes = anchors + group <= n
 
     walk = run.walk
     base = _payload_base(width)
@@ -763,18 +740,9 @@ def _replay_selects(run: _Run, stats: FetchStats, scheme: str, selects,
                      int(_slot_cycles(scheme, served, kind)[
                          tables[hit]].sum()))
 
-    written = [(k // size, k % size,
-                _decode_select_entry(width, v // base, v % base))
-               for k, v in zip(fin_k.tolist(), fin_v.tolist())]
-    if halves:
-        # Both halves of a slot are written by the same complete groups.
-        second = {slot: entry for t, slot, entry in written if t == 1}
-        for t, slot, entry in written:
-            if t == 0:
-                entries[slot] = DualSelectEntry(entry, second[slot])
-    else:
-        for t, slot, entry in written:
-            selects[t]._entries[slot] = entry
+    for k, v in zip(fin_k.tolist(), fin_v.tolist()):
+        selects[k // size]._entries[k % size] = _decode_select_entry(
+            width, v // base, v % base)
 
 
 def _select_key(run: _Run, select, blocks: np.ndarray) -> np.ndarray:

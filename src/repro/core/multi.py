@@ -1,4 +1,5 @@
-"""N-block fetch engine — Section 5's ">2 blocks per cycle" extension.
+"""Grouped fetch engine — Section 3's dual-block mechanism (Figures 2-5)
+and Section 5's ">2 blocks per cycle" extension.
 
 "In addition, it is possible to predict more than two blocks per cycle.
 In that case, the cost grows proportionally to the number of blocks
@@ -6,19 +7,40 @@ predicted.  Another block prediction basically requires another select
 table and target array, and another read/write port to the PHT and BIT
 tables."
 
-This engine generalises the paper-exact :class:`~repro.core.dual.
-DualBlockEngine` to ``n_blocks_per_cycle`` = N: blocks group as
-``(b1..bN), (bN+1..b2N), ...`` after the cold-start block ``b0``.  Each
-group's predictions anchor on the last block of the previous group: its
-BIT+PHT walk predicts the group's first block, and N-1 select tables —
-all indexed by ``GHR XOR anchor address`` — predict the rest.  Penalties
-for slots 1 and 2 are Table 3 verbatim; later slots extrapolate the
-table's +1-per-slot pattern (see
+``n_blocks_per_cycle`` = N blocks are fetched per cycle: they group as
+``(b1..bN), (bN+1..b2N), ...`` after the lone cold-start block ``b0``.
+Each group's predictions anchor on the last block of the previous group
+(b0, bN, ...): its BIT + blocked-PHT walk predicts the group's first
+block, and select tables — all indexed like the PHT (``GHR XOR anchor
+address``) — predict the rest ("predict our prediction").  At N = 2 this
+is the paper's dual-block engine, :class:`~repro.core.dual.DualBlockEngine`.
+Penalties for slots 1 and 2 are Table 3 verbatim; later slots extrapolate
+the table's +1-per-slot pattern (see
 :func:`repro.core.penalties.penalty_cycles_slot`).
 
-With ``n_blocks_per_cycle=2`` this engine is cycle-for-cycle identical to
-:class:`DualBlockEngine` (locked by a test), so the extension is a strict
-generalisation, not a reinterpretation.
+Selection schemes:
+
+* **single** (Figure 2/3): the group's first block is predicted from
+  BIT + PHT, the others from one select table each.  Misselect and
+  GHR-misprediction penalties hit the later slots only.
+* **double** (Figure 4/5): one more select table predicts the first
+  block too, eliminating BIT storage but adding a verification penalty
+  on the first block and deepening the others' (Table 3's double-select
+  columns).
+
+A group's select-table writes take effect once the group is complete: a
+group cut short by the end of the stream trains no select table.  Each
+table is read once per group, so deferring the writes changes no read.
+
+The return-address stack is architectural and trained block-by-block in
+fetch order, which reproduces exactly the call/return bypassing of Section
+3.1 (a call in the first block bypasses its return address to the second;
+a return in the first block exposes the next-older entry).
+
+``tests/core/test_dual_reference.py`` keeps the paper's hand-written
+dual-block loop and checks this engine at N = 2 against it, state for
+state, so the extension is a strict generalisation, not a
+reinterpretation.
 """
 
 from __future__ import annotations
@@ -27,34 +49,26 @@ from typing import List, Optional, Sequence
 
 from ..predictors.blocked import BlockedPHT
 from ..predictors.ghr import GlobalHistory
+from ..targets.btb import DualBTBTargetArray
 from ..targets.nls import NLSTargetArray
 from ..targets.ras import ReturnAddressStack
-from .config import EngineConfig, FetchInput, TARGET_NLS
+from .config import EngineConfig, FetchInput, TARGET_BTB
 from .engine_mode import use_fast_engine
-from .engine_common import (
-    ActualBlock,
-    BlockCursor,
-    EARLY_TAKEN,
-    K_CALL,
-    K_HALT,
-    K_RETURN,
-    LATE_TAKEN,
-    classify_divergence,
-    target_misfetch_kind,
-)
+from .engine_common import ActualBlock, BlockCursor, BlockEngine
 from .penalties import DOUBLE_SELECT, PenaltyKind, SINGLE_SELECT, \
     penalty_cycles_slot
 from .select_table import SelectEntry, SelectTable
-from .selection import BlockPrediction, CodeWindowCache, SRC_NEAR, walk_block
+from .selection import BlockPrediction, CodeWindowCache, walk_block
 from .stats import FetchStats
 
 
 class MultiTargetArray:
     """N parallel tag-less target arrays, one per fetch slot.
 
-    Generalises :class:`~repro.targets.nls.DualNLSTargetArray`: all slots
-    are indexed by the current anchor block's line; duplication across
-    slots grows with N, exactly as the paper warns for the dual case.
+    "Although the NLS must have two target arrays, a BTB may use its tag
+    to indicate the target number."  All slots are indexed by the current
+    anchor block's line, so one branch may be duplicated across slots —
+    the duplication the paper warns of for the dual case, growing with N.
     """
 
     def __init__(self, n_slots: int, n_block_entries: int = 256,
@@ -65,14 +79,20 @@ class MultiTargetArray:
         self._arrays = [NLSTargetArray(n_block_entries, line_size)
                         for _ in range(n_slots)]
 
+    def _array(self, slot: int) -> NLSTargetArray:
+        if not 1 <= slot <= self.n_slots:
+            raise ValueError(f"slot must be in 1..{self.n_slots}, "
+                             f"got {slot}")
+        return self._arrays[slot - 1]
+
     def lookup(self, slot: int, line: int, position: int) -> Optional[int]:
         """Predicted target from the given slot's array (1-based)."""
-        return self._arrays[slot - 1].lookup(line, position)
+        return self._array(slot).lookup(line, position)
 
     def update(self, slot: int, line: int, position: int,
                target: int) -> None:
         """Train the given slot's array (1-based)."""
-        self._arrays[slot - 1].update(line, position, target)
+        self._array(slot).update(line, position, target)
 
     @property
     def storage_bits(self) -> int:
@@ -80,7 +100,7 @@ class MultiTargetArray:
         return sum(a.storage_bits for a in self._arrays)
 
 
-class MultiBlockEngine:
+class MultiBlockEngine(BlockEngine):
     """Fetches ``n_blocks_per_cycle`` blocks per cycle."""
 
     def __init__(self, config: EngineConfig,
@@ -90,16 +110,22 @@ class MultiBlockEngine:
         if config.bit_entries is not None:
             raise ValueError("the multi-block engine assumes BIT "
                              "information is stored in the i-cache")
-        if config.target_kind != TARGET_NLS:
-            raise ValueError("the multi-block engine models NLS target "
-                             "arrays only (one per slot)")
+        if config.target_kind == TARGET_BTB and n_blocks_per_cycle > 2:
+            raise ValueError("the multi-block engine models BTB target "
+                             "arrays for at most two blocks per cycle "
+                             "(the tag holds target number 1 or 2)")
         self.config = config
         self.n = n_blocks_per_cycle
         geometry = config.geometry
         self.pht = BlockedPHT(config.history_length, geometry.block_width,
                               config.n_pht_tables)
-        self.targets = MultiTargetArray(self.n, config.target_entries,
-                                        geometry.line_size)
+        if config.target_kind == TARGET_BTB:
+            self.targets = DualBTBTargetArray(config.target_entries,
+                                              geometry.line_size,
+                                              config.btb_associativity)
+        else:
+            self.targets = MultiTargetArray(self.n, config.target_entries,
+                                            geometry.line_size)
         self.ras = ReturnAddressStack(config.ras_size)
         self.double = config.selection == DOUBLE_SELECT
         # One select table per predicted-ahead slot; double selection adds
@@ -113,10 +139,20 @@ class MultiBlockEngine:
 
     # ------------------------------------------------------------------
 
-    def run(self, fetch_input: FetchInput) -> FetchStats:
-        """Replay the block stream N blocks per cycle."""
+    def run(self, fetch_input: FetchInput,
+            record_timeline: bool = False) -> FetchStats:
+        """Replay the block stream N blocks per cycle.
+
+        With ``record_timeline`` the returned stats carry a per-cycle
+        delivered-instruction timeline (stall cycles deliver 0) for
+        :func:`repro.metrics.issue.simulate_issue`.  ``b0`` ships alone,
+        then each group of N ships together; stalls are emitted before
+        the next delivery.
+        """
         config = self.config
-        if use_fast_engine():
+        # Timeline recording needs per-cycle delivery interleaving, which
+        # only the reference loop tracks.
+        if not record_timeline and use_fast_engine():
             from .fast import run_multi_fast
             return run_multi_fast(self, fetch_input)
         geometry = config.geometry
@@ -141,53 +177,70 @@ class MultiBlockEngine:
             n_cond=trace.n_cond,
             base_cycles=1 + (n_blocks - 2 + n) // n if n_blocks > 1 else 1,
         )
+        timeline = [] if record_timeline else None
+        carry = 0    # the group's blocks before its last, pending delivery
+        flushed = 0  # penalty cycles already emitted as stalls
+
+        def emit_delivery(delivered: int) -> None:
+            nonlocal flushed
+            timeline.extend([0] * (stats.penalty_cycles - flushed))
+            flushed = stats.penalty_cycles
+            timeline.append(delivered)
 
         for a in range(0, n_blocks, n):
             anchor = cursor.block(a)
-            limit = geometry.block_limit(anchor.start)
             anchor_line = anchor.start // geometry.line_size
+            # History index at block-width granularity: an extended line
+            # holds two blocks whose PHT/ST entries must stay distinct
+            # (positions wrap modulo B, so line-granular indexing would
+            # alias them destructively).
             index = pht.index(ghr.value,
                               anchor.start // geometry.block_width)
-            window = codes.window(anchor.start, limit)
-            walk_anchor = walk_block(window, anchor.start, limit, pht,
-                                     index)
-            if self.double:
-                stored = self.selects[0].read(index, anchor.start)
-                self._verify(stored, walk_anchor, stats, scheme, slot=1)
-                self.selects[0].write(index, anchor.start, SelectEntry(
-                    walk_anchor.selector, walk_anchor.ghr_payload))
-            self._analyze(walk_anchor, anchor, stats, scheme, slot=1,
-                          anchor_line=anchor_line)
-            self._train(walk_anchor, anchor, index, ghr, slot=1,
-                        anchor_line=anchor_line)
-
             group: List[ActualBlock] = []
-            for k in range(1, n):
-                j = a + k
-                if j >= n_blocks:
-                    break
-                blk = cursor.block(j)
-                group.append(blk)
-                blk_limit = geometry.block_limit(blk.start)
-                blk_index = pht.index(ghr.value,
-                                      blk.start // geometry.block_width)
-                blk_window = codes.window(blk.start, blk_limit)
-                walk_blk = walk_block(blk_window, blk.start, blk_limit,
-                                      pht, blk_index)
-                table = self.selects[k] if self.double \
-                    else self.selects[k - 1]
-                stored = table.read(index, anchor.start)
-                self._verify(stored, walk_blk, stats, scheme, slot=k + 1)
-                table.write(index, anchor.start, SelectEntry(
-                    walk_blk.selector, walk_blk.ghr_payload))
-                self._analyze(walk_blk, blk, stats, scheme, slot=k + 1,
-                              anchor_line=anchor_line)
-                self._train(walk_blk, blk, blk_index, ghr, slot=k + 1,
-                            anchor_line=anchor_line)
+            writes = []
+            # Block a + k's walk predicts slot k + 1 of the next group.
+            for k in range(min(n, n_blocks - a)):
+                if k:
+                    blk = cursor.block(a + k)
+                    group.append(blk)
+                    blk_index = pht.index(ghr.value,
+                                          blk.start // geometry.block_width)
+                else:
+                    blk, blk_index = anchor, index
+                limit = geometry.block_limit(blk.start)
+                walk = walk_block(codes.window(blk.start, limit), blk.start,
+                                  limit, pht, blk_index)
+                t = k if self.double else k - 1
+                if t >= 0:
+                    table = self.selects[t]
+                    self._verify(table.read(index, anchor.start), walk,
+                                 stats, scheme, slot=k + 1)
+                    writes.append((table, SelectEntry(walk.selector,
+                                                      walk.ghr_payload)))
+                key = (k + 1, anchor_line)
+                self._analyze(walk, blk, stats, scheme, k + 1, key)
+                self._train(walk, blk, blk_index, ghr, key)
+                if timeline is None:
+                    continue
+                if k:
+                    carry += blk.n_instr
+                else:
+                    # The anchor completes the previous group; b0 ships
+                    # alone.
+                    emit_delivery(carry + blk.n_instr)
+                    carry = 0
 
+            if a + n <= n_blocks:  # only a complete group trains them
+                for table, entry in writes:
+                    table.write(index, anchor.start, entry)
             self._charge_bank_conflicts(a, group, cursor, stats, scheme,
                                         n_blocks)
 
+        if timeline is not None:
+            if carry:
+                emit_delivery(carry)  # a trailing short group ships alone
+            timeline.extend([0] * (stats.penalty_cycles - flushed))
+            stats.timeline = timeline
         return stats
 
     # ------------------------------------------------------------------
@@ -226,71 +279,10 @@ class MultiBlockEngine:
 
     def _verify(self, stored: SelectEntry, walk: BlockPrediction,
                 stats: FetchStats, scheme: str, slot: int) -> None:
+        """Misselect / GHR penalties of a stored selection."""
         if stored.selector != walk.selector:
             stats.charge(PenaltyKind.MISSELECT, penalty_cycles_slot(
                 scheme, slot, PenaltyKind.MISSELECT))
         elif stored.outcomes != walk.ghr_payload:
             stats.charge(PenaltyKind.GHR, penalty_cycles_slot(
                 scheme, slot, PenaltyKind.GHR))
-
-    def _analyze(self, pred: BlockPrediction, actual: ActualBlock,
-                 stats: FetchStats, scheme: str, slot: int,
-                 anchor_line: int) -> None:
-        if actual.exit_kind == K_HALT:
-            return
-        outcome, offset = classify_divergence(pred, actual)
-        if outcome == EARLY_TAKEN or outcome == LATE_TAKEN:
-            cycles = penalty_cycles_slot(scheme, slot, PenaltyKind.COND)
-            if slot >= 2:
-                cycles += 1
-            elif outcome == EARLY_TAKEN and actual.n_instr - 1 - offset > 0:
-                cycles += 1
-            if outcome == LATE_TAKEN and \
-                    not self.config.track_not_taken_targets:
-                cycles += 1
-            stats.charge(PenaltyKind.COND, cycles)
-            return
-        if not actual.has_taken_exit:
-            return
-        exit_kind = actual.exit_kind
-        exit_pc = actual.exit_pc
-        if exit_kind == K_RETURN:
-            if self.ras.peek(0) != actual.exit_target:
-                stats.charge(PenaltyKind.RETURN, penalty_cycles_slot(
-                    scheme, slot, PenaltyKind.RETURN))
-            return
-        if pred.source == SRC_NEAR:
-            return
-        direct = int(self._static_targets[exit_pc]) \
-            if exit_pc < len(self._static_targets) else -1
-        line_size = self.config.geometry.line_size
-        predicted = self.targets.lookup(slot, anchor_line,
-                                        exit_pc % line_size)
-        if predicted != actual.exit_target:
-            kind = target_misfetch_kind(exit_kind, direct)
-            if kind is not None:
-                stats.charge(kind, penalty_cycles_slot(scheme, slot, kind))
-
-    def _train(self, pred: BlockPrediction, actual: ActualBlock,
-               pht_base: int, ghr: GlobalHistory, slot: int,
-               anchor_line: int) -> None:
-        pht = self.pht
-        for offset, taken, pc in actual.conds:
-            pht.update(pht_base, pht.position(pc), taken)
-        if actual.conds:
-            ghr.shift_in_block(actual.outcomes)
-        if not actual.has_taken_exit:
-            return
-        exit_kind = actual.exit_kind
-        exit_pc = actual.exit_pc
-        if exit_kind == K_RETURN:
-            self.ras.pop()
-            return
-        if exit_kind == K_CALL:
-            self.ras.push(exit_pc + 1)
-        near_exit = (pred.source == SRC_NEAR
-                     and pred.exit_offset == actual.exit_offset)
-        if not near_exit:
-            line_size = self.config.geometry.line_size
-            self.targets.update(slot, anchor_line, exit_pc % line_size,
-                                actual.exit_target)

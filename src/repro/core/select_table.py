@@ -80,48 +80,3 @@ class SelectTable:
     def storage_bits(self) -> int:
         """Cost per Table 7: ~8 bits per entry (selector + GHR payload)."""
         return 8 * self.n_entries * self.n_tables
-
-
-@dataclass
-class DualSelectEntry:
-    """Double-selection entry: selections for both blocks of the next pair."""
-
-    first: SelectEntry
-    second: SelectEntry
-
-    @classmethod
-    def default(cls) -> "DualSelectEntry":
-        """Cold-entry behaviour: fall-through for both blocks."""
-        return cls(SelectEntry.default(), SelectEntry.default())
-
-
-class DualSelectTable:
-    """Double-selection ST: one entry predicts both multiplexers.
-
-    Removes BIT storage entirely (types are decoded after fetch) at the
-    cost of deeper verification penalties (Table 3's double-select column).
-    """
-
-    def __init__(self, history_length: int = 10, n_tables: int = 1,
-                 line_size: int = 8) -> None:
-        self._inner = SelectTable(history_length, n_tables, line_size)
-        self.history_length = history_length
-        self.n_tables = n_tables
-        self.n_entries = self._inner.n_entries
-        self._entries: List[Optional[DualSelectEntry]] = (
-            [None] * (n_tables * self.n_entries))
-
-    def read(self, index: int, start_address: int) -> DualSelectEntry:
-        """Stored pair prediction (cold entries read as fall-through)."""
-        entry = self._entries[self._inner._slot(index, start_address)]
-        return entry if entry is not None else DualSelectEntry.default()
-
-    def write(self, index: int, start_address: int,
-              entry: DualSelectEntry) -> None:
-        """Replace the stored pair prediction."""
-        self._entries[self._inner._slot(index, start_address)] = entry
-
-    @property
-    def storage_bits(self) -> int:
-        """Twice the single-ST payload (selector + GHR bits per block)."""
-        return 16 * self.n_entries * self.n_tables

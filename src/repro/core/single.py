@@ -24,34 +24,20 @@ from ..targets.nls import NLSTargetArray
 from ..targets.ras import ReturnAddressStack
 from .config import EngineConfig, FetchInput, TARGET_BTB
 from .engine_mode import use_fast_engine
-from .engine_common import (
-    ActualBlock,
-    BlockCursor,
-    EARLY_TAKEN,
-    K_CALL,
-    K_COND,
-    K_HALT,
-    K_RETURN,
-    LATE_TAKEN,
-    MATCH,
-    classify_divergence,
-    target_misfetch_kind,
-)
+from .engine_common import ActualBlock, BlockCursor, BlockEngine
 from .penalties import PenaltyKind, SINGLE_SELECT, penalty_cycles
 from .recovery import RecoveryEntry
 from .selection import (
     BlockPrediction,
     CodeWindowCache,
     SRC_ARRAY,
-    SRC_FALLTHROUGH,
-    SRC_NEAR,
     SRC_RAS,
     walk_block,
 )
 from .stats import FetchStats
 
 
-class SingleBlockEngine:
+class SingleBlockEngine(BlockEngine):
     """Fetches one block per cycle using BIT + blocked-PHT prediction."""
 
     def __init__(self, config: EngineConfig) -> None:
@@ -108,7 +94,7 @@ class SingleBlockEngine:
             actual = cursor.block(i)
             start = actual.start
             limit = geometry.block_limit(start)
-            # Block-width-granular history index (see DualBlockEngine).
+            # Block-width-granular history index (see MultiBlockEngine).
             pht_base = pht.index(ghr.value, start // geometry.block_width)
             window = codes.window(start, limit)
             pred = walk_block(window, start, limit, pht, pht_base)
@@ -126,83 +112,12 @@ class SingleBlockEngine:
                 self._record_recovery(pred, actual, window, start, limit,
                                       pht_base, ghr)
 
-            self._analyze(pred, actual, stats, block_slot=1)
-            self._train(pred, actual, pht_base, ghr)
+            # Target arrays are keyed by the exit's own line.
+            key = (actual.exit_pc // line_size,)
+            self._analyze(pred, actual, stats, SINGLE_SELECT, 1, key)
+            self._train(pred, actual, pht_base, ghr, key)
 
         return stats
-
-    # ------------------------------------------------------------------
-    # Prediction analysis (Table 3, block-1 column)
-    # ------------------------------------------------------------------
-
-    def _analyze(self, pred: BlockPrediction, actual: ActualBlock,
-                 stats: FetchStats, block_slot: int) -> None:
-        if actual.exit_kind == K_HALT:
-            return
-        outcome, offset = classify_divergence(pred, actual)
-        scheme = SINGLE_SELECT
-        if outcome == EARLY_TAKEN:
-            cycles = penalty_cycles(scheme, block_slot, PenaltyKind.COND)
-            # Footnote: mispredicted-taken with instructions remaining in
-            # the block costs an extra re-fetch cycle.
-            if actual.n_instr - 1 - offset > 0:
-                cycles += 1
-            stats.charge(PenaltyKind.COND, cycles)
-            return
-        if outcome == LATE_TAKEN:
-            cycles = penalty_cycles(scheme, block_slot, PenaltyKind.COND)
-            if not self.config.track_not_taken_targets:
-                cycles += 1  # re-read the target array after resolution
-            stats.charge(PenaltyKind.COND, cycles)
-            return
-        # MATCH: direction agrees; verify the target.
-        if not actual.has_taken_exit:
-            return
-        exit_kind = actual.exit_kind
-        exit_pc = actual.exit_pc
-        if exit_kind == K_RETURN:
-            if self.ras.peek(0) != actual.exit_target:
-                stats.charge(PenaltyKind.RETURN, penalty_cycles(
-                    scheme, block_slot, PenaltyKind.RETURN))
-            return
-        if pred.source == SRC_NEAR:
-            return  # near-block adder targets are exact
-        direct = int(self._static_targets[exit_pc]) \
-            if exit_pc < len(self._static_targets) else -1
-        predicted = self.targets.lookup(
-            exit_pc // self.config.geometry.line_size,
-            exit_pc % self.config.geometry.line_size)
-        if predicted != actual.exit_target:
-            kind = target_misfetch_kind(exit_kind, direct)
-            if kind is not None:
-                stats.charge(kind, penalty_cycles(scheme, block_slot, kind))
-
-    # ------------------------------------------------------------------
-    # Table training
-    # ------------------------------------------------------------------
-
-    def _train(self, pred: BlockPrediction, actual: ActualBlock,
-               pht_base: int, ghr: GlobalHistory) -> None:
-        pht = self.pht
-        for offset, taken, pc in actual.conds:
-            pht.update(pht_base, pht.position(pc), taken)
-        if actual.conds:
-            ghr.shift_in_block(actual.outcomes)
-        if not actual.has_taken_exit:
-            return
-        exit_kind = actual.exit_kind
-        exit_pc = actual.exit_pc
-        if exit_kind == K_RETURN:
-            self.ras.pop()
-            return
-        if exit_kind == K_CALL:
-            self.ras.push(exit_pc + 1)
-        near_exit = (pred.source == SRC_NEAR
-                     and pred.exit_offset == actual.exit_offset)
-        if not near_exit:
-            line_size = self.config.geometry.line_size
-            self.targets.update(exit_pc // line_size, exit_pc % line_size,
-                                actual.exit_target)
 
     # ------------------------------------------------------------------
     # BIT-table plumbing

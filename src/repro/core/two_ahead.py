@@ -28,26 +28,17 @@ from __future__ import annotations
 from ..icache.banks import blocks_conflict
 from ..predictors.blocked import BlockedPHT
 from ..predictors.ghr import GlobalHistory
-from ..targets.nls import DualNLSTargetArray
 from ..targets.ras import ReturnAddressStack
 from .config import EngineConfig, FetchInput, TARGET_NLS
 from .engine_mode import use_fast_engine
-from .engine_common import (
-    BlockCursor,
-    EARLY_TAKEN,
-    K_CALL,
-    K_HALT,
-    K_RETURN,
-    LATE_TAKEN,
-    classify_divergence,
-    target_misfetch_kind,
-)
+from .engine_common import BlockCursor, BlockEngine
+from .multi import MultiTargetArray
 from .penalties import PenaltyKind, SINGLE_SELECT, penalty_cycles
-from .selection import CodeWindowCache, SRC_NEAR, walk_block
+from .selection import CodeWindowCache, walk_block
 from .stats import FetchStats
 
 
-class TwoBlockAheadEngine:
+class TwoBlockAheadEngine(BlockEngine):
     """Dual-block fetching with block-ahead indexed predictions."""
 
     def __init__(self, config: EngineConfig,
@@ -61,8 +52,8 @@ class TwoBlockAheadEngine:
         geometry = config.geometry
         self.pht = BlockedPHT(config.history_length, geometry.block_width,
                               config.n_pht_tables)
-        self.targets = DualNLSTargetArray(config.target_entries,
-                                          geometry.line_size)
+        self.targets = MultiTargetArray(2, config.target_entries,
+                                        geometry.line_size)
         self.ras = ReturnAddressStack(config.ras_size)
 
     def run(self, fetch_input: FetchInput) -> FetchStats:
@@ -106,22 +97,17 @@ class TwoBlockAheadEngine:
                               prev_addr // geometry.block_width)
             walk = walk_block(window, blk.start, limit, pht, index)
 
-            self._analyze(walk, blk, stats, slot,
-                          anchor_line=prev_addr // geometry.line_size,
-                          which=1 if slot == 1 else 2)
+            # No select table and no re-read: a LATE divergence costs
+            # no extra cycle.
+            key = (slot, prev_addr // geometry.line_size)
+            self._analyze(walk, blk, stats, SINGLE_SELECT, slot, key,
+                          late_taken_extra=False)
 
-            # Train at the same ahead index the prediction used.
-            for offset, taken, pc in blk.conds:
-                pht.update(index, pht.position(pc), taken)
-            self._train_targets(walk, blk,
-                                anchor_line=prev_addr // geometry.line_size,
-                                which=1 if slot == 1 else 2)
-
-            # Advance the ahead context.
+            # Advance the ahead context, then train at the same ahead
+            # index the prediction used.
             prev_ghr = ghr.value
             prev_addr = blk.start
-            if blk.conds:
-                ghr.shift_in_block(blk.outcomes)
+            self._train(walk, blk, index, ghr, key)
 
             # Serialization: the second block's tag-match waits on the
             # first's prediction (the drawback the paper highlights).
@@ -140,55 +126,3 @@ class TwoBlockAheadEngine:
                         SINGLE_SELECT, 2, PenaltyKind.BANK_CONFLICT))
 
         return stats
-
-    # ------------------------------------------------------------------
-
-    def _analyze(self, pred, actual, stats, slot, anchor_line, which):
-        if actual.exit_kind == K_HALT:
-            return
-        outcome, offset = classify_divergence(pred, actual)
-        if outcome == EARLY_TAKEN or outcome == LATE_TAKEN:
-            cycles = penalty_cycles(SINGLE_SELECT, slot, PenaltyKind.COND)
-            if slot == 2:
-                cycles += 1
-            elif outcome == EARLY_TAKEN and actual.n_instr - 1 - offset > 0:
-                cycles += 1
-            stats.charge(PenaltyKind.COND, cycles)
-            return
-        if not actual.has_taken_exit:
-            return
-        if actual.exit_kind == K_RETURN:
-            if self.ras.peek(0) != actual.exit_target:
-                stats.charge(PenaltyKind.RETURN, penalty_cycles(
-                    SINGLE_SELECT, slot, PenaltyKind.RETURN))
-            return
-        if pred.source == SRC_NEAR:
-            return
-        exit_pc = actual.exit_pc
-        direct = int(self._static_targets[exit_pc]) \
-            if exit_pc < len(self._static_targets) else -1
-        line_size = self.config.geometry.line_size
-        predicted = self.targets.lookup(which, anchor_line,
-                                        exit_pc % line_size)
-        if predicted != actual.exit_target:
-            kind = target_misfetch_kind(actual.exit_kind, direct)
-            if kind is not None:
-                stats.charge(kind, penalty_cycles(SINGLE_SELECT, slot,
-                                                  kind))
-
-    def _train_targets(self, pred, actual, anchor_line, which):
-        if not actual.has_taken_exit:
-            return
-        exit_kind = actual.exit_kind
-        exit_pc = actual.exit_pc
-        if exit_kind == K_RETURN:
-            self.ras.pop()
-            return
-        if exit_kind == K_CALL:
-            self.ras.push(exit_pc + 1)
-        near_exit = (pred.source == SRC_NEAR
-                     and pred.exit_offset == actual.exit_offset)
-        if not near_exit:
-            line_size = self.config.geometry.line_size
-            self.targets.update(which, anchor_line, exit_pc % line_size,
-                                actual.exit_target)

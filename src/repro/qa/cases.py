@@ -53,8 +53,8 @@ class QACase:
         serialization_penalty: extra per-pair cycle (``two_ahead`` only).
         track_recovery: record BBR entries (``single`` only; exercises
             the fast engine's documented scalar fallback).
-        record_timeline: record the delivery timeline (``dual`` only;
-            also a scalar-fallback path).
+        record_timeline: record the delivery timeline (``dual`` and
+            ``multi``; also a scalar-fallback path).
     """
 
     engine: str
@@ -81,6 +81,9 @@ class QACase:
             raise CaseError("repeats must be >= 1")
         if self.n_blocks < 1:
             raise CaseError("n_blocks must be >= 1")
+        if self.record_timeline and self.engine not in ("dual", "multi"):
+            raise CaseError("only the dual and multi engines record a "
+                            "timeline")
 
     # ------------------------------------------------------------------
     # Construction of the simulated objects

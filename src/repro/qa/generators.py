@@ -241,9 +241,10 @@ def sample_config(rng: random.Random, engine: str) -> Dict[str, Any]:
     """Draw :class:`EngineConfig` overrides legal for ``engine``.
 
     The constraints mirror the engines' constructors: ``dual``/``multi``
-    refuse a separate BIT table, ``multi``/``two_ahead`` model NLS
-    target arrays only, and double selection only means something to the
-    dual and multi engines.
+    refuse a separate BIT table, ``two_ahead`` models NLS target arrays
+    only (``multi`` takes a BTB only up to two blocks per cycle, the
+    dual engine's path, so its cases stay on NLS), and double selection
+    only means something to the dual and multi engines.
     """
     overrides: Dict[str, Any] = {
         "history_length": rng.choice((2, 4, 6, 8, 10, 12)),

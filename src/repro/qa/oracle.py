@@ -85,7 +85,7 @@ def run_mode(case: QACase, mode: str) -> ModeRun:
             engine = case_engine(case)
             fetch_input = case.fetch_input()
             for _ in range(case.repeats):
-                if case.engine == "dual" and case.record_timeline:
+                if case.record_timeline:
                     stats = engine.run(fetch_input, record_timeline=True)
                 else:
                     stats = engine.run(fetch_input)

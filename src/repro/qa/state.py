@@ -35,9 +35,6 @@ def target_state(targets: Any) -> Any:
         return None
     if hasattr(targets, "_targets"):                 # NLSTargetArray
         return list(targets._targets)
-    if hasattr(targets, "first"):                    # DualNLSTargetArray
-        return (list(targets.first._targets),
-                list(targets.second._targets))
     if hasattr(targets, "_arrays"):                  # MultiTargetArray
         return [list(a._targets) for a in targets._arrays]
     btb = getattr(targets, "_btb", targets)          # (Dual)BTB
@@ -55,9 +52,6 @@ def engine_state(engine: Any) -> Dict[str, Any]:
     ras = getattr(engine, "ras", None)
     if ras is not None:
         state["ras"] = (list(ras._slots), ras._top, ras._depth)
-    select = getattr(engine, "select", None)
-    if select is not None:
-        state["select"] = list(select._entries)
     selects = getattr(engine, "selects", None)
     if selects is not None:
         state["selects"] = [list(t._entries) for t in selects]

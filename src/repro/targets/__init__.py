@@ -9,6 +9,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "bit": ("BITTable", "BitCode", "COND_CODES", "NEAR_BLOCK_LINE_OFFSET",
             "encode_instruction", "encode_window", "near_block_target"),
     "btb": ("BlockBTB", "DualBTBTargetArray"),
-    "nls": ("DualNLSTargetArray", "NLSTargetArray"),
+    "nls": ("NLSTargetArray",),
     "ras": ("ReturnAddressStack",),
 })

@@ -14,7 +14,9 @@ Keying: entries are selected by cache-line index modulo the entry count;
 slots within an entry by the branch's position in its line.  A dual array
 (Section 3.1) keeps two target sets, both indexed by the address of the
 *current second block*, so the same branch may be duplicated across both —
-"undesirable duplication ... inherent to the dual target array".
+"undesirable duplication ... inherent to the dual target array".  The
+grouped engines keep one array per fetch slot
+(:class:`~repro.core.multi.MultiTargetArray`).
 """
 
 from __future__ import annotations
@@ -55,40 +57,3 @@ class NLSTargetArray:
     def storage_bits(self) -> int:
         """Cost in bits assuming 10-bit line indices (Table 7's default)."""
         return self.n_block_entries * self.line_size * 10
-
-
-class DualNLSTargetArray:
-    """Dual target array: separate first- and second-target NLS arrays.
-
-    "Although the NLS must have two target arrays, a BTB may use its tag to
-    indicate the target number."  Both halves are indexed by the current
-    second block's line; ``which`` selects the half (1 = targets for the
-    next first block, 2 = targets for the next second block).
-    """
-
-    def __init__(self, n_block_entries: int = 256, line_size: int = 8) -> None:
-        self.first = NLSTargetArray(n_block_entries, line_size)
-        self.second = NLSTargetArray(n_block_entries, line_size)
-        self.n_block_entries = n_block_entries
-        self.line_size = line_size
-
-    def _half(self, which: int) -> NLSTargetArray:
-        if which == 1:
-            return self.first
-        if which == 2:
-            return self.second
-        raise ValueError(f"which must be 1 or 2, got {which}")
-
-    def lookup(self, which: int, line: int, position: int) -> Optional[int]:
-        """Predicted target from the selected half."""
-        return self._half(which).lookup(line, position)
-
-    def update(self, which: int, line: int, position: int,
-               target: int) -> None:
-        """Train the selected half."""
-        self._half(which).update(line, position, target)
-
-    @property
-    def storage_bits(self) -> int:
-        """Total cost of both halves."""
-        return self.first.storage_bits + self.second.storage_bits

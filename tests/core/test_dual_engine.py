@@ -117,6 +117,16 @@ class TestSelection:
             by_tables[n] = stats.event_counts.get(PenaltyKind.MISSELECT, 0)
         assert by_tables[8] <= by_tables[1]
 
+    def test_double_selection_doubles_select_storage(self):
+        """Double selection stores both blocks' selections: one more
+        select table, twice the single scheme's storage."""
+        bits = []
+        for selection in ("single", DOUBLE_SELECT):
+            engine = DualBlockEngine(EngineConfig(
+                geometry=GEO, n_select_tables=4, selection=selection))
+            bits.append(sum(t.storage_bits for t in engine.selects))
+        assert bits[1] == 2 * bits[0]
+
     def test_double_selection_has_no_bit_penalties(self):
         fi = synthetic_input(seed=2)
         stats = DualBlockEngine(EngineConfig(

@@ -68,8 +68,10 @@ ENGINES = {
                          "btb_associativity": 2,
                          "selection": DOUBLE_SELECT}),
     "multi-1": (lambda c: MultiBlockEngine(c, 1), {}),
-    # N=2 shares dual's schedule but not its table layout: per-slot
-    # select tables and target arrays, every block trains.
+    "multi-1-btb": (lambda c: MultiBlockEngine(c, 1),
+                    {"target_kind": "btb", "target_entries": 16,
+                     "btb_associativity": 2}),
+    # N=2 is the dual engine's configuration, built directly.
     "multi-2": (lambda c: MultiBlockEngine(c, 2), {}),
     "multi-2-double": (lambda c: MultiBlockEngine(c, 2),
                        {"selection": DOUBLE_SELECT}),

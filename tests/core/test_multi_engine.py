@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     DOUBLE_SELECT,
-    DualBlockEngine,
     EngineConfig,
     MultiBlockEngine,
     MultiTargetArray,
@@ -13,11 +12,13 @@ from repro.core import (
     TARGET_BTB,
     penalty_cycles_slot,
 )
-from repro.core.engine_mode import ENGINE_ENV
 from repro.cpu import Machine
 from repro.icache import CacheGeometry
+from repro.targets import DualBTBTargetArray
 from repro.trace import SyntheticSpec, synthetic_program
 from repro.core.config import FetchInput
+
+from .test_dual_reference import assert_matches_reference
 
 GEO = CacheGeometry.normal(8)
 
@@ -29,12 +30,9 @@ def synthetic_input(seed=3, geometry=GEO, budget=60_000, **spec_kw):
 
 
 class TestDualEquivalence:
-    """MultiBlockEngine(n=2) must be cycle-for-cycle the dual engine.
-
-    Under ``REPRO_ENGINE=fast`` both engines run one vectorized driver
-    with the same fetch schedule, so only the scalar run compares two
-    independent loops; both engine modes are checked.
-    """
+    """MultiBlockEngine(n=2) must be cycle-for-cycle the paper's dual
+    loop, kept in ``test_dual_reference.py``: stats, timeline and final
+    state, on an irregular synthetic program, in both engine modes."""
 
     @pytest.mark.parametrize("selection", [SINGLE_SELECT, DOUBLE_SELECT])
     @pytest.mark.parametrize("geometry", [
@@ -46,14 +44,9 @@ class TestDualEquivalence:
         fi = synthetic_input(seed=11, geometry=geometry, irregularity=0.6)
         config = EngineConfig(geometry=geometry, selection=selection,
                               n_select_tables=8)
-        for mode in ("scalar", "fast"):
-            monkeypatch.setenv(ENGINE_ENV, mode)
-            dual = DualBlockEngine(config).run(fi)
-            multi = MultiBlockEngine(config, n_blocks_per_cycle=2).run(fi)
-            assert multi.base_cycles == dual.base_cycles, mode
-            assert multi.event_counts == dual.event_counts, mode
-            assert multi.event_cycles == dual.event_cycles, mode
-            assert multi.ipc_f == dual.ipc_f, mode
+        assert_matches_reference(
+            config, fi, monkeypatch,
+            engine_factory=lambda c: MultiBlockEngine(c, 2))
 
 
 class TestValidation:
@@ -66,9 +59,16 @@ class TestValidation:
             MultiBlockEngine(EngineConfig(geometry=GEO, bit_entries=64), 2)
 
     def test_btb_rejected(self):
+        # The BTB's tag holds target number 1 or 2.
         with pytest.raises(ValueError):
             MultiBlockEngine(
-                EngineConfig(geometry=GEO, target_kind=TARGET_BTB), 2)
+                EngineConfig(geometry=GEO, target_kind=TARGET_BTB), 3)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_btb_accepted_up_to_two_blocks(self, n):
+        engine = MultiBlockEngine(
+            EngineConfig(geometry=GEO, target_kind=TARGET_BTB), n)
+        assert isinstance(engine.targets, DualBTBTargetArray)
 
     def test_geometry_mismatch_rejected(self):
         fi = synthetic_input(seed=1)
@@ -165,3 +165,10 @@ class TestMultiTargetArray:
     def test_validation(self):
         with pytest.raises(ValueError):
             MultiTargetArray(0)
+
+    def test_slot_validated(self):
+        array = MultiTargetArray(2, 16, 8)
+        with pytest.raises(ValueError):
+            array.lookup(3, 0, 0)
+        with pytest.raises(ValueError):
+            array.update(0, 0, 0, 1)

@@ -1,13 +1,10 @@
-"""Select table tests: indexing, banks, cold behaviour, dual entries."""
+"""Select table tests: indexing, banks, cold behaviour."""
 
 import pytest
 
 from repro.core import (
-    DualSelectEntry,
-    DualSelectTable,
     FALLTHROUGH_SELECTOR,
     SRC_ARRAY,
-    SRC_RAS,
     SelectEntry,
     SelectTable,
 )
@@ -65,33 +62,3 @@ class TestSelectTable:
     def test_eight_tables_grow_storage(self):
         assert SelectTable(history_length=10, n_tables=8).storage_bits == \
             8 * 8 * 1024
-
-
-class TestDualSelectTable:
-    def test_cold_read_defaults_both(self):
-        st = DualSelectTable(history_length=4)
-        stored = st.read(2, 0)
-        assert stored.first.selector == FALLTHROUGH_SELECTOR
-        assert stored.second.selector == FALLTHROUGH_SELECTOR
-
-    def test_roundtrip(self):
-        st = DualSelectTable(history_length=4)
-        dual = DualSelectEntry(entry(SRC_RAS, 7), entry(SRC_ARRAY, 2))
-        st.write(11, 24, dual)
-        got = st.read(11, 24)
-        assert got.first.selector == (SRC_RAS, 7, None)
-        assert got.second.selector == (SRC_ARRAY, 2, None)
-
-    def test_storage_doubles_single(self):
-        single = SelectTable(history_length=10, n_tables=4)
-        dual = DualSelectTable(history_length=10, n_tables=4)
-        assert dual.storage_bits == 2 * single.storage_bits
-
-    def test_banked_by_start_position(self):
-        st = DualSelectTable(history_length=4, n_tables=2, line_size=8)
-        a = DualSelectEntry(entry(offset=0), entry(offset=0))
-        b = DualSelectEntry(entry(offset=1), entry(offset=1))
-        st.write(5, 8, a)
-        st.write(5, 9, b)
-        assert st.read(5, 8) is a
-        assert st.read(5, 9) is b

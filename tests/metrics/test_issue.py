@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DualBlockEngine, EngineConfig
+from repro.core import DualBlockEngine, EngineConfig, MultiBlockEngine
 from repro.icache import CacheGeometry
 from repro.metrics import simulate_issue
 from repro.workloads import load_fetch_input
@@ -77,6 +77,18 @@ class TestTimelineRecording:
 
     def test_deliveries_bounded_by_two_blocks(self, recorded):
         assert max(recorded.timeline) <= 2 * GEO.block_width
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_grouped_timeline(self, n):
+        """b0 ships alone, then each group of N: the same checks hold
+        for every group size."""
+        fi = load_fetch_input("swim", GEO, 40_000)
+        stats = MultiBlockEngine(EngineConfig(
+            geometry=GEO, n_select_tables=8), n).run(
+                fi, record_timeline=True)
+        assert sum(stats.timeline) == stats.n_instructions
+        assert len(stats.timeline) == stats.fetch_cycles
+        assert max(stats.timeline) <= n * GEO.block_width
 
     def test_paper_claim_eight_issue_absorbs_two_blocks(self, recorded):
         """Section 4: with a raw two-block rate above 8, an 8-issue unit

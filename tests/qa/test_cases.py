@@ -45,6 +45,8 @@ def test_validation_rejects_bad_fields():
         _case(repeats=0)
     with pytest.raises(CaseError):
         QACase.from_dict({"engine": "single", "unexpected": 1})
+    with pytest.raises(CaseError):  # only grouped engines record one
+        _case(engine="single", record_timeline=True)
 
 
 def test_engine_constraints_surface_as_case_errors():

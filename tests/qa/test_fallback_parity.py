@@ -1,7 +1,7 @@
 """Parity for the fast engine's documented scalar fallbacks.
 
-``track_recovery`` (single engine) and ``record_timeline`` (dual
-engine) route ``REPRO_ENGINE=fast`` through the scalar reference loop
+``track_recovery`` (single engine) and ``record_timeline`` (dual and
+multi engines) route ``REPRO_ENGINE=fast`` through the scalar reference loop
 by design.  That fallback must still be *byte-identical* to a genuine
 scalar run — stats, timeline, recovery log, and full predictor state —
 across randomized configurations, not just the fixed parity matrix.
@@ -37,15 +37,25 @@ def test_track_recovery_fallback_parity(index, qa_seed):
     assert verdict.scalar.recovery_log == verdict.fast.recovery_log
 
 
-@pytest.mark.parametrize("index", range(4))
-def test_record_timeline_fallback_parity(index, qa_seed):
-    case = _cases(qa_seed, "dual", 4, record_timeline=True)[index]
+def _assert_timeline_parity(case):
     verdict = check_case(case)
     assert verdict.passed, verdict.summary()
     scalar = verdict.scalar.stats[0]
     fast = verdict.fast.stats[0]
     assert scalar.timeline is not None
     assert fast.timeline == scalar.timeline
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_record_timeline_fallback_parity(index, qa_seed):
+    _assert_timeline_parity(
+        _cases(qa_seed, "dual", 4, record_timeline=True)[index])
+
+
+@pytest.mark.parametrize("index", range(2))
+def test_multi_record_timeline_fallback_parity(index, qa_seed):
+    _assert_timeline_parity(
+        _cases(qa_seed, "multi", 2, record_timeline=True)[index])
 
 
 def test_recovery_log_is_populated(qa_seed):

@@ -5,7 +5,6 @@ import pytest
 from repro.targets import (
     BlockBTB,
     DualBTBTargetArray,
-    DualNLSTargetArray,
     NLSTargetArray,
 )
 
@@ -44,25 +43,6 @@ class TestNLS:
     def test_storage_matches_table7_default(self):
         # 256 entries * 8 positions * 10-bit line index = 20 Kbits.
         assert NLSTargetArray(256, 8).storage_bits == 20 * 1024
-
-
-class TestDualNLS:
-    def test_halves_are_independent(self):
-        dual = DualNLSTargetArray(16, 8)
-        dual.update(1, 4, 2, 100)
-        dual.update(2, 4, 2, 200)
-        assert dual.lookup(1, 4, 2) == 100
-        assert dual.lookup(2, 4, 2) == 200
-
-    def test_which_validated(self):
-        dual = DualNLSTargetArray(16, 8)
-        with pytest.raises(ValueError):
-            dual.lookup(3, 0, 0)
-        with pytest.raises(ValueError):
-            dual.update(0, 0, 0, 1)
-
-    def test_storage_doubles(self):
-        assert DualNLSTargetArray(256, 8).storage_bits == 40 * 1024
 
 
 class TestBTB:

@@ -163,6 +163,34 @@ class TestDiskCache:
         assert len(list((tmp_path / "traces").glob("cached-2000-*.npyrec"))) \
             == 2
 
+    def test_module_clear_caches_goes_cold(self, tmp_path, monkeypatch):
+        """``repro.workloads.clear_caches`` drops every in-memory layer
+        and purges the disk cache: the next load captures afresh."""
+        import repro.cpu
+        import repro.workloads
+        from repro.icache import CacheGeometry
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        geometry = CacheGeometry.normal(8)
+        first = repro.workloads.load_fetch_input("kmp", geometry, 1_234)
+        assert any(path.is_file() for path in tmp_path.rglob("*"))
+        repro.workloads.clear_caches()
+        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+        captured = []
+        capture = repro.cpu.capture_machine
+
+        def counting_capture(program):
+            captured.append(program)
+            return capture(program)
+
+        monkeypatch.setattr("repro.cpu.capture_machine", counting_capture)
+        again = repro.workloads.load_fetch_input("kmp", geometry, 1_234)
+        assert len(captured) == 1
+        assert again is not first
+        assert again.blocks.n_blocks == first.blocks.n_blocks
+        assert any(path.is_file() for path in tmp_path.rglob("*"))
+
     def test_trace_cache_is_lru_bounded(self, tmp_path, monkeypatch):
         import numpy as np
         from repro.workloads import base

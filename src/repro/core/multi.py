@@ -45,8 +45,9 @@ reinterpretation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
+from ..icache.banks import group_conflicts
 from ..predictors.blocked import BlockedPHT
 from ..predictors.ghr import GlobalHistory
 from ..targets.btb import DualBTBTargetArray
@@ -187,8 +188,12 @@ class MultiBlockEngine(BlockEngine):
             flushed = stats.penalty_cycles
             timeline.append(delivered)
 
+        following = cursor.block(0) if n_blocks else None
         for a in range(0, n_blocks, n):
-            anchor = cursor.block(a)
+            # The block after the group is fetched with it and anchors
+            # the next group: build it once.
+            anchor = following
+            following = cursor.block(a + n) if a + n < n_blocks else None
             anchor_line = anchor.start // geometry.line_size
             # History index at block-width granularity: an extended line
             # holds two blocks whose PHT/ST entries must stay distinct
@@ -233,8 +238,15 @@ class MultiBlockEngine(BlockEngine):
             if a + n <= n_blocks:  # only a complete group trains them
                 for table, entry in writes:
                     table.write(index, anchor.start, entry)
-            self._charge_bank_conflicts(a, group, cursor, stats, scheme,
-                                        n_blocks)
+            fetched = group + [following] if following else group
+            conflicts = group_conflicts(geometry, [
+                geometry.lines_for_block(blk.start, blk.n_instr)
+                for blk in fetched])
+            for slot, conflict in enumerate(conflicts[1:], start=2):
+                if conflict:
+                    stats.charge(PenaltyKind.BANK_CONFLICT,
+                                 penalty_cycles_slot(
+                                     scheme, slot, PenaltyKind.BANK_CONFLICT))
 
         if timeline is not None:
             if carry:
@@ -244,38 +256,6 @@ class MultiBlockEngine(BlockEngine):
         return stats
 
     # ------------------------------------------------------------------
-
-    def _charge_bank_conflicts(self, a: int, group: Sequence[ActualBlock],
-                               cursor: BlockCursor, stats: FetchStats,
-                               scheme: str, n_blocks: int) -> None:
-        """Charge stalls within the group fetched together (a+1..a+n).
-
-        The group fetched in one cycle consists of the blocks *after* the
-        anchor; the first member that collides on a bank with an
-        already-claimed distinct line stalls a cycle per Table 3's
-        pattern.
-        """
-        geometry = self.config.geometry
-        fetched: List[ActualBlock] = list(group)
-        if a + self.n < n_blocks:
-            fetched.append(cursor.block(a + self.n))
-        claimed_lines = set()
-        claimed_banks = set()
-        for slot, blk in enumerate(fetched, start=1):
-            lines = geometry.lines_for_block(blk.start, blk.n_instr)
-            conflict = False
-            for line in lines:
-                if line in claimed_lines:
-                    continue
-                bank = geometry.bank_of_line(line)
-                if bank in claimed_banks:
-                    conflict = True
-                else:
-                    claimed_lines.add(line)
-                    claimed_banks.add(bank)
-            if conflict and slot >= 2:
-                stats.charge(PenaltyKind.BANK_CONFLICT, penalty_cycles_slot(
-                    scheme, slot, PenaltyKind.BANK_CONFLICT))
 
     def _verify(self, stored: SelectEntry, walk: BlockPrediction,
                 stats: FetchStats, scheme: str, slot: int) -> None:

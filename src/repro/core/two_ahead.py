@@ -25,7 +25,7 @@ absorb the serialized tag match).
 
 from __future__ import annotations
 
-from ..icache.banks import blocks_conflict
+from ..icache.banks import group_conflicts
 from ..predictors.blocked import BlockedPHT
 from ..predictors.ghr import GlobalHistory
 from ..targets.ras import ReturnAddressStack
@@ -85,10 +85,14 @@ class TwoBlockAheadEngine(BlockEngine):
 
         # "Ahead" state: the index context of the previous block.
         prev_ghr = ghr.value
-        prev_addr = cursor.block(0).start if n_blocks else 0
+        nxt = cursor.block(0) if n_blocks else None
+        prev_addr = nxt.start if n_blocks else 0
 
         for i in range(n_blocks):
-            blk = cursor.block(i)
+            # Each block is built once: as the pair's second block, it
+            # was already read for the first block's bank check.
+            blk = nxt
+            nxt = cursor.block(i + 1) if i + 1 < n_blocks else None
             slot = 1 if i % 2 == 1 else 2  # pairs are (odd, even)
             limit = geometry.block_limit(blk.start)
             window = codes.window(blk.start, limit)
@@ -116,12 +120,10 @@ class TwoBlockAheadEngine(BlockEngine):
                              self.serialization_penalty)
 
             # Bank conflicts between the pair's blocks.
-            if slot == 1 and i + 1 < n_blocks:
-                nxt = cursor.block(i + 1)
-                if blocks_conflict(
-                        geometry,
+            if slot == 1 and nxt is not None:
+                if group_conflicts(geometry, [
                         geometry.lines_for_block(blk.start, blk.n_instr),
-                        geometry.lines_for_block(nxt.start, nxt.n_instr)):
+                        geometry.lines_for_block(nxt.start, nxt.n_instr)])[1]:
                     stats.charge(PenaltyKind.BANK_CONFLICT, penalty_cycles(
                         SINGLE_SELECT, 2, PenaltyKind.BANK_CONFLICT))
 

@@ -11,38 +11,49 @@ self-aligned cache (which reads up to four lines per pair).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 from .geometry import CacheGeometry
+
+
+def group_conflicts(geometry: CacheGeometry,
+                    line_lists: Sequence[Sequence[int]]) -> List[bool]:
+    """Which blocks of one fetch group collide on a bank, in fetch order.
+
+    Each block claims its lines in turn.  A line already claimed is read
+    once and feeds every block that needs it, so it never conflicts; a
+    line whose bank another claimed line holds is a conflict (and stays
+    unclaimed), which stalls its block a cycle (Table 3: i-cache bank
+    conflict, 0 for block 1 / 1 for block 2).  This is the scalar form
+    of :func:`repro.core.kernels.bank_conflicts`.
+    """
+    claimed_lines, claimed_banks = set(), set()
+    out = []
+    for lines in line_lists:
+        conflict = False
+        for line in lines:
+            if line in claimed_lines:
+                continue
+            bank = geometry.bank_of_line(line)
+            if bank in claimed_banks:
+                conflict = True
+            else:
+                claimed_lines.add(line)
+                claimed_banks.add(bank)
+        out.append(conflict)
+    return out
 
 
 def blocks_conflict(geometry: CacheGeometry,
                     first_lines: Sequence[int],
                     second_lines: Sequence[int]) -> bool:
-    """True when the two blocks' line fetches collide on a bank.
+    """True when the second block of a pair stalls on a bank conflict.
 
-    The second block stalls a cycle (Table 3: i-cache bank conflict,
-    0 for block 1 / 1 for block 2) when one of its lines needs a bank one
-    of the first block's *distinct* lines occupies, or when the second
-    block itself needs two lines on the same bank (self-aligned wrap).
-
-    A line shared by both blocks is read once and feeds both, so identical
-    lines never conflict — the common case of two fetch blocks landing in
-    the same cache line costs nothing extra.
+    The pair form of :func:`group_conflicts`: the second block collides
+    with one of the first block's distinct lines or with itself
+    (self-aligned wrap); identical lines never conflict.
     """
-    first_set = set(first_lines)
-    banks_first = {geometry.bank_of_line(line) for line in first_set}
-    seen_lines = set()
-    banks_second = set()
-    for line in second_lines:
-        if line in first_set or line in seen_lines:
-            continue  # already being read this cycle
-        bank = geometry.bank_of_line(line)
-        if bank in banks_first or bank in banks_second:
-            return True
-        seen_lines.add(line)
-        banks_second.add(bank)
-    return False
+    return group_conflicts(geometry, [first_lines, second_lines])[1]
 
 
 def block_lines(geometry: CacheGeometry, start: int, n_instr: int

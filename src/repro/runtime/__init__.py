@@ -23,9 +23,9 @@ The pieces:
   workers drain their home shards and steal from stragglers, one
   worker runs in-process and more run on worker processes, and results
   stay bit-exact under any worker count.
-  :mod:`repro.runtime.sim` drives the same scheduler through a seeded
-  discrete-event simulation so scheduling invariants are fast,
-  deterministic tests.
+  :mod:`repro.runtime.sim` runs the same dispatch loop on seeded
+  virtual workers so scheduling invariants are fast, deterministic
+  tests.
 * :mod:`repro.runtime.heap` — the process heap policy the fast engine
   driver and Figure 6's direction sweep apply once, so a sweep's freed
   temporaries stay in the heap for the next cell instead of being

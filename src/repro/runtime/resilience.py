@@ -9,10 +9,11 @@ recovered cell re-runs the same deterministic simulation — but survives
 the faults a long campaign actually hits:
 
 * **One scheduled loop**: every sweep, serial or parallel, is driven by
-  the work-stealing :class:`~repro.runtime.shard.ShardScheduler`
-  (:func:`repro.runtime.shard.run_sharded_loop`) with one shard per
-  worker — the loop the discrete-event testbed checks.  One worker runs
-  in-process; two or more run on worker processes.
+  the work-stealing :class:`~repro.runtime.shard.ShardScheduler` with
+  one shard per worker, through :func:`repro.runtime.shard.drive` — the
+  loop the discrete-event testbed runs, respawn budget and serial
+  degrade included.  One worker runs in-process; two or more run on
+  worker processes.
 * **Per-cell deadline** (``REPRO_CELL_TIMEOUT``, seconds): a parallel
   cell that exceeds it has its worker killed and is retried.  In-process
   execution has no preemption boundary, so deadlines only apply to
@@ -54,8 +55,11 @@ import hashlib
 import os
 import pickle
 import shutil
+import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -469,31 +473,65 @@ def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
         pass
 
 
-@dataclass
-class _Slot:
-    """One parallel worker slot: a single-worker pool plus in-flight cell."""
-
-    pool: Optional[ProcessPoolExecutor] = None
-    future: object = None
-    deadline: Optional[float] = None
-
-
 class WorkerPools:
-    """The worker slots of one or more sweeps, and their lazy pools.
+    """The worker processes of one or more sweeps: a pool per slot.
 
-    A sweep run without a holder creates one and closes it when the
-    sweep ends.  A caller that keeps one across sweeps (the prediction
-    service) reuses live worker processes and must :meth:`close` it.
+    Owned as the module docstring says.  :meth:`bind` makes the first
+    ``n`` slots one sweep's :func:`~repro.runtime.shard.drive` worker
+    set: a missing pool forks when its slot is handed a cell, a killed
+    one forks again lazily, and ``wait`` blocks, never polling.
     """
 
-    def __init__(self) -> None:
-        self.slots: List[_Slot] = []
+    down = frozenset()
 
-    def take(self, n: int) -> List[_Slot]:
-        """The first ``n`` slots, adding empty ones; no pool is forked."""
-        while len(self.slots) < n:
-            self.slots.append(_Slot())
-        return self.slots[:n]
+    def __init__(self) -> None:
+        self.pools: List[Optional[ProcessPoolExecutor]] = []
+        self.futures: Dict[int, Future] = {}
+
+    def bind(self, n: int, fn: Callable, cells: Sequence, inject: bool,
+             timeout: Optional[float]) -> "WorkerPools":
+        """Serve one sweep on ``n`` slots; no pool is forked yet."""
+        self.pools += [None] * (n - len(self.pools))
+        self.size, self.deadline = n, timeout
+        self._sweep = (fn, cells, inject, os.environ.get(faults.FAULTS_ENV))
+        return self
+
+    def start(self, worker: int, assignment) -> bool:
+        fn, cells, inject, fault_spec = self._sweep
+        try:
+            if self.pools[worker] is None:
+                self.pools[worker] = _new_pool()
+            self.futures[worker] = self.pools[worker].submit(
+                _pool_cell, fn, cells[assignment.cell], assignment.cell,
+                assignment.attempt, inject, assignment.shard, fault_spec)
+        except (BrokenProcessPool, OSError, RuntimeError):
+            self.kill(worker)
+            return False
+        return True
+
+    def wait(self, until: Optional[float]) -> List:
+        timeout = (None if until is None
+                   else max(0.0, until - time.monotonic()))
+        finished, _ = wait(self.futures.values(), timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+        ended = []
+        for worker, future in sorted(self.futures.items()):
+            if future not in finished:
+                continue
+            del self.futures[worker]
+            exc = future.exception()
+            if exc is None:
+                ended.append((worker, "done", future.result()))
+            else:
+                kind = ("crash" if isinstance(exc, BrokenProcessPool)
+                        else "error")
+                ended.append((worker, kind, repr(exc)))
+        return ended
+
+    def kill(self, worker: int) -> None:
+        _terminate_pool(self.pools[worker])
+        self.pools[worker] = None
+        self.futures.pop(worker, None)
 
     def close(self) -> None:
         """Shut every pool down, killing any worker still mid-cell.
@@ -501,12 +539,13 @@ class WorkerPools:
         Idle workers exit cleanly.  A busy one is left only by an
         interrupted sweep, and waiting for it could block for good.
         """
-        slots, self.slots = self.slots, []
-        for slot in slots:
-            if slot.future is not None:
-                _terminate_pool(slot.pool)
-            elif slot.pool is not None:
-                slot.pool.shutdown(wait=True)
+        pools, self.pools = self.pools, []
+        for worker, pool in enumerate(pools):
+            if worker in self.futures:
+                _terminate_pool(pool)
+            elif pool is not None:
+                pool.shutdown(wait=True)
+        self.futures.clear()
 
 
 # ----------------------------------------------------------------------

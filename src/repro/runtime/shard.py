@@ -1,4 +1,4 @@
-"""Sweep scheduling: partitioning, work stealing, the sweep driver.
+"""Sweep scheduling: partitioning, work stealing, the one dispatch loop.
 
 Every sweep of :func:`repro.runtime.resilience.run_resilient` runs
 through this module, whatever its worker count.  The sweep's cells are
@@ -7,42 +7,41 @@ deterministic longest-processing-time greedy over per-cell cost
 estimates (uniform when none are known, which deals cells round-robin),
 so shard loads stay balanced when cell costs are skewed.
 
-Execution then goes through :class:`ShardScheduler` — a *pure* decision
-core with an injected clock and no I/O, shared verbatim between the real
-driver (:func:`run_sharded_loop`) and the discrete-event testbed of
-:mod:`repro.runtime.sim`.  Each worker drains its *home* shards
+:class:`ShardScheduler` is the *pure* decision core, with an injected
+clock and no I/O.  Each worker drains its *home* shards
 (``shard % n_workers == worker``) in FIFO order and, when those are
 empty, **steals from the longest remaining queue** (ties to the lowest
 shard id) so one straggler shard cannot serialize the sweep.  Every
 steal is recorded with a queue-depth snapshot, which is how the sim
 asserts the steal policy as an invariant rather than trusting it.
 
-The driver runs one worker in-process (no pool, no deadline, first
-attempts in pending order) and two or more on the single-worker pools of
-:mod:`repro.runtime.resilience`, with the same retry budget, per-cell
-deadline kills and pool-respawn budget.  Those pools belong to a
-:class:`~repro.runtime.resilience.WorkerPools` holder: the sweep's own
-(shut down when it ends) or its caller's (left running for the next
-sweep).  When pools keep dying the same scheduler carries on with the
-in-process worker, so attempts and retries are accounted in one place.
-Journaled sweeps checkpoint every cell as ``cell-<i>.pkl`` keyed by
-*global* cell index, so a resume may use a different worker count and
-still merge bit-exact.
+:func:`drive` is the only loop that dispatches its cells: it fills idle
+workers, waits, judges each attempt, kills a worker past its deadline,
+and once kills pass the respawn budget hands the cells in flight back
+and finishes on the in-process worker.  It runs on a worker set:
+:class:`InProcessWorker` for one worker (no deadline, injected faults
+raise), :class:`ProcessSlots` for two or more (the single-worker pools
+of a :class:`~repro.runtime.resilience.WorkerPools`, the sweep's own or
+its caller's), and the seeded virtual workers of
+:mod:`repro.runtime.sim` — so the scheduler battery drives the loop real
+sweeps run, respawn budget and serial degrade included.  Journaled
+sweeps checkpoint every cell as ``cell-<i>.pkl`` keyed by *global* cell
+index, so a resume may use a different worker count and still merge
+bit-exact.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (Callable, Deque, Dict, List, Optional, Sequence,
-                    Tuple)
+from types import MappingProxyType
+from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from . import faults
+from . import resilience as res
 from .resilience import FAILED, WorkerPools
 
 #: Scheduler verdicts returned by :meth:`ShardScheduler.fail`.
@@ -102,7 +101,7 @@ def partition(cells: Sequence, n_shards: int,
 
 
 # ----------------------------------------------------------------------
-# The pure scheduler core (shared by the process driver and the sim)
+# The pure scheduler core
 # ----------------------------------------------------------------------
 
 def home_shards(worker: int, n_shards: int, n_workers: int
@@ -144,7 +143,7 @@ class ShardScheduler:
     the discrete-event testbed (:mod:`repro.runtime.sim`) runs this
     exact class under a virtual clock.  The scheduler owns per-shard
     FIFO queues, the retry/backoff bookkeeping of the ``outcomes`` it is
-    given, and the steal audit trail; callers own execution.
+    given, and the steal audit trail; :func:`drive` owns execution.
 
     Dispatch order is deterministic given the plan, the pending set and
     the sequence of ``acquire``/``complete``/``fail`` calls: home shards
@@ -238,26 +237,16 @@ class ShardScheduler:
         return assignment
 
     def unacquire(self, worker: int) -> None:
-        """Hand a cell back unrun (e.g. the worker pool failed to spawn).
+        """Hand a cell back without a verdict, its attempt uncounted.
 
-        The attempt is uncounted and the cell returns to the *front* of
-        its home queue, preserving FIFO order.
+        For an attempt that never ran (its worker failed to start) or
+        was cut off unjudged (the pools were given up mid-cell).  The
+        cell returns to the *front* of its home queue, preserving FIFO
+        order, so the attempt budget counts only judged attempts.
         """
         assignment = self._pop_inflight(worker)
         self.outcomes[assignment.cell].attempts -= 1
         self._queues[assignment.shard].appendleft(assignment.cell)
-
-    def abandon(self, worker: int) -> Assignment:
-        """Requeue a worker's in-flight cell without judging the attempt.
-
-        The degrade path: execution was interrupted mid-cell, so the
-        attempt stays counted (it was real work) but the cell goes back
-        to its home queue for the in-process worker instead of burning
-        a retry verdict here.
-        """
-        assignment = self._pop_inflight(worker)
-        self._queues[assignment.shard].append(assignment.cell)
-        return assignment
 
     def complete(self, worker: int) -> Assignment:
         """Record ``worker``'s in-flight cell as done, exactly once."""
@@ -304,22 +293,14 @@ class ShardScheduler:
             return None
         return min(r for r, _ in self._waiting)
 
-    def has_ready(self) -> bool:
-        """Whether any queue holds a cell ready to dispatch right now."""
-        self._promote_ripe()
-        return any(self._queues)
-
     @property
-    def inflight(self) -> Dict[int, Assignment]:
-        return dict(self._inflight)
+    def inflight(self) -> Mapping[int, Assignment]:
+        """Live read-only view: worker -> its in-flight assignment."""
+        return MappingProxyType(self._inflight)
 
     @property
     def completed(self) -> List[int]:
         return sorted(self._completed)
-
-    @property
-    def failed(self) -> List[int]:
-        return sorted(self._failed)
 
     @property
     def finished(self) -> bool:
@@ -361,8 +342,122 @@ class ShardInfo:
 
 
 # ----------------------------------------------------------------------
-# The real driver
+# The one dispatch loop and its worker sets
 # ----------------------------------------------------------------------
+
+def _sleep_until(until: float) -> None:
+    time.sleep(max(0.0, until - time.monotonic()) + 0.001)
+
+
+class InProcessWorker:
+    """Worker 0 in this process, never killed: nothing preempts it.
+
+    ``run(assignment)`` executes the cell when the loop waits.
+    """
+
+    size, deadline, down = 1, None, frozenset()
+
+    def __init__(self, run: Callable[[Assignment], Any]):
+        self.run = run
+        self._started: Optional[Assignment] = None
+
+    def start(self, worker: int, assignment: Assignment) -> bool:
+        self._started = assignment
+        return True
+
+    def wait(self, until: Optional[float]) -> List[Tuple[int, str, Any]]:
+        try:
+            return [(0, "done", self.run(self._started))]
+        except Exception as exc:
+            return [(0, "error", repr(exc))]
+
+
+def drive(scheduler: ShardScheduler, workers, serial, report,
+          results: List, record: Optional[Callable] = None,
+          log: Optional[Callable] = None,
+          sleep: Callable[[float], None] = _sleep_until) -> None:
+    """Run ``scheduler`` to the end: the one loop that dispatches cells.
+
+    Each turn fills idle workers, waits for the next completion, crash
+    or deadline, and judges what ended; when nothing runs and no worker
+    is down, it calls ``sleep`` until a retry's backoff ends instead.
+    Kills and failed starts count in ``report.pool_respawns``; past
+    ``max(POOL_RESPAWN_BUDGET, 2 * workers.size)`` the cells in flight
+    go back unjudged and ``serial`` finishes
+    (``report.degraded_serial``).  ``log(kind, assignment)`` sees every
+    sim trace event but ``respawn``.
+
+    A worker set has ``size`` workers, a per-attempt ``deadline``
+    (``None``: nothing preempts), the workers ``down`` that cannot start
+    yet, ``start(worker, assignment)`` (``False``: it failed to start),
+    ``kill(worker)``, and ``wait(until)``, which blocks until an attempt
+    ends or the clock reaches ``until`` and returns ``(worker, kind,
+    payload)`` ends: ``done`` and the value, or ``error`` (the worker
+    lives) or ``crash`` and the error text.
+    """
+    budget = max(res.POOL_RESPAWN_BUDGET, 2 * workers.size)
+    note = log or (lambda _kind, _assignment: None)
+    running = scheduler.inflight
+    deadlines: Dict[int, float] = {}
+
+    def failed(worker: int, kind: str, error: str) -> None:
+        assignment = running[worker]
+        deadlines.pop(worker, None)
+        note(kind, assignment)
+        if kind != "error":
+            report.pool_respawns += 1
+            workers.kill(worker)
+        if scheduler.fail(worker, error,
+                          timed_out=kind == "timeout") == GAVE_UP:
+            note("fail", assignment)
+
+    while not scheduler.finished:
+        if workers is not serial and report.pool_respawns > budget:
+            for worker in range(workers.size):
+                workers.kill(worker)
+                if worker in running:
+                    scheduler.unacquire(worker)
+            deadlines.clear()
+            report.degraded_serial = True
+            note("degrade", None)
+            workers = serial
+
+        for worker in range(workers.size):
+            if worker in running or worker in workers.down:
+                continue
+            assignment = scheduler.acquire(worker)
+            if assignment is None:
+                continue
+            if not workers.start(worker, assignment):
+                scheduler.unacquire(worker)
+                report.pool_respawns += 1
+                continue
+            note("assign", assignment)
+            if workers.deadline is not None:
+                deadlines[worker] = scheduler.clock() + workers.deadline
+
+        if not running and not workers.down:
+            ready_at = scheduler.next_ready_at()
+            if ready_at is not None:
+                sleep(ready_at)
+            continue  # else only failed starts: check the budget, refill
+        for worker, kind, payload in workers.wait(
+                min(deadlines.values(), default=None)):
+            if kind != "done":
+                failed(worker, kind, payload)
+                continue
+            deadlines.pop(worker, None)
+            assignment = scheduler.complete(worker)
+            results[assignment.cell] = payload
+            scheduler.outcomes[assignment.cell].finish()
+            if record is not None:
+                record(assignment.cell, payload)
+            note("done", assignment)
+        now = scheduler.clock()
+        for worker in sorted(w for w, at in deadlines.items() if at <= now):
+            failed(worker, "timeout",
+                   f"cell exceeded {workers.deadline}s deadline")
+
 
 def run_sharded_loop(fn: Callable, cells: Sequence,
                      pending: Sequence[int], results: List, report,
@@ -370,19 +465,13 @@ def run_sharded_loop(fn: Callable, cells: Sequence,
                      timeout: Optional[float], inject: bool,
                      journal, pools: Optional[WorkerPools] = None,
                      ) -> None:
-    """Drive :class:`ShardScheduler` until every pending cell is terminal.
+    """Run every pending cell through :func:`drive`.
 
-    One worker runs in-process.  Two or more run on single-worker
-    process pools (:func:`_drive_pools`); if those degrade, the same
-    scheduler finishes the sweep on the in-process worker.  Successful
-    cells land in ``results`` and the ``journal``; failures are marked
-    on ``report.outcomes`` by the scheduler, and the schedule itself is
-    recorded as ``report.shards``.  ``pools`` is the caller's
-    :class:`~repro.runtime.resilience.WorkerPools`, left running at the
-    end; without one the sweep creates and shuts down its own.
+    One worker runs in-process; two or more on the process pools of
+    ``pools`` (left running), or of the sweep's own, shut down at the
+    end.  Results land in ``results`` and the ``journal``, failures on
+    ``report.outcomes``, and the schedule in ``report.shards``.
     """
-    from . import resilience as res
-
     info = report.shards = ShardInfo(n_shards=plan.n_shards,
                                      n_workers=n_workers)
     scheduler = ShardScheduler(plan, pending, n_workers, retries,
@@ -390,156 +479,28 @@ def run_sharded_loop(fn: Callable, cells: Sequence,
                                outcomes=report.outcomes,
                                backoff=res._backoff)
 
-    def succeed(worker: int, value) -> None:
-        index = scheduler.complete(worker).cell
-        results[index] = value
-        report.outcomes[index].finish()
-        if journal is not None:
-            journal.record(index, value)
+    def run_cell(assignment: Assignment) -> Any:
+        if inject:  # in-process, a crash or hang fault raises
+            faults.apply_cell_faults(assignment.cell, assignment.attempt,
+                                     isolated=False)
+        return fn(cells[assignment.cell])
 
-    if n_workers > 1:
-        owned = pools is None
+    serial = InProcessWorker(run_cell)
+    owned = n_workers > 1 and pools is None
+    if owned:
+        pools = WorkerPools()
+    try:
+        workers = serial if n_workers == 1 else pools.bind(
+            n_workers, fn, cells, inject, timeout)
+        drive(scheduler, workers, serial, report, results,
+              journal.record if journal is not None else None)
+    finally:
         if owned:
-            pools = WorkerPools()
-        try:
-            why = _drive_pools(scheduler, fn, cells, report, timeout,
-                               inject, succeed, pools.take(n_workers))
-        finally:
-            if owned:
-                pools.close()
-        if why is not None:
-            report.degraded_serial = True
-            warnings.warn(
-                f"sweep {report.label or '<unlabeled>'} degraded to "
-                f"serial execution: {why}", RuntimeWarning, stacklevel=3)
-    _drive_in_process(scheduler, fn, cells, inject, succeed)
+            pools.close()
+    if report.degraded_serial:
+        warnings.warn(
+            f"sweep {report.label or '<unlabeled>'} degraded to serial "
+            f"execution: {report.pool_respawns} worker-pool failures",
+            RuntimeWarning, stacklevel=3)
     info.steals = len(scheduler.steals)
     info.cells_done = scheduler.shard_progress()
-
-
-def _drive_in_process(scheduler: ShardScheduler, fn: Callable,
-                      cells: Sequence, inject: bool,
-                      succeed: Callable) -> None:
-    """Run every remaining cell in this process, as worker 0.
-
-    There is no isolation boundary here: injected ``crash``/``hang``
-    faults degrade to raised exceptions, and no deadline applies.
-    """
-    while not scheduler.finished:
-        assignment = scheduler.acquire(0)
-        if assignment is None:
-            ready_at = scheduler.next_ready_at()
-            if ready_at is None:
-                raise ShardStateError(
-                    f"no runnable cell, yet cells "
-                    f"{scheduler.remaining()} are unfinished")
-            time.sleep(max(0.0, ready_at - time.monotonic()))
-            continue
-        try:
-            if inject:
-                faults.apply_cell_faults(assignment.cell,
-                                         assignment.attempt,
-                                         isolated=False)
-            value = fn(cells[assignment.cell])
-        except Exception as exc:
-            scheduler.fail(0, repr(exc))
-            continue
-        succeed(0, value)
-
-
-def _drive_pools(scheduler: ShardScheduler, fn: Callable,
-                 cells: Sequence, report, timeout: Optional[float],
-                 inject: bool, succeed: Callable,
-                 slots: List) -> Optional[str]:
-    """Run the scheduler's workers on the single-worker pools of ``slots``.
-
-    Live pools are reused and left running; a missing one forks when
-    its slot is first handed a cell.  Returns ``None`` when every cell
-    is terminal, or the reason the pools were abandoned after too many
-    failures; abandoned in-flight cells go back to their queues for the
-    in-process worker.
-    """
-    from . import resilience as res
-
-    budget = max(res.POOL_RESPAWN_BUDGET, 2 * len(slots))
-    fault_spec = os.environ.get(faults.FAULTS_ENV)
-
-    while not scheduler.finished:
-        if report.pool_respawns > budget:
-            for worker, slot in enumerate(slots):
-                res._terminate_pool(slot.pool)
-                if slot.future is not None:
-                    scheduler.abandon(worker)
-                slot.pool, slot.future = None, None
-            return f"{report.pool_respawns} worker-pool failures"
-
-        # Fill idle worker slots from the scheduler.
-        for worker, slot in enumerate(slots):
-            if slot.future is not None:
-                continue
-            assignment = scheduler.acquire(worker)
-            if assignment is None:
-                continue
-            try:
-                if slot.pool is None:
-                    slot.pool = res._new_pool()
-                slot.future = slot.pool.submit(
-                    res._pool_cell, fn, cells[assignment.cell],
-                    assignment.cell, assignment.attempt, inject,
-                    assignment.shard, fault_spec)
-            except (BrokenProcessPool, OSError, RuntimeError):
-                scheduler.unacquire(worker)
-                report.pool_respawns += 1
-                res._terminate_pool(slot.pool)
-                slot.pool, slot.future = None, None
-                continue
-            slot.deadline = (time.monotonic() + timeout
-                             if timeout is not None else None)
-
-        busy = [(w, s) for w, s in enumerate(slots)
-                if s.future is not None]
-        if not busy:
-            if scheduler.has_ready():
-                continue  # a cell was handed back; redispatch
-            ready_at = scheduler.next_ready_at()
-            if ready_at is None:
-                break  # nothing queued, waiting or running
-            time.sleep(max(0.0, ready_at - time.monotonic()) + 0.001)
-            continue
-
-        wait_for = None
-        deadlines = [slot.deadline for _, slot in busy
-                     if slot.deadline is not None]
-        if deadlines:
-            wait_for = max(0.0, min(deadlines) - time.monotonic())
-        next_retry = scheduler.next_ready_at()
-        if next_retry is not None and len(busy) < len(slots):
-            soonest = max(0.0, next_retry - time.monotonic())
-            wait_for = soonest if wait_for is None \
-                else min(wait_for, soonest)
-        finished, _ = wait([slot.future for _, slot in busy],
-                           timeout=wait_for,
-                           return_when=FIRST_COMPLETED)
-
-        now = time.monotonic()
-        for worker, slot in busy:
-            if slot.future in finished:
-                exc = slot.future.exception()
-                if exc is None:
-                    succeed(worker, slot.future.result())
-                else:
-                    if isinstance(exc, BrokenProcessPool):
-                        report.pool_respawns += 1
-                        res._terminate_pool(slot.pool)
-                        slot.pool = None
-                    scheduler.fail(worker, repr(exc))
-                slot.future = None
-            elif slot.deadline is not None and now >= slot.deadline:
-                # Hung worker: kill it; the slot's pool respawns lazily.
-                report.pool_respawns += 1
-                res._terminate_pool(slot.pool)
-                slot.pool, slot.future = None, None
-                scheduler.fail(worker,
-                               f"cell exceeded {timeout}s deadline",
-                               timed_out=True)
-    return None

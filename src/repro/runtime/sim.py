@@ -4,12 +4,13 @@ The scheduler of :mod:`repro.runtime.shard` is recovery logic, and
 recovery logic exercised only by real processes is recovery logic
 tested by luck: crashes land where the OS scheduler puts them, hangs
 need wall-clock timeouts, and a failure seen once in CI may never
-reproduce.  This module is the simulator-of-the-simulator: it drives
-the *real* :class:`~repro.runtime.shard.ShardScheduler` — the same
-class the process driver uses, byte for byte — through its injected
-clock boundary, replacing workers with a seeded model (per-cell costs,
-per-worker speeds, per-attempt crash/hang fates) and time with a
-virtual clock advanced event by event.
+reproduce.  This module is the simulator-of-the-simulator: it runs
+:func:`repro.runtime.shard.drive`, the dispatch loop of every real
+sweep (retries, deadline kills, respawn budget and serial degrade
+included), on seeded workers instead of processes (per-cell costs,
+per-worker speeds, per-attempt crash/hang fates, a respawn delay) and
+a virtual clock advanced event by event.  A degraded schedule finishes
+on the real in-process worker, where a crash or hang fate raises.
 
 Everything is derived from ``SimSpec.seed`` through string-seeded
 ``random.Random`` instances (stable across processes and
@@ -40,7 +41,6 @@ re-simulates a saved trace and diffs the event logs.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import json
 import random
 from dataclasses import dataclass, field
@@ -49,7 +49,8 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple, Union)
 
 from . import shard
-from .resilience import FAILED, CellOutcome
+from .faults import FaultInjected
+from .resilience import FAILED, CellOutcome, SweepReport
 
 #: Trace schema version; readers refuse versions they do not understand.
 TRACE_FORMAT = 1
@@ -199,7 +200,8 @@ def makespan_lower_bound(spec: SimSpec) -> float:
 # ----------------------------------------------------------------------
 
 #: Event kinds, in the order they can occur for one assignment.
-EVENT_KINDS = ("assign", "done", "crash", "timeout", "fail", "respawn")
+EVENT_KINDS = ("assign", "done", "error", "crash", "timeout", "fail",
+               "respawn", "degrade")
 
 
 @dataclass(frozen=True)
@@ -253,22 +255,74 @@ class SimResult:
         return [event.row() for event in self.events]
 
 
-class _VirtualClock:
-    """Monotone virtual time, advanced only by the event loop."""
-
-    def __init__(self) -> None:
-        self._now = 0.0
-
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, t: float) -> None:
-        if t > self._now:
-            self._now = t
+class _Stopped(Exception):
+    """The schedule reached its ``stop_at`` instant."""
 
 
-def _default_result(index: int) -> Tuple[str, int]:
-    return ("cell", index)
+class _SimWorkers:
+    """The spec's seeded workers on a virtual clock, a drive() set.
+
+    A cell takes ``cost / speed`` under its attempt's fate: a crash
+    dies partway through, a hang never ends and is left to the
+    deadline, and a killed worker is back after ``respawn_delay``.
+    Time ``now`` only moves forward; moving past ``stop_at`` stops the
+    schedule.
+    """
+
+    def __init__(self, spec: SimSpec, costs: List[float],
+                 run: Callable[[int], Any], emit: Callable,
+                 stop_at: Optional[float]) -> None:
+        self.spec, self.costs, self.run, self.emit = spec, costs, run, emit
+        self.size, self.deadline = spec.n_workers, spec.timeout
+        self.speeds = worker_speeds(spec)
+        self.now, self.stop_at = 0.0, stop_at
+        self.down: set = set()
+        #: worker -> (at, seq, kind, cell): its one pending event, where
+        #: seq breaks ties in the order the events were set.
+        self._next: Dict[int, Tuple[float, int, str, int]] = {}
+        self._seq = 0
+
+    def reach(self, at: float) -> None:
+        if self.stop_at is not None and at > self.stop_at:
+            raise _Stopped
+        self.now = max(self.now, at)
+
+    def _set(self, worker: int, at: float, kind: str, cell: int) -> None:
+        self._seq += 1
+        self._next[worker] = (at, self._seq, kind, cell)
+
+    def start(self, worker: int, assignment: shard.Assignment) -> bool:
+        fate, fraction = attempt_fate(self.spec, assignment.cell,
+                                      assignment.attempt, worker)
+        duration = self.costs[assignment.cell] / self.speeds[worker]
+        if fate == "ok":
+            self._set(worker, self.now + duration, "done",
+                      assignment.cell)
+        elif fate == "crash":
+            self._set(worker, self.now + duration * fraction,
+                      "crash", assignment.cell)
+        return True  # a hang sets nothing: only the deadline ends it
+
+    def wait(self, until: Optional[float]) -> List[Tuple[int, str, Any]]:
+        if self._next:
+            worker = min(self._next, key=self._next.__getitem__)
+            at, _, kind, cell = self._next[worker]
+            if until is None or at <= until:
+                self.reach(at)
+                del self._next[worker]
+                if kind == "respawn":
+                    self.down.discard(worker)
+                    self.emit("respawn", None, worker)
+                    return []
+                return [(worker, kind, self.run(cell) if kind == "done"
+                         else "worker crashed mid-cell")]
+        self.reach(until)
+        return []
+
+    def kill(self, worker: int) -> None:
+        self.down.add(worker)
+        self._set(worker, self.now + self.spec.respawn_delay,
+                  "respawn", -1)
 
 
 # ----------------------------------------------------------------------
@@ -296,109 +350,57 @@ def simulate(spec: SimSpec, cells: Optional[Sequence] = None,
             f"got {len(cells)} cells for a spec with "
             f"n_cells={spec.n_cells}")
     costs = cell_costs(spec)
-    speeds = worker_speeds(spec)
     plan = shard.partition(cells, spec.n_shards, costs=costs)
     outcomes = [CellOutcome(i) for i in range(spec.n_cells)]
     done_set = set(done)
     for index in done_set:
         outcomes[index].resumed = True
     pending = [i for i in range(spec.n_cells) if i not in done_set]
-    clock = _VirtualClock()
-    scheduler = shard.ShardScheduler(plan, pending, spec.n_workers,
-                                     spec.retries, clock=clock.now,
-                                     outcomes=outcomes,
-                                     backoff=_sim_backoff)
-
-    heap: List[Tuple[float, int, str, int]] = []
-    seq = 0
     events: List[SimEvent] = []
-    busy: Dict[int, shard.Assignment] = {}
-    alive = [True] * spec.n_workers
     results: List[Any] = [None] * spec.n_cells
     completions = [0] * spec.n_cells
-    interrupted = False
 
-    def push(at: float, kind: str, worker: int) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (at, seq, kind, worker))
-        seq += 1
+    def emit(kind: str, a: Optional[shard.Assignment],
+             worker: int = -1) -> None:
+        row = ((a.worker, a.cell, a.shard, a.attempt, a.stolen) if a
+               else (worker, -1, -1, 0, False))
+        events.append(SimEvent(kind, workers.now, *row))
 
-    def emit(kind: str, assignment: shard.Assignment) -> None:
-        events.append(SimEvent(
-            kind=kind, time=clock.now(), worker=assignment.worker,
-            cell=assignment.cell, shard=assignment.shard,
-            attempt=assignment.attempt, stolen=assignment.stolen))
+    def run(index: int) -> Any:
+        return (execute(cells[index]) if execute is not None
+                else ("cell", index))
 
-    def fill() -> None:
-        for worker in range(spec.n_workers):
-            if not alive[worker] or worker in busy:
-                continue
-            assignment = scheduler.acquire(worker)
-            if assignment is None:
-                continue
-            busy[worker] = assignment
-            emit("assign", assignment)
-            fate, fraction = attempt_fate(spec, assignment.cell,
-                                          assignment.attempt, worker)
-            duration = costs[assignment.cell] / speeds[worker]
-            if fate == "crash":
-                push(clock.now() + duration * fraction, "crash", worker)
-            elif fate == "hang":
-                push(clock.now() + float(spec.timeout or 0.0),
-                     "timeout", worker)
-            elif spec.timeout is not None and duration > spec.timeout:
-                # A cell genuinely slower than the deadline is killed at
-                # the deadline, exactly like the real driver would.
-                push(clock.now() + spec.timeout, "timeout", worker)
-            else:
-                push(clock.now() + duration, "done", worker)
+    def run_in_process(assignment: shard.Assignment) -> Any:
+        # The serial finisher, at unit speed: a crash or hang fate
+        # raises at once, as an injected fault does in-process.
+        if attempt_fate(spec, assignment.cell, assignment.attempt,
+                        0)[0] != "ok":
+            raise FaultInjected(f"injected fault: cell {assignment.cell}")
+        workers.reach(workers.now + costs[assignment.cell])
+        return run(assignment.cell)
 
-    while True:
-        fill()
-        if scheduler.finished:
-            break
-        if not heap:
-            ready_at = scheduler.next_ready_at()
-            if ready_at is None:
-                break  # wedged — verify_invariants will name the cells
-            clock.advance_to(ready_at)
-            continue
-        at, _, kind, worker = heapq.heappop(heap)
-        if stop_at is not None and at > stop_at:
-            interrupted = True
-            break
-        clock.advance_to(at)
-        if kind == "respawn":
-            alive[worker] = True
-            events.append(SimEvent(kind="respawn", time=at,
-                                   worker=worker, cell=-1, shard=-1,
-                                   attempt=0, stolen=False))
-            continue
-        assignment = busy.pop(worker)
-        if kind == "done":
-            scheduler.complete(worker)
-            outcomes[assignment.cell].finish()
-            completions[assignment.cell] += 1
-            value = (execute(cells[assignment.cell])
-                     if execute is not None
-                     else _default_result(assignment.cell))
-            results[assignment.cell] = value
-            emit("done", assignment)
-        else:  # crash | timeout: the worker is killed and respawned
-            emit(kind, assignment)
-            error = ("worker crashed mid-cell" if kind == "crash"
-                     else f"cell exceeded {spec.timeout}s deadline")
-            verdict = scheduler.fail(worker, error,
-                                     timed_out=(kind == "timeout"))
-            if verdict == shard.GAVE_UP:
-                emit("fail", assignment)
-            alive[worker] = False
-            push(at + spec.respawn_delay, "respawn", worker)
+    def record(index: int, _value: Any) -> None:
+        completions[index] += 1
 
+    workers = _SimWorkers(spec, costs, run, emit, stop_at)
+    scheduler = shard.ShardScheduler(plan, pending, spec.n_workers,
+                                     spec.retries,
+                                     clock=lambda: workers.now,
+                                     outcomes=outcomes,
+                                     backoff=_sim_backoff)
+    report = SweepReport(label=None, n_cells=spec.n_cells,
+                         jobs=spec.n_workers, outcomes=outcomes)
+    try:
+        shard.drive(scheduler, workers,
+                    shard.InProcessWorker(run_in_process), report,
+                    results, record, emit, sleep=workers.reach)
+        interrupted = False
+    except _Stopped:
+        interrupted = True
     return SimResult(spec=spec, plan=plan, events=events,
                      outcomes=outcomes, results=results,
                      steals=list(scheduler.steals),
-                     completions=completions, makespan=clock.now(),
+                     completions=completions, makespan=workers.now,
                      interrupted=interrupted)
 
 

@@ -1,6 +1,7 @@
 """Bank-conflict model tests."""
 
-from repro.icache import CacheGeometry, blocks_conflict, block_lines
+from repro.icache import (CacheGeometry, block_lines, blocks_conflict,
+                          group_conflicts)
 
 
 GEO = CacheGeometry.normal(8)          # 8 banks
@@ -39,3 +40,13 @@ class TestBlockLines:
 
     def test_self_aligned_two_lines(self):
         assert tuple(block_lines(SA, 5, 8)) == (0, 1)
+
+
+class TestGroupConflicts:
+    def test_later_blocks_check_every_earlier_claim(self):
+        # Line 16 (bank 0) collides with block 0's line 0; block 2's
+        # line 17 collides with block 0's line 1, while its line 5 is
+        # already read for block 1 and costs nothing.
+        assert group_conflicts(SA, [[0, 1], [5, 6], [5, 17]]) \
+            == [False, False, True]
+        assert group_conflicts(GEO, [[3], [3], [11]]) == [False, False, True]

@@ -8,6 +8,9 @@ retries and a kill/resume cycle that changes the worker count between
 runs.
 """
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.runtime import cache, faults, resilience
@@ -151,13 +154,20 @@ class TestScheduler:
         assert outcomes[a.cell].attempts == 0
         assert sched.acquire(0).cell == a.cell
 
-    def test_abandon_requeues_with_attempt_counted(self):
-        sched, outcomes = _scheduler()
-        a = sched.acquire(0)
-        sched.abandon(0)
-        assert outcomes[a.cell].attempts == 1
-        assert a.cell in sched.remaining()
+    def test_hand_back_after_a_failure_keeps_the_attempt_budget(self):
+        # A cell handed back on its last allowed attempt runs that
+        # attempt once more, never one past ``retries + 1``.
+        sched, outcomes = _scheduler(n_cells=1, n_shards=1, n_workers=1,
+                                     retries=1)
+        sched.acquire(0)
+        assert sched.fail(0, "boom") == RETRY
+        sched.acquire(0)
+        sched.unacquire(0)
+        assert 0 in sched.remaining()
         assert not sched.inflight
+        again = sched.acquire(0)
+        assert again.attempt == 1
+        assert outcomes[0].attempts == 2
 
     def test_duplicate_completion_rejected(self):
         sched, _ = _scheduler(n_cells=2, n_shards=1, n_workers=2)
@@ -178,6 +188,26 @@ class TestScheduler:
             sched.complete(0)
         assert sched.completed == [0, 1, 2]
         assert sched.remaining() == []
+
+
+class _ScriptedPool:
+    """Stands in for one worker's process pool.
+
+    A shard 0 cell kills the worker.  A shard 1 cell raises on its first
+    attempt, and a later attempt runs until the pools are given up.
+    """
+
+    def submit(self, _shim, _fn, _cell, _index, attempt, _inject,
+               shard_id, _fault_spec):
+        future = Future()
+        if shard_id == 0:
+            future.set_exception(BrokenProcessPool("worker died"))
+        elif attempt == 0:
+            future.set_exception(ValueError("boom"))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 class TestShardedExecution:
@@ -257,6 +287,25 @@ class TestShardedExecution:
         # Spawn failures hand cells back unrun: no attempt is counted
         # twice, and every cell ran exactly once in-process.
         assert [o.attempts for o in report.outcomes] == [1] * len(CELLS)
+
+
+    def test_degrade_hands_back_a_last_attempt_uncounted(
+            self, monkeypatch):
+        # Budget max(0, 2 x 2) = 4 kills.  Worker 1's cell 1 fails
+        # once, and its last allowed attempt is still running when
+        # worker 0's fifth kill gives the pools up: the hand-back must
+        # not cost it an attempt the in-process finisher then repeats.
+        monkeypatch.setattr(resilience, "_new_pool", _ScriptedPool)
+        monkeypatch.setattr(resilience, "POOL_RESPAWN_BUDGET", 0)
+        monkeypatch.setenv(resilience.RETRIES_ENV, "1")
+        with pytest.warns(RuntimeWarning, match="degraded to serial"), \
+                pytest.raises(SweepError) as exc_info:
+            run_resilient(_square, list(range(6)), jobs=2)
+        report = exc_info.value.report
+        assert report.degraded_serial and report.pool_respawns == 5
+        assert report.failed_cells == [0, 2]
+        assert report.outcomes[1].attempts == 2
+        assert all(o.attempts <= 2 for o in report.outcomes)
 
 
 class TestShardResume:

@@ -105,6 +105,18 @@ class TestInvariantsAcrossSeeds:
         result = simulate(spec)
         assert verify_invariants(result) == []
 
+    def test_crash_storms_past_the_respawn_budget_degrade(self):
+        # Past max(POOL_RESPAWN_BUDGET, 2 x workers) kills the loop
+        # hands the cells in flight back and finishes in-process.
+        params = dict(SCENARIOS)["crashy"]
+        degraded = 0
+        for seed in SEEDS:
+            result = simulate(SimSpec(seed=seed, **params))
+            if any(event.kind == "degrade" for event in result.events):
+                degraded += 1
+                assert verify_invariants(result) == []
+        assert degraded >= 1
+
     def test_skewed_costs_provoke_steals(self):
         stole = 0
         for seed in SEEDS:
